@@ -1,9 +1,6 @@
 """Closed-form estimation of a moving target's position, velocity, and
 acceleration from per-sensor range, range-rate, and derivative-of-range-rate
 measurements, with Monte Carlo experiment drivers and numerical oracles.
-
-Set KINLOC_DISABLE_NUMBA=1 before import to run the solver kernels as plain
-numpy/Python instead of numba-compiled machine code (same results, slower).
 """
 
 from .errors import (ConfigError, DegenerateGeometry, EmptyEnsemble, KinlocError,

@@ -1,11 +1,9 @@
 """Hot numeric kernels: the closed-form solves executed once per Monte Carlo trial.
 
-The kernels are compiled with numba's @njit when numba is importable.  Set
-``KINLOC_DISABLE_NUMBA=1`` to run the identical function bodies as plain
-Python/numpy instead.  Both paths execute the same IEEE double operations in
-the same order, so their outputs are bit-identical; the test suite asserts
-this.  Keep reductions as explicit loops (no np.sum/np.dot) to preserve that
-property.
+Every reduction is an explicit loop over the sensors, in index order, rather
+than np.sum/np.dot: numpy's pairwise summation rounds differently, and the
+17-digit sweep CSVs (and the golden file in the test suite) depend on this
+fixed summation order.
 
 Status codes returned by every kernel: 0 ok, 1 zero range, 2 singular or
 degenerate geometry.  On a non-zero status all numeric outputs are zeros (or
@@ -14,7 +12,6 @@ the matching exception.
 """
 
 import math
-import os
 
 import numpy as np
 
@@ -29,32 +26,6 @@ WEIGHT_INV_RANGE_SQ = 2
 COND_CAP_DEFAULT = 1e12
 
 
-def _numba_wanted() -> bool:
-    flag = os.environ.get("KINLOC_DISABLE_NUMBA", "").strip().lower()
-    return flag in ("", "0", "false", "no", "off")
-
-
-NUMBA_ENABLED = False
-if _numba_wanted():
-    try:
-        from numba import njit as _njit
-
-        NUMBA_ENABLED = True
-    except ImportError:
-        pass
-
-if not NUMBA_ENABLED:
-    def _njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(func):
-            return func
-
-        return wrap
-
-
-@_njit(cache=True, nogil=True)
 def _sym3_eig_extremes(g00, g01, g02, g11, g12, g22):
     """Largest and smallest eigenvalue of a symmetric 3x3 matrix (trigonometric form)."""
     p1 = g01 * g01 + g02 * g02 + g12 * g12
@@ -85,7 +56,6 @@ def _sym3_eig_extremes(g00, g01, g02, g11, g12, g22):
     return hi, lo
 
 
-@_njit(cache=True, nogil=True)
 def position_solve(sx, sy, rbar, cond_cap):
     """Linearized trilateration from measured ranges.
 
@@ -159,13 +129,11 @@ def position_solve(sx, sy, rbar, cond_cap):
     return th0, th1, th2, math.sqrt(ss), cond, OK
 
 
-@_njit(cache=True, nogil=True)
-def system_rows(sx, sy, px, py, rbar, weight_mode, weight_from_measured):
+def system_rows(sx, sy, px, py, weight_mode):
     """Stage rows (p_hat - p_i), ranges from p_hat, and per-row weights.
 
     weight_mode: 0 uniform, 1 inverse range, 2 inverse squared range.
-    weight_from_measured: 1 to base weights on |rbar_i| instead of the
-    estimated ranges.  Returns (bx, by, rhat, w, status).
+    Returns (bx, by, rhat, w, status).
     """
     n = sx.shape[0]
     bx = np.zeros(n)
@@ -183,20 +151,13 @@ def system_rows(sx, sy, px, py, rbar, weight_mode, weight_from_measured):
         rhat[i] = r
         if weight_mode == WEIGHT_UNIFORM:
             w[i] = 1.0
+        elif weight_mode == WEIGHT_INV_RANGE:
+            w[i] = 1.0 / r
         else:
-            base = r
-            if weight_from_measured == 1:
-                base = abs(rbar[i])
-                if base == 0.0:
-                    return bx, by, rhat, w, ZERO_RANGE
-            if weight_mode == WEIGHT_INV_RANGE:
-                w[i] = 1.0 / base
-            else:
-                w[i] = 1.0 / (base * base)
+            w[i] = 1.0 / (r * r)
     return bx, by, rhat, w, OK
 
 
-@_njit(cache=True, nogil=True)
 def wls_solve2(bx, by, rhs, w, cond_cap):
     """Minimizer of sum_i w_i (rhs_i - bx_i*x0 - by_i*x1)^2 via 2x2 normal equations.
 

@@ -6,10 +6,10 @@ unconstrained least-squares solution yields the position estimate (theta3 is
 kept as a diagnostic only).
 
 Stage 2 recovers velocity.  Multiplying the range-rate equation by the range
-turns it into the linear system  v . (p - p_i) = a_i * r_i,  whose rows use
-the stage-1 position estimate.  Uniform weights give the LS estimate; weights
-1/r_i (the default WLS rule) down-rank far sensors, whose transformed noise
-r_i * n_i is larger.
+turns it into the linear system  v . (p - p_i) = a_i * r_i,  whose rows and
+ranges r_i both come from the stage-1 position estimate.  Uniform weights
+give the LS estimate; weights 1/r_i (the default WLS rule) down-rank far
+sensors, whose transformed noise r_i * n_i is larger.
 
 Stage 3 recovers acceleration the same way from the pseudo-measurements
 k_i = b_i * r_i - ||v_hat||^2 + a_i^2, which equal  a . (p - p_i)  when the
@@ -37,8 +37,6 @@ from .errors import DegenerateGeometry, SingularGeometry, TooFewSensors, ZeroRan
 from .model import MeasurementSet, SensorArray, as_vec2, _locked
 
 WEIGHT_MODES = ("uniform", "inverse_range", "inverse_range_sq", "propagated")
-WEIGHT_SOURCES = ("estimated_position", "measured_range")
-RANGE_SOURCES = ("estimated", "measured")
 
 _MODE_CODES = {
     "uniform": _kernels.WEIGHT_UNIFORM,
@@ -52,14 +50,14 @@ COND_CAP_DEFAULT = _kernels.COND_CAP_DEFAULT
 
 @dataclass(frozen=True)
 class WeightRule:
-    """Stage weighting: mode picks the rule, source the range it is based on.
+    """Stage weighting rule; r is the range implied by the stage-1 position.
 
     ``uniform`` reduces every stage to plain LS.  ``inverse_range`` (the
     default here) and ``inverse_range_sq`` weight each row of both stages by
     1/r or 1/r^2.  ``propagated`` weights velocity rows by 1/r as well, but
     solves the acceleration stage with the first-order covariance of its
-    pseudo-measurements (see ``acceleration_error_model``); ``source`` then
-    sets the velocity weights that this covariance is propagated through.
+    pseudo-measurements, propagated through those 1/r velocity weights (see
+    ``acceleration_error_model``).
 
     ``WeightRule()`` stays the paper's 1/r rule so that library callers get
     the published estimator; the Monte Carlo drivers and the CLI default to
@@ -68,13 +66,10 @@ class WeightRule:
     """
 
     mode: str = "inverse_range"
-    source: str = "estimated_position"
 
     def __post_init__(self):
         if self.mode not in WEIGHT_MODES:
             raise ValueError(f"mode must be one of {WEIGHT_MODES}, got {self.mode!r}")
-        if self.source not in WEIGHT_SOURCES:
-            raise ValueError(f"source must be one of {WEIGHT_SOURCES}, got {self.source!r}")
 
 
 UNIFORM = WeightRule(mode="uniform")
@@ -115,11 +110,6 @@ def _check_lengths(measurements: MeasurementSet, sensors: SensorArray):
         )
 
 
-def _check_range_source(range_source: str):
-    if range_source not in RANGE_SOURCES:
-        raise ValueError(f"range_source must be one of {RANGE_SOURCES}, got {range_source!r}")
-
-
 def estimate_position(measurements: MeasurementSet, sensors: SensorArray,
                       cond_cap: float = COND_CAP_DEFAULT) -> PositionSolution:
     """Trilateration position estimate from the measured ranges.
@@ -139,30 +129,24 @@ def estimate_position(measurements: MeasurementSet, sensors: SensorArray,
     return PositionSolution(as_vec2((x, y)), float(theta3), float(resid), float(cond))
 
 
-def _rows_and_weights(measurements, sensors, p_hat, weight_rule):
+def _rows_and_weights(sensors, p_hat, weight_rule):
     p = as_vec2(p_hat, "p_hat")
     bx, by, rhat, w, status = _kernels.system_rows(
-        sensors.xs, sensors.ys, p[0], p[1], measurements.ranges,
-        _MODE_CODES[weight_rule.mode],
-        1 if weight_rule.source == "measured_range" else 0)
+        sensors.xs, sensors.ys, p[0], p[1], _MODE_CODES[weight_rule.mode])
     if status != _kernels.OK:
-        raise ZeroRange("estimated position coincides with a sensor (or a zero measured range)")
+        raise ZeroRange("estimated position coincides with a sensor")
     return bx, by, rhat, w
 
 
 def build_velocity_system(measurements: MeasurementSet, sensors: SensorArray, p_hat,
-                          weight_rule: WeightRule = WeightRule(),
-                          range_source: str = "estimated"):
+                          weight_rule: WeightRule = WeightRule()):
     """Velocity stage system: rows B (N x 2), pseudo-measurements d, weights W.
 
-    Row i is (p_hat - p_i); d_i = a_i * r_i with r_i either the range implied
-    by p_hat (default) or the raw measured range.
+    Row i is (p_hat - p_i); d_i = a_i * r_i with r_i the range implied by p_hat.
     """
     _check_lengths(measurements, sensors)
-    _check_range_source(range_source)
-    bx, by, rhat, w = _rows_and_weights(measurements, sensors, p_hat, weight_rule)
-    r_d = rhat if range_source == "estimated" else measurements.ranges
-    d = measurements.range_rates * r_d
+    bx, by, rhat, w = _rows_and_weights(sensors, p_hat, weight_rule)
+    d = measurements.range_rates * rhat
     return np.column_stack((bx, by)), d, w
 
 
@@ -250,40 +234,26 @@ def solve_shared_error_stage(B, rhs, variances, shared_variance: float,
 
 def estimate_velocity(measurements: MeasurementSet, sensors: SensorArray, p_hat,
                       weight_rule: WeightRule = WeightRule(),
-                      range_source: str = "estimated",
-                      reweight_passes: int = 1,
                       cond_cap: float = COND_CAP_DEFAULT) -> KinematicEstimate:
-    """Velocity estimate from range rates, given the stage-1 position estimate.
-
-    ``reweight_passes`` re-derives weights and re-solves; the shipped weight
-    rules depend only on p_hat (or the measured ranges), which the velocity
-    stage never updates, so every pass returns the same estimate.
-    """
-    if reweight_passes < 1:
-        raise ValueError("reweight_passes must be >= 1")
+    """Velocity estimate from range rates, given the stage-1 position estimate."""
+    B, d, w = build_velocity_system(measurements, sensors, p_hat, weight_rule)
     method = "LS" if weight_rule.mode == "uniform" else "WLS"
-    estimate = None
-    for _ in range(reweight_passes):
-        B, d, w = build_velocity_system(measurements, sensors, p_hat, weight_rule, range_source)
-        estimate = solve_linear_stage(B, d, w, cond_cap, method=method)
-    return estimate
+    return solve_linear_stage(B, d, w, cond_cap, method=method)
 
 
 def acceleration_pseudo_measurements(measurements: MeasurementSet, sensors: SensorArray,
-                                     p_hat, v_hat,
-                                     range_source: str = "estimated") -> np.ndarray:
-    """Transformed drr measurements k_i = b_i * r_i - ||v_hat||^2 + a_i^2.
+                                     p_hat, v_hat) -> np.ndarray:
+    """Transformed drr measurements k_i = b_i * r_i - ||v_hat||^2 + a_i^2,
+    with r_i the range implied by p_hat.
 
     With exact p_hat, v_hat and noiseless measurements, k_i equals
     a . (p_hat - p_i) exactly.
     """
     _check_lengths(measurements, sensors)
-    _check_range_source(range_source)
     v = as_vec2(v_hat, "v_hat")
-    _, _, rhat, _ = _rows_and_weights(measurements, sensors, p_hat, UNIFORM)
-    r_k = rhat if range_source == "estimated" else measurements.ranges
+    _, _, rhat, _ = _rows_and_weights(sensors, p_hat, UNIFORM)
     v2 = float(v @ v)
-    return measurements.drrs * r_k - v2 + measurements.range_rates ** 2
+    return measurements.drrs * rhat - v2 + measurements.range_rates ** 2
 
 
 def acceleration_error_model(measurements: MeasurementSet, ranges, B, velocity_weights,
@@ -299,7 +269,9 @@ def acceleration_error_model(measurements: MeasurementSet, ranges, B, velocity_w
     Cov(v) = G^-1 M G^-1 propagates the per-row variance r_i^2 s_a^2 +
     a_i^2 s_r^2 of d_i = a_i r_i through the velocity solve
     (G = sum w_i B_i B_i', M = sum w_i^2 var(d_i) B_i B_i').
-    Raises SingularGeometry when G is singular.
+    Raises SingularGeometry when G is singular, or when the model is not
+    finite: a measurement too large to square (a drr near 1e154, from a
+    target within about 1e-150 m of a sensor) leaves the rows unweightable.
     """
     noise = measurements.noise
     var_r = noise.sigma_range ** 2
@@ -324,52 +296,44 @@ def acceleration_error_model(measurements: MeasurementSet, ranges, B, velocity_w
     v0, v1 = as_vec2(v_hat, "v_hat").tolist()
     u0 = (g11 * v0 - g01 * v1) / det      # u = G^-1 v, so v' Cov(v) v = u' M u
     u1 = (g00 * v1 - g01 * v0) / det
+    shared = 4.0 * (u0 * u0 * m00 + 2.0 * u0 * u1 * m01 + u1 * u1 * m11)
+    if not (math.isfinite(sum(variances)) and math.isfinite(shared)):
+        raise SingularGeometry("stage-3 error model overflows (a measurement too large to square)")
     # M is positive semidefinite; rounding may still take u' M u a hair below 0
-    shared = max(0.0, 4.0 * (u0 * u0 * m00 + 2.0 * u0 * u1 * m01 + u1 * u1 * m11))
-    return np.array(variances), shared
+    return np.array(variances), max(0.0, shared)
 
 
 def estimate_acceleration(measurements: MeasurementSet, sensors: SensorArray, p_hat, v_hat,
                           weight_rule: WeightRule = WeightRule(),
-                          range_source: str = "estimated",
-                          reweight_passes: int = 1,
                           cond_cap: float = COND_CAP_DEFAULT) -> KinematicEstimate:
     """Acceleration estimate from drr measurements, given stage-1/2 estimates.
 
     Under the ``propagated`` rule ``v_hat`` is taken to come from the velocity
-    stage with the same rule and range source, whose covariance the shared
-    error term is propagated from.
+    stage with the same rule, whose covariance the shared error term is
+    propagated from.
     """
-    if reweight_passes < 1:
-        raise ValueError("reweight_passes must be >= 1")
     method = "LS" if weight_rule.mode == "uniform" else "WLS"
-    k = acceleration_pseudo_measurements(measurements, sensors, p_hat, v_hat, range_source)
-    estimate = None
-    for _ in range(reweight_passes):
-        bx, by, rhat, w = _rows_and_weights(measurements, sensors, p_hat, weight_rule)
-        B = np.column_stack((bx, by))
-        if weight_rule.mode == "propagated":
-            r_k = rhat if range_source == "estimated" else measurements.ranges
-            variances, shared = acceleration_error_model(measurements, r_k, B, w, v_hat)
-            estimate = solve_shared_error_stage(B, k, variances, shared, cond_cap, method)
-        else:
-            estimate = solve_linear_stage(B, k, w, cond_cap, method=method)
-    return estimate
+    k = acceleration_pseudo_measurements(measurements, sensors, p_hat, v_hat)
+    bx, by, rhat, w = _rows_and_weights(sensors, p_hat, weight_rule)
+    B = np.column_stack((bx, by))
+    if weight_rule.mode == "propagated":
+        variances, shared = acceleration_error_model(measurements, rhat, B, w, v_hat)
+        return solve_shared_error_stage(B, k, variances, shared, cond_cap, method)
+    return solve_linear_stage(B, k, w, cond_cap, method=method)
 
 
 def estimate_all(measurements: MeasurementSet, sensors: SensorArray,
                  weight_rule: WeightRule = WeightRule(),
-                 range_source: str = "estimated",
                  cond_cap: float = COND_CAP_DEFAULT) -> EstimationResult:
     """Run the full sequential pipeline: position, then LS and WLS velocity and
     acceleration.  Each WLS acceleration consumes the matching WLS velocity."""
     pos = estimate_position(measurements, sensors, cond_cap)
     v_ls = estimate_velocity(measurements, sensors, pos.position, UNIFORM,
-                             range_source, cond_cap=cond_cap)
+                             cond_cap=cond_cap)
     v_wls = estimate_velocity(measurements, sensors, pos.position, weight_rule,
-                              range_source, cond_cap=cond_cap)
+                              cond_cap=cond_cap)
     a_ls = estimate_acceleration(measurements, sensors, pos.position, v_ls.value,
-                                 UNIFORM, range_source, cond_cap=cond_cap)
+                                 UNIFORM, cond_cap=cond_cap)
     a_wls = estimate_acceleration(measurements, sensors, pos.position, v_wls.value,
-                                  weight_rule, range_source, cond_cap=cond_cap)
+                                  weight_rule, cond_cap=cond_cap)
     return EstimationResult(pos, v_ls, v_wls, a_ls, a_wls)

@@ -76,7 +76,12 @@ class TargetState:
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Standard deviations of the additive Gaussian measurement noise."""
+    """Standard deviations of the additive Gaussian measurement noise.
+
+    Each sigma must be >= 0 with a finite square: the propagated weight rule
+    works with the variances, so a sigma near 1e154 or above is rejected here
+    rather than overflowing there.
+    """
 
     sigma_range: float = 1.0        # m
     sigma_range_rate: float = 1.0   # m/s
@@ -85,8 +90,8 @@ class NoiseSpec:
     def __post_init__(self):
         for name in ("sigma_range", "sigma_range_rate", "sigma_drr"):
             value = float(getattr(self, name))
-            if not np.isfinite(value) or value < 0.0:
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+            if not np.isfinite(value * value) or value < 0.0:
+                raise ValueError(f"{name} must be >= 0 with a finite square, got {value}")
             object.__setattr__(self, name, value)
 
 

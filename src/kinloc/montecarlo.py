@@ -13,6 +13,7 @@ pinned to 1), and acceleration RMSE against the drr noise level
 Trials, ensembles and sweeps default to the ``propagated`` weight rule.
 """
 
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -135,8 +136,7 @@ def sample_truth(scenario: Scenario, trial_index: int,
 
 
 def run_trial(scenario: Scenario, trial_index: int,
-              weight_rule: WeightRule = PROPAGATED,
-              range_source: str = "estimated") -> TrialRecord:
+              weight_rule: WeightRule = PROPAGATED) -> TrialRecord:
     """Execute one trial: sample truth, synthesize measurements, run all five
     estimators.  Estimator failures are captured in the record, not raised."""
     if not 0 <= int(trial_index) < 2 ** 63:
@@ -154,23 +154,22 @@ def run_trial(scenario: Scenario, trial_index: int,
         stage_times["position"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        v_ls = estimate_velocity(measurements, scenario.sensors, pos.position,
-                                 UNIFORM, range_source)
+        v_ls = estimate_velocity(measurements, scenario.sensors, pos.position, UNIFORM)
         stage_times["velocity_ls"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
         v_wls = estimate_velocity(measurements, scenario.sensors, pos.position,
-                                  weight_rule, range_source)
+                                  weight_rule)
         stage_times["velocity_wls"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
         a_ls = estimate_acceleration(measurements, scenario.sensors, pos.position,
-                                     v_ls.value, UNIFORM, range_source)
+                                     v_ls.value, UNIFORM)
         stage_times["accel_ls"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
         a_wls = estimate_acceleration(measurements, scenario.sensors, pos.position,
-                                      v_wls.value, weight_rule, range_source)
+                                      v_wls.value, weight_rule)
         stage_times["accel_wls"] = time.perf_counter() - t0
     except _TRIAL_ERRORS as exc:
         return TrialRecord(trial_index, truth, None, {}, stage_times, type(exc).__name__)
@@ -186,15 +185,26 @@ def run_trial(scenario: Scenario, trial_index: int,
     return TrialRecord(trial_index, truth, estimates, squared_errors, stage_times, None)
 
 
+def _available_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
 def run_ensemble(scenario: Scenario, weight_rule: WeightRule = PROPAGATED,
-                 range_source: str = "estimated", threads: int = 1) -> list:
-    """All trials of a scenario, in trial-index order regardless of threading."""
+                 threads: int = 1) -> list:
+    """All trials of a scenario, in trial-index order regardless of threading.
+
+    The pool never gets more workers than there are trials or CPUs available
+    to the process, whatever ``threads`` asks for.
+    """
     indices = range(scenario.trials)
-    if threads <= 1:
-        return [run_trial(scenario, i, weight_rule, range_source) for i in indices]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(
-            lambda i: run_trial(scenario, i, weight_rule, range_source), indices))
+    workers = min(threads, _available_cpus(), scenario.trials)
+    if workers <= 1:
+        return [run_trial(scenario, i, weight_rule) for i in indices]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(lambda i: run_trial(scenario, i, weight_rule), indices))
 
 
 def rmse(records, method: str) -> float:
@@ -263,39 +273,36 @@ def _aggregate_point(sigma: float, records) -> SweepPoint:
 
 
 def _sweep(base: Scenario, swept_parameter: str, grid, motion_mode: str,
-           noise_for, weight_rule: WeightRule, range_source: str,
-           threads: int) -> SweepResult:
+           noise_for, weight_rule: WeightRule, threads: int) -> SweepResult:
     values = _check_grid(grid)
     points = []
     for sigma in values:
         scenario = replace(base, noise=noise_for(sigma), motion_mode=motion_mode)
-        records = run_ensemble(scenario, weight_rule, range_source, threads)
+        records = run_ensemble(scenario, weight_rule, threads)
         points.append(_aggregate_point(sigma, records))
     return SweepResult(swept_parameter, values, tuple(points))
 
 
 def sweep_velocity_experiment(base: Scenario, sigma_rr_grid,
                               weight_rule: WeightRule = PROPAGATED,
-                              range_source: str = "estimated",
                               threads: int = 1) -> SweepResult:
     """Velocity RMSE versus range-rate noise: constant-velocity targets,
     sigma_range fixed at 1 m, drr noise taken from the base scenario."""
     return _sweep(
         base, "sigma_range_rate", sigma_rr_grid, "constant_velocity",
         lambda s: NoiseSpec(1.0, s, base.noise.sigma_drr),
-        weight_rule, range_source, threads)
+        weight_rule, threads)
 
 
 def sweep_acceleration_experiment(base: Scenario, sigma_drr_grid,
                                   weight_rule: WeightRule = PROPAGATED,
-                                  range_source: str = "estimated",
                                   threads: int = 1) -> SweepResult:
     """Acceleration RMSE versus drr noise: constant-acceleration targets,
     sigma_range = sigma_range_rate = 1."""
     return _sweep(
         base, "sigma_drr", sigma_drr_grid, "constant_acceleration",
         lambda s: NoiseSpec(1.0, 1.0, s),
-        weight_rule, range_source, threads)
+        weight_rule, threads)
 
 
 def timing_report(sweep: SweepResult) -> dict:

@@ -133,6 +133,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             NoiseSpec(sigma_range=-1.0)
 
+    def test_sigma_with_overflowing_square_rejected(self):
+        # the propagated weights use sigma^2; 1e200 ** 2 is not a finite float
+        for name in ("sigma_range", "sigma_range_rate", "sigma_drr"):
+            with pytest.raises(ValueError):
+                NoiseSpec(**{name: 1e200})
+        assert NoiseSpec(sigma_drr=1e150).sigma_drr == 1e150
+
     def test_measurement_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             MeasurementSet([1.0, 2.0], [0.0], [0.0, 0.0], NoiseSpec())

@@ -1,6 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
+from kinloc import montecarlo
 from kinloc.errors import EmptyEnsemble
 from kinloc.model import NoiseSpec, SensorArray, TargetState
 from kinloc.montecarlo import (METHODS, Scenario, SweepPoint, SweepResult,
@@ -118,6 +121,31 @@ class TestEnsemble:
         assert [r.trial_index for r in threaded] == list(range(40))
         for a, b in zip(serial, threaded):
             assert a.squared_errors == b.squared_errors
+
+    def test_thread_count_capped_at_cpus_and_trials(self, monkeypatch):
+        requested = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", SerialPool)
+        run_ensemble(default_scenario(trials=50), threads=10 ** 6)
+        assert all(w <= os.cpu_count() for w in requested)
+        requested.clear()
+        monkeypatch.setattr(montecarlo, "_available_cpus", lambda: 3)
+        for trials, threads in ((5, 10 ** 6), (5, 2), (2, 10 ** 6), (1, 10 ** 6)):
+            run_ensemble(default_scenario(trials=trials), threads=threads)
+        assert requested == [3, 2, 2]       # a single trial runs without a pool
 
     def test_failure_accounting(self):
         sc = Scenario(
