@@ -8,7 +8,8 @@ fixed summation order.
 Status codes returned by every kernel: 0 ok, 1 zero range, 2 singular or
 degenerate geometry.  On a non-zero status all numeric outputs are zeros (or
 inf for condition numbers), never NaN; the wrapper layer in estim.py raises
-the matching exception.
+the matching exception.  The kernels know no weighting policy: estim.py
+turns a WeightRule into the weights that ``wls_solve2`` takes.
 """
 
 import math
@@ -18,10 +19,6 @@ import numpy as np
 OK = 0
 ZERO_RANGE = 1
 SINGULAR = 2
-
-WEIGHT_UNIFORM = 0
-WEIGHT_INV_RANGE = 1
-WEIGHT_INV_RANGE_SQ = 2
 
 COND_CAP_DEFAULT = 1e12
 
@@ -129,33 +126,25 @@ def position_solve(sx, sy, rbar, cond_cap):
     return th0, th1, th2, math.sqrt(ss), cond, OK
 
 
-def system_rows(sx, sy, px, py, weight_mode):
-    """Stage rows (p_hat - p_i), ranges from p_hat, and per-row weights.
+def system_rows(sx, sy, px, py):
+    """Stage rows (p_hat - p_i) and the ranges r_i = |p_hat - p_i|.
 
-    weight_mode: 0 uniform, 1 inverse range, 2 inverse squared range.
-    Returns (bx, by, rhat, w, status).
+    Returns (bx, by, rhat, status).
     """
     n = sx.shape[0]
     bx = np.zeros(n)
     by = np.zeros(n)
     rhat = np.zeros(n)
-    w = np.zeros(n)
     for i in range(n):
         dx = px - sx[i]
         dy = py - sy[i]
         r = math.sqrt(dx * dx + dy * dy)
         if r == 0.0:
-            return bx, by, rhat, w, ZERO_RANGE
+            return bx, by, rhat, ZERO_RANGE
         bx[i] = dx
         by[i] = dy
         rhat[i] = r
-        if weight_mode == WEIGHT_UNIFORM:
-            w[i] = 1.0
-        elif weight_mode == WEIGHT_INV_RANGE:
-            w[i] = 1.0 / r
-        else:
-            w[i] = 1.0 / (r * r)
-    return bx, by, rhat, w, OK
+    return bx, by, rhat, OK
 
 
 def wls_solve2(bx, by, rhs, w, cond_cap):

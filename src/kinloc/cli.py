@@ -31,7 +31,6 @@ CSV_HEADER = "sigma,rmse_pos,rmse_vel_ls,rmse_vel_wls,rmse_acc_ls,rmse_acc_wls,f
 _WEIGHT_CHOICES = {
     "uniform": "uniform",
     "inverse-range": "inverse_range",
-    "inverse-range-sq": "inverse_range_sq",
     "propagated": "propagated",
 }
 _EXPERIMENTS = ("velocity", "acceleration")

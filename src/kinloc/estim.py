@@ -23,8 +23,11 @@ D_i = r_i^2 s_b^2 + 4 a_i^2 s_a^2 + b_i^2 s_r^2 plus the shared variance
 4 v_hat' Cov(v_hat) v_hat), in the spirit of the auxiliary-variable WLS of
 Chan & Ho (1994) and Ho & Xu (2004); its velocity stage keeps the 1/r_i rule.
 
-All stage solves go through the weighted normal equations with a condition
-guard; an independent dense solver in oracle.py cross-checks them.
+Stages 2 and 3 share one path: the kernels return the rows (p_hat - p_i) and
+the ranges, this module turns the WeightRule into per-row weights
+(``row_weights``) and hands columns, right-hand side and weights to the 2x2
+weighted normal-equation kernel, which guards the condition number.  An
+independent dense solver in oracle.py cross-checks the solves.
 """
 
 import math
@@ -36,16 +39,7 @@ from . import _kernels
 from .errors import DegenerateGeometry, SingularGeometry, TooFewSensors, ZeroRange
 from .model import MeasurementSet, SensorArray, as_vec2, _locked
 
-WEIGHT_MODES = ("uniform", "inverse_range", "inverse_range_sq", "propagated")
-
-_MODE_CODES = {
-    "uniform": _kernels.WEIGHT_UNIFORM,
-    "inverse_range": _kernels.WEIGHT_INV_RANGE,
-    "inverse_range_sq": _kernels.WEIGHT_INV_RANGE_SQ,
-    "propagated": _kernels.WEIGHT_INV_RANGE,    # velocity rows; stage 3 reweights
-}
-
-COND_CAP_DEFAULT = _kernels.COND_CAP_DEFAULT
+WEIGHT_MODES = ("uniform", "inverse_range", "propagated")
 
 
 @dataclass(frozen=True)
@@ -53,11 +47,12 @@ class WeightRule:
     """Stage weighting rule; r is the range implied by the stage-1 position.
 
     ``uniform`` reduces every stage to plain LS.  ``inverse_range`` (the
-    default here) and ``inverse_range_sq`` weight each row of both stages by
-    1/r or 1/r^2.  ``propagated`` weights velocity rows by 1/r as well, but
-    solves the acceleration stage with the first-order covariance of its
+    default here, the paper's WLS) weights each row of both stages by 1/r.
+    ``propagated`` weights velocity rows by 1/r as well, but solves the
+    acceleration stage with the first-order covariance of its
     pseudo-measurements, propagated through those 1/r velocity weights (see
-    ``acceleration_error_model``).
+    ``acceleration_error_model``).  ``row_weights`` is the one place the
+    rule turns into per-row weights.
 
     ``WeightRule()`` stays the paper's 1/r rule so that library callers get
     the published estimator; the Monte Carlo drivers and the CLI default to
@@ -74,6 +69,15 @@ class WeightRule:
 
 UNIFORM = WeightRule(mode="uniform")
 PROPAGATED = WeightRule(mode="propagated")
+
+
+def row_weights(rhat, weight_rule: WeightRule) -> np.ndarray:
+    """Per-row weights of a stage solve from the ranges r implied by p_hat:
+    ones under ``uniform``, 1/r under ``inverse_range`` and ``propagated``
+    (whose acceleration stage then reweights, see ``estimate_acceleration``)."""
+    if weight_rule.mode == "uniform":
+        return np.ones(len(rhat))
+    return 1.0 / rhat
 
 
 @dataclass(frozen=True)
@@ -110,8 +114,7 @@ def _check_lengths(measurements: MeasurementSet, sensors: SensorArray):
         )
 
 
-def estimate_position(measurements: MeasurementSet, sensors: SensorArray,
-                      cond_cap: float = COND_CAP_DEFAULT) -> PositionSolution:
+def estimate_position(measurements: MeasurementSet, sensors: SensorArray) -> PositionSolution:
     """Trilateration position estimate from the measured ranges.
 
     Requires N >= 3 sensors in non-collinear position; raises TooFewSensors or
@@ -122,47 +125,29 @@ def estimate_position(measurements: MeasurementSet, sensors: SensorArray,
     if n < 3:
         raise TooFewSensors(f"position stage needs at least 3 sensors, got {n}")
     x, y, theta3, resid, cond, status = _kernels.position_solve(
-        sensors.xs, sensors.ys, measurements.ranges, cond_cap)
+        sensors.xs, sensors.ys, measurements.ranges, _kernels.COND_CAP_DEFAULT)
     if status != _kernels.OK:
         raise DegenerateGeometry(
             f"sensor layout is rank-deficient for trilateration (gram condition {cond:.3g})")
     return PositionSolution(as_vec2((x, y)), float(theta3), float(resid), float(cond))
 
 
-def _rows_and_weights(sensors, p_hat, weight_rule):
+def _stage_rows(sensors, p_hat):
+    """Stage rows (p_hat - p_i) as two columns, and the ranges r_i implied by p_hat."""
     p = as_vec2(p_hat, "p_hat")
-    bx, by, rhat, w, status = _kernels.system_rows(
-        sensors.xs, sensors.ys, p[0], p[1], _MODE_CODES[weight_rule.mode])
+    bx, by, rhat, status = _kernels.system_rows(sensors.xs, sensors.ys, p[0], p[1])
     if status != _kernels.OK:
         raise ZeroRange("estimated position coincides with a sensor")
-    return bx, by, rhat, w
+    return bx, by, rhat
 
 
-def build_velocity_system(measurements: MeasurementSet, sensors: SensorArray, p_hat,
-                          weight_rule: WeightRule = WeightRule()):
-    """Velocity stage system: rows B (N x 2), pseudo-measurements d, weights W.
-
-    Row i is (p_hat - p_i); d_i = a_i * r_i with r_i the range implied by p_hat.
-    """
-    _check_lengths(measurements, sensors)
-    bx, by, rhat, w = _rows_and_weights(sensors, p_hat, weight_rule)
-    d = measurements.range_rates * rhat
-    return np.column_stack((bx, by)), d, w
-
-
-def solve_linear_stage(B, rhs, weights, cond_cap: float = COND_CAP_DEFAULT,
-                       method: str | None = None) -> KinematicEstimate:
-    """Exact minimizer of sum_i W_i (rhs_i - B_i . x)^2 for a 2D unknown.
-
-    Raises SingularGeometry when the weighted Gram matrix is singular or its
-    condition number exceeds cond_cap (all rows nearly parallel).
-    """
-    B, rhs, weights = _stage_arrays(B, rhs, weights, "weights")
-    if method is None:
-        method = "LS" if np.all(weights == weights[0]) else "WLS"
-    return _solve2(np.ascontiguousarray(B[:, 0]), np.ascontiguousarray(B[:, 1]),
-                   np.ascontiguousarray(rhs), np.ascontiguousarray(weights),
-                   rhs, cond_cap, method)
+def _solve2(bx, by, rhs, weights, pseudo, method) -> KinematicEstimate:
+    x0, x1, cond, status = _kernels.wls_solve2(bx, by, rhs, weights, _kernels.COND_CAP_DEFAULT)
+    if status != _kernels.OK:
+        raise SingularGeometry(
+            f"stage Gram matrix singular or ill-conditioned (condition {cond:.3g})")
+    return KinematicEstimate(as_vec2((x0, x1)), method, float(cond),
+                             _locked(pseudo.copy()))
 
 
 def _stage_arrays(B, rhs, per_row, name):
@@ -171,23 +156,26 @@ def _stage_arrays(B, rhs, per_row, name):
     per_row = np.asarray(per_row, dtype=np.float64)
     if B.ndim != 2 or B.shape[1] != 2:
         raise ValueError(f"B must have shape (N, 2), got {B.shape}")
+    if B.shape[0] == 0:
+        raise ValueError("stage system is empty: B has no rows")
     if rhs.shape != (B.shape[0],) or per_row.shape != (B.shape[0],):
         raise ValueError(f"rhs and {name} must be N-vectors matching B")
     return B, rhs, per_row
 
 
-def _solve2(bx, by, rhs, weights, pseudo, cond_cap, method) -> KinematicEstimate:
-    x0, x1, cond, status = _kernels.wls_solve2(bx, by, rhs, weights, cond_cap)
-    if status != _kernels.OK:
-        raise SingularGeometry(
-            f"stage Gram matrix singular or ill-conditioned (condition {cond:.3g})")
-    return KinematicEstimate(as_vec2((x0, x1)), method, float(cond),
-                             _locked(pseudo.copy()))
+def solve_linear_stage(B, rhs, weights) -> KinematicEstimate:
+    """Exact minimizer of sum_i W_i (rhs_i - B_i . x)^2 for a 2D unknown.
+
+    Labelled "LS" when every weight is equal, "WLS" otherwise.  Raises
+    SingularGeometry when the weighted Gram matrix is singular or its
+    condition number exceeds the kernels' cap (all rows nearly parallel).
+    """
+    B, rhs, weights = _stage_arrays(B, rhs, weights, "weights")
+    method = "LS" if np.all(weights == weights[0]) else "WLS"
+    return _solve2(B[:, 0], B[:, 1], rhs, weights, rhs, method)
 
 
-def solve_shared_error_stage(B, rhs, variances, shared_variance: float,
-                             cond_cap: float = COND_CAP_DEFAULT,
-                             method: str = "WLS") -> KinematicEstimate:
+def solve_shared_error_stage(B, rhs, variances, shared_variance: float) -> KinematicEstimate:
     """Generalized LS for rhs = B x + e with Cov(e) = diag(variances) + s2 * 1 1^T.
 
     This equals weighted LS with weights 1/variances on the augmented unknown
@@ -206,9 +194,13 @@ def solve_shared_error_stage(B, rhs, variances, shared_variance: float,
     Raises SingularGeometry like ``solve_linear_stage``.
     """
     B, rhs, variances = _stage_arrays(B, rhs, variances, "variances")
+    return _shared_error_solve(B[:, 0], B[:, 1], rhs, variances, float(shared_variance))
+
+
+def _shared_error_solve(bx, by, rhs, variances, s2) -> KinematicEstimate:
+    """``solve_shared_error_stage`` on the columns of B."""
     var = variances.tolist()
     lowest = min(var)
-    s2 = float(shared_variance)
     if not (lowest >= 0.0 and math.isfinite(sum(var)) and 0.0 <= s2 < math.inf):
         raise ValueError("variances and shared_variance must be finite and >= 0")
     if lowest == 0.0:
@@ -219,8 +211,13 @@ def solve_shared_error_stage(B, rhs, variances, shared_variance: float,
         else:
             var = [1.0] * len(var)
             s2 = 0.0
+    # Scaling the covariance leaves the GLS solution unchanged, and scaling by
+    # a power of two is exact: bring the smallest variance into [1, 2) so that
+    # the weights (at most 1) and their Gram products stay within range.
+    e = math.frexp(min(var))[1] - 1
+    var = [math.ldexp(d, -e) for d in var]
+    s2 = math.ldexp(s2, -e)
     w = [1.0 / d for d in var]
-    bx, by = B[:, 0], B[:, 1]
     total = sx = sy = sk = 0.0
     for wi, x, y, k in zip(w, bx.tolist(), by.tolist(), rhs.tolist()):
         total += wi
@@ -229,16 +226,22 @@ def solve_shared_error_stage(B, rhs, variances, shared_variance: float,
         sk += wi * k
     shrink = (1.0 - 1.0 / math.sqrt(1.0 + s2 * total)) / total
     return _solve2(bx - shrink * sx, by - shrink * sy, rhs - shrink * sk, np.array(w),
-                   rhs, cond_cap, method)
+                   rhs, "WLS")
 
 
 def estimate_velocity(measurements: MeasurementSet, sensors: SensorArray, p_hat,
-                      weight_rule: WeightRule = WeightRule(),
-                      cond_cap: float = COND_CAP_DEFAULT) -> KinematicEstimate:
-    """Velocity estimate from range rates, given the stage-1 position estimate."""
-    B, d, w = build_velocity_system(measurements, sensors, p_hat, weight_rule)
+                      weight_rule: WeightRule = WeightRule()) -> KinematicEstimate:
+    """Velocity estimate from range rates, given the stage-1 position estimate.
+
+    Solves rows (p_hat - p_i) against d_i = a_i * r_i, with r_i the range
+    implied by p_hat and weights from ``row_weights``.  Raises ZeroRange when
+    p_hat coincides with a sensor.
+    """
+    _check_lengths(measurements, sensors)
+    bx, by, rhat = _stage_rows(sensors, p_hat)
+    d = measurements.range_rates * rhat
     method = "LS" if weight_rule.mode == "uniform" else "WLS"
-    return solve_linear_stage(B, d, w, cond_cap, method=method)
+    return _solve2(bx, by, d, row_weights(rhat, weight_rule), d, method)
 
 
 def acceleration_pseudo_measurements(measurements: MeasurementSet, sensors: SensorArray,
@@ -251,19 +254,19 @@ def acceleration_pseudo_measurements(measurements: MeasurementSet, sensors: Sens
     """
     _check_lengths(measurements, sensors)
     v = as_vec2(v_hat, "v_hat")
-    _, _, rhat, _ = _rows_and_weights(sensors, p_hat, UNIFORM)
+    _, _, rhat = _stage_rows(sensors, p_hat)
     v2 = float(v @ v)
     return measurements.drrs * rhat - v2 + measurements.range_rates ** 2
 
 
-def acceleration_error_model(measurements: MeasurementSet, ranges, B, velocity_weights,
+def acceleration_error_model(measurements: MeasurementSet, ranges, bx, by, velocity_weights,
                              v_hat):
     """First-order error model of the pseudo-measurements k_i, as (D, s2).
 
-    ``ranges`` are the r_i that multiply b_i in k_i, ``B`` the stage rows
-    (p_hat - p_i), and ``velocity_weights`` the weights of the velocity solve
-    that produced ``v_hat``.  With noise levels s_r, s_a, s_b from
-    ``measurements.noise``, the per-row variances are
+    ``ranges`` are the r_i that multiply b_i in k_i, ``bx`` and ``by`` the
+    columns of the stage rows (p_hat - p_i), and ``velocity_weights`` the
+    weights of the velocity solve that produced ``v_hat``.  With noise levels
+    s_r, s_a, s_b from ``measurements.noise``, the per-row variances are
     D_i = r_i^2 s_b^2 + 4 a_i^2 s_a^2 + b_i^2 s_r^2, and s2 = 4 v' Cov(v) v is
     the variance of the offset -2 v_hat . dv that every row shares, where
     Cov(v) = G^-1 M G^-1 propagates the per-row variance r_i^2 s_a^2 +
@@ -281,7 +284,7 @@ def acceleration_error_model(measurements: MeasurementSet, ranges, B, velocity_w
     g00 = g01 = g11 = m00 = m01 = m11 = 0.0
     for r, a, b, w, x, y in zip(np.asarray(ranges).tolist(), measurements.range_rates.tolist(),
                                 measurements.drrs.tolist(), np.asarray(velocity_weights).tolist(),
-                                B[:, 0].tolist(), B[:, 1].tolist(), strict=True):
+                                bx.tolist(), by.tolist(), strict=True):
         variances.append(r * r * var_b + 4.0 * a * a * var_a + b * b * var_r)
         m = w * w * (r * r * var_a + a * a * var_r)
         g00 += w * x * x
@@ -304,36 +307,33 @@ def acceleration_error_model(measurements: MeasurementSet, ranges, B, velocity_w
 
 
 def estimate_acceleration(measurements: MeasurementSet, sensors: SensorArray, p_hat, v_hat,
-                          weight_rule: WeightRule = WeightRule(),
-                          cond_cap: float = COND_CAP_DEFAULT) -> KinematicEstimate:
+                          weight_rule: WeightRule = WeightRule()) -> KinematicEstimate:
     """Acceleration estimate from drr measurements, given stage-1/2 estimates.
 
-    Under the ``propagated`` rule ``v_hat`` is taken to come from the velocity
-    stage with the same rule, whose covariance the shared error term is
-    propagated from.
+    Solves rows (p_hat - p_i) against the pseudo-measurements k_i of
+    ``acceleration_pseudo_measurements``, with weights from ``row_weights``;
+    under the ``propagated`` rule it solves the GLS problem of
+    ``acceleration_error_model`` instead, taking ``v_hat`` to come from the
+    velocity stage with the same rule.
     """
-    method = "LS" if weight_rule.mode == "uniform" else "WLS"
     k = acceleration_pseudo_measurements(measurements, sensors, p_hat, v_hat)
-    bx, by, rhat, w = _rows_and_weights(sensors, p_hat, weight_rule)
-    B = np.column_stack((bx, by))
+    bx, by, rhat = _stage_rows(sensors, p_hat)
+    w = row_weights(rhat, weight_rule)
     if weight_rule.mode == "propagated":
-        variances, shared = acceleration_error_model(measurements, rhat, B, w, v_hat)
-        return solve_shared_error_stage(B, k, variances, shared, cond_cap, method)
-    return solve_linear_stage(B, k, w, cond_cap, method=method)
+        variances, shared = acceleration_error_model(measurements, rhat, bx, by, w, v_hat)
+        return _shared_error_solve(bx, by, k, variances, shared)
+    method = "LS" if weight_rule.mode == "uniform" else "WLS"
+    return _solve2(bx, by, k, w, k, method)
 
 
 def estimate_all(measurements: MeasurementSet, sensors: SensorArray,
-                 weight_rule: WeightRule = WeightRule(),
-                 cond_cap: float = COND_CAP_DEFAULT) -> EstimationResult:
+                 weight_rule: WeightRule = WeightRule()) -> EstimationResult:
     """Run the full sequential pipeline: position, then LS and WLS velocity and
     acceleration.  Each WLS acceleration consumes the matching WLS velocity."""
-    pos = estimate_position(measurements, sensors, cond_cap)
-    v_ls = estimate_velocity(measurements, sensors, pos.position, UNIFORM,
-                             cond_cap=cond_cap)
-    v_wls = estimate_velocity(measurements, sensors, pos.position, weight_rule,
-                              cond_cap=cond_cap)
-    a_ls = estimate_acceleration(measurements, sensors, pos.position, v_ls.value,
-                                 UNIFORM, cond_cap=cond_cap)
+    pos = estimate_position(measurements, sensors)
+    v_ls = estimate_velocity(measurements, sensors, pos.position, UNIFORM)
+    v_wls = estimate_velocity(measurements, sensors, pos.position, weight_rule)
+    a_ls = estimate_acceleration(measurements, sensors, pos.position, v_ls.value, UNIFORM)
     a_wls = estimate_acceleration(measurements, sensors, pos.position, v_wls.value,
-                                  weight_rule, cond_cap=cond_cap)
+                                  weight_rule)
     return EstimationResult(pos, v_ls, v_wls, a_ls, a_wls)

@@ -29,7 +29,6 @@ FD_STEP_ACCEL = 1e-3  # s; second derivative, roundoff ~eps/h^2 pushes h up
 @dataclass(frozen=True)
 class FdConfig:
     step: float = FD_STEP_RATE
-    richardson: bool = False
 
     def __post_init__(self):
         if not (0.0 < self.step <= 1.0):
@@ -46,26 +45,18 @@ def _range_at(target: model.TargetState, sensor_pos, t: float) -> float:
 def fd_range_rate(target: model.TargetState, sensor_pos,
                   cfg: FdConfig = FdConfig(step=FD_STEP_RATE)) -> float:
     """Central-difference range rate over the propagated trajectory, O(h^2)."""
-    def central(h):
-        return (_range_at(target, sensor_pos, h) - _range_at(target, sensor_pos, -h)) / (2.0 * h)
-
+    h = cfg.step
     _range_at(target, sensor_pos, 0.0)
-    if cfg.richardson:
-        return (4.0 * central(cfg.step / 2.0) - central(cfg.step)) / 3.0
-    return central(cfg.step)
+    return (_range_at(target, sensor_pos, h) - _range_at(target, sensor_pos, -h)) / (2.0 * h)
 
 
 def fd_range_accel(target: model.TargetState, sensor_pos,
                    cfg: FdConfig = FdConfig(step=FD_STEP_ACCEL)) -> float:
     """Second-order central difference of range, O(h^2)."""
-    def central(h):
-        return (_range_at(target, sensor_pos, h)
-                - 2.0 * _range_at(target, sensor_pos, 0.0)
-                + _range_at(target, sensor_pos, -h)) / (h * h)
-
-    if cfg.richardson:
-        return (4.0 * central(cfg.step / 2.0) - central(cfg.step)) / 3.0
-    return central(cfg.step)
+    h = cfg.step
+    return (_range_at(target, sensor_pos, h)
+            - 2.0 * _range_at(target, sensor_pos, 0.0)
+            + _range_at(target, sensor_pos, -h)) / (h * h)
 
 
 def dense_wls_solve(rows, rhs, weights) -> np.ndarray:

@@ -180,6 +180,22 @@ class TestSweep:
             assert code == 2
             assert err.startswith("ValueError:") and err.count("\n") == 1
 
+    def test_noise_with_tiny_weights_gives_finite_rmses(self, tmp_path, capsys):
+        # 1e150 squared is finite, but the propagated weights 1/D near 1e-304
+        # underflowed the stage-3 Gram determinant before it was rescaled
+        dest = tmp_path / "o.csv"
+        code, _, _ = run(["sweep", "--experiment", "acceleration", "--trials", "3",
+                          "--grid", "1e150", "--out", str(dest)], capsys)
+        assert code == 0
+        values = [float(v) for v in dest.read_text().splitlines()[1].split(",")[1:6]]
+        assert np.all(np.isfinite(values))
+
+    def test_squared_inverse_range_weights_rejected(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["sweep", "--trials", "3", "--weights", "inverse-range-sq",
+                 "--out", str(tmp_path / "o.csv")], capsys)
+        assert exc.value.code == 2
+
     def test_missing_out_rejected(self, capsys):
         code, _, err = run(["sweep", "--trials", "5"], capsys)
         assert code == 2 and err.startswith("ConfigError:")

@@ -9,10 +9,9 @@ from kinloc.errors import (DegenerateGeometry, KinlocError, SingularGeometry,
                            TooFewSensors, ZeroRange)
 from kinloc.estim import (PROPAGATED, UNIFORM, WeightRule,
                           acceleration_error_model,
-                          acceleration_pseudo_measurements, build_velocity_system,
-                          estimate_acceleration, estimate_all, estimate_position,
-                          estimate_velocity, solve_linear_stage,
-                          solve_shared_error_stage)
+                          acceleration_pseudo_measurements, estimate_acceleration,
+                          estimate_all, estimate_position, estimate_velocity,
+                          row_weights, solve_linear_stage, solve_shared_error_stage)
 from kinloc.model import (MeasurementSet, NoiseSpec, SensorArray, TargetState,
                           range_to, synthesize_measurements, true_measurements)
 from kinloc.montecarlo import DEFAULT_SENSOR_POSITIONS
@@ -20,9 +19,9 @@ from kinloc.montecarlo import DEFAULT_SENSOR_POSITIONS
 NOISELESS = NoiseSpec(0.0, 0.0, 0.0)
 
 
-def exact_measurements(target, sensors):
+def exact_measurements(target, sensors, noise=NOISELESS):
     r, a, b = true_measurements(target, sensors)
-    return MeasurementSet(r, a, b, NOISELESS)
+    return MeasurementSet(r, a, b, noise)
 
 
 class TestEstimatePosition:
@@ -55,27 +54,19 @@ class TestEstimatePosition:
             estimate_position(ms, sensors)
 
 
-class TestBuildVelocitySystem:
-    def test_unit_range_rows(self):
-        sensors = SensorArray([(1.0, 0.0), (0.0, 1.0)])
-        ms = MeasurementSet([1.0, 1.0], [2.0, 3.0], [0.0, 0.0], NOISELESS)
-        B, d, w = build_velocity_system(ms, sensors, (0.0, 0.0), UNIFORM)
-        np.testing.assert_array_equal(B, [[-1.0, 0.0], [0.0, -1.0]])
-        np.testing.assert_allclose(d, [2.0, 3.0], rtol=0, atol=1e-15)
-        np.testing.assert_array_equal(w, [1.0, 1.0])
-
-    def test_inverse_range_weight(self):
-        sensors = SensorArray([(0.0, 0.0), (6.0, 8.0)])
-        ms = MeasurementSet([5.0, 5.0], [1.0, 1.0], [0.0, 0.0], NOISELESS)
+class TestRowWeights:
+    def test_weight_modes(self):
+        rhat = np.array([5.0, 0.3, 7e5])
+        np.testing.assert_array_equal(row_weights(rhat, UNIFORM), np.ones(3))
         for rule in (WeightRule(), PROPAGATED):
-            _, _, w = build_velocity_system(ms, sensors, (3.0, 4.0), rule)
-            assert w[0] == pytest.approx(0.2, rel=1e-15)
+            np.testing.assert_array_equal(row_weights(rhat, rule),
+                                          [1.0 / 5.0, 1.0 / 0.3, 1.0 / 7e5])
 
-    def test_position_on_sensor_raises(self):
-        sensors = SensorArray([(3.0, 4.0), (0.0, 1.0), (1.0, 0.0)])
-        ms = MeasurementSet([1.0, 1.0, 1.0], [0.0] * 3, [0.0] * 3, NOISELESS)
-        with pytest.raises(ZeroRange):
-            build_velocity_system(ms, sensors, (3.0, 4.0), UNIFORM)
+    def test_squared_inverse_range_rule_removed(self):
+        with pytest.raises(ValueError):
+            WeightRule("inverse_range_sq")
+
+
 
 
 class TestSolveLinearStage:
@@ -141,6 +132,8 @@ class TestSolveLinearStage:
             solve_linear_stage(np.ones((3, 3)), np.ones(3), np.ones(3))
         with pytest.raises(ValueError):
             solve_linear_stage(np.ones((3, 2)), np.ones(4), np.ones(3))
+        with pytest.raises(ValueError, match="empty"):
+            solve_linear_stage(np.zeros((0, 2)), [], [])
 
 
 class TestSolveSharedErrorStage:
@@ -176,9 +169,38 @@ class TestSolveSharedErrorStage:
                 solve_shared_error_stage(B, rhs, np.array(var), s2)
         with pytest.raises(ValueError):
             solve_shared_error_stage(B, rhs, np.ones(3), 0.0)
+        with pytest.raises(ValueError, match="empty"):
+            solve_shared_error_stage(np.zeros((0, 2)), [], [], 0.0)
 
 
 class TestEstimateVelocity:
+    def test_unit_range_rows(self):
+        # rows (p_hat - p_i) = [[-1, 0], [0, -1]] and d_i = a_i * r_i = a_i
+        sensors = SensorArray([(1.0, 0.0), (0.0, 1.0)])
+        ms = MeasurementSet([1.0, 1.0], [2.0, 3.0], [0.0, 0.0], NOISELESS)
+        est = estimate_velocity(ms, sensors, (0.0, 0.0), UNIFORM)
+        np.testing.assert_array_equal(est.value, [-2.0, -3.0])
+        np.testing.assert_array_equal(est.pseudo_measurements, [2.0, 3.0])
+
+    def test_solves_rows_with_rule_weights(self, sensors8, rng):
+        truth = TargetState((30.0, 40.0), (10.0, -5.0))
+        ms = synthesize_measurements(truth, sensors8, NoiseSpec(), rng)
+        p_hat = estimate_position(ms, sensors8).position
+        rows = p_hat - sensors8.positions
+        rhat = np.hypot(rows[:, 0], rows[:, 1])
+        for rule in (UNIFORM, WeightRule(), PROPAGATED):
+            est = estimate_velocity(ms, sensors8, p_hat, rule)
+            d = ms.range_rates * rhat
+            np.testing.assert_array_equal(est.pseudo_measurements, d)
+            np.testing.assert_array_equal(
+                est.value, solve_linear_stage(rows, d, row_weights(rhat, rule)).value)
+
+    def test_position_on_sensor_raises(self):
+        sensors = SensorArray([(3.0, 4.0), (0.0, 1.0), (1.0, 0.0)])
+        ms = MeasurementSet([1.0, 1.0, 1.0], [0.0] * 3, [0.0] * 3, NOISELESS)
+        with pytest.raises(ZeroRange):
+            estimate_velocity(ms, sensors, (3.0, 4.0), UNIFORM)
+
     def test_noiseless_recovery_with_true_position(self, sensors8):
         truth = TargetState((30.0, 40.0), (10.0, -5.0))
         ms = exact_measurements(truth, sensors8)
@@ -248,18 +270,24 @@ class TestEstimateAcceleration:
         # propagated rule's variances D_i are all zero on exact measurements;
         # with range noise only and zero velocity D_i = b_i^2 sigma_r^2 is zero
         # just at the sensor (50, 50), where the acceleration is across the line
-        # of sight
+        # of sight.  Sigmas far from 1 give weights far from 1: 4.6e-124 makes
+        # 1/D near 1e247 and 1e150 makes it near 1e-304, which the solve must
+        # rescale before forming its Gram products
         moving = TargetState((30.0, 40.0), (10.0, -5.0), (2.0, -1.0))
         still = TargetState((50.0, 0.0), (0.0, 0.0), (1.0, 0.0))
         range_noise_only = synthesize_measurements(still, sensors8,
                                                    NoiseSpec(1.0, 0.0, 0.0), rng)
         rows = still.position - sensors8.positions
-        variances, _ = acceleration_error_model(range_noise_only, np.hypot(*rows.T), rows,
+        variances, _ = acceleration_error_model(range_noise_only, np.hypot(*rows.T), *rows.T,
                                                 np.ones(len(sensors8)), still.velocity)
         assert np.count_nonzero(variances == 0.0) == 1 and variances.max() > 0.0
         cases = [(moving, exact_measurements(moving, sensors8), UNIFORM),
                  (moving, exact_measurements(moving, sensors8), PROPAGATED),
-                 (still, range_noise_only, PROPAGATED)]
+                 (still, range_noise_only, PROPAGATED),
+                 (moving, exact_measurements(moving, sensors8, NoiseSpec(4.6e-124, 0.0, 0.0)),
+                  PROPAGATED),
+                 (moving, exact_measurements(moving, sensors8, NoiseSpec(1.0, 1.0, 1e150)),
+                  PROPAGATED)]
         for truth, ms, rule in cases:
             est = estimate_acceleration(ms, sensors8, truth.position, truth.velocity,
                                         rule)

@@ -58,26 +58,16 @@ class TestSystemRows:
     def test_rows_and_ranges(self):
         sx = np.array([1.0, 0.0])
         sy = np.array([0.0, 1.0])
-        bx, by, rhat, w, status = K.system_rows(sx, sy, 0.0, 0.0, K.WEIGHT_UNIFORM)
+        bx, by, rhat, status = K.system_rows(sx, sy, 0.0, 0.0)
         assert status == K.OK
         # rows are (p_hat - p_i): [[-1, 0], [0, -1]]
         np.testing.assert_array_equal(bx, [-1.0, 0.0])
         np.testing.assert_array_equal(by, [0.0, -1.0])
         np.testing.assert_array_equal(rhat, [1.0, 1.0])
-        np.testing.assert_array_equal(w, [1.0, 1.0])
-
-    def test_weight_modes(self):
-        sx, sy = np.array([0.0]), np.array([0.0])
-        for mode, expect in [(K.WEIGHT_UNIFORM, 1.0),
-                             (K.WEIGHT_INV_RANGE, 0.2),
-                             (K.WEIGHT_INV_RANGE_SQ, 0.04)]:
-            *_, w, status = K.system_rows(sx, sy, 3.0, 4.0, mode)
-            assert status == K.OK
-            assert w[0] == pytest.approx(expect, rel=1e-15)
 
     def test_zero_range_status(self):
         sx, sy = np.array([3.0]), np.array([4.0])
-        *_, status = K.system_rows(sx, sy, 3.0, 4.0, K.WEIGHT_UNIFORM)
+        *_, status = K.system_rows(sx, sy, 3.0, 4.0)
         assert status == K.ZERO_RANGE
 
 

@@ -25,14 +25,6 @@ class TestFdRangeRate:
         err_h2 = abs(fd_range_rate(t, (0.0, 0.0), FdConfig(step=5e-4)) - exact)
         assert err_h / err_h2 >= 3.5
 
-    def test_richardson_improves(self):
-        t = TargetState((3.0, 4.0), (1.0, 1.0), (0.5, -0.3))
-        exact = range_rate(t, (0.0, 0.0))
-        plain = abs(fd_range_rate(t, (0.0, 0.0), FdConfig(step=1e-3)) - exact)
-        extrap = abs(fd_range_rate(t, (0.0, 0.0),
-                                   FdConfig(step=1e-3, richardson=True)) - exact)
-        assert extrap < plain
-
     def test_zero_range_raises(self):
         with pytest.raises(ZeroRange):
             fd_range_rate(TargetState((0.0, 0.0), (1.0, 0.0)), (0.0, 0.0))
