@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from kinloc import _kernels as K
 from kinloc.errors import (DegenerateGeometry, KinlocError, SingularGeometry,
                            TooFewSensors, ZeroRange)
 from kinloc.estim import (PROPAGATED, UNIFORM, WeightRule,
@@ -66,7 +67,15 @@ class TestRowWeights:
         with pytest.raises(ValueError):
             WeightRule("inverse_range_sq")
 
-
+    def test_inverse_range_weight(self):
+        # a sensor 5 m from p_hat gets weight 1/5 under both 1/r rules
+        sensors = SensorArray([(0.0, 0.0), (6.0, 8.0)])
+        *_, rhat, status = K.system_rows(sensors.xs, sensors.ys, 3.0, 4.0)
+        assert status == K.OK
+        for rule in (WeightRule(), PROPAGATED):
+            w = row_weights(rhat, rule)
+            assert w[0] == pytest.approx(0.2, rel=1e-15)
+            assert w[1] == pytest.approx(0.2, rel=1e-15)
 
 
 class TestSolveLinearStage:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from kinloc import _kernels as K
+from kinloc.estim import PROPAGATED, UNIFORM, WeightRule, row_weights
 
 
 def _random_instance(rng, n=8):
@@ -64,6 +65,14 @@ class TestSystemRows:
         np.testing.assert_array_equal(bx, [-1.0, 0.0])
         np.testing.assert_array_equal(by, [0.0, -1.0])
         np.testing.assert_array_equal(rhat, [1.0, 1.0])
+
+    def test_weight_modes(self):
+        # the weights each rule puts on a row come from the kernel's range
+        sx, sy = np.array([0.0]), np.array([0.0])
+        for rule, expect in [(UNIFORM, 1.0), (WeightRule(), 0.2), (PROPAGATED, 0.2)]:
+            *_, rhat, status = K.system_rows(sx, sy, 3.0, 4.0)
+            assert status == K.OK
+            assert row_weights(rhat, rule)[0] == pytest.approx(expect, rel=1e-15)
 
     def test_zero_range_status(self):
         sx, sy = np.array([3.0]), np.array([4.0])
