@@ -5,22 +5,22 @@ than np.sum/np.dot: numpy's pairwise summation rounds differently, and the
 17-digit sweep CSVs (and the golden file in the test suite) depend on this
 fixed summation order.
 
-Status codes returned by every kernel: 0 ok, 1 zero range, 2 singular or
-degenerate geometry.  On a non-zero status all numeric outputs are zeros (or
-inf for condition numbers), never NaN; the wrapper layer in estim.py raises
-the matching exception.  The kernels know no weighting policy: estim.py
-turns a WeightRule into the weights that ``wls_solve2`` takes.
+A kernel that cannot solve raises the named error itself, never returns NaN:
+``position_solve`` raises DegenerateGeometry and ``wls_solve2``
+SingularGeometry, each with the Gram condition number in its message, and
+``system_rows`` raises ZeroRange.  The kernels know no weighting policy:
+estim.py turns a WeightRule into the weights that ``wls_solve2`` takes.
 """
 
 import math
 
 import numpy as np
 
-OK = 0
-ZERO_RANGE = 1
-SINGULAR = 2
+from .errors import DegenerateGeometry, SingularGeometry, ZeroRange
 
 COND_CAP_DEFAULT = 1e12
+
+_RANK_DEFICIENT = "sensor layout is rank-deficient for trilateration (gram condition {:.3g})"
 
 
 def _sym3_eig_extremes(g00, g01, g02, g11, g12, g22):
@@ -58,7 +58,8 @@ def position_solve(sx, sy, rbar, cond_cap):
 
     Rows [-2 x_i, -2 y_i, 1] against rhs rbar_i^2 - x_i^2 - y_i^2, solved via
     column-equilibrated normal equations.  Returns
-    (x, y, theta3, residual_norm, gram_cond, status).
+    (x, y, theta3, residual_norm, gram_cond); raises DegenerateGeometry when
+    the layout is rank-deficient or the condition number exceeds cond_cap.
     """
     n = sx.shape[0]
     g00 = 0.0
@@ -85,7 +86,7 @@ def position_solve(sx, sy, rbar, cond_cap):
 
     if g00 <= 0.0 or g11 <= 0.0:
         # a zero column: all sensors share one coordinate (collinear axis-aligned)
-        return 0.0, 0.0, 0.0, 0.0, np.inf, SINGULAR
+        raise DegenerateGeometry(_RANK_DEFICIENT.format(np.inf))
     s0 = math.sqrt(g00)
     s1 = math.sqrt(g11)
     s2 = math.sqrt(g22)
@@ -98,8 +99,7 @@ def position_solve(sx, sy, rbar, cond_cap):
 
     hi, lo = _sym3_eig_extremes(1.0, t01, t02, 1.0, t12, 1.0)
     if not (lo > 0.0) or hi > lo * cond_cap:
-        cond = np.inf if not (lo > 0.0) else hi / lo
-        return 0.0, 0.0, 0.0, 0.0, cond, SINGULAR
+        raise DegenerateGeometry(_RANK_DEFICIENT.format(np.inf if not (lo > 0.0) else hi / lo))
     cond = hi / lo
 
     c00 = 1.0 - t12 * t12
@@ -110,7 +110,7 @@ def position_solve(sx, sy, rbar, cond_cap):
     c22 = 1.0 - t01 * t01
     det = c00 + t01 * c01 + t02 * c02
     if det <= 0.0:
-        return 0.0, 0.0, 0.0, 0.0, np.inf, SINGULAR
+        raise DegenerateGeometry(_RANK_DEFICIENT.format(np.inf))
     z0 = (c00 * u0 + c01 * u1 + c02 * u2) / det
     z1 = (c01 * u0 + c11 * u1 + c12 * u2) / det
     z2 = (c02 * u0 + c12 * u1 + c22 * u2) / det
@@ -123,13 +123,13 @@ def position_solve(sx, sy, rbar, cond_cap):
         f = rbar[i] * rbar[i] - sx[i] * sx[i] - sy[i] * sy[i]
         e = -2.0 * sx[i] * th0 - 2.0 * sy[i] * th1 + th2 - f
         ss += e * e
-    return th0, th1, th2, math.sqrt(ss), cond, OK
+    return th0, th1, th2, math.sqrt(ss), cond
 
 
 def system_rows(sx, sy, px, py):
     """Stage rows (p_hat - p_i) and the ranges r_i = |p_hat - p_i|.
 
-    Returns (bx, by, rhat, status).
+    Returns (bx, by, rhat); raises ZeroRange when p_hat coincides with a sensor.
     """
     n = sx.shape[0]
     bx = np.zeros(n)
@@ -140,17 +140,18 @@ def system_rows(sx, sy, px, py):
         dy = py - sy[i]
         r = math.sqrt(dx * dx + dy * dy)
         if r == 0.0:
-            return bx, by, rhat, ZERO_RANGE
+            raise ZeroRange("estimated position coincides with a sensor")
         bx[i] = dx
         by[i] = dy
         rhat[i] = r
-    return bx, by, rhat, OK
+    return bx, by, rhat
 
 
 def wls_solve2(bx, by, rhs, w, cond_cap):
     """Minimizer of sum_i w_i (rhs_i - bx_i*x0 - by_i*x1)^2 via 2x2 normal equations.
 
-    Returns (x0, x1, gram_cond, status).
+    Returns (x0, x1, gram_cond); raises SingularGeometry when the Gram matrix
+    is singular or its condition number exceeds cond_cap.
     """
     n = bx.shape[0]
     g00 = 0.0
@@ -172,8 +173,9 @@ def wls_solve2(bx, by, rhs, w, cond_cap):
     lo = 0.5 * (tr - disc)
     if not (lo > 0.0) or hi > lo * cond_cap:
         cond = np.inf if not (lo > 0.0) else hi / lo
-        return 0.0, 0.0, cond, SINGULAR
+        raise SingularGeometry(
+            f"stage Gram matrix singular or ill-conditioned (condition {cond:.3g})")
     det = g00 * g11 - g01 * g01
     x0 = (g11 * h0 - g01 * h1) / det
     x1 = (g00 * h1 - g01 * h0) / det
-    return x0, x1, hi / lo, OK
+    return x0, x1, hi / lo

@@ -1,10 +1,10 @@
 """Command-line front end: estimate / sweep / verify.
 
-Configuration is a flat JSON object (see _KEYS for the accepted keys); any
-flag given on the command line overrides the corresponding file value.  All
-numeric output is serialized with 17 significant digits and files are written
-via a temp file + rename, so a finished file is always complete and reruns
-with the same config and seed are byte-identical.
+Configuration is a flat JSON object (see _KEYS); each subcommand takes
+--config and the flags it reads (_COMMANDS), which override file values.
+All numeric output is serialized with 17 significant digits and files are
+written via a temp file + rename, so a finished file is always complete and
+reruns with the same config and seed are byte-identical.
 """
 
 import argparse
@@ -334,38 +334,45 @@ def cmd_verify(config) -> int:
     return 1
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="PATH", help="JSON config file")
-    common.add_argument("--seed", type=int, metavar="U64")
-    common.add_argument("--trials", type=int, metavar="K")
-    common.add_argument("--grid", metavar="LIST", help="comma-separated noise levels")
-    common.add_argument("--weights", choices=sorted(_WEIGHT_CHOICES))
-    common.add_argument("--out", metavar="PATH")
-    common.add_argument("--svg", metavar="PATH")
-    common.add_argument("--format", choices=_FORMATS)
-    common.add_argument("--threads", type=int, metavar="T")
-    common.add_argument("--timing", action="store_const", const=True, default=None,
-                        help="report measured per-trial times in the CSV")
+# argparse settings of each flag; a subcommand takes --config and the flags it reads
+_FLAGS = {
+    "seed": dict(type=int, metavar="U64"),
+    "trials": dict(type=int, metavar="K"),
+    "grid": dict(metavar="LIST", help="comma-separated noise levels"),
+    "weights": dict(choices=sorted(_WEIGHT_CHOICES)),
+    "experiment": dict(choices=_EXPERIMENTS),
+    "out": dict(metavar="PATH"),
+    "svg": dict(metavar="PATH"),
+    "format": dict(choices=_FORMATS),
+    "threads": dict(type=int, metavar="T"),
+    "timing": dict(action="store_const", const=True,
+                   help="report measured per-trial times in the CSV"),
+}
+_COMMANDS = {
+    "estimate": ("run the estimator pipeline on one measurement set",
+                 ("seed", "weights", "out", "format")),
+    "sweep": ("Monte Carlo RMSE sweep over a noise grid",
+              ("seed", "trials", "grid", "weights", "experiment", "out", "svg", "threads",
+               "timing")),
+    "verify": ("check analytic derivatives and solver against oracles", ("seed", "trials")),
+}
 
+
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kinloc",
         description="Closed-form position/velocity/acceleration estimation from "
                     "range, range-rate, and range-rate-derivative measurements.")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("estimate", parents=[common],
-                   help="run the estimator pipeline on one measurement set")
-    sweep = sub.add_parser("sweep", parents=[common],
-                           help="Monte Carlo RMSE sweep over a noise grid")
-    sweep.add_argument("--experiment", choices=_EXPERIMENTS)
-    sub.add_parser("verify", parents=[common],
-                   help="check analytic derivatives and solver against oracles")
+    for command, (help_text, flags) in _COMMANDS.items():
+        cmd = sub.add_parser(command, help=help_text)
+        cmd.add_argument("--config", metavar="PATH", help="JSON config file")
+        for flag in flags:
+            cmd.add_argument("--" + flag, **_FLAGS[flag])
     return parser
 
 
-def _parse_grid_flag(text: str | None):
-    if text is None:
-        return None
+def _parse_grid_flag(text: str):
     try:
         return tuple(float(part) for part in text.split(","))
     except ValueError as exc:
@@ -373,25 +380,16 @@ def _parse_grid_flag(text: str | None):
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    overrides = vars(_build_parser().parse_args(argv))
+    command = overrides.pop("command")
+    path = overrides.pop("config")
     try:
-        overrides = {
-            "seed": args.seed,
-            "trials": args.trials,
-            "grid": _parse_grid_flag(args.grid),
-            "weights": args.weights,
-            "out": args.out,
-            "svg": args.svg,
-            "format": args.format,
-            "threads": args.threads,
-            "timing": args.timing,
-        }
-        if args.command == "sweep":
-            overrides["experiment"] = args.experiment
-        config = load_config(args.config, overrides)
-        if args.command == "estimate":
+        if overrides.get("grid") is not None:
+            overrides["grid"] = _parse_grid_flag(overrides["grid"])
+        config = load_config(path, overrides)
+        if command == "estimate":
             return cmd_estimate(config)
-        if args.command == "sweep":
+        if command == "sweep":
             return cmd_sweep(config)
         return cmd_verify(config)
     except (KinlocError, ValueError, OSError) as exc:

@@ -26,17 +26,18 @@ Chan & Ho (1994) and Ho & Xu (2004); its velocity stage keeps the 1/r_i rule.
 Stages 2 and 3 share one path: the kernels return the rows (p_hat - p_i) and
 the ranges, this module turns the WeightRule into per-row weights
 (``row_weights``) and hands columns, right-hand side and weights to the 2x2
-weighted normal-equation kernel, which guards the condition number.  An
-independent dense solver in oracle.py cross-checks the solves.
+weighted normal-equation kernel, which guards the condition number; the
+kernels raise the named errors.  oracle.py cross-checks the solves densely.
 """
 
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
-from .errors import DegenerateGeometry, SingularGeometry, TooFewSensors, ZeroRange
+from .errors import SingularGeometry, TooFewSensors
 from .model import MeasurementSet, SensorArray, as_vec2, _locked
 
 WEIGHT_MODES = ("uniform", "inverse_range", "propagated")
@@ -124,28 +125,19 @@ def estimate_position(measurements: MeasurementSet, sensors: SensorArray) -> Pos
     n = len(sensors)
     if n < 3:
         raise TooFewSensors(f"position stage needs at least 3 sensors, got {n}")
-    x, y, theta3, resid, cond, status = _kernels.position_solve(
+    x, y, theta3, resid, cond = _kernels.position_solve(
         sensors.xs, sensors.ys, measurements.ranges, _kernels.COND_CAP_DEFAULT)
-    if status != _kernels.OK:
-        raise DegenerateGeometry(
-            f"sensor layout is rank-deficient for trilateration (gram condition {cond:.3g})")
     return PositionSolution(as_vec2((x, y)), float(theta3), float(resid), float(cond))
 
 
 def _stage_rows(sensors, p_hat):
     """Stage rows (p_hat - p_i) as two columns, and the ranges r_i implied by p_hat."""
     p = as_vec2(p_hat, "p_hat")
-    bx, by, rhat, status = _kernels.system_rows(sensors.xs, sensors.ys, p[0], p[1])
-    if status != _kernels.OK:
-        raise ZeroRange("estimated position coincides with a sensor")
-    return bx, by, rhat
+    return _kernels.system_rows(sensors.xs, sensors.ys, p[0], p[1])
 
 
 def _solve2(bx, by, rhs, weights, pseudo, method) -> KinematicEstimate:
-    x0, x1, cond, status = _kernels.wls_solve2(bx, by, rhs, weights, _kernels.COND_CAP_DEFAULT)
-    if status != _kernels.OK:
-        raise SingularGeometry(
-            f"stage Gram matrix singular or ill-conditioned (condition {cond:.3g})")
+    x0, x1, cond = _kernels.wls_solve2(bx, by, rhs, weights, _kernels.COND_CAP_DEFAULT)
     return KinematicEstimate(as_vec2((x0, x1)), method, float(cond),
                              _locked(pseudo.copy()))
 
@@ -160,6 +152,9 @@ def _stage_arrays(B, rhs, per_row, name):
         raise ValueError("stage system is empty: B has no rows")
     if rhs.shape != (B.shape[0],) or per_row.shape != (B.shape[0],):
         raise ValueError(f"rhs and {name} must be N-vectors matching B")
+    for label, arr in (("B", B), ("rhs", rhs), (name, per_row)):
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"{label} must be finite")
     return B, rhs, per_row
 
 
@@ -167,10 +162,14 @@ def solve_linear_stage(B, rhs, weights) -> KinematicEstimate:
     """Exact minimizer of sum_i W_i (rhs_i - B_i . x)^2 for a 2D unknown.
 
     Labelled "LS" when every weight is equal, "WLS" otherwise.  Raises
-    SingularGeometry when the weighted Gram matrix is singular or its
-    condition number exceeds the kernels' cap (all rows nearly parallel).
+    ValueError unless B, rhs and weights are finite and every weight is
+    positive, and SingularGeometry when the weighted Gram matrix is singular
+    or its condition number exceeds the kernels' cap (all rows nearly
+    parallel).
     """
     B, rhs, weights = _stage_arrays(B, rhs, weights, "weights")
+    if np.any(weights <= 0.0):
+        raise ValueError("weights must be positive")
     method = "LS" if np.all(weights == weights[0]) else "WLS"
     return _solve2(B[:, 0], B[:, 1], rhs, weights, rhs, method)
 
@@ -326,14 +325,31 @@ def estimate_acceleration(measurements: MeasurementSet, sensors: SensorArray, p_
     return _solve2(bx, by, k, w, k, method)
 
 
+def _timed_pipeline(measurements: MeasurementSet, sensors: SensorArray,
+                    weight_rule: WeightRule):
+    """The five stages in order, as (EstimationResult, stage wall seconds keyed
+    by the EstimationResult field names).  The stages are called through this
+    module's globals, so a tracer that patches them sees every call."""
+    clock = time.perf_counter
+    t0 = clock()
+    pos = estimate_position(measurements, sensors)
+    t1 = clock()
+    v_ls = estimate_velocity(measurements, sensors, pos.position, UNIFORM)
+    t2 = clock()
+    v_wls = estimate_velocity(measurements, sensors, pos.position, weight_rule)
+    t3 = clock()
+    a_ls = estimate_acceleration(measurements, sensors, pos.position, v_ls.value, UNIFORM)
+    t4 = clock()
+    a_wls = estimate_acceleration(measurements, sensors, pos.position, v_wls.value,
+                                  weight_rule)
+    t5 = clock()
+    times = {"position": t1 - t0, "velocity_ls": t2 - t1, "velocity_wls": t3 - t2,
+             "accel_ls": t4 - t3, "accel_wls": t5 - t4}
+    return EstimationResult(pos, v_ls, v_wls, a_ls, a_wls), times
+
+
 def estimate_all(measurements: MeasurementSet, sensors: SensorArray,
                  weight_rule: WeightRule = WeightRule()) -> EstimationResult:
     """Run the full sequential pipeline: position, then LS and WLS velocity and
     acceleration.  Each WLS acceleration consumes the matching WLS velocity."""
-    pos = estimate_position(measurements, sensors)
-    v_ls = estimate_velocity(measurements, sensors, pos.position, UNIFORM)
-    v_wls = estimate_velocity(measurements, sensors, pos.position, weight_rule)
-    a_ls = estimate_acceleration(measurements, sensors, pos.position, v_ls.value, UNIFORM)
-    a_wls = estimate_acceleration(measurements, sensors, pos.position, v_wls.value,
-                                  weight_rule)
-    return EstimationResult(pos, v_ls, v_wls, a_ls, a_wls)
+    return _timed_pipeline(measurements, sensors, weight_rule)[0]

@@ -136,29 +136,23 @@ def range_to(target_pos, sensor_pos) -> float:
     return float(np.sqrt(dx * dx + dy * dy))
 
 
+def _at_sensor(target: TargetState, sensor_pos):
+    """``true_measurements`` (range, range rate, drr) for the one sensor at sensor_pos."""
+    r, rdot, rddot = true_measurements(target, SensorArray(as_vec2(sensor_pos, "sensor_pos")))
+    return float(r[0]), float(rdot[0]), float(rddot[0])
+
+
 def range_rate(target: TargetState, sensor_pos) -> float:
     """Radial speed (m/s): v . u / ||u|| with u = p - p_i.
 
     Raises ZeroRange when the target coincides with the sensor.
     """
-    s = as_vec2(sensor_pos, "sensor_pos")
-    u = target.position - s
-    r = float(np.sqrt(u[0] * u[0] + u[1] * u[1]))
-    if r == 0.0:
-        raise ZeroRange("target coincides with sensor; range rate undefined")
-    return float((u @ target.velocity) / r)
+    return _at_sensor(target, sensor_pos)[1]
 
 
 def range_accel(target: TargetState, sensor_pos) -> float:
     """Second time derivative of range (m/s^2): (a . u + ||v||^2 - rdot^2) / ||u||."""
-    s = as_vec2(sensor_pos, "sensor_pos")
-    u = target.position - s
-    r = float(np.sqrt(u[0] * u[0] + u[1] * u[1]))
-    if r == 0.0:
-        raise ZeroRange("target coincides with sensor; range acceleration undefined")
-    rdot = float((u @ target.velocity) / r)
-    v2 = float(target.velocity @ target.velocity)
-    return float(((u @ target.acceleration) + v2 - rdot * rdot) / r)
+    return _at_sensor(target, sensor_pos)[2]
 
 
 def propagate(target: TargetState, dt: float) -> TargetState:

@@ -14,7 +14,6 @@ Trials, ensembles and sweeps default to the ``propagated`` weight rule.
 """
 
 import os
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -22,8 +21,9 @@ import numpy as np
 
 from .errors import (DegenerateGeometry, EmptyEnsemble, SingularGeometry,
                      TooFewSensors, ZeroRange)
-from .estim import PROPAGATED, UNIFORM, EstimationResult, WeightRule, \
-    estimate_acceleration, estimate_position, estimate_velocity
+from .estim import PROPAGATED, EstimationResult, WeightRule, _timed_pipeline
+# not called here: perfbench's tracer test reads montecarlo.estimate_position
+from .estim import estimate_position  # noqa: F401
 from .model import NoiseSpec, SensorArray, TargetState, _locked, synthesize_measurements
 
 # the reference eight-sensor layout used by the shipped experiments
@@ -114,7 +114,7 @@ class TrialRecord:
     truth: TargetState
     estimates: EstimationResult | None
     squared_errors: dict            # method -> squared Euclidean error
-    stage_times: dict               # method -> wall seconds for that stage
+    stage_times: dict               # method -> wall seconds for that stage; {} on failure
     failure: str | None             # error class name, or None on success
 
     @property
@@ -122,8 +122,7 @@ class TrialRecord:
         return self.failure is None
 
 
-def sample_truth(scenario: Scenario, trial_index: int,
-                 rng: np.random.Generator) -> TargetState:
+def sample_truth(scenario: Scenario, rng: np.random.Generator) -> TargetState:
     """Draw the ground-truth state from the scenario boxes (position, velocity,
     then acceleration; constant_velocity mode forces zero acceleration)."""
     pos = rng.uniform(scenario.position_box[0], scenario.position_box[1])
@@ -143,44 +142,20 @@ def run_trial(scenario: Scenario, trial_index: int,
         raise ValueError(f"trial_index out of range: {trial_index}")
     root = np.random.SeedSequence(entropy=(scenario.seed, int(trial_index)))
     truth_seq, meas_seq = root.spawn(2)
-    truth = sample_truth(scenario, trial_index, np.random.default_rng(truth_seq))
-
-    stage_times = {}
+    truth = sample_truth(scenario, np.random.default_rng(truth_seq))
     try:
         measurements = synthesize_measurements(truth, scenario.sensors, scenario.noise,
                                                np.random.default_rng(meas_seq))
-        t0 = time.perf_counter()
-        pos = estimate_position(measurements, scenario.sensors)
-        stage_times["position"] = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        v_ls = estimate_velocity(measurements, scenario.sensors, pos.position, UNIFORM)
-        stage_times["velocity_ls"] = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        v_wls = estimate_velocity(measurements, scenario.sensors, pos.position,
-                                  weight_rule)
-        stage_times["velocity_wls"] = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        a_ls = estimate_acceleration(measurements, scenario.sensors, pos.position,
-                                     v_ls.value, UNIFORM)
-        stage_times["accel_ls"] = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        a_wls = estimate_acceleration(measurements, scenario.sensors, pos.position,
-                                      v_wls.value, weight_rule)
-        stage_times["accel_wls"] = time.perf_counter() - t0
+        estimates, stage_times = _timed_pipeline(measurements, scenario.sensors, weight_rule)
     except _TRIAL_ERRORS as exc:
-        return TrialRecord(trial_index, truth, None, {}, stage_times, type(exc).__name__)
+        return TrialRecord(trial_index, truth, None, {}, {}, type(exc).__name__)
 
-    estimates = EstimationResult(pos, v_ls, v_wls, a_ls, a_wls)
     squared_errors = {
-        "position": float(np.sum((pos.position - truth.position) ** 2)),
-        "velocity_ls": float(np.sum((v_ls.value - truth.velocity) ** 2)),
-        "velocity_wls": float(np.sum((v_wls.value - truth.velocity) ** 2)),
-        "accel_ls": float(np.sum((a_ls.value - truth.acceleration) ** 2)),
-        "accel_wls": float(np.sum((a_wls.value - truth.acceleration) ** 2)),
+        "position": float(np.sum((estimates.position.position - truth.position) ** 2)),
+        "velocity_ls": float(np.sum((estimates.velocity_ls.value - truth.velocity) ** 2)),
+        "velocity_wls": float(np.sum((estimates.velocity_wls.value - truth.velocity) ** 2)),
+        "accel_ls": float(np.sum((estimates.accel_ls.value - truth.acceleration) ** 2)),
+        "accel_wls": float(np.sum((estimates.accel_wls.value - truth.acceleration) ** 2)),
     }
     return TrialRecord(trial_index, truth, estimates, squared_errors, stage_times, None)
 

@@ -34,7 +34,7 @@ def _tick_label(value: float) -> str:
     return f"{value:.3g}"
 
 
-def render_loglog(series: dict, xlabel: str, ylabel: str, title: str = "") -> str:
+def render_loglog(series: dict, xlabel: str, ylabel: str) -> str:
     """Render named (x, y) series to an SVG string with log-log axes.
 
     series maps a legend label to a pair of equal-length sequences.  Values
@@ -74,10 +74,6 @@ def render_loglog(series: dict, xlabel: str, ylabel: str, title: str = "") -> st
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         '<g font-family="sans-serif" font-size="12" fill="#222">',
     ]
-    if title:
-        out.append(f'<text x="{(px0 + px1) / 2:.0f}" y="18" text-anchor="middle" '
-                   f'font-size="14">{title}</text>')
-
     # frame
     out.append(f'<rect x="{px0}" y="{py1}" width="{px1 - px0}" height="{py0 - py1}" '
                'fill="none" stroke="#222"/>')

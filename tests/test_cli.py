@@ -196,6 +196,12 @@ class TestSweep:
                  "--out", str(tmp_path / "o.csv")], capsys)
         assert exc.value.code == 2
 
+    def test_flags_a_subcommand_does_not_read_rejected(self, capsys):
+        for argv in (["verify", "--weights", "uniform"], ["estimate", "--threads", "2"]):
+            with pytest.raises(SystemExit) as exc:
+                run(argv, capsys)
+            assert exc.value.code == 2
+
     def test_missing_out_rejected(self, capsys):
         code, _, err = run(["sweep", "--trials", "5"], capsys)
         assert code == 2 and err.startswith("ConfigError:")

@@ -70,8 +70,7 @@ class TestRowWeights:
     def test_inverse_range_weight(self):
         # a sensor 5 m from p_hat gets weight 1/5 under both 1/r rules
         sensors = SensorArray([(0.0, 0.0), (6.0, 8.0)])
-        *_, rhat, status = K.system_rows(sensors.xs, sensors.ys, 3.0, 4.0)
-        assert status == K.OK
+        *_, rhat = K.system_rows(sensors.xs, sensors.ys, 3.0, 4.0)
         for rule in (WeightRule(), PROPAGATED):
             w = row_weights(rhat, rule)
             assert w[0] == pytest.approx(0.2, rel=1e-15)
@@ -143,6 +142,14 @@ class TestSolveLinearStage:
             solve_linear_stage(np.ones((3, 2)), np.ones(4), np.ones(3))
         with pytest.raises(ValueError, match="empty"):
             solve_linear_stage(np.zeros((0, 2)), [], [])
+        B = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        for bad_B, rhs, w, name in (
+                (B, [1.0, 2.0, 3.5], [1.0, 1.0, -0.1], "weights must be positive"),
+                (B, [1.0, np.nan, 3.5], np.ones(3), "rhs must be finite"),
+                (np.where(B == 0.0, np.inf, B), np.ones(3), np.ones(3), "B must be finite"),
+                (B, np.ones(3), [1.0, np.inf, 1.0], "weights must be finite")):
+            with pytest.raises(ValueError, match=name):
+                solve_linear_stage(bad_B, rhs, w)
 
 
 class TestSolveSharedErrorStage:
@@ -178,6 +185,10 @@ class TestSolveSharedErrorStage:
                 solve_shared_error_stage(B, rhs, np.array(var), s2)
         with pytest.raises(ValueError):
             solve_shared_error_stage(B, rhs, np.ones(3), 0.0)
+        with pytest.raises(ValueError, match="rhs must be finite"):
+            solve_shared_error_stage(B, [1.0, np.nan], np.ones(2), 0.0)
+        with pytest.raises(ValueError, match="B must be finite"):
+            solve_shared_error_stage([[1.0, 0.0], [0.0, np.inf]], rhs, np.ones(2), 0.0)
         with pytest.raises(ValueError, match="empty"):
             solve_shared_error_stage(np.zeros((0, 2)), [], [], 0.0)
 

@@ -1,9 +1,10 @@
-"""Solver kernels: correctness against numpy and status codes."""
+"""Solver kernels: correctness against numpy and the named errors they raise."""
 
 import numpy as np
 import pytest
 
 from kinloc import _kernels as K
+from kinloc.errors import DegenerateGeometry, SingularGeometry, ZeroRange
 from kinloc.estim import PROPAGATED, UNIFORM, WeightRule, row_weights
 
 
@@ -20,9 +21,7 @@ class TestPositionSolve:
         for _ in range(50):
             sx, sy, px, py, _ = _random_instance(rng)
             r = np.hypot(px - sx, py - sy)
-            x, y, theta3, resid, cond, status = K.position_solve(
-                sx, sy, r, K.COND_CAP_DEFAULT)
-            assert status == K.OK
+            x, y, theta3, resid, cond = K.position_solve(sx, sy, r, K.COND_CAP_DEFAULT)
             assert (x, y) == pytest.approx((px, py), abs=1e-8)
             assert theta3 == pytest.approx(px * px + py * py, rel=1e-9)
             assert resid < 1e-7
@@ -31,9 +30,7 @@ class TestPositionSolve:
     def test_matches_numpy_lstsq(self, rng):
         for _ in range(200):
             sx, sy, px, py, rbar = _random_instance(rng)
-            x, y, theta3, resid, _, status = K.position_solve(
-                sx, sy, rbar, K.COND_CAP_DEFAULT)
-            assert status == K.OK
+            x, y, theta3, resid, _ = K.position_solve(sx, sy, rbar, K.COND_CAP_DEFAULT)
             a = np.column_stack([-2.0 * sx, -2.0 * sy, np.ones_like(sx)])
             f = rbar ** 2 - sx ** 2 - sy ** 2
             ref, *_ = np.linalg.lstsq(a, f, rcond=None)
@@ -46,21 +43,20 @@ class TestPositionSolve:
         sx = np.array([0.0, 50.0, 100.0])
         sy = np.array([0.0, 0.0, 0.0])
         rbar = np.array([50.0, 10.0, 50.0])
-        *_, status = K.position_solve(sx, sy, rbar, K.COND_CAP_DEFAULT)
-        assert status == K.SINGULAR
+        with pytest.raises(DegenerateGeometry, match="gram condition inf"):
+            K.position_solve(sx, sy, rbar, K.COND_CAP_DEFAULT)
 
     def test_cond_cap_triggers_singular(self, rng):
         sx, sy, _, _, rbar = _random_instance(rng)
-        *_, status = K.position_solve(sx, sy, rbar, 1.0 + 1e-9)
-        assert status == K.SINGULAR
+        with pytest.raises(DegenerateGeometry, match="gram condition"):
+            K.position_solve(sx, sy, rbar, 1.0 + 1e-9)
 
 
 class TestSystemRows:
     def test_rows_and_ranges(self):
         sx = np.array([1.0, 0.0])
         sy = np.array([0.0, 1.0])
-        bx, by, rhat, status = K.system_rows(sx, sy, 0.0, 0.0)
-        assert status == K.OK
+        bx, by, rhat = K.system_rows(sx, sy, 0.0, 0.0)
         # rows are (p_hat - p_i): [[-1, 0], [0, -1]]
         np.testing.assert_array_equal(bx, [-1.0, 0.0])
         np.testing.assert_array_equal(by, [0.0, -1.0])
@@ -70,14 +66,13 @@ class TestSystemRows:
         # the weights each rule puts on a row come from the kernel's range
         sx, sy = np.array([0.0]), np.array([0.0])
         for rule, expect in [(UNIFORM, 1.0), (WeightRule(), 0.2), (PROPAGATED, 0.2)]:
-            *_, rhat, status = K.system_rows(sx, sy, 3.0, 4.0)
-            assert status == K.OK
+            *_, rhat = K.system_rows(sx, sy, 3.0, 4.0)
             assert row_weights(rhat, rule)[0] == pytest.approx(expect, rel=1e-15)
 
     def test_zero_range_status(self):
         sx, sy = np.array([3.0]), np.array([4.0])
-        *_, status = K.system_rows(sx, sy, 3.0, 4.0)
-        assert status == K.ZERO_RANGE
+        with pytest.raises(ZeroRange):
+            K.system_rows(sx, sy, 3.0, 4.0)
 
 
 class TestWlsSolve2:
@@ -86,8 +81,7 @@ class TestWlsSolve2:
         by = np.array([0.0, 1.0])
         rhs = np.array([4.0, 7.0])
         w = np.ones(2)
-        x0, x1, cond, status = K.wls_solve2(bx, by, rhs, w, K.COND_CAP_DEFAULT)
-        assert status == K.OK
+        x0, x1, cond = K.wls_solve2(bx, by, rhs, w, K.COND_CAP_DEFAULT)
         assert (x0, x1) == (4.0, 7.0)
         assert cond == pytest.approx(1.0)
 
@@ -97,10 +91,11 @@ class TestWlsSolve2:
             b = rng.normal(0, 50, (n, 2))
             rhs = rng.normal(0, 30, n)
             w = rng.uniform(0.1, 3.0, n)
-            x0, x1, _, status = K.wls_solve2(
-                np.ascontiguousarray(b[:, 0]), np.ascontiguousarray(b[:, 1]),
-                rhs, w, K.COND_CAP_DEFAULT)
-            if status != K.OK:
+            try:
+                x0, x1, _ = K.wls_solve2(
+                    np.ascontiguousarray(b[:, 0]), np.ascontiguousarray(b[:, 1]),
+                    rhs, w, K.COND_CAP_DEFAULT)
+            except SingularGeometry:
                 continue
             sq = np.sqrt(w)
             ref, *_ = np.linalg.lstsq(b * sq[:, None], rhs * sq, rcond=None)
@@ -111,8 +106,8 @@ class TestWlsSolve2:
         bx = np.array([1.0, 2.0, 3.0])
         by = np.array([1.0, 2.0, 3.0])
         rhs = np.array([1.0, 2.0, 3.0])
-        *_, status = K.wls_solve2(bx, by, rhs, np.ones(3), K.COND_CAP_DEFAULT)
-        assert status == K.SINGULAR
+        with pytest.raises(SingularGeometry, match="condition"):
+            K.wls_solve2(bx, by, rhs, np.ones(3), K.COND_CAP_DEFAULT)
 
 
 class TestSym3Eig:

@@ -3,8 +3,8 @@ import os
 import numpy as np
 import pytest
 
-from kinloc import montecarlo
-from kinloc.errors import EmptyEnsemble
+from kinloc import estim, montecarlo
+from kinloc.errors import EmptyEnsemble, SingularGeometry
 from kinloc.model import NoiseSpec, SensorArray, TargetState
 from kinloc.montecarlo import (METHODS, Scenario, SweepPoint, SweepResult,
                                TrialRecord, default_scenario, rmse, run_ensemble,
@@ -81,6 +81,19 @@ class TestRunTrial:
         assert not rec.ok
         assert rec.failure == "DegenerateGeometry"
         assert rec.estimates is None and rec.squared_errors == {}
+
+    def test_stage_times_come_from_the_shared_pipeline(self, monkeypatch):
+        sc = default_scenario(trials=1)
+        assert tuple(run_trial(sc, 0).stage_times) == METHODS
+
+        # the trial runs estim's stage functions, so a failure in the last
+        # stage fails the trial and leaves no partial stage times
+        def singular(*args, **kwargs):
+            raise SingularGeometry("stage Gram matrix singular")
+
+        monkeypatch.setattr(estim, "estimate_acceleration", singular)
+        rec = run_trial(sc, 0)
+        assert rec.failure == "SingularGeometry" and rec.stage_times == {}
 
 
 class TestRmse:
