@@ -127,19 +127,18 @@ def estimate_position(measurements: MeasurementSet, sensors: SensorArray) -> Pos
         raise TooFewSensors(f"position stage needs at least 3 sensors, got {n}")
     x, y, theta3, resid, cond = _kernels.position_solve(
         sensors.xs, sensors.ys, measurements.ranges, _kernels.COND_CAP_DEFAULT)
-    return PositionSolution(as_vec2((x, y)), float(theta3), float(resid), float(cond))
+    return PositionSolution(as_vec2((x, y)), theta3, resid, cond)
 
 
 def _stage_rows(sensors, p_hat):
     """Stage rows (p_hat - p_i) as two columns, and the ranges r_i implied by p_hat."""
-    p = as_vec2(p_hat, "p_hat")
-    return _kernels.system_rows(sensors.xs, sensors.ys, p[0], p[1])
+    px, py = as_vec2(p_hat, "p_hat").tolist()
+    return _kernels.system_rows(sensors.xs, sensors.ys, px, py)
 
 
 def _solve2(bx, by, rhs, weights, pseudo, method) -> KinematicEstimate:
     x0, x1, cond = _kernels.wls_solve2(bx, by, rhs, weights, _kernels.COND_CAP_DEFAULT)
-    return KinematicEstimate(as_vec2((x0, x1)), method, float(cond),
-                             _locked(pseudo.copy()))
+    return KinematicEstimate(as_vec2((x0, x1)), method, cond, _locked(pseudo.copy()))
 
 
 def _stage_arrays(B, rhs, per_row, name):
@@ -171,6 +170,9 @@ def solve_linear_stage(B, rhs, weights) -> KinematicEstimate:
     if np.any(weights <= 0.0):
         raise ValueError("weights must be positive")
     method = "LS" if np.all(weights == weights[0]) else "WLS"
+    # as in _shared_error_solve: an exact power-of-two scale that brings the
+    # largest weight into [0.5, 1) keeps the Gram products within range
+    weights = np.ldexp(weights, -math.frexp(weights.max())[1])
     return _solve2(B[:, 0], B[:, 1], rhs, weights, rhs, method)
 
 
@@ -200,7 +202,7 @@ def _shared_error_solve(bx, by, rhs, variances, s2) -> KinematicEstimate:
     """``solve_shared_error_stage`` on the columns of B."""
     var = variances.tolist()
     lowest = min(var)
-    if not (lowest >= 0.0 and math.isfinite(sum(var)) and 0.0 <= s2 < math.inf):
+    if not (lowest >= 0.0 and all(map(math.isfinite, var)) and 0.0 <= s2 < math.inf):
         raise ValueError("variances and shared_variance must be finite and >= 0")
     if lowest == 0.0:
         positive = [d for d in var if d > 0.0]
@@ -299,7 +301,7 @@ def acceleration_error_model(measurements: MeasurementSet, ranges, bx, by, veloc
     u0 = (g11 * v0 - g01 * v1) / det      # u = G^-1 v, so v' Cov(v) v = u' M u
     u1 = (g00 * v1 - g01 * v0) / det
     shared = 4.0 * (u0 * u0 * m00 + 2.0 * u0 * u1 * m01 + u1 * u1 * m11)
-    if not (math.isfinite(sum(variances)) and math.isfinite(shared)):
+    if not (all(map(math.isfinite, variances)) and math.isfinite(shared)):
         raise SingularGeometry("stage-3 error model overflows (a measurement too large to square)")
     # M is positive semidefinite; rounding may still take u' M u a hair below 0
     return np.array(variances), max(0.0, shared)

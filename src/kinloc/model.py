@@ -13,6 +13,7 @@ independent zero-mean Gaussian noise per sensor and per quantity.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,7 +30,7 @@ def as_vec2(value, name: str = "vector") -> np.ndarray:
     arr = np.atleast_1d(np.asarray(value, dtype=np.float64))
     if arr.shape != (2,):
         raise ValueError(f"{name} must have exactly 2 components, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} must be finite, got {arr}")
     return _locked(arr.copy())
 
@@ -51,11 +52,11 @@ class SensorArray:
     def __len__(self) -> int:
         return self.positions.shape[0]
 
-    @property
+    @cached_property
     def xs(self) -> np.ndarray:
         return _locked(np.ascontiguousarray(self.positions[:, 0]))
 
-    @property
+    @cached_property
     def ys(self) -> np.ndarray:
         return _locked(np.ascontiguousarray(self.positions[:, 1]))
 
@@ -99,7 +100,7 @@ def _measurement_vector(values, name: str) -> np.ndarray:
     arr = np.atleast_1d(np.asarray(values, dtype=np.float64))
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} must be finite")
     return _locked(arr.copy())
 

@@ -134,6 +134,12 @@ def sample_truth(scenario: Scenario, rng: np.random.Generator) -> TargetState:
     return TargetState(pos, vel, acc)
 
 
+def _squared_error(estimate, truth) -> float:
+    """np.sum((estimate - truth) ** 2) of two 2-vectors, on floats in the same order."""
+    (e0, e1), (t0, t1) = estimate.tolist(), truth.tolist()
+    return (e0 - t0) * (e0 - t0) + (e1 - t1) * (e1 - t1)
+
+
 def run_trial(scenario: Scenario, trial_index: int,
               weight_rule: WeightRule = PROPAGATED) -> TrialRecord:
     """Execute one trial: sample truth, synthesize measurements, run all five
@@ -151,11 +157,11 @@ def run_trial(scenario: Scenario, trial_index: int,
         return TrialRecord(trial_index, truth, None, {}, {}, type(exc).__name__)
 
     squared_errors = {
-        "position": float(np.sum((estimates.position.position - truth.position) ** 2)),
-        "velocity_ls": float(np.sum((estimates.velocity_ls.value - truth.velocity) ** 2)),
-        "velocity_wls": float(np.sum((estimates.velocity_wls.value - truth.velocity) ** 2)),
-        "accel_ls": float(np.sum((estimates.accel_ls.value - truth.acceleration) ** 2)),
-        "accel_wls": float(np.sum((estimates.accel_wls.value - truth.acceleration) ** 2)),
+        "position": _squared_error(estimates.position.position, truth.position),
+        "velocity_ls": _squared_error(estimates.velocity_ls.value, truth.velocity),
+        "velocity_wls": _squared_error(estimates.velocity_wls.value, truth.velocity),
+        "accel_ls": _squared_error(estimates.accel_ls.value, truth.acceleration),
+        "accel_wls": _squared_error(estimates.accel_wls.value, truth.acceleration),
     }
     return TrialRecord(trial_index, truth, estimates, squared_errors, stage_times, None)
 

@@ -135,6 +135,15 @@ class TestSolveLinearStage:
                                    rtol=1e-12, atol=1e-12)
         assert uniform.method == "LS"
 
+    def test_extreme_uniform_weights_rescaled(self):
+        # 1e300 overflows the Gram products and 1e-300 underflows the
+        # determinant unless the weights are rescaled first
+        B = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        for weight in (1e300, 1e-300):
+            est = solve_linear_stage(B, [1.0, 2.0, 3.0], np.full(3, weight))
+            np.testing.assert_allclose(est.value, [1.0, 2.0], rtol=1e-15, atol=1e-15)
+            assert est.method == "LS"
+
     def test_bad_shapes_rejected(self):
         with pytest.raises(ValueError):
             solve_linear_stage(np.ones((3, 3)), np.ones(3), np.ones(3))
@@ -191,6 +200,10 @@ class TestSolveSharedErrorStage:
             solve_shared_error_stage([[1.0, 0.0], [0.0, np.inf]], rhs, np.ones(2), 0.0)
         with pytest.raises(ValueError, match="empty"):
             solve_shared_error_stage(np.zeros((0, 2)), [], [], 0.0)
+        # each variance finite though their sum overflows: accepted and solved
+        est = solve_shared_error_stage([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [1.0, 2.0, 3.0],
+                                       np.full(3, 1e308), 0.0)
+        np.testing.assert_allclose(est.value, [1.0, 2.0], rtol=1e-15, atol=1e-15)
 
 
 class TestEstimateVelocity:
@@ -292,7 +305,8 @@ class TestEstimateAcceleration:
         # just at the sensor (50, 50), where the acceleration is across the line
         # of sight.  Sigmas far from 1 give weights far from 1: 4.6e-124 makes
         # 1/D near 1e247 and 1e150 makes it near 1e-304, which the solve must
-        # rescale before forming its Gram products
+        # rescale before forming its Gram products.  A drr sigma of 5e151 gives
+        # each D_i finite (up to 9e307) but a sum that overflows
         moving = TargetState((30.0, 40.0), (10.0, -5.0), (2.0, -1.0))
         still = TargetState((50.0, 0.0), (0.0, 0.0), (1.0, 0.0))
         range_noise_only = synthesize_measurements(still, sensors8,
@@ -307,6 +321,8 @@ class TestEstimateAcceleration:
                  (moving, exact_measurements(moving, sensors8, NoiseSpec(4.6e-124, 0.0, 0.0)),
                   PROPAGATED),
                  (moving, exact_measurements(moving, sensors8, NoiseSpec(1.0, 1.0, 1e150)),
+                  PROPAGATED),
+                 (moving, exact_measurements(moving, sensors8, NoiseSpec(1.0, 1.0, 5e151)),
                   PROPAGATED)]
         for truth, ms, rule in cases:
             est = estimate_acceleration(ms, sensors8, truth.position, truth.velocity,
@@ -420,12 +436,22 @@ def _degenerate_scene(draw):
 # a target 1.7e-162 m from sensor 0: its drr, 1.75e161, overflows when squared
 _SQUASHED = DEFAULT_SENSOR_POSITIONS * (1.0, 1e-3)
 _ON_SENSOR = TargetState((0.0, 1.73657409e-162), (0.0, 1.0))
+# the reference scene shrunk to 1e-155 m: the stage Gram determinants underflow to 0
+_TINY = SensorArray(DEFAULT_SENSOR_POSITIONS * 1e-155)
+_TINY_TARGET = TargetState((3e-154, 4e-154), (1.0, 2.0), (0.5, 0.25))
+# the position stage's eigenvalue spread p underflows to 0 (see test_kernels.py)
+_P_UNDERFLOW = SensorArray([(100.0, 0.0), (-100.0, 0.0), (0.0, 100.0), (0.0, -100.0),
+                            (1.0, 2e-158), (-1.0, -2e-158)])
 
 
 @settings(max_examples=200, deadline=None)
 @given(scene=_degenerate_scene(), rule=st.sampled_from((WeightRule(), PROPAGATED)))
 @example(scene=(SensorArray(_SQUASHED), _ON_SENSOR, NOISELESS, 0), rule=PROPAGATED)
 @example(scene=(SensorArray(_SQUASHED), _ON_SENSOR, NoiseSpec(), 0), rule=PROPAGATED)
+@example(scene=(_TINY, _TINY_TARGET, NOISELESS, 0), rule=WeightRule())
+@example(scene=(_TINY, _TINY_TARGET, NoiseSpec(), 0), rule=PROPAGATED)
+@example(scene=(_P_UNDERFLOW, TargetState((30.0, 40.0), (1.0, 2.0)), NoiseSpec(), 0),
+         rule=PROPAGATED)
 def test_degenerate_inputs_give_finite_estimates_or_named_errors(scene, rule):
     sensors, truth, noise, seed = scene
     try:

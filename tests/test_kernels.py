@@ -1,11 +1,19 @@
 """Solver kernels: correctness against numpy and the named errors they raise."""
 
+import math
+
 import numpy as np
 import pytest
 
 from kinloc import _kernels as K
 from kinloc.errors import DegenerateGeometry, SingularGeometry, ZeroRange
 from kinloc.estim import PROPAGATED, UNIFORM, WeightRule, row_weights
+from kinloc.oracle import dense_wls_solve
+
+# off-diagonal Gram entry t01 of this layout squares to the smallest subnormal,
+# so the eigenvalue spread p of the equilibrated 3x3 Gram matrix underflows to 0
+UNDERFLOW_LAYOUT = np.array([(100.0, 0.0), (-100.0, 0.0), (0.0, 100.0), (0.0, -100.0),
+                             (1.0, 2e-158), (-1.0, -2e-158)])
 
 
 def _random_instance(rng, n=8):
@@ -51,6 +59,12 @@ class TestPositionSolve:
         with pytest.raises(DegenerateGeometry, match="gram condition"):
             K.position_solve(sx, sy, rbar, 1.0 + 1e-9)
 
+    def test_overflowing_ranges_raise(self, rng):
+        # ranges near 1e200 overflow when squared: a named error, not a NaN position
+        sx, sy, *_ = _random_instance(rng)
+        with pytest.raises(DegenerateGeometry, match="overflows"):
+            K.position_solve(sx, sy, np.full(8, 1e200), K.COND_CAP_DEFAULT)
+
 
 class TestSystemRows:
     def test_rows_and_ranges(self):
@@ -71,6 +85,11 @@ class TestSystemRows:
 
     def test_zero_range_status(self):
         sx, sy = np.array([3.0]), np.array([4.0])
+        with pytest.raises(ZeroRange):
+            K.system_rows(sx, sy, 3.0, 4.0)
+
+    def test_zero_range_on_last_sensor(self):
+        sx, sy = np.array([0.0, 1.0, 3.0]), np.array([0.0, 1.0, 4.0])
         with pytest.raises(ZeroRange):
             K.system_rows(sx, sy, 3.0, 4.0)
 
@@ -109,6 +128,20 @@ class TestWlsSolve2:
         with pytest.raises(SingularGeometry, match="condition"):
             K.wls_solve2(bx, by, rhs, np.ones(3), K.COND_CAP_DEFAULT)
 
+    def test_overflowing_solution_singular(self):
+        # a well-posed system whose exact solution, 2e308, is not a float
+        bx, by = np.array([0.5, 0.0]), np.array([0.0, 0.5])
+        with pytest.raises(SingularGeometry, match="overflows"):
+            K.wls_solve2(bx, by, np.full(2, 1e308), np.ones(2), K.COND_CAP_DEFAULT)
+
+    def test_determinant_underflow_singular(self):
+        # a well-conditioned Gram matrix whose entries (1e-310) have a product
+        # that underflows to 0: the named error, not a division by zero
+        bx = np.array([1e-155, 0.0])
+        by = np.array([0.0, 1e-155])
+        with pytest.raises(SingularGeometry, match="condition"):
+            K.wls_solve2(bx, by, np.ones(2), np.ones(2), K.COND_CAP_DEFAULT)
+
 
 class TestSym3Eig:
     def test_against_numpy(self, rng):
@@ -125,4 +158,51 @@ class TestSym3Eig:
     def test_diagonal_matrix(self):
         hi, lo = K._sym3_eig_extremes(3.0, 0.0, 0.0, 7.0, 0.0, 1.0)
         assert (hi, lo) == pytest.approx((7.0, 1.0), abs=1e-12)
+
+    def test_spread_underflowing_to_zero(self):
+        # p1 is the smallest subnormal, so p = sqrt(p2 / 6) is exactly 0
+        assert K._sym3_eig_extremes(1.0, 2.3e-162, 0.0, 1.0, 0.0, 1.0) == (1.0, 1.0)
+        sx, sy = UNDERFLOW_LAYOUT.T
+        r = np.hypot(30.0 - sx, 40.0 - sy)
+        x, y, *_, cond = K.position_solve(sx, sy, r, K.COND_CAP_DEFAULT)
+        assert (x, y) == pytest.approx((30.0, 40.0), abs=1e-9)
+        assert cond == 1.0
+
+
+def _ring64():
+    angles = 2.0 * math.pi * np.arange(64) / 64
+    return 100.0 * np.cos(angles), 100.0 * np.sin(angles)
+
+
+def test_kernels_return_float64_arrays_and_floats(rng):
+    sx, sy = _ring64()
+    rbar = np.hypot(30.0 - sx, 40.0 - sy) + rng.normal(0.0, 1.0, 64)
+    for value in K.position_solve(sx, sy, rbar, K.COND_CAP_DEFAULT):
+        assert isinstance(value, float)
+    rows = K.system_rows(sx, sy, 30.0, 40.0)
+    for column in rows:
+        assert isinstance(column, np.ndarray) and column.dtype == np.float64
+        assert column.shape == (64,)
+    bx, by, rhat = rows
+    for value in K.wls_solve2(bx, by, rbar, 1.0 / rhat, K.COND_CAP_DEFAULT):
+        assert isinstance(value, float)
+
+
+def test_kernels_agree_with_dense_oracle_on_64_ring(rng):
+    sx, sy = _ring64()
+    for _ in range(20):
+        px, py = rng.uniform(-50.0, 50.0, 2)
+        rbar = np.hypot(px - sx, py - sy) + rng.normal(0.0, 1.0, 64)
+        x, y, theta3, *_ = K.position_solve(sx, sy, rbar, K.COND_CAP_DEFAULT)
+        rows3 = np.column_stack((-2.0 * sx, -2.0 * sy, np.ones(64)))
+        ref = dense_wls_solve(rows3, rbar ** 2 - sx ** 2 - sy ** 2, np.ones(64))
+        np.testing.assert_allclose([x, y, theta3], ref, rtol=0,
+                                   atol=1e-12 * np.abs(ref).max())
+
+        bx, by, rhat = K.system_rows(sx, sy, x, y)
+        rhs = rng.normal(0.0, 100.0, 64)
+        w = rng.uniform(0.1, 3.0, 64) / rhat
+        x0, x1, _ = K.wls_solve2(bx, by, rhs, w, K.COND_CAP_DEFAULT)
+        ref = dense_wls_solve(np.column_stack((bx, by)), rhs, w)
+        np.testing.assert_allclose([x0, x1], ref, rtol=0, atol=1e-12 * np.abs(ref).max())
 

@@ -82,6 +82,11 @@ class TestRunTrial:
         assert rec.failure == "DegenerateGeometry"
         assert rec.estimates is None and rec.squared_errors == {}
 
+    def test_overflowing_stage_solution_recorded_not_raised(self):
+        # range rates near 1e150 overflow the acceleration LS solve of trial 6
+        sc = default_scenario(trials=7, noise=NoiseSpec(1.0, 1e150, 1.0))
+        assert run_trial(sc, 6).failure == "SingularGeometry"
+
     def test_stage_times_come_from_the_shared_pipeline(self, monkeypatch):
         sc = default_scenario(trials=1)
         assert tuple(run_trial(sc, 0).stage_times) == METHODS
