@@ -12,6 +12,7 @@ suite checks them against central finite differences.  Measurements add
 independent zero-mean Gaussian noise per sensor and per quantity.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -26,13 +27,14 @@ def _locked(arr: np.ndarray) -> np.ndarray:
 
 
 def as_vec2(value, name: str = "vector") -> np.ndarray:
-    """Coerce to a read-only float64 array of shape (2,), rejecting NaN/Inf."""
-    arr = np.atleast_1d(np.asarray(value, dtype=np.float64))
+    """Coerce to a fresh read-only float64 array of shape (2,), rejecting NaN/Inf."""
+    arr = np.array(value, dtype=np.float64, ndmin=1)
     if arr.shape != (2,):
         raise ValueError(f"{name} must have exactly 2 components, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
+    x, y = arr.tolist()
+    if not (math.isfinite(x) and math.isfinite(y)):
         raise ValueError(f"{name} must be finite, got {arr}")
-    return _locked(arr.copy())
+    return _locked(arr)
 
 
 @dataclass(frozen=True)
@@ -97,12 +99,12 @@ class NoiseSpec:
 
 
 def _measurement_vector(values, name: str) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(values, dtype=np.float64))
+    arr = np.array(values, dtype=np.float64, ndmin=1)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional")
-    if not np.isfinite(arr).all():
+    if not all(map(math.isfinite, arr.tolist())):
         raise ValueError(f"{name} must be finite")
-    return _locked(arr.copy())
+    return _locked(arr)
 
 
 @dataclass(frozen=True)
@@ -168,6 +170,8 @@ def propagate(target: TargetState, dt: float) -> TargetState:
 
 def true_measurements(target: TargetState, sensors: SensorArray):
     """Noise-free (ranges, range_rates, drrs) for every sensor, as float64 arrays."""
+    # the `@` products stay numpy: BLAS rounds them unlike a plain float loop
+    # (most 8x2 mat-vecs differ in some bit), and the golden CSVs pin the bits
     u = target.position[None, :] - sensors.positions
     r = np.sqrt(np.sum(u * u, axis=1))
     if np.any(r == 0.0):

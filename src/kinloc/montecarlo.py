@@ -13,6 +13,7 @@ pinned to 1), and acceleration RMSE against the drr noise level
 Trials, ensembles and sweeps default to the ``propagated`` weight rule.
 """
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -58,6 +59,9 @@ def _as_box(value, name: str) -> np.ndarray:
         raise ValueError(f"{name} must be finite")
     if np.any(box[0] > box[1]):
         raise ValueError(f"{name} must have min <= max componentwise")
+    (x0, y0), (x1, y1) = box.tolist()
+    if not (math.isfinite(x1 - x0) and math.isfinite(y1 - y0)):
+        raise ValueError(f"{name} extent max - min must be finite, got {box.tolist()}")
     return _locked(box.copy())
 
 
@@ -122,15 +126,23 @@ class TrialRecord:
         return self.failure is None
 
 
+def _uniform2(rng: np.random.Generator, box: np.ndarray) -> tuple:
+    """``rng.uniform(box[0], box[1])`` bit for bit, on floats: the same two
+    doubles u, each mapped as lo + (hi - lo) * u."""
+    (lo0, lo1), (hi0, hi1) = box.tolist()
+    u0, u1 = rng.random(2).tolist()
+    return (lo0 + (hi0 - lo0) * u0, lo1 + (hi1 - lo1) * u1)
+
+
 def sample_truth(scenario: Scenario, rng: np.random.Generator) -> TargetState:
     """Draw the ground-truth state from the scenario boxes (position, velocity,
     then acceleration; constant_velocity mode forces zero acceleration)."""
-    pos = rng.uniform(scenario.position_box[0], scenario.position_box[1])
-    vel = rng.uniform(scenario.velocity_box[0], scenario.velocity_box[1])
+    pos = _uniform2(rng, scenario.position_box)
+    vel = _uniform2(rng, scenario.velocity_box)
     if scenario.motion_mode == "constant_acceleration":
-        acc = rng.uniform(scenario.acceleration_box[0], scenario.acceleration_box[1])
+        acc = _uniform2(rng, scenario.acceleration_box)
     else:
-        acc = np.zeros(2)
+        acc = (0.0, 0.0)
     return TargetState(pos, vel, acc)
 
 
@@ -140,14 +152,20 @@ def _squared_error(estimate, truth) -> float:
     return (e0 - t0) * (e0 - t0) + (e1 - t1) * (e1 - t1)
 
 
+def _trial_streams(seed: int, trial_index: int) -> tuple:
+    """The truth and measurement streams: ``SeedSequence((seed, trial_index)).spawn(2)``
+    built directly, without mixing the root's own pool."""
+    return (np.random.SeedSequence((seed, trial_index), spawn_key=(0,)),
+            np.random.SeedSequence((seed, trial_index), spawn_key=(1,)))
+
+
 def run_trial(scenario: Scenario, trial_index: int,
               weight_rule: WeightRule = PROPAGATED) -> TrialRecord:
     """Execute one trial: sample truth, synthesize measurements, run all five
     estimators.  Estimator failures are captured in the record, not raised."""
     if not 0 <= int(trial_index) < 2 ** 63:
         raise ValueError(f"trial_index out of range: {trial_index}")
-    root = np.random.SeedSequence(entropy=(scenario.seed, int(trial_index)))
-    truth_seq, meas_seq = root.spawn(2)
+    truth_seq, meas_seq = _trial_streams(scenario.seed, int(trial_index))
     truth = sample_truth(scenario, np.random.default_rng(truth_seq))
     try:
         measurements = synthesize_measurements(truth, scenario.sensors, scenario.noise,
@@ -204,6 +222,9 @@ def rmse(records, method: str) -> float:
 
 @dataclass(frozen=True)
 class SweepPoint:
+    """One grid point; every RMSE is NaN when all of its trials failed, so one
+    unsolvable noise level does not abort the sweep."""
+
     sigma: float
     rmse_position: float
     rmse_velocity_ls: float
@@ -240,13 +261,14 @@ def _aggregate_point(sigma: float, records) -> SweepPoint:
     for method in METHODS:
         times = [rec.stage_times[method] for rec in records if rec.ok]
         mean_times[method] = float(np.mean(times)) if times else 0.0
+    errors = {m: rmse(records, m) if successes else float("nan") for m in METHODS}
     return SweepPoint(
         sigma=sigma,
-        rmse_position=rmse(records, "position"),
-        rmse_velocity_ls=rmse(records, "velocity_ls"),
-        rmse_velocity_wls=rmse(records, "velocity_wls"),
-        rmse_accel_ls=rmse(records, "accel_ls"),
-        rmse_accel_wls=rmse(records, "accel_wls"),
+        rmse_position=errors["position"],
+        rmse_velocity_ls=errors["velocity_ls"],
+        rmse_velocity_wls=errors["velocity_wls"],
+        rmse_accel_ls=errors["accel_ls"],
+        rmse_accel_wls=errors["accel_wls"],
         failures=failures,
         successes=successes,
         mean_stage_times=mean_times,

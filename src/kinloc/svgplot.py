@@ -116,19 +116,24 @@ def render_loglog(series: dict, xlabel: str, ylabel: str) -> str:
 
 
 def sweep_figure(sweep) -> str:
-    """SVG for a SweepResult: both estimator variants of the swept quantity."""
+    """SVG for a SweepResult: both estimator variants of the swept quantity.
+
+    A point whose RMSE is not finite (every trial failed) is left out; a
+    series with no finite point raises ValueError.
+    """
     if sweep.swept_parameter == "sigma_drr":
-        series = {
-            "acceleration LS": (sweep.grid, [p.rmse_accel_ls for p in sweep.points]),
-            "acceleration WLS": (sweep.grid, [p.rmse_accel_wls for p in sweep.points]),
-        }
+        columns = {"acceleration LS": "rmse_accel_ls", "acceleration WLS": "rmse_accel_wls"}
         ylabel = "acceleration RMSE (m/s^2)"
         xlabel = "drr noise sigma (m/s^2)"
     else:
-        series = {
-            "velocity LS": (sweep.grid, [p.rmse_velocity_ls for p in sweep.points]),
-            "velocity WLS": (sweep.grid, [p.rmse_velocity_wls for p in sweep.points]),
-        }
+        columns = {"velocity LS": "rmse_velocity_ls", "velocity WLS": "rmse_velocity_wls"}
         ylabel = "velocity RMSE (m/s)"
         xlabel = "range-rate noise sigma (m/s)"
+    series = {}
+    for label, field in columns.items():
+        ys = (getattr(p, field) for p in sweep.points)
+        pairs = [(x, y) for x, y in zip(sweep.grid, ys) if math.isfinite(y)]
+        if not pairs:
+            raise ValueError(f"no sweep point has a finite {label} RMSE to plot")
+        series[label] = tuple(zip(*pairs))
     return render_loglog(series, xlabel, ylabel)

@@ -190,6 +190,41 @@ class TestSweep:
         values = [float(v) for v in dest.read_text().splitlines()[1].split(",")[1:6]]
         assert np.all(np.isfinite(values))
 
+    def test_all_failed_point_keeps_the_other_rows(self, tmp_path, capsys):
+        # every trial at range-rate noise 1e150 fails; its row records that
+        single, both = tmp_path / "single.csv", tmp_path / "both.csv"
+        fig = tmp_path / "both.svg"
+        code, _, _ = run(["sweep", "--grid", "0.1", "--trials", "20",
+                          "--out", str(single)], capsys)
+        assert code == 0
+        code, _, err = run(["sweep", "--grid", "0.1,1e150", "--trials", "20",
+                            "--out", str(both), "--svg", str(fig)], capsys)
+        assert code == 0 and err == ""
+        header, first, second = both.read_text().splitlines()
+        assert [header, first] == single.read_text().splitlines()
+        assert second.split(",") == ["9.9999999999999998e+149", "nan", "nan", "nan", "nan",
+                                     "nan", "20", "0", "0"]
+        # the failed point is left out of the figure: one marker per series
+        markers = [el for el in ET.fromstring(fig.read_text()).iter()
+                   if el.tag.endswith("circle")]
+        assert len(markers) == 2
+
+    def test_figure_without_a_finite_point_rejected(self, tmp_path, capsys):
+        dest = tmp_path / "o.csv"
+        code, _, err = run(["sweep", "--grid", "1e150", "--trials", "5", "--out", str(dest),
+                            "--svg", str(tmp_path / "o.svg")], capsys)
+        assert code == 2
+        assert err.startswith("ValueError: no sweep point has a finite") and err.count("\n") == 1
+        assert dest.read_text().splitlines()[1].split(",")[6] == "5"
+
+    def test_box_with_overflowing_extent_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"position_box": [[-1e308, -1e308], [1e308, 1e308]]})
+        code, _, err = run(["sweep", "--config", cfg, "--trials", "3",
+                            "--out", str(tmp_path / "o.csv")], capsys)
+        assert code == 2
+        assert err.startswith("ValueError: position_box") and err.count("\n") == 1
+        assert not (tmp_path / "o.csv").exists()
+
     def test_squared_inverse_range_weights_rejected(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             run(["sweep", "--trials", "3", "--weights", "inverse-range-sq",

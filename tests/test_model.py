@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from kinloc.errors import ZeroRange
 from kinloc.model import (MeasurementSet, NoiseSpec, SensorArray, TargetState,
-                          propagate, range_accel, range_rate, range_to,
+                          as_vec2, propagate, range_accel, range_rate, range_to,
                           synthesize_measurements, true_measurements)
 from kinloc.oracle import FdConfig, fd_range_accel, fd_range_rate
 
@@ -143,6 +143,55 @@ class TestValidation:
     def test_measurement_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             MeasurementSet([1.0, 2.0], [0.0], [0.0, 0.0], NoiseSpec())
+
+    @pytest.mark.parametrize("value, name, message", [
+        ([np.nan, 0.0], "position", "position must be finite, got [nan  0.]"),
+        ((1.0, np.inf), "velocity", "velocity must be finite, got [ 1. inf]"),
+        (3.0, "velocity", "velocity must have exactly 2 components, got shape (1,)"),
+        ([1.0, 2.0, 3.0], "acceleration",
+         "acceleration must have exactly 2 components, got shape (3,)"),
+        ([[1.0, 2.0]], "acceleration",
+         "acceleration must have exactly 2 components, got shape (1, 2)"),
+    ])
+    def test_as_vec2_rejection_messages(self, value, name, message):
+        with pytest.raises(ValueError) as exc:
+            as_vec2(value, name)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("ranges", [1.0, np.nan], "ranges must be finite"),
+        ("range_rates", [[0.0, 0.0]], "range_rates must be one-dimensional"),
+        ("drrs", [0.0, -np.inf], "drrs must be finite"),
+    ])
+    def test_measurement_rejection_messages(self, field, value, message):
+        fields = dict(ranges=[1.0, 2.0], range_rates=[0.0, 0.0], drrs=[0.0, 0.0])
+        fields[field] = value
+        with pytest.raises(ValueError) as exc:
+            MeasurementSet(**fields, noise=NoiseSpec())
+        assert str(exc.value) == message
+
+    def test_vectors_are_fresh_read_only_copies(self):
+        source = np.array([1.0, 2.0])
+        locked = source.copy()
+        locked.flags.writeable = False
+        for value in (source, locked, [1.0, 2.0], (1, 2)):
+            vec = as_vec2(value)
+            assert vec.dtype == np.float64 and not vec.flags.writeable
+            assert vec is not value and not np.shares_memory(vec, source)
+        vec = as_vec2(source)
+        source[0] = 99.0
+        assert vec.tolist() == [1.0, 2.0]
+        with pytest.raises(ValueError):
+            vec[1] = 0.0
+
+        ranges, rates, drrs = np.ones(3), np.zeros(3), np.full(3, 0.5)
+        ms = MeasurementSet(ranges, rates, drrs, NoiseSpec())
+        ranges[:], rates[:], drrs[:] = 7.0, 7.0, 7.0
+        assert ms.ranges.tolist() == [1.0] * 3 and ms.range_rates.tolist() == [0.0] * 3
+        assert ms.drrs.tolist() == [0.5] * 3
+        for arr in (ms.ranges, ms.range_rates, ms.drrs):
+            assert arr.dtype == np.float64 and not arr.flags.writeable
+        assert MeasurementSet(4.0, 0.0, 0.0, NoiseSpec()).ranges.shape == (1,)
 
     def test_sensor_array_immutable(self, sensors8):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,9 +7,9 @@ import pytest
 from kinloc import estim, montecarlo
 from kinloc.errors import EmptyEnsemble, SingularGeometry
 from kinloc.model import NoiseSpec, SensorArray, TargetState
-from kinloc.montecarlo import (METHODS, Scenario, SweepPoint, SweepResult,
-                               TrialRecord, default_scenario, rmse, run_ensemble,
-                               run_trial, sweep_acceleration_experiment,
+from kinloc.montecarlo import (DEFAULT_SENSOR_POSITIONS, METHODS, Scenario, SweepPoint,
+                               SweepResult, TrialRecord, default_scenario, rmse,
+                               run_ensemble, run_trial, sweep_acceleration_experiment,
                                sweep_velocity_experiment, timing_report)
 
 ZERO_NOISE = NoiseSpec(0.0, 0.0, 0.0)
@@ -31,6 +32,20 @@ class TestScenario:
                 noise=NoiseSpec(), trials=10, seed=0,
                 motion_mode="constant_velocity")
 
+    def test_box_with_overflowing_extent_rejected(self):
+        # each corner is finite, but max - min is not: the draw would not be
+        with pytest.raises(ValueError, match="position_box extent max - min must be finite"):
+            Scenario(
+                sensors=SensorArray(DEFAULT_SENSOR_POSITIONS),
+                position_box=((-1e308, -1e308), (1e308, 1e308)),
+                velocity_box=((-1.0, -1.0), (1.0, 1.0)),
+                acceleration_box=((-1.0, -1.0), (1.0, 1.0)),
+                noise=NoiseSpec(), trials=10, seed=0,
+                motion_mode="constant_velocity")
+        wide = replace(default_scenario(), position_box=((-8e307, 0.0), (8e307, 1.0)))
+        truth = montecarlo.sample_truth(wide, np.random.default_rng(0))
+        assert np.isfinite(truth.position).all()
+
     def test_bad_motion_mode_rejected(self):
         with pytest.raises(ValueError):
             default_scenario(motion_mode="warp_drive")
@@ -38,6 +53,60 @@ class TestScenario:
     def test_trials_must_be_positive(self):
         with pytest.raises(ValueError):
             default_scenario(trials=0)
+
+
+def uniform_sample_truth(scenario, rng):
+    """The reference draw: numpy's own Generator.uniform on the box arrays."""
+    pos = rng.uniform(scenario.position_box[0], scenario.position_box[1])
+    vel = rng.uniform(scenario.velocity_box[0], scenario.velocity_box[1])
+    if scenario.motion_mode == "constant_acceleration":
+        acc = rng.uniform(scenario.acceleration_box[0], scenario.acceleration_box[1])
+    else:
+        acc = np.zeros(2)
+    return TargetState(pos, vel, acc)
+
+
+class TestRandomStreams:
+    BOXES = (
+        ((0.0, 0.0), (100.0, 100.0)),
+        ((-20.0, -20.0), (20.0, 20.0)),
+        ((-1e3, 5.0), (-7.5, 3e4)),             # negative and asymmetric
+        ((-0.1, -3e-7), (1e-3, -1e-7)),         # straddles zero, tiny extent
+        ((3.25, -2.0), (3.25, -2.0)),           # zero width in both axes
+        ((-4.0, 1.0), (-4.0, 1e6)),             # zero width in one axis
+        ((-1e300, 1e300), (0.0, 1.5e300)),
+    )
+
+    def test_box_draw_matches_generator_uniform_bitwise(self):
+        boxes = [np.array(box) for box in self.BOXES]
+        ours, numpys = [], []
+        for seed in range(10_000):
+            rng_ours, rng_numpy = np.random.default_rng(seed), np.random.default_rng(seed)
+            for box in boxes:
+                ours.append(montecarlo._uniform2(rng_ours, box))
+                numpys.append(rng_numpy.uniform(box[0], box[1]))
+            # both consumed the same number of doubles
+            assert rng_ours.random() == rng_numpy.random()
+        np.testing.assert_array_equal(np.array(ours).view(np.uint64),
+                                      np.array(numpys).view(np.uint64))
+
+    def test_sample_truth_matches_uniform_reference(self):
+        for mode in montecarlo.MOTION_MODES:
+            sc = default_scenario(motion_mode=mode)
+            for seed in range(2000):
+                got = montecarlo.sample_truth(sc, np.random.default_rng(seed))
+                want = uniform_sample_truth(sc, np.random.default_rng(seed))
+                for field in ("position", "velocity", "acceleration"):
+                    assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+
+    def test_trial_streams_are_the_spawned_children(self):
+        for seed in (0, 7, 2 ** 32 + 5, 2 ** 63 - 1):
+            for index in (0, 1, 999, 2 ** 40):
+                spawned = np.random.SeedSequence((seed, index)).spawn(2)
+                direct = montecarlo._trial_streams(seed, index)
+                for a, b in zip(spawned, direct):
+                    np.testing.assert_array_equal(a.generate_state(4, np.uint64),
+                                                  b.generate_state(4, np.uint64))
 
 
 class TestRunTrial:
@@ -228,6 +297,18 @@ class TestSweeps:
             sweep_velocity_experiment(base, (1.0, 0.5))
         with pytest.raises(ValueError):
             sweep_velocity_experiment(base, (0.0, 1.0))
+
+    def test_all_failed_point_gives_nan_rmses(self):
+        # range-rate noise 1e150 makes every stage-2 solve overflow
+        sweep = sweep_velocity_experiment(default_scenario(trials=20), (0.5, 1e150))
+        solved, failed = sweep.points
+        assert solved.failures == 0 and np.isfinite(solved.rmse_velocity_wls)
+        assert failed.failures == 20 and failed.successes == 0
+        for field in ("rmse_position", "rmse_velocity_ls", "rmse_velocity_wls",
+                      "rmse_accel_ls", "rmse_accel_wls"):
+            assert np.isnan(getattr(failed, field))
+        assert all(t == 0.0 for t in failed.mean_stage_times.values())
+        assert all(np.isfinite(t) for t in timing_report(sweep).values())
 
     def test_threads_do_not_change_sweep(self):
         base = default_scenario(trials=40)
