@@ -1,29 +1,27 @@
 """Hot numeric kernels: the closed-form solves executed once per Monte Carlo trial.
 
-Every reduction is an explicit loop over the sensors, in index order, rather
-than np.sum/np.dot: numpy's pairwise summation rounds differently, and the
-17-digit sweep CSVs (and the golden files in the test suite) depend on this
-fixed summation order.  The loops read each input array once with
-``.tolist()`` and run on Python floats: these round every operation exactly
-as numpy scalars do, in the same order, at a fraction of the per-operation
-cost.  A Python float raises ZeroDivisionError where a numpy scalar returned
-inf or NaN, so every denominator that can underflow to 0 is guarded, and it
-overflows to inf silently, so the solutions are checked to be finite.
+The kernels take sequences of Python floats, return lists and floats, and
+import no numpy.  Every reduction is an explicit loop over the sensors, in
+index order, rather than np.sum/np.dot: numpy's pairwise summation rounds
+differently, and the 17-digit sweep CSVs (and the golden files in the test
+suite) depend on this fixed summation order.  Python floats round every
+operation exactly as numpy scalars do, at a fraction of the per-operation
+cost, but raise ZeroDivisionError where a numpy scalar returned inf or NaN,
+so every denominator that can underflow to 0 is guarded; they overflow to inf
+silently, so the solutions are checked to be finite.
 
 A kernel that cannot solve raises the named error itself, never returns NaN:
 ``position_solve`` raises DegenerateGeometry and ``wls_solve2``
-SingularGeometry, each with the Gram condition number in its message, and
-``system_rows`` raises ZeroRange.  The kernels know no weighting policy:
-estim.py turns a WeightRule into the weights that ``wls_solve2`` takes.
+SingularGeometry (as when the Gram condition number exceeds ``COND_CAP``),
+each with that number in its message, and ``system_rows`` raises ZeroRange.
+The kernels know no weighting policy: estim.py turns a WeightRule into weights.
 """
 
 import math
 
-import numpy as np
-
 from .errors import DegenerateGeometry, SingularGeometry, ZeroRange
 
-COND_CAP_DEFAULT = 1e12
+COND_CAP = 1e12
 
 _RANK_DEFICIENT = "sensor layout is rank-deficient for trilateration (gram condition {:.3g})"
 
@@ -60,24 +58,16 @@ def _sym3_eig_extremes(g00, g01, g02, g11, g12, g22):
     return hi, lo
 
 
-def position_solve(sx, sy, rbar, cond_cap):
+def position_solve(sx, sy, rbar):
     """Linearized trilateration from measured ranges.
 
     Rows [-2 x_i, -2 y_i, 1] against rhs rbar_i^2 - x_i^2 - y_i^2, solved via
     column-equilibrated normal equations.  Returns
     (x, y, theta3, residual_norm, gram_cond); raises DegenerateGeometry when
-    the layout is rank-deficient, the condition number exceeds cond_cap, or
+    the layout is rank-deficient, the condition number exceeds COND_CAP, or
     the position overflows.
     """
-    sx, sy, rbar = sx.tolist(), sy.tolist(), rbar.tolist()
-    g00 = 0.0
-    g01 = 0.0
-    g02 = 0.0
-    g11 = 0.0
-    g12 = 0.0
-    h0 = 0.0
-    h1 = 0.0
-    h2 = 0.0
+    g00 = g01 = g02 = g11 = g12 = h0 = h1 = h2 = 0.0
     for x, y, r in zip(sx, sy, rbar):
         a0 = -2.0 * x
         a1 = -2.0 * y
@@ -94,20 +84,16 @@ def position_solve(sx, sy, rbar, cond_cap):
 
     if g00 <= 0.0 or g11 <= 0.0:
         # a zero column: all sensors share one coordinate (collinear axis-aligned)
-        raise DegenerateGeometry(_RANK_DEFICIENT.format(np.inf))
-    s0 = math.sqrt(g00)
-    s1 = math.sqrt(g11)
-    s2 = math.sqrt(g22)
+        raise DegenerateGeometry(_RANK_DEFICIENT.format(math.inf))
+    s0, s1, s2 = math.sqrt(g00), math.sqrt(g11), math.sqrt(g22)
     t01 = g01 / (s0 * s1)
     t02 = g02 / (s0 * s2)
     t12 = g12 / (s1 * s2)
-    u0 = h0 / s0
-    u1 = h1 / s1
-    u2 = h2 / s2
+    u0, u1, u2 = h0 / s0, h1 / s1, h2 / s2
 
     hi, lo = _sym3_eig_extremes(1.0, t01, t02, 1.0, t12, 1.0)
-    if not (lo > 0.0) or hi > lo * cond_cap:
-        raise DegenerateGeometry(_RANK_DEFICIENT.format(np.inf if not (lo > 0.0) else hi / lo))
+    if not (lo > 0.0) or hi > lo * COND_CAP:
+        raise DegenerateGeometry(_RANK_DEFICIENT.format(math.inf if not (lo > 0.0) else hi / lo))
     cond = hi / lo
 
     c00 = 1.0 - t12 * t12
@@ -118,13 +104,11 @@ def position_solve(sx, sy, rbar, cond_cap):
     c22 = 1.0 - t01 * t01
     det = c00 + t01 * c01 + t02 * c02
     if det <= 0.0:
-        raise DegenerateGeometry(_RANK_DEFICIENT.format(np.inf))
+        raise DegenerateGeometry(_RANK_DEFICIENT.format(math.inf))
     z0 = (c00 * u0 + c01 * u1 + c02 * u2) / det
     z1 = (c01 * u0 + c11 * u1 + c12 * u2) / det
     z2 = (c02 * u0 + c12 * u1 + c22 * u2) / det
-    th0 = z0 / s0
-    th1 = z1 / s1
-    th2 = z2 / s2
+    th0, th1, th2 = z0 / s0, z1 / s1, z2 / s2
     if not (math.isfinite(th0) and math.isfinite(th1)):
         raise DegenerateGeometry(f"trilateration overflows (gram condition {cond:.3g})")
 
@@ -139,30 +123,26 @@ def position_solve(sx, sy, rbar, cond_cap):
 def system_rows(sx, sy, px, py):
     """Stage rows (p_hat - p_i) and the ranges r_i = |p_hat - p_i|.
 
-    Returns (bx, by, rhat) as float64 arrays; raises ZeroRange when p_hat
-    coincides with a sensor.
+    Returns (bx, by, rhat) as lists; raises ZeroRange when p_hat coincides
+    with a sensor.
     """
-    bx = [px - x for x in sx.tolist()]
-    by = [py - y for y in sy.tolist()]
+    bx = [px - x for x in sx]
+    by = [py - y for y in sy]
     rhat = [math.sqrt(dx * dx + dy * dy) for dx, dy in zip(bx, by)]
     if 0.0 in rhat:
         raise ZeroRange("estimated position coincides with a sensor")
-    return np.array(bx), np.array(by), np.array(rhat)
+    return bx, by, rhat
 
 
-def wls_solve2(bx, by, rhs, w, cond_cap):
+def wls_solve2(bx, by, rhs, w):
     """Minimizer of sum_i w_i (rhs_i - bx_i*x0 - by_i*x1)^2 via 2x2 normal equations.
 
     Returns (x0, x1, gram_cond); raises SingularGeometry when the Gram matrix
-    is singular, its condition number exceeds cond_cap, its determinant
+    is singular, its condition number exceeds COND_CAP, its determinant
     underflows to 0, or the solution overflows.
     """
-    g00 = 0.0
-    g01 = 0.0
-    g11 = 0.0
-    h0 = 0.0
-    h1 = 0.0
-    for x, y, r, wi in zip(bx.tolist(), by.tolist(), rhs.tolist(), w.tolist()):
+    g00 = g01 = g11 = h0 = h1 = 0.0
+    for x, y, r, wi in zip(bx, by, rhs, w):
         g00 += wi * x * x
         g01 += wi * x * y
         g11 += wi * y * y
@@ -174,8 +154,8 @@ def wls_solve2(bx, by, rhs, w, cond_cap):
     hi = 0.5 * (tr + disc)
     lo = 0.5 * (tr - disc)
     det = g00 * g11 - g01 * g01
-    if not (lo > 0.0) or hi > lo * cond_cap or det <= 0.0:
-        cond = np.inf if not (lo > 0.0) else hi / lo
+    if not (lo > 0.0) or hi > lo * COND_CAP or det <= 0.0:
+        cond = math.inf if not (lo > 0.0) else hi / lo
         raise SingularGeometry(
             f"stage Gram matrix singular or ill-conditioned (condition {cond:.3g})")
     x0 = (g11 * h0 - g01 * h1) / det

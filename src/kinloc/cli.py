@@ -76,11 +76,9 @@ def _as_bool(key, value):
 
 
 def _as_pair(key, value):
-    try:
-        x, y = (float(v) for v in value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key} must be a pair of numbers, got {value!r}") from exc
-    return (x, y)
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ConfigError(f"{key} must be a pair of numbers, got {value!r}")
+    return (_as_float(key, value[0]), _as_float(key, value[1]))
 
 
 def _as_pair_list(key, value):

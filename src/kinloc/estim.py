@@ -27,7 +27,8 @@ Stages 2 and 3 share one path: the kernels return the rows (p_hat - p_i) and
 the ranges, this module turns the WeightRule into per-row weights
 (``row_weights``) and hands columns, right-hand side and weights to the 2x2
 weighted normal-equation kernel, which guards the condition number; the
-kernels raise the named errors.  oracle.py cross-checks the solves densely.
+kernels raise the named errors.  Per-row data travels as lists of floats;
+arrays appear only where a public function takes or returns one.
 """
 
 import math
@@ -72,13 +73,13 @@ UNIFORM = WeightRule(mode="uniform")
 PROPAGATED = WeightRule(mode="propagated")
 
 
-def row_weights(rhat, weight_rule: WeightRule) -> np.ndarray:
+def row_weights(rhat, weight_rule: WeightRule) -> list:
     """Per-row weights of a stage solve from the ranges r implied by p_hat:
     ones under ``uniform``, 1/r under ``inverse_range`` and ``propagated``
     (whose acceleration stage then reweights, see ``estimate_acceleration``)."""
     if weight_rule.mode == "uniform":
-        return np.ones(len(rhat))
-    return 1.0 / rhat
+        return [1.0] * len(rhat)
+    return [1.0 / r for r in rhat]
 
 
 @dataclass(frozen=True)
@@ -126,25 +127,23 @@ def estimate_position(measurements: MeasurementSet, sensors: SensorArray) -> Pos
     if n < 3:
         raise TooFewSensors(f"position stage needs at least 3 sensors, got {n}")
     x, y, theta3, resid, cond = _kernels.position_solve(
-        sensors.xs, sensors.ys, measurements.ranges, _kernels.COND_CAP_DEFAULT)
+        sensors.xs, sensors.ys, measurements.ranges.tolist())
     return PositionSolution(as_vec2((x, y)), theta3, resid, cond)
 
 
 def _stage_rows(sensors, p_hat):
-    """Stage rows (p_hat - p_i) as two columns, and the ranges r_i implied by p_hat."""
+    """Stage rows (p_hat - p_i) as two lists, and the ranges r_i implied by p_hat."""
     px, py = as_vec2(p_hat, "p_hat").tolist()
     return _kernels.system_rows(sensors.xs, sensors.ys, px, py)
 
 
 def _solve2(bx, by, rhs, weights, pseudo, method) -> KinematicEstimate:
-    x0, x1, cond = _kernels.wls_solve2(bx, by, rhs, weights, _kernels.COND_CAP_DEFAULT)
-    return KinematicEstimate(as_vec2((x0, x1)), method, cond, _locked(pseudo.copy()))
+    x0, x1, cond = _kernels.wls_solve2(bx, by, rhs, weights)
+    return KinematicEstimate(as_vec2((x0, x1)), method, cond, _locked(np.array(pseudo)))
 
 
-def _stage_arrays(B, rhs, per_row, name):
-    B = np.asarray(B, dtype=np.float64)
-    rhs = np.asarray(rhs, dtype=np.float64)
-    per_row = np.asarray(per_row, dtype=np.float64)
+def _stage_columns(B, rhs, per_row, name):
+    B, rhs, per_row = (np.asarray(a, dtype=np.float64) for a in (B, rhs, per_row))
     if B.ndim != 2 or B.shape[1] != 2:
         raise ValueError(f"B must have shape (N, 2), got {B.shape}")
     if B.shape[0] == 0:
@@ -154,7 +153,7 @@ def _stage_arrays(B, rhs, per_row, name):
     for label, arr in (("B", B), ("rhs", rhs), (name, per_row)):
         if not np.all(np.isfinite(arr)):
             raise ValueError(f"{label} must be finite")
-    return B, rhs, per_row
+    return B[:, 0].tolist(), B[:, 1].tolist(), rhs.tolist(), per_row.tolist()
 
 
 def solve_linear_stage(B, rhs, weights) -> KinematicEstimate:
@@ -166,14 +165,15 @@ def solve_linear_stage(B, rhs, weights) -> KinematicEstimate:
     or its condition number exceeds the kernels' cap (all rows nearly
     parallel).
     """
-    B, rhs, weights = _stage_arrays(B, rhs, weights, "weights")
-    if np.any(weights <= 0.0):
+    bx, by, rhs, weights = _stage_columns(B, rhs, weights, "weights")
+    lowest, highest = min(weights), max(weights)
+    if lowest <= 0.0:
         raise ValueError("weights must be positive")
-    method = "LS" if np.all(weights == weights[0]) else "WLS"
+    method = "LS" if lowest == highest else "WLS"
     # as in _shared_error_solve: an exact power-of-two scale that brings the
     # largest weight into [0.5, 1) keeps the Gram products within range
-    weights = np.ldexp(weights, -math.frexp(weights.max())[1])
-    return _solve2(B[:, 0], B[:, 1], rhs, weights, rhs, method)
+    e = math.frexp(highest)[1]
+    return _solve2(bx, by, rhs, [math.ldexp(w, -e) for w in weights], rhs, method)
 
 
 def solve_shared_error_stage(B, rhs, variances, shared_variance: float) -> KinematicEstimate:
@@ -194,13 +194,12 @@ def solve_shared_error_stage(B, rhs, variances, shared_variance: float) -> Kinem
     the solve falls back to uniform weights and s2 = 0, i.e. plain LS.
     Raises SingularGeometry like ``solve_linear_stage``.
     """
-    B, rhs, variances = _stage_arrays(B, rhs, variances, "variances")
-    return _shared_error_solve(B[:, 0], B[:, 1], rhs, variances, float(shared_variance))
+    bx, by, rhs, variances = _stage_columns(B, rhs, variances, "variances")
+    return _shared_error_solve(bx, by, rhs, variances, float(shared_variance))
 
 
-def _shared_error_solve(bx, by, rhs, variances, s2) -> KinematicEstimate:
-    """``solve_shared_error_stage`` on the columns of B."""
-    var = variances.tolist()
+def _shared_error_solve(bx, by, rhs, var, s2) -> KinematicEstimate:
+    """``solve_shared_error_stage`` on the columns of B, as lists."""
     lowest = min(var)
     if not (lowest >= 0.0 and all(map(math.isfinite, var)) and 0.0 <= s2 < math.inf):
         raise ValueError("variances and shared_variance must be finite and >= 0")
@@ -220,13 +219,14 @@ def _shared_error_solve(bx, by, rhs, variances, s2) -> KinematicEstimate:
     s2 = math.ldexp(s2, -e)
     w = [1.0 / d for d in var]
     total = sx = sy = sk = 0.0
-    for wi, x, y, k in zip(w, bx.tolist(), by.tolist(), rhs.tolist()):
+    for wi, x, y, k in zip(w, bx, by, rhs):
         total += wi
         sx += wi * x
         sy += wi * y
         sk += wi * k
     shrink = (1.0 - 1.0 / math.sqrt(1.0 + s2 * total)) / total
-    return _solve2(bx - shrink * sx, by - shrink * sy, rhs - shrink * sk, np.array(w),
+    cx, cy, ck = shrink * sx, shrink * sy, shrink * sk
+    return _solve2([x - cx for x in bx], [y - cy for y in by], [k - ck for k in rhs], w,
                    rhs, "WLS")
 
 
@@ -240,7 +240,7 @@ def estimate_velocity(measurements: MeasurementSet, sensors: SensorArray, p_hat,
     """
     _check_lengths(measurements, sensors)
     bx, by, rhat = _stage_rows(sensors, p_hat)
-    d = measurements.range_rates * rhat
+    d = [a * r for a, r in zip(measurements.range_rates.tolist(), rhat)]
     method = "LS" if weight_rule.mode == "uniform" else "WLS"
     return _solve2(bx, by, d, row_weights(rhat, weight_rule), d, method)
 
@@ -253,20 +253,25 @@ def acceleration_pseudo_measurements(measurements: MeasurementSet, sensors: Sens
     With exact p_hat, v_hat and noiseless measurements, k_i equals
     a . (p_hat - p_i) exactly.
     """
+    return np.array(_pseudo_measurements(measurements, sensors, p_hat, v_hat))
+
+
+def _pseudo_measurements(measurements, sensors, p_hat, v_hat) -> list:
     _check_lengths(measurements, sensors)
     v = as_vec2(v_hat, "v_hat")
     _, _, rhat = _stage_rows(sensors, p_hat)
     v2 = float(v @ v)
-    return measurements.drrs * rhat - v2 + measurements.range_rates ** 2
+    return [b * r - v2 + a * a for b, r, a in
+            zip(measurements.drrs.tolist(), rhat, measurements.range_rates.tolist())]
 
 
 def acceleration_error_model(measurements: MeasurementSet, ranges, bx, by, velocity_weights,
                              v_hat):
-    """First-order error model of the pseudo-measurements k_i, as (D, s2).
+    """First-order error model of the pseudo-measurements k_i, as (D, s2), D a list.
 
     ``ranges`` are the r_i that multiply b_i in k_i, ``bx`` and ``by`` the
     columns of the stage rows (p_hat - p_i), and ``velocity_weights`` the
-    weights of the velocity solve that produced ``v_hat``.  With noise levels
+    weights of the velocity solve that produced ``v_hat``, all lists.  With
     s_r, s_a, s_b from ``measurements.noise``, the per-row variances are
     D_i = r_i^2 s_b^2 + 4 a_i^2 s_a^2 + b_i^2 s_r^2, and s2 = 4 v' Cov(v) v is
     the variance of the offset -2 v_hat . dv that every row shares, where
@@ -283,9 +288,9 @@ def acceleration_error_model(measurements: MeasurementSet, ranges, bx, by, veloc
     var_b = noise.sigma_drr ** 2
     variances = []
     g00 = g01 = g11 = m00 = m01 = m11 = 0.0
-    for r, a, b, w, x, y in zip(np.asarray(ranges).tolist(), measurements.range_rates.tolist(),
-                                measurements.drrs.tolist(), np.asarray(velocity_weights).tolist(),
-                                bx.tolist(), by.tolist(), strict=True):
+    for r, a, b, w, x, y in zip(ranges, measurements.range_rates.tolist(),
+                                measurements.drrs.tolist(), velocity_weights, bx, by,
+                                strict=True):
         variances.append(r * r * var_b + 4.0 * a * a * var_a + b * b * var_r)
         m = w * w * (r * r * var_a + a * a * var_r)
         g00 += w * x * x
@@ -304,7 +309,7 @@ def acceleration_error_model(measurements: MeasurementSet, ranges, bx, by, veloc
     if not (all(map(math.isfinite, variances)) and math.isfinite(shared)):
         raise SingularGeometry("stage-3 error model overflows (a measurement too large to square)")
     # M is positive semidefinite; rounding may still take u' M u a hair below 0
-    return np.array(variances), max(0.0, shared)
+    return variances, max(0.0, shared)
 
 
 def estimate_acceleration(measurements: MeasurementSet, sensors: SensorArray, p_hat, v_hat,
@@ -317,7 +322,7 @@ def estimate_acceleration(measurements: MeasurementSet, sensors: SensorArray, p_
     ``acceleration_error_model`` instead, taking ``v_hat`` to come from the
     velocity stage with the same rule.
     """
-    k = acceleration_pseudo_measurements(measurements, sensors, p_hat, v_hat)
+    k = _pseudo_measurements(measurements, sensors, p_hat, v_hat)
     bx, by, rhat = _stage_rows(sensors, p_hat)
     w = row_weights(rhat, weight_rule)
     if weight_rule.mode == "propagated":

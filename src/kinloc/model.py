@@ -13,6 +13,7 @@ independent zero-mean Gaussian noise per sensor and per quantity.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -55,12 +56,12 @@ class SensorArray:
         return self.positions.shape[0]
 
     @cached_property
-    def xs(self) -> np.ndarray:
-        return _locked(np.ascontiguousarray(self.positions[:, 0]))
+    def xs(self) -> tuple:      # as floats, the form the kernels take
+        return tuple(self.positions[:, 0].tolist())
 
     @cached_property
-    def ys(self) -> np.ndarray:
-        return _locked(np.ascontiguousarray(self.positions[:, 1]))
+    def ys(self) -> tuple:
+        return tuple(self.positions[:, 1].tolist())
 
 
 @dataclass(frozen=True)
@@ -81,9 +82,9 @@ class TargetState:
 class NoiseSpec:
     """Standard deviations of the additive Gaussian measurement noise.
 
-    Each sigma must be >= 0 with a finite square: the propagated weight rule
-    works with the variances, so a sigma near 1e154 or above is rejected here
-    rather than overflowing there.
+    Each sigma must be a real number (not a bool or a string) >= 0 with a
+    finite square: the propagated weight rule works with the variances, so a
+    sigma near 1e154 or above is rejected here rather than overflowing there.
     """
 
     sigma_range: float = 1.0        # m
@@ -92,7 +93,10 @@ class NoiseSpec:
 
     def __post_init__(self):
         for name in ("sigma_range", "sigma_range_rate", "sigma_drr"):
-            value = float(getattr(self, name))
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise TypeError(f"{name} must be a real number, got {value!r}")
+            value = float(value)
             if not np.isfinite(value * value) or value < 0.0:
                 raise ValueError(f"{name} must be >= 0 with a finite square, got {value}")
             object.__setattr__(self, name, value)

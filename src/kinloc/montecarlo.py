@@ -14,6 +14,7 @@ Trials, ensembles and sweeps default to the ``propagated`` weight rule.
 """
 
 import math
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -65,6 +66,16 @@ def _as_box(value, name: str) -> np.ndarray:
     return _locked(box.copy())
 
 
+def _as_index(value, name: str) -> int:
+    """A Python or numpy integer as an int; a float, a string or a bool raises TypeError."""
+    if isinstance(value, bool):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class Scenario:
     sensors: SensorArray
@@ -85,12 +96,12 @@ class Scenario:
                            _as_box(self.acceleration_box, "acceleration_box"))
         if not isinstance(self.noise, NoiseSpec):
             raise TypeError("noise must be a NoiseSpec")
-        if int(self.trials) < 1:
+        object.__setattr__(self, "trials", _as_index(self.trials, "trials"))
+        if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
-        object.__setattr__(self, "trials", int(self.trials))
-        if int(self.seed) < 0:
+        object.__setattr__(self, "seed", _as_index(self.seed, "seed"))
+        if self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
-        object.__setattr__(self, "seed", int(self.seed))
         if self.motion_mode not in MOTION_MODES:
             raise ValueError(f"motion_mode must be one of {MOTION_MODES}, got {self.motion_mode!r}")
 
@@ -163,9 +174,10 @@ def run_trial(scenario: Scenario, trial_index: int,
               weight_rule: WeightRule = PROPAGATED) -> TrialRecord:
     """Execute one trial: sample truth, synthesize measurements, run all five
     estimators.  Estimator failures are captured in the record, not raised."""
-    if not 0 <= int(trial_index) < 2 ** 63:
+    trial_index = _as_index(trial_index, "trial_index")
+    if not 0 <= trial_index < 2 ** 63:
         raise ValueError(f"trial_index out of range: {trial_index}")
-    truth_seq, meas_seq = _trial_streams(scenario.seed, int(trial_index))
+    truth_seq, meas_seq = _trial_streams(scenario.seed, trial_index)
     truth = sample_truth(scenario, np.random.default_rng(truth_seq))
     try:
         measurements = synthesize_measurements(truth, scenario.sensors, scenario.noise,

@@ -118,6 +118,15 @@ class TestConfig:
         cfg = write_config(tmp_path, dict(TRUTH, trials="many"))
         code, _, err = run(["estimate", "--config", cfg], capsys)
         assert code == 2 and err.startswith("ConfigError:")
+        # a pair is a 2-element list of numbers, not a string's characters or booleans
+        for bad in ({"position": "34"}, {"velocity": [True, False]}):
+            cfg = write_config(tmp_path, dict(TRUTH, **bad))
+            code, _, err = run(["estimate", "--config", cfg], capsys)
+            assert code == 2 and err.startswith("ConfigError:")
+        cfg = write_config(tmp_path, {"sensors": ["00", "55", "09", "90"]})
+        code, _, err = run(["sweep", "--config", cfg, "--trials", "1", "--grid", "1",
+                            "--out", str(tmp_path / "x.csv")], capsys)
+        assert code == 2 and err.startswith("ConfigError:")
 
     def test_bad_grid_flag_rejected(self, tmp_path, capsys):
         code, _, err = run(["sweep", "--grid", "1,zap", "--out", "x.csv"], capsys)

@@ -86,6 +86,16 @@ class TestSolveLinearStage:
             np.testing.assert_allclose(est.value, x_true, rtol=0,
                                        atol=1e-9 * max(1.0, np.abs(x_true).max()))
 
+    def test_pseudo_measurements_copy_rhs(self, rng):
+        B = rng.normal(0, 50, (6, 2))
+        rhs = rng.normal(0, 10, 6)
+        for est in (solve_linear_stage(B, rhs, np.ones(6)),
+                    solve_shared_error_stage(B, rhs, np.ones(6), 0.5)):
+            np.testing.assert_array_equal(est.pseudo_measurements, rhs)
+            assert est.pseudo_measurements.dtype == np.float64
+            assert not est.pseudo_measurements.flags.writeable
+            assert not np.shares_memory(est.pseudo_measurements, rhs)
+
     def test_parallel_rows_singular(self):
         B = np.outer([1.0, 2.0, 3.0], [1.0, 1.0])
         with pytest.raises(SingularGeometry):
@@ -312,9 +322,11 @@ class TestEstimateAcceleration:
         range_noise_only = synthesize_measurements(still, sensors8,
                                                    NoiseSpec(1.0, 0.0, 0.0), rng)
         rows = still.position - sensors8.positions
-        variances, _ = acceleration_error_model(range_noise_only, np.hypot(*rows.T), *rows.T,
-                                                np.ones(len(sensors8)), still.velocity)
-        assert np.count_nonzero(variances == 0.0) == 1 and variances.max() > 0.0
+        # lists of floats, as the velocity stage hands them over
+        variances, _ = acceleration_error_model(range_noise_only, np.hypot(*rows.T).tolist(),
+                                                *rows.T.tolist(), [1.0] * len(sensors8),
+                                                still.velocity)
+        assert variances.count(0.0) == 1 and max(variances) > 0.0
         cases = [(moving, exact_measurements(moving, sensors8), UNIFORM),
                  (moving, exact_measurements(moving, sensors8), PROPAGATED),
                  (still, range_noise_only, PROPAGATED),
@@ -392,6 +404,22 @@ class TestPipeline:
             worst = max(worst, np.abs(res.velocity_ls.value - truth.velocity).max())
         assert worst > 1e-6
 
+    def test_outputs_are_fresh_read_only_float64_arrays(self, sensors8, rng):
+        truth = TargetState((30.0, 40.0), (10.0, -5.0), (1.0, 1.0))
+        ms = synthesize_measurements(truth, sensors8, NoiseSpec(), rng)
+        inputs = [ms.ranges, ms.range_rates, ms.drrs, sensors8.positions]
+        for rule in (UNIFORM, WeightRule(), PROPAGATED):
+            res = estimate_all(ms, sensors8, rule)
+            stages = (res.velocity_ls, res.velocity_wls, res.accel_ls, res.accel_wls)
+            arrays = ([res.position.position] + [est.value for est in stages]
+                      + [est.pseudo_measurements for est in stages])
+            for i, arr in enumerate(arrays):
+                assert type(arr) is np.ndarray and arr.dtype == np.float64
+                assert arr.shape == ((2,) if i < 5 else (len(sensors8),))
+                assert not arr.flags.writeable
+                assert not any(np.shares_memory(arr, other)
+                               for other in arrays[i + 1:] + inputs)
+
     def test_methods_labeled(self, sensors8, rng):
         truth = TargetState((30.0, 40.0), (10.0, -5.0), (1.0, 1.0))
         ms = synthesize_measurements(truth, sensors8, NoiseSpec(), rng)
@@ -404,7 +432,7 @@ class TestPipeline:
 
 
 # degenerate-input families: a target almost on a sensor, the reference layout
-# squashed towards a line (close to cond_cap), and the whole scene moved far
+# squashed towards a line (close to _kernels.COND_CAP), and the whole scene moved far
 # from the origin, with noise levels from 0 to 100
 _SIGMA = st.floats(min_value=0.0, max_value=100.0)
 

@@ -1,4 +1,7 @@
-"""Solver kernels: correctness against numpy and the named errors they raise."""
+"""Solver kernels: correctness against numpy and the named errors they raise.
+
+The kernels take lists of floats, as estim.py hands them over; the tests keep
+numpy arrays for their references and pass ``.tolist()`` copies."""
 
 import math
 
@@ -16,6 +19,10 @@ UNDERFLOW_LAYOUT = np.array([(100.0, 0.0), (-100.0, 0.0), (0.0, 100.0), (0.0, -1
                              (1.0, 2e-158), (-1.0, -2e-158)])
 
 
+def _lists(*arrays):
+    return [a.tolist() for a in arrays]
+
+
 def _random_instance(rng, n=8):
     sx = rng.uniform(-100.0, 100.0, n)
     sy = rng.uniform(-100.0, 100.0, n)
@@ -29,7 +36,7 @@ class TestPositionSolve:
         for _ in range(50):
             sx, sy, px, py, _ = _random_instance(rng)
             r = np.hypot(px - sx, py - sy)
-            x, y, theta3, resid, cond = K.position_solve(sx, sy, r, K.COND_CAP_DEFAULT)
+            x, y, theta3, resid, cond = K.position_solve(*_lists(sx, sy, r))
             assert (x, y) == pytest.approx((px, py), abs=1e-8)
             assert theta3 == pytest.approx(px * px + py * py, rel=1e-9)
             assert resid < 1e-7
@@ -38,7 +45,7 @@ class TestPositionSolve:
     def test_matches_numpy_lstsq(self, rng):
         for _ in range(200):
             sx, sy, px, py, rbar = _random_instance(rng)
-            x, y, theta3, resid, _ = K.position_solve(sx, sy, rbar, K.COND_CAP_DEFAULT)
+            x, y, theta3, resid, _ = K.position_solve(*_lists(sx, sy, rbar))
             a = np.column_stack([-2.0 * sx, -2.0 * sy, np.ones_like(sx)])
             f = rbar ** 2 - sx ** 2 - sy ** 2
             ref, *_ = np.linalg.lstsq(a, f, rcond=None)
@@ -48,59 +55,47 @@ class TestPositionSolve:
                                           rel=1e-6, abs=1e-9)
 
     def test_collinear_sensors_flagged_singular(self):
-        sx = np.array([0.0, 50.0, 100.0])
-        sy = np.array([0.0, 0.0, 0.0])
-        rbar = np.array([50.0, 10.0, 50.0])
         with pytest.raises(DegenerateGeometry, match="gram condition inf"):
-            K.position_solve(sx, sy, rbar, K.COND_CAP_DEFAULT)
+            K.position_solve([0.0, 50.0, 100.0], [0.0, 0.0, 0.0], [50.0, 10.0, 50.0])
 
-    def test_cond_cap_triggers_singular(self, rng):
+    def test_cond_cap_triggers_singular(self, rng, monkeypatch):
         sx, sy, _, _, rbar = _random_instance(rng)
+        monkeypatch.setattr(K, "COND_CAP", 1.0 + 1e-9)
         with pytest.raises(DegenerateGeometry, match="gram condition"):
-            K.position_solve(sx, sy, rbar, 1.0 + 1e-9)
+            K.position_solve(*_lists(sx, sy, rbar))
 
     def test_overflowing_ranges_raise(self, rng):
         # ranges near 1e200 overflow when squared: a named error, not a NaN position
         sx, sy, *_ = _random_instance(rng)
         with pytest.raises(DegenerateGeometry, match="overflows"):
-            K.position_solve(sx, sy, np.full(8, 1e200), K.COND_CAP_DEFAULT)
+            K.position_solve(*_lists(sx, sy), [1e200] * 8)
 
 
 class TestSystemRows:
     def test_rows_and_ranges(self):
-        sx = np.array([1.0, 0.0])
-        sy = np.array([0.0, 1.0])
-        bx, by, rhat = K.system_rows(sx, sy, 0.0, 0.0)
+        bx, by, rhat = K.system_rows([1.0, 0.0], [0.0, 1.0], 0.0, 0.0)
         # rows are (p_hat - p_i): [[-1, 0], [0, -1]]
-        np.testing.assert_array_equal(bx, [-1.0, 0.0])
-        np.testing.assert_array_equal(by, [0.0, -1.0])
-        np.testing.assert_array_equal(rhat, [1.0, 1.0])
+        assert (bx, by, rhat) == ([-1.0, 0.0], [0.0, -1.0], [1.0, 1.0])
 
     def test_weight_modes(self):
         # the weights each rule puts on a row come from the kernel's range
-        sx, sy = np.array([0.0]), np.array([0.0])
+        sx, sy = [0.0], [0.0]
         for rule, expect in [(UNIFORM, 1.0), (WeightRule(), 0.2), (PROPAGATED, 0.2)]:
             *_, rhat = K.system_rows(sx, sy, 3.0, 4.0)
             assert row_weights(rhat, rule)[0] == pytest.approx(expect, rel=1e-15)
 
     def test_zero_range_status(self):
-        sx, sy = np.array([3.0]), np.array([4.0])
         with pytest.raises(ZeroRange):
-            K.system_rows(sx, sy, 3.0, 4.0)
+            K.system_rows([3.0], [4.0], 3.0, 4.0)
 
     def test_zero_range_on_last_sensor(self):
-        sx, sy = np.array([0.0, 1.0, 3.0]), np.array([0.0, 1.0, 4.0])
         with pytest.raises(ZeroRange):
-            K.system_rows(sx, sy, 3.0, 4.0)
+            K.system_rows([0.0, 1.0, 3.0], [0.0, 1.0, 4.0], 3.0, 4.0)
 
 
 class TestWlsSolve2:
     def test_exact_square_system(self):
-        bx = np.array([1.0, 0.0])
-        by = np.array([0.0, 1.0])
-        rhs = np.array([4.0, 7.0])
-        w = np.ones(2)
-        x0, x1, cond = K.wls_solve2(bx, by, rhs, w, K.COND_CAP_DEFAULT)
+        x0, x1, cond = K.wls_solve2([1.0, 0.0], [0.0, 1.0], [4.0, 7.0], [1.0, 1.0])
         assert (x0, x1) == (4.0, 7.0)
         assert cond == pytest.approx(1.0)
 
@@ -111,9 +106,7 @@ class TestWlsSolve2:
             rhs = rng.normal(0, 30, n)
             w = rng.uniform(0.1, 3.0, n)
             try:
-                x0, x1, _ = K.wls_solve2(
-                    np.ascontiguousarray(b[:, 0]), np.ascontiguousarray(b[:, 1]),
-                    rhs, w, K.COND_CAP_DEFAULT)
+                x0, x1, _ = K.wls_solve2(*_lists(b[:, 0], b[:, 1], rhs, w))
             except SingularGeometry:
                 continue
             sq = np.sqrt(w)
@@ -122,25 +115,20 @@ class TestWlsSolve2:
                                atol=1e-9 * max(1.0, np.abs(ref).max()))
 
     def test_parallel_rows_singular(self):
-        bx = np.array([1.0, 2.0, 3.0])
-        by = np.array([1.0, 2.0, 3.0])
-        rhs = np.array([1.0, 2.0, 3.0])
+        col = [1.0, 2.0, 3.0]
         with pytest.raises(SingularGeometry, match="condition"):
-            K.wls_solve2(bx, by, rhs, np.ones(3), K.COND_CAP_DEFAULT)
+            K.wls_solve2(col, col, col, [1.0] * 3)
 
     def test_overflowing_solution_singular(self):
         # a well-posed system whose exact solution, 2e308, is not a float
-        bx, by = np.array([0.5, 0.0]), np.array([0.0, 0.5])
         with pytest.raises(SingularGeometry, match="overflows"):
-            K.wls_solve2(bx, by, np.full(2, 1e308), np.ones(2), K.COND_CAP_DEFAULT)
+            K.wls_solve2([0.5, 0.0], [0.0, 0.5], [1e308] * 2, [1.0] * 2)
 
     def test_determinant_underflow_singular(self):
         # a well-conditioned Gram matrix whose entries (1e-310) have a product
         # that underflows to 0: the named error, not a division by zero
-        bx = np.array([1e-155, 0.0])
-        by = np.array([0.0, 1e-155])
         with pytest.raises(SingularGeometry, match="condition"):
-            K.wls_solve2(bx, by, np.ones(2), np.ones(2), K.COND_CAP_DEFAULT)
+            K.wls_solve2([1e-155, 0.0], [0.0, 1e-155], [1.0] * 2, [1.0] * 2)
 
 
 class TestSym3Eig:
@@ -164,7 +152,7 @@ class TestSym3Eig:
         assert K._sym3_eig_extremes(1.0, 2.3e-162, 0.0, 1.0, 0.0, 1.0) == (1.0, 1.0)
         sx, sy = UNDERFLOW_LAYOUT.T
         r = np.hypot(30.0 - sx, 40.0 - sy)
-        x, y, *_, cond = K.position_solve(sx, sy, r, K.COND_CAP_DEFAULT)
+        x, y, *_, cond = K.position_solve(*_lists(sx, sy, r))
         assert (x, y) == pytest.approx((30.0, 40.0), abs=1e-9)
         assert cond == 1.0
 
@@ -174,18 +162,19 @@ def _ring64():
     return 100.0 * np.cos(angles), 100.0 * np.sin(angles)
 
 
-def test_kernels_return_float64_arrays_and_floats(rng):
+def test_kernels_return_lists_of_floats(rng):
+    # `type(...) is float`: a numpy float64 would pass an isinstance check
     sx, sy = _ring64()
-    rbar = np.hypot(30.0 - sx, 40.0 - sy) + rng.normal(0.0, 1.0, 64)
-    for value in K.position_solve(sx, sy, rbar, K.COND_CAP_DEFAULT):
-        assert isinstance(value, float)
+    sx, sy, rbar = _lists(sx, sy, np.hypot(30.0 - sx, 40.0 - sy) + rng.normal(0.0, 1.0, 64))
+    for value in K.position_solve(sx, sy, rbar):
+        assert type(value) is float
     rows = K.system_rows(sx, sy, 30.0, 40.0)
     for column in rows:
-        assert isinstance(column, np.ndarray) and column.dtype == np.float64
-        assert column.shape == (64,)
+        assert type(column) is list and len(column) == 64
+        assert all(type(value) is float for value in column)
     bx, by, rhat = rows
-    for value in K.wls_solve2(bx, by, rbar, 1.0 / rhat, K.COND_CAP_DEFAULT):
-        assert isinstance(value, float)
+    for value in K.wls_solve2(bx, by, rbar, [1.0 / r for r in rhat]):
+        assert type(value) is float
 
 
 def test_kernels_agree_with_dense_oracle_on_64_ring(rng):
@@ -193,16 +182,16 @@ def test_kernels_agree_with_dense_oracle_on_64_ring(rng):
     for _ in range(20):
         px, py = rng.uniform(-50.0, 50.0, 2)
         rbar = np.hypot(px - sx, py - sy) + rng.normal(0.0, 1.0, 64)
-        x, y, theta3, *_ = K.position_solve(sx, sy, rbar, K.COND_CAP_DEFAULT)
+        x, y, theta3, *_ = K.position_solve(*_lists(sx, sy, rbar))
         rows3 = np.column_stack((-2.0 * sx, -2.0 * sy, np.ones(64)))
         ref = dense_wls_solve(rows3, rbar ** 2 - sx ** 2 - sy ** 2, np.ones(64))
         np.testing.assert_allclose([x, y, theta3], ref, rtol=0,
                                    atol=1e-12 * np.abs(ref).max())
 
-        bx, by, rhat = K.system_rows(sx, sy, x, y)
+        bx, by, rhat = K.system_rows(*_lists(sx, sy), x, y)
         rhs = rng.normal(0.0, 100.0, 64)
         w = rng.uniform(0.1, 3.0, 64) / rhat
-        x0, x1, _ = K.wls_solve2(bx, by, rhs, w, K.COND_CAP_DEFAULT)
+        x0, x1, _ = K.wls_solve2(bx, by, *_lists(rhs, w))
         ref = dense_wls_solve(np.column_stack((bx, by)), rhs, w)
         np.testing.assert_allclose([x0, x1], ref, rtol=0, atol=1e-12 * np.abs(ref).max())
 

@@ -133,6 +133,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             NoiseSpec(sigma_range=-1.0)
 
+    def test_non_numeric_sigma_rejected(self):
+        # float() read True as 1.0 and "2" as 2.0
+        for bad in (True, np.True_, "2", None):
+            with pytest.raises(TypeError):
+                NoiseSpec(sigma_range_rate=bad)
+        spec = NoiseSpec(2, np.float32(0.5), np.int64(3))
+        sigmas = (spec.sigma_range, spec.sigma_range_rate, spec.sigma_drr)
+        assert sigmas == (2.0, 0.5, 3.0) and all(type(s) is float for s in sigmas)
+
     def test_sigma_with_overflowing_square_rejected(self):
         # the propagated weights use sigma^2; 1e200 ** 2 is not a finite float
         for name in ("sigma_range", "sigma_range_rate", "sigma_drr"):

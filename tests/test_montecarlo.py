@@ -54,6 +54,15 @@ class TestScenario:
         with pytest.raises(ValueError):
             default_scenario(trials=0)
 
+    def test_counts_must_be_integers(self):
+        # int() truncated these: trials=2.9 ran 2 trials, seed=7.8 ran seed 7
+        for bad in (dict(trials=2.9), dict(seed=7.8), dict(trials=True), dict(seed="7")):
+            with pytest.raises(TypeError):
+                default_scenario(**bad)
+        sc = default_scenario(trials=np.int64(2), seed=np.uint8(7))
+        assert (sc.trials, sc.seed) == (2, 7)
+        assert type(sc.trials) is int and type(sc.seed) is int
+
 
 def uniform_sample_truth(scenario, rng):
     """The reference draw: numpy's own Generator.uniform on the box arrays."""
@@ -116,6 +125,15 @@ class TestRunTrial:
         rec = run_trial(sc, 0)
         assert rec.ok
         assert max(rec.squared_errors.values()) <= 1e-10
+
+    def test_trial_index_must_be_an_integer(self):
+        sc = default_scenario(trials=2)
+        for bad in (1.7, True, "1"):
+            with pytest.raises(TypeError):
+                run_trial(sc, bad)
+        rec = run_trial(sc, np.int64(1))
+        assert type(rec.trial_index) is int and rec.trial_index == 1
+        assert rec.squared_errors == run_trial(sc, 1).squared_errors
 
     def test_same_index_reproduces_bitwise(self):
         sc = default_scenario(trials=10)
