@@ -128,18 +128,14 @@ def estimate_position(measurements: MeasurementSet, sensors: SensorArray) -> Pos
         raise TooFewSensors(f"position stage needs at least 3 sensors, got {n}")
     x, y, theta3, resid, cond = _kernels.position_solve(
         sensors.xs, sensors.ys, measurements.ranges.tolist())
-    return PositionSolution(as_vec2((x, y)), theta3, resid, cond)
-
-
-def _stage_rows(sensors, p_hat):
-    """Stage rows (p_hat - p_i) as two lists, and the ranges r_i implied by p_hat."""
-    px, py = as_vec2(p_hat, "p_hat").tolist()
-    return _kernels.system_rows(sensors.xs, sensors.ys, px, py)
+    # the kernels return finite floats or raise
+    return PositionSolution(_locked(np.array((x, y))), theta3, resid, cond)
 
 
 def _solve2(bx, by, rhs, weights, pseudo, method) -> KinematicEstimate:
     x0, x1, cond = _kernels.wls_solve2(bx, by, rhs, weights)
-    return KinematicEstimate(as_vec2((x0, x1)), method, cond, _locked(np.array(pseudo)))
+    return KinematicEstimate(_locked(np.array((x0, x1))), method, cond,
+                             _locked(np.array(pseudo)))
 
 
 def _stage_columns(B, rhs, per_row, name):
@@ -239,7 +235,8 @@ def estimate_velocity(measurements: MeasurementSet, sensors: SensorArray, p_hat,
     p_hat coincides with a sensor.
     """
     _check_lengths(measurements, sensors)
-    bx, by, rhat = _stage_rows(sensors, p_hat)
+    px, py = as_vec2(p_hat, "p_hat").tolist()
+    bx, by, rhat = _kernels.system_rows(sensors.xs, sensors.ys, px, py)
     d = [a * r for a, r in zip(measurements.range_rates.tolist(), rhat)]
     method = "LS" if weight_rule.mode == "uniform" else "WLS"
     return _solve2(bx, by, d, row_weights(rhat, weight_rule), d, method)
@@ -253,13 +250,15 @@ def acceleration_pseudo_measurements(measurements: MeasurementSet, sensors: Sens
     With exact p_hat, v_hat and noiseless measurements, k_i equals
     a . (p_hat - p_i) exactly.
     """
-    return np.array(_pseudo_measurements(measurements, sensors, p_hat, v_hat))
-
-
-def _pseudo_measurements(measurements, sensors, p_hat, v_hat) -> list:
     _check_lengths(measurements, sensors)
     v = as_vec2(v_hat, "v_hat")
-    _, _, rhat = _stage_rows(sensors, p_hat)
+    px, py = as_vec2(p_hat, "p_hat").tolist()
+    return np.array(_pseudo_measurements(measurements, sensors, px, py, v))
+
+
+def _pseudo_measurements(measurements, sensors, px, py, v) -> list:
+    """k_i as a list, from p_hat as the floats px, py and v_hat as an array."""
+    _, _, rhat = _kernels.system_rows(sensors.xs, sensors.ys, px, py)
     v2 = float(v @ v)
     return [b * r - v2 + a * a for b, r, a in
             zip(measurements.drrs.tolist(), rhat, measurements.range_rates.tolist())]
@@ -322,11 +321,14 @@ def estimate_acceleration(measurements: MeasurementSet, sensors: SensorArray, p_
     ``acceleration_error_model`` instead, taking ``v_hat`` to come from the
     velocity stage with the same rule.
     """
-    k = _pseudo_measurements(measurements, sensors, p_hat, v_hat)
-    bx, by, rhat = _stage_rows(sensors, p_hat)
+    _check_lengths(measurements, sensors)
+    v = as_vec2(v_hat, "v_hat")
+    px, py = as_vec2(p_hat, "p_hat").tolist()
+    k = _pseudo_measurements(measurements, sensors, px, py, v)
+    bx, by, rhat = _kernels.system_rows(sensors.xs, sensors.ys, px, py)
     w = row_weights(rhat, weight_rule)
     if weight_rule.mode == "propagated":
-        variances, shared = acceleration_error_model(measurements, rhat, bx, by, w, v_hat)
+        variances, shared = acceleration_error_model(measurements, rhat, bx, by, w, v)
         return _shared_error_solve(bx, by, k, variances, shared)
     method = "LS" if weight_rule.mode == "uniform" else "WLS"
     return _solve2(bx, by, k, w, k, method)

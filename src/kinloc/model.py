@@ -172,18 +172,25 @@ def propagate(target: TargetState, dt: float) -> TargetState:
     return TargetState(pos, vel, target.acceleration)
 
 
+def _true_lists(target: TargetState, sensors: SensorArray):
+    """``true_measurements`` as three lists of floats."""
+    # the `@` products stay numpy: BLAS rounds them unlike a plain float loop
+    # (most 8x2 mat-vecs differ in some bit), and the golden CSVs pin the bits;
+    # the rest is elementwise, and floats round it exactly as numpy does
+    u = target.position[None, :] - sensors.positions
+    r = [math.sqrt(x * x + y * y) for x, y in u.tolist()]
+    if 0.0 in r:
+        raise ZeroRange("target coincides with a sensor")
+    rdot = [ud / ri for ud, ri in zip((u @ target.velocity).tolist(), r)]
+    v2 = float(target.velocity @ target.velocity)
+    rddot = [(ua + v2 - rd * rd) / ri
+             for ua, rd, ri in zip((u @ target.acceleration).tolist(), rdot, r)]
+    return r, rdot, rddot
+
+
 def true_measurements(target: TargetState, sensors: SensorArray):
     """Noise-free (ranges, range_rates, drrs) for every sensor, as float64 arrays."""
-    # the `@` products stay numpy: BLAS rounds them unlike a plain float loop
-    # (most 8x2 mat-vecs differ in some bit), and the golden CSVs pin the bits
-    u = target.position[None, :] - sensors.positions
-    r = np.sqrt(np.sum(u * u, axis=1))
-    if np.any(r == 0.0):
-        raise ZeroRange("target coincides with a sensor")
-    rdot = (u @ target.velocity) / r
-    v2 = float(target.velocity @ target.velocity)
-    rddot = ((u @ target.acceleration) + v2 - rdot * rdot) / r
-    return r, rdot, rddot
+    return tuple(np.array(q) for q in _true_lists(target, sensors))
 
 
 def synthesize_measurements(target: TargetState, sensors: SensorArray,
@@ -197,11 +204,9 @@ def synthesize_measurements(target: TargetState, sensors: SensorArray,
     how the result is consumed afterwards.
     """
     gen = np.random.default_rng(rng)
-    r, rdot, rddot = true_measurements(target, sensors)
-    eps = gen.standard_normal((3, len(sensors)))
-    return MeasurementSet(
-        ranges=r + noise.sigma_range * eps[0],
-        range_rates=rdot + noise.sigma_range_rate * eps[1],
-        drrs=rddot + noise.sigma_drr * eps[2],
-        noise=noise,
-    )
+    exact = _true_lists(target, sensors)
+    eps = gen.standard_normal((3, len(sensors))).tolist()
+    sigmas = (noise.sigma_range, noise.sigma_range_rate, noise.sigma_drr)
+    ranges, range_rates, drrs = ([q + s * e for q, e in zip(qs, es)]
+                                 for qs, s, es in zip(exact, sigmas, eps))
+    return MeasurementSet(ranges=ranges, range_rates=range_rates, drrs=drrs, noise=noise)

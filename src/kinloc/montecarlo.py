@@ -2,9 +2,11 @@
 
 A Scenario fixes the sensor layout, the uniform boxes the ground truth is
 drawn from, the noise levels, the trial count and the master seed.  Every
-trial derives its own random stream from (seed, trial_index) through numpy's
-SeedSequence, so results are a pure function of the scenario: execution
-order, thread count, and which other trials ran never change any number.
+trial draws its truth and its noise from the two streams of numpy's
+``SeedSequence((seed, trial_index)).spawn(2)``, whose seed words are derived
+for 1024 trial indices at a time, so results are a pure function of the
+scenario: execution order, thread count, and which other trials ran never
+change any number.
 
 The two sweep drivers reproduce the standard experiments: velocity RMSE
 against the range-rate noise level (constant-velocity targets, sigma_range
@@ -13,6 +15,7 @@ pinned to 1), and acceleration RMSE against the drr noise level
 Trials, ensembles and sweeps default to the ``propagated`` weight rule.
 """
 
+import functools
 import math
 import operator
 import os
@@ -137,24 +140,25 @@ class TrialRecord:
         return self.failure is None
 
 
-def _uniform2(rng: np.random.Generator, box: np.ndarray) -> tuple:
-    """``rng.uniform(box[0], box[1])`` bit for bit, on floats: the same two
-    doubles u, each mapped as lo + (hi - lo) * u."""
-    (lo0, lo1), (hi0, hi1) = box.tolist()
-    u0, u1 = rng.random(2).tolist()
-    return (lo0 + (hi0 - lo0) * u0, lo1 + (hi1 - lo1) * u1)
+def _uniform_boxes(rng: np.random.Generator, boxes) -> list:
+    """``[rng.uniform(box[0], box[1]) for box in boxes]`` bit for bit, on floats:
+    one ``rng.random(2 * len(boxes))`` draw gives the same doubles u in the same
+    order, each mapped as lo + (hi - lo) * u."""
+    u = rng.random(2 * len(boxes)).tolist()
+    out = []
+    for i, box in enumerate(boxes):
+        (lo0, lo1), (hi0, hi1) = box.tolist()
+        out.append((lo0 + (hi0 - lo0) * u[2 * i], lo1 + (hi1 - lo1) * u[2 * i + 1]))
+    return out
 
 
 def sample_truth(scenario: Scenario, rng: np.random.Generator) -> TargetState:
     """Draw the ground-truth state from the scenario boxes (position, velocity,
     then acceleration; constant_velocity mode forces zero acceleration)."""
-    pos = _uniform2(rng, scenario.position_box)
-    vel = _uniform2(rng, scenario.velocity_box)
     if scenario.motion_mode == "constant_acceleration":
-        acc = _uniform2(rng, scenario.acceleration_box)
-    else:
-        acc = (0.0, 0.0)
-    return TargetState(pos, vel, acc)
+        return TargetState(*_uniform_boxes(rng, (scenario.position_box, scenario.velocity_box,
+                                                 scenario.acceleration_box)))
+    return TargetState(*_uniform_boxes(rng, (scenario.position_box, scenario.velocity_box)))
 
 
 def _squared_error(estimate, truth) -> float:
@@ -163,11 +167,82 @@ def _squared_error(estimate, truth) -> float:
     return (e0 - t0) * (e0 - t0) + (e1 - t1) * (e1 - t1)
 
 
-def _trial_streams(seed: int, trial_index: int) -> tuple:
-    """The truth and measurement streams: ``SeedSequence((seed, trial_index)).spawn(2)``
-    built directly, without mixing the root's own pool."""
-    return (np.random.SeedSequence((seed, trial_index), spawn_key=(0,)),
-            np.random.SeedSequence((seed, trial_index), spawn_key=(1,)))
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A = 0x43b0d7e5, 0x931e8875
+_INIT_B, _MULT_B = 0x8b51f9dd, 0x58f38ded
+_MIX_MULT_L, _MIX_MULT_R = 0xca01f9dd, 0x4973f715
+_MASK32 = 0xFFFFFFFF
+_BLOCK = 1024           # indices per derived block; divides 2**32
+
+
+def _words32(n: int) -> list:
+    """The uint32 words numpy makes of a nonnegative int, least significant first."""
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _hasher(const: int, mult: int):
+    """numpy's ``hashmix`` step on uint32 arrays, with its running constant."""
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _MASK32
+        value = value * const
+        return value ^ (value >> 16)
+    return hashmix
+
+
+def _mix(x, y):
+    result = x * _MIX_MULT_L - y * _MIX_MULT_R
+    return result ^ (result >> 16)
+
+
+@functools.lru_cache(maxsize=2)
+def _stream_block(seed: int, block: int) -> np.ndarray:
+    """``SeedSequence((seed, i), spawn_key=(k,)).generate_state(8)`` for the 1024
+    indices i of one block and k = 0, 1, as a read-only array of shape
+    (1024, 2, 8) of little-endian uint32 words.
+
+    numpy's pool hash and output hash, run once over the block as uint32 array
+    arithmetic, which wraps like numpy's own.  The entropy is assembled as
+    numpy does: the seed's words, the index's words, zeros up to the pool size
+    of 4, then the spawn key.  Every index of a block has the same word count,
+    because the block size divides 2**32 (index 0 is the one word [0]).
+    """
+    first = block * _BLOCK
+    entropy = [np.full((1, 1), w, dtype=np.uint32) for w in _words32(seed)]
+    entropy.append(np.arange(_BLOCK, dtype=np.uint32)[:, None] + (first & _MASK32))
+    entropy += [np.full((1, 1), w, dtype=np.uint32) for w in _words32(first)[1:]]
+    entropy += [np.zeros((1, 1), dtype=np.uint32)] * (4 - len(entropy))
+    entropy.append(np.array([[0, 1]], dtype=np.uint32))
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(w) for w in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    output = _hasher(_INIT_B, _MULT_B)
+    state = np.stack([output(pool[i % 4]) for i in range(8)], axis=-1)
+    return _locked(state.astype("<u4", copy=False))
+
+
+class _State(np.random.bit_generator.ISeedSequence):
+    """A seed sequence whose ``generate_state`` returns precomputed words, so
+    numpy's own bit-generator seeding runs on them."""
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        words = self.words.view("<u8") if np.dtype(dtype) == np.uint64 else self.words
+        if n_words > words.size:
+            raise ValueError(f"only {words.size} words of {np.dtype(dtype)} are precomputed")
+        return words[:n_words].astype(dtype, copy=False)
 
 
 def run_trial(scenario: Scenario, trial_index: int,
@@ -177,11 +252,14 @@ def run_trial(scenario: Scenario, trial_index: int,
     trial_index = _as_index(trial_index, "trial_index")
     if not 0 <= trial_index < 2 ** 63:
         raise ValueError(f"trial_index out of range: {trial_index}")
-    truth_seq, meas_seq = _trial_streams(scenario.seed, trial_index)
-    truth = sample_truth(scenario, np.random.default_rng(truth_seq))
+    # the truth and measurement streams of SeedSequence((seed, trial_index)).spawn(2)
+    truth_words, meas_words = _stream_block(scenario.seed, trial_index // _BLOCK)[
+        trial_index % _BLOCK]
+    truth = sample_truth(scenario, np.random.Generator(np.random.PCG64(_State(truth_words))))
     try:
-        measurements = synthesize_measurements(truth, scenario.sensors, scenario.noise,
-                                               np.random.default_rng(meas_seq))
+        measurements = synthesize_measurements(
+            truth, scenario.sensors, scenario.noise,
+            np.random.Generator(np.random.PCG64(_State(meas_words))))
         estimates, stage_times = _timed_pipeline(measurements, scenario.sensors, weight_rule)
     except _TRIAL_ERRORS as exc:
         return TrialRecord(trial_index, truth, None, {}, {}, type(exc).__name__)

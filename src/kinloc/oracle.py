@@ -63,13 +63,17 @@ def dense_wls_solve(rows, rhs, weights) -> np.ndarray:
     """Reference minimizer of sum_i w_i (rhs_i - rows_i . x)^2 via SVD lstsq.
 
     Scales the system by sqrt(w) and solves with numpy's lstsq, a different
-    factorization path than the production normal equations.
+    factorization path than the production normal equations.  Raises
+    ValueError, naming the input, unless rows, rhs and weights are finite.
     """
     rows = np.asarray(rows, dtype=np.float64)
     rhs = np.asarray(rhs, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
     if rows.ndim != 2:
         raise ValueError("rows must be a 2-D matrix")
+    for label, arr in (("rows", rows), ("rhs", rhs), ("weights", weights)):
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"{label} must be finite")
     if np.any(weights <= 0.0):
         raise ValueError("weights must be positive")
     sw = np.sqrt(weights)

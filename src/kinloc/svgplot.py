@@ -17,6 +17,11 @@ def _fmt(x: float) -> str:
     return f"{x:.2f}"
 
 
+def _escape(text) -> str:
+    # XML text content; xml.sax.saxutils.escape would import urllib and ssl
+    return str(text).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _log_ticks(lo: float, hi: float):
     first = math.floor(math.log10(lo))
     last = math.ceil(math.log10(hi))
@@ -38,7 +43,8 @@ def render_loglog(series: dict, xlabel: str, ylabel: str) -> str:
     """Render named (x, y) series to an SVG string with log-log axes.
 
     series maps a legend label to a pair of equal-length sequences.  Values
-    <= 0 cannot be drawn on a log axis and raise ValueError.
+    <= 0 or not finite cannot be drawn on a log axis and raise ValueError.
+    Labels are written as XML text, escaped.
     """
     if not series:
         raise ValueError("need at least one series")
@@ -48,6 +54,8 @@ def render_loglog(series: dict, xlabel: str, ylabel: str) -> str:
             raise ValueError(f"series {label!r} must have equal nonzero lengths")
         if any(v <= 0 for v in xs) or any(v <= 0 for v in ys):
             raise ValueError(f"series {label!r} has nonpositive values; log axes need > 0")
+        if not all(map(math.isfinite, (*xs, *ys))):
+            raise ValueError(f"series {label!r} has non-finite values")
         xs_all.extend(xs)
         ys_all.extend(ys)
 
@@ -92,9 +100,9 @@ def render_loglog(series: dict, xlabel: str, ylabel: str) -> str:
                    f'{_tick_label(tick)}</text>')
 
     out.append(f'<text x="{(px0 + px1) / 2:.0f}" y="{_HEIGHT - 12}" '
-               f'text-anchor="middle">{xlabel}</text>')
+               f'text-anchor="middle">{_escape(xlabel)}</text>')
     out.append(f'<text x="16" y="{(py0 + py1) / 2:.0f}" text-anchor="middle" '
-               f'transform="rotate(-90 16 {(py0 + py1) / 2:.0f})">{ylabel}</text>')
+               f'transform="rotate(-90 16 {(py0 + py1) / 2:.0f})">{_escape(ylabel)}</text>')
 
     legend_y = py1 + 14
     for idx, (label, (xs, ys)) in enumerate(series.items()):
@@ -107,7 +115,7 @@ def render_loglog(series: dict, xlabel: str, ylabel: str) -> str:
                        f'fill="{color}"/>')
         out.append(f'<line x1="{px1 - 150}" y1="{legend_y}" x2="{px1 - 120}" '
                    f'y2="{legend_y}" stroke="{color}" stroke-width="1.5"/>')
-        out.append(f'<text x="{px1 - 114}" y="{legend_y + 4}">{label}</text>')
+        out.append(f'<text x="{px1 - 114}" y="{legend_y + 4}">{_escape(label)}</text>')
         legend_y += 16
 
     out.append("</g>")

@@ -1,4 +1,6 @@
 import os
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -91,8 +93,8 @@ class TestRandomStreams:
         ours, numpys = [], []
         for seed in range(10_000):
             rng_ours, rng_numpy = np.random.default_rng(seed), np.random.default_rng(seed)
+            ours.extend(montecarlo._uniform_boxes(rng_ours, boxes))
             for box in boxes:
-                ours.append(montecarlo._uniform2(rng_ours, box))
                 numpys.append(rng_numpy.uniform(box[0], box[1]))
             # both consumed the same number of doubles
             assert rng_ours.random() == rng_numpy.random()
@@ -108,14 +110,28 @@ class TestRandomStreams:
                 for field in ("position", "velocity", "acceleration"):
                     assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
 
-    def test_trial_streams_are_the_spawned_children(self):
-        for seed in (0, 7, 2 ** 32 + 5, 2 ** 63 - 1):
-            for index in (0, 1, 999, 2 ** 40):
+    def test_stream_blocks_are_the_spawned_children(self):
+        # known answers: numpy's own SeedSequence.spawn, at block edges, at the
+        # 2**32 boundary of the index's word count and at the largest index
+        for seed in (0, 7, 2 ** 32 + 5, 2 ** 63 - 1, 2 ** 70 + 5):
+            for index in (0, 1, 1023, 1024, 2 ** 32 - 1, 2 ** 32, 2 ** 40, 2 ** 63 - 1):
+                words = montecarlo._stream_block(seed, index // 1024)[index % 1024]
                 spawned = np.random.SeedSequence((seed, index)).spawn(2)
-                direct = montecarlo._trial_streams(seed, index)
-                for a, b in zip(spawned, direct):
-                    np.testing.assert_array_equal(a.generate_state(4, np.uint64),
-                                                  b.generate_state(4, np.uint64))
+                for k, child in enumerate(spawned):
+                    want = np.random.default_rng(child)
+                    got = np.random.Generator(np.random.PCG64(montecarlo._State(words[k])))
+                    assert got.bit_generator.state == want.bit_generator.state
+                    assert got.random(2).tobytes() == want.random(2).tobytes()
+                    assert (got.standard_normal((3, 8)).tobytes()
+                            == want.standard_normal((3, 8)).tobytes())
+
+    def test_stream_block_covers_every_index_of_the_block(self):
+        block = montecarlo._stream_block(2 ** 40 + 3, 4_194_305)   # indices from 2**32 + 1024
+        assert block.shape == (1024, 2, 8) and not block.flags.writeable
+        for j in range(1024):
+            spawned = np.random.SeedSequence((2 ** 40 + 3, 2 ** 32 + 1024 + j)).spawn(2)
+            for k, child in enumerate(spawned):
+                np.testing.assert_array_equal(block[j, k], child.generate_state(8))
 
 
 class TestRunTrial:
@@ -226,6 +242,24 @@ class TestEnsemble:
         assert [r.trial_index for r in threaded] == list(range(40))
         for a, b in zip(serial, threaded):
             assert a.squared_errors == b.squared_errors
+
+    def test_threads_sharing_the_block_cache_reproduce_serial_trials(self):
+        # more threads than cores, a short switch interval, and indices from
+        # three blocks interleaved so the two-block cache evicts while in use
+        sc = default_scenario(trials=1)
+        indices = [b * 1024 + j for j in range(8) for b in (0, 1, 2)] * 2
+        montecarlo._stream_block.cache_clear()
+        serial = [run_trial(sc, i).squared_errors for i in indices]
+        montecarlo._stream_block.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                threaded = [f.result(timeout=60)
+                            for f in [pool.submit(run_trial, sc, i) for i in indices]]
+        finally:
+            sys.setswitchinterval(interval)
+        assert [r.squared_errors for r in threaded] == serial
 
     def test_thread_count_capped_at_cpus_and_trials(self, monkeypatch):
         requested = []

@@ -80,6 +80,17 @@ class TestDenseWlsSolve:
         with pytest.raises(ValueError):
             dense_wls_solve(np.eye(2), np.ones(2), np.array([1.0, 0.0]))
 
+    def test_non_finite_input_rejected(self):
+        # NaN weights reached LAPACK (LinAlgError after a DLASCL complaint), an
+        # inf weight raised RuntimeWarning, and a NaN in rhs returned [nan, nan]
+        rows, rhs, w = np.eye(3)[:, :2], np.ones(3), np.ones(3)
+        for label, bad in (("weights", (rows, rhs, [1.0, np.nan, 1.0])),
+                           ("weights", (rows, rhs, [1.0, np.inf, 1.0])),
+                           ("rhs", (rows, [1.0, np.nan, 1.0], w)),
+                           ("rows", (np.where(rows == 1.0, np.inf, rows), rhs, w))):
+            with pytest.raises(ValueError, match=f"^{label} must be finite$"):
+                dense_wls_solve(*bad)
+
     def test_cross_solver_agreement(self, rng):
         # the normal-equations production path vs the orthogonal-factorization
         # reference, on well-conditioned random stage systems
