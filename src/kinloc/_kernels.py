@@ -15,8 +15,11 @@ A kernel that cannot solve raises the named error itself, never returns NaN:
 SingularGeometry (as when the Gram condition number exceeds ``COND_CAP``),
 each with that number in its message, and ``system_rows`` raises ZeroRange.
 The kernels know no weighting policy: estim.py turns a WeightRule into weights.
+``position_solve`` computes the half of its work that depends only on the
+sensors once per layout and keeps it for the last 16 layouts.
 """
 
+import functools
 import math
 
 from .errors import DegenerateGeometry, SingularGeometry, ZeroRange
@@ -58,28 +61,26 @@ def _sym3_eig_extremes(g00, g01, g02, g11, g12, g22):
     return hi, lo
 
 
-def position_solve(sx, sy, rbar):
-    """Linearized trilateration from measured ranges.
+@functools.lru_cache(maxsize=16)
+def _layout(sx, sy):
+    """The part of ``position_solve`` that depends on the sensors alone.
 
-    Rows [-2 x_i, -2 y_i, 1] against rhs rbar_i^2 - x_i^2 - y_i^2, solved via
-    column-equilibrated normal equations.  Returns
-    (x, y, theta3, residual_norm, gram_cond); raises DegenerateGeometry when
-    the layout is rank-deficient, the condition number exceeds COND_CAP, or
-    the position overflows.
+    Returns the per-sensor columns (-2x, -2y, x*x, y*y), the column scales
+    s0..s2, the extreme eigenvalues (hi, lo) of the equilibrated Gram matrix,
+    its cofactors and its determinant, computed by the same operations in the
+    same order as a single pass would.  Raises DegenerateGeometry for a zero
+    column (not cached, so every call raises); the COND_CAP and determinant
+    checks stay with the caller, which makes them on every call.
     """
-    g00 = g01 = g02 = g11 = g12 = h0 = h1 = h2 = 0.0
-    for x, y, r in zip(sx, sy, rbar):
-        a0 = -2.0 * x
-        a1 = -2.0 * y
-        f = r * r - x * x - y * y
+    a0s = tuple(-2.0 * x for x in sx)
+    a1s = tuple(-2.0 * y for y in sy)
+    g00 = g01 = g02 = g11 = g12 = 0.0
+    for a0, a1 in zip(a0s, a1s):
         g00 += a0 * a0
         g01 += a0 * a1
         g02 += a0
         g11 += a1 * a1
         g12 += a1
-        h0 += a0 * f
-        h1 += a1 * f
-        h2 += f
     g22 = float(len(sx))
 
     if g00 <= 0.0 or g11 <= 0.0:
@@ -89,13 +90,7 @@ def position_solve(sx, sy, rbar):
     t01 = g01 / (s0 * s1)
     t02 = g02 / (s0 * s2)
     t12 = g12 / (s1 * s2)
-    u0, u1, u2 = h0 / s0, h1 / s1, h2 / s2
-
     hi, lo = _sym3_eig_extremes(1.0, t01, t02, 1.0, t12, 1.0)
-    if not (lo > 0.0) or hi > lo * COND_CAP:
-        raise DegenerateGeometry(_RANK_DEFICIENT.format(math.inf if not (lo > 0.0) else hi / lo))
-    cond = hi / lo
-
     c00 = 1.0 - t12 * t12
     c01 = t02 * t12 - t01
     c02 = t01 * t12 - t02
@@ -103,8 +98,37 @@ def position_solve(sx, sy, rbar):
     c12 = t01 * t02 - t12
     c22 = 1.0 - t01 * t01
     det = c00 + t01 * c01 + t02 * c02
+    columns = (a0s, a1s, tuple(x * x for x in sx), tuple(y * y for y in sy))
+    return columns, (s0, s1, s2), (hi, lo), (c00, c01, c02, c11, c12, c22), det
+
+
+def position_solve(sx, sy, rbar):
+    """Linearized trilateration from measured ranges.
+
+    Rows [-2 x_i, -2 y_i, 1] against rhs rbar_i^2 - x_i^2 - y_i^2, solved via
+    column-equilibrated normal equations.  Returns
+    (x, y, theta3, residual_norm, gram_cond); raises DegenerateGeometry when
+    the layout is rank-deficient, the condition number exceeds COND_CAP, or
+    the position overflows.
+    """
+    (a0s, a1s, xxs, yys), (s0, s1, s2), (hi, lo), c, det = _layout(tuple(sx), tuple(sy))
+    h0 = h1 = h2 = 0.0
+    fs = []
+    for a0, a1, xx, yy, r in zip(a0s, a1s, xxs, yys, rbar):
+        f = r * r - xx - yy
+        fs.append(f)
+        h0 += a0 * f
+        h1 += a1 * f
+        h2 += f
+    u0, u1, u2 = h0 / s0, h1 / s1, h2 / s2
+
+    if not (lo > 0.0) or hi > lo * COND_CAP:
+        raise DegenerateGeometry(_RANK_DEFICIENT.format(math.inf if not (lo > 0.0) else hi / lo))
+    cond = hi / lo
+
     if det <= 0.0:
         raise DegenerateGeometry(_RANK_DEFICIENT.format(math.inf))
+    c00, c01, c02, c11, c12, c22 = c
     z0 = (c00 * u0 + c01 * u1 + c02 * u2) / det
     z1 = (c01 * u0 + c11 * u1 + c12 * u2) / det
     z2 = (c02 * u0 + c12 * u1 + c22 * u2) / det
@@ -113,9 +137,9 @@ def position_solve(sx, sy, rbar):
         raise DegenerateGeometry(f"trilateration overflows (gram condition {cond:.3g})")
 
     ss = 0.0
-    for x, y, r in zip(sx, sy, rbar):
-        f = r * r - x * x - y * y
-        e = -2.0 * x * th0 - 2.0 * y * th1 + th2 - f
+    for a0, a1, f in zip(a0s, a1s, fs):
+        # -2x*th0 - 2y*th1 rounds as a0*th0 + a1*th1: negation is exact
+        e = a0 * th0 + a1 * th1 + th2 - f
         ss += e * e
     return th0, th1, th2, math.sqrt(ss), cond
 

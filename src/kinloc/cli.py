@@ -10,6 +10,7 @@ reruns with the same config and seed are byte-identical.
 import argparse
 import json
 import os
+import stat
 import sys
 import tempfile
 from dataclasses import replace
@@ -165,12 +166,25 @@ def load_config(path: str | None, overrides: dict) -> dict:
     return config
 
 
+def _file_mode(path: str) -> int:
+    """The mode a plain open() would leave the file with: an existing file's own,
+    else 0o666 less the umask (mkstemp creates its temp file 0o600)."""
+    try:
+        return stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)     # the umask can only be read by setting it
+        os.umask(umask)
+        return 0o666 & ~umask
+
+
 def _atomic_write(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
+    mode = _file_mode(path)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".kinloc.", suffix=".part")
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        os.chmod(tmp, mode)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -39,7 +39,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import SingularGeometry, TooFewSensors
-from .model import MeasurementSet, SensorArray, as_vec2, _locked
+from .model import MeasurementSet, SensorArray, _checked_vec2, _locked
 
 WEIGHT_MODES = ("uniform", "inverse_range", "propagated")
 
@@ -202,20 +202,21 @@ def _shared_error_solve(bx, by, rhs, var, s2) -> KinematicEstimate:
     if lowest == 0.0:
         positive = [d for d in var if d > 0.0]
         if positive:
-            floor = min(positive)
-            var = [max(d, floor) for d in var]
+            lowest = min(positive)
+            var = [max(d, lowest) for d in var]
         else:
             var = [1.0] * len(var)
-            s2 = 0.0
+            lowest, s2 = 1.0, 0.0
     # Scaling the covariance leaves the GLS solution unchanged, and scaling by
     # a power of two is exact: bring the smallest variance into [1, 2) so that
     # the weights (at most 1) and their Gram products stay within range.
-    e = math.frexp(min(var))[1] - 1
-    var = [math.ldexp(d, -e) for d in var]
+    e = math.frexp(lowest)[1] - 1
     s2 = math.ldexp(s2, -e)
-    w = [1.0 / d for d in var]
+    w = []
     total = sx = sy = sk = 0.0
-    for wi, x, y, k in zip(w, bx, by, rhs):
+    for d, x, y, k in zip(var, bx, by, rhs):
+        wi = 1.0 / math.ldexp(d, -e)
+        w.append(wi)
         total += wi
         sx += wi * x
         sy += wi * y
@@ -235,7 +236,7 @@ def estimate_velocity(measurements: MeasurementSet, sensors: SensorArray, p_hat,
     p_hat coincides with a sensor.
     """
     _check_lengths(measurements, sensors)
-    px, py = as_vec2(p_hat, "p_hat").tolist()
+    px, py = _checked_vec2(p_hat, "p_hat").tolist()
     bx, by, rhat = _kernels.system_rows(sensors.xs, sensors.ys, px, py)
     d = [a * r for a, r in zip(measurements.range_rates.tolist(), rhat)]
     method = "LS" if weight_rule.mode == "uniform" else "WLS"
@@ -251,8 +252,8 @@ def acceleration_pseudo_measurements(measurements: MeasurementSet, sensors: Sens
     a . (p_hat - p_i) exactly.
     """
     _check_lengths(measurements, sensors)
-    v = as_vec2(v_hat, "v_hat")
-    px, py = as_vec2(p_hat, "p_hat").tolist()
+    v = _checked_vec2(v_hat, "v_hat")
+    px, py = _checked_vec2(p_hat, "p_hat").tolist()
     return np.array(_pseudo_measurements(measurements, sensors, px, py, v))
 
 
@@ -301,7 +302,7 @@ def acceleration_error_model(measurements: MeasurementSet, ranges, bx, by, veloc
     det = g00 * g11 - g01 * g01
     if not det > 0.0:
         raise SingularGeometry("velocity Gram matrix is singular")
-    v0, v1 = as_vec2(v_hat, "v_hat").tolist()
+    v0, v1 = _checked_vec2(v_hat, "v_hat").tolist()
     u0 = (g11 * v0 - g01 * v1) / det      # u = G^-1 v, so v' Cov(v) v = u' M u
     u1 = (g00 * v1 - g01 * v0) / det
     shared = 4.0 * (u0 * u0 * m00 + 2.0 * u0 * u1 * m01 + u1 * u1 * m11)
@@ -322,8 +323,8 @@ def estimate_acceleration(measurements: MeasurementSet, sensors: SensorArray, p_
     velocity stage with the same rule.
     """
     _check_lengths(measurements, sensors)
-    v = as_vec2(v_hat, "v_hat")
-    px, py = as_vec2(p_hat, "p_hat").tolist()
+    v = _checked_vec2(v_hat, "v_hat")
+    px, py = _checked_vec2(p_hat, "p_hat").tolist()
     k = _pseudo_measurements(measurements, sensors, px, py, v)
     bx, by, rhat = _kernels.system_rows(sensors.xs, sensors.ys, px, py)
     w = row_weights(rhat, weight_rule)

@@ -23,7 +23,7 @@ from .errors import ZeroRange
 
 
 def _locked(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
+    arr.setflags(write=False)     # half the cost of assigning flags.writeable
     return arr
 
 
@@ -36,6 +36,20 @@ def as_vec2(value, name: str = "vector") -> np.ndarray:
     if not (math.isfinite(x) and math.isfinite(y)):
         raise ValueError(f"{name} must be finite, got {arr}")
     return _locked(arr)
+
+
+_FLOAT64 = np.dtype(np.float64)
+
+
+def _checked_vec2(value, name: str) -> np.ndarray:
+    """``value`` itself when it is a finite float64 array of shape (2,), neither
+    copied nor locked, so read it before the caller can change it; anything
+    else goes through ``as_vec2``, which copies it or raises its ValueError."""
+    if type(value) is np.ndarray and value.dtype is _FLOAT64 and value.shape == (2,):
+        x, y = value.tolist()
+        if math.isfinite(x) and math.isfinite(y):
+            return value
+    return as_vec2(value, name)
 
 
 @dataclass(frozen=True)

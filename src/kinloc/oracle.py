@@ -156,15 +156,17 @@ def verification_suite(instances: int = 1000, seed: int = 7,
                        - fd_range_rate(target, sensor, FdConfig(step=FD_STEP_RATE)))
         dev_accel = abs(range_accel_fn(target, sensor)
                         - fd_range_accel(target, sensor, FdConfig(step=FD_STEP_ACCEL)))
-        max_rate = max(max_rate, dev_rate)
-        max_accel = max(max_accel, dev_accel)
+        # np.maximum keeps a NaN, which then fails the check; max(0.0, nan) is 0.0
+        max_rate = float(np.maximum(max_rate, dev_rate))
+        max_accel = float(np.maximum(max_accel, dev_accel))
 
     max_solver = 0.0
     for _ in range(instances):
         rows, rhs, weights = _random_stage_system(rng)
         closed = estim.solve_linear_stage(rows, rhs, weights).value
         dense = dense_wls_solve(rows, rhs, weights)
-        max_solver = max(max_solver, float(np.linalg.norm(closed - dense) / np.linalg.norm(dense)))
+        max_solver = float(np.maximum(max_solver,
+                                      np.linalg.norm(closed - dense) / np.linalg.norm(dense)))
 
     return VerifyReport(checks=(
         VerifyCheck("range rate: analytic vs central difference", max_rate, TOL_RATE),

@@ -1,5 +1,6 @@
 import json
 import os
+import stat
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -76,6 +77,28 @@ class TestEstimate:
         assert code == 0
         assert set(json.loads(dest.read_text())) == {
             "position", "velocity_ls", "velocity_wls", "accel_ls", "accel_wls"}
+
+    def test_new_out_file_gets_the_umask_mode(self, tmp_path, capsys):
+        # mkstemp makes its temp file 0600; the renamed file must not keep that
+        cfg = write_config(tmp_path, TRUTH)
+        dest = tmp_path / "estimate.json"
+        old = os.umask(0o027)
+        try:
+            code, _, _ = run(["estimate", "--config", cfg, "--out", str(dest)], capsys)
+        finally:
+            os.umask(old)
+        assert code == 0
+        assert stat.S_IMODE(dest.stat().st_mode) == 0o640
+
+    def test_existing_out_file_keeps_its_mode(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, TRUTH)
+        dest = tmp_path / "estimate.json"
+        dest.write_text("old")
+        dest.chmod(0o604)
+        code, _, _ = run(["estimate", "--config", cfg, "--out", str(dest)], capsys)
+        assert code == 0
+        assert dest.read_text() != "old"
+        assert stat.S_IMODE(dest.stat().st_mode) == 0o604
 
     def test_degenerate_geometry_exits_2_with_error_name(self, tmp_path, capsys):
         cfg = write_config(tmp_path, dict(
@@ -272,3 +295,10 @@ class TestVerify:
         code, out, _ = run(["verify", "--trials", "100"], capsys)
         assert code == 1
         assert "FAIL" in out and "oracle disagreement detected" in out
+
+    def test_nan_derivative_detected(self, capsys, monkeypatch):
+        # max(0.0, nan) is 0.0: a NaN deviation must not read as a perfect match
+        monkeypatch.setattr(model, "range_rate", lambda target, sensor: float("nan"))
+        code, out, _ = run(["verify", "--trials", "20"], capsys)
+        assert code == 1
+        assert "max deviation nan" in out and "oracle disagreement detected" in out

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -419,6 +420,46 @@ class TestPipeline:
                 assert not arr.flags.writeable
                 assert not any(np.shares_memory(arr, other)
                                for other in arrays[i + 1:] + inputs)
+
+    def test_stages_neither_lock_nor_retain_writable_inputs(self, sensors8, rng):
+        truth = TargetState((30.0, 40.0), (10.0, -5.0), (1.0, 1.0))
+        ms = synthesize_measurements(truth, sensors8, NoiseSpec(), rng)
+        for rule in (UNIFORM, WeightRule(), PROPAGATED):
+            p_hat, v_hat = np.array([31.0, 39.0]), np.array([9.0, -4.0])
+            vel = estimate_velocity(ms, sensors8, p_hat, rule)
+            acc = estimate_acceleration(ms, sensors8, p_hat, v_hat, rule)
+            k = acceleration_pseudo_measurements(ms, sensors8, p_hat, v_hat)
+            assert p_hat.flags.writeable and v_hat.flags.writeable
+            kept = [np.array(a) for a in (vel.value, acc.value, acc.pseudo_measurements, k)]
+            p_hat[:] = v_hat[:] = np.nan
+            for arr, copy in zip((vel.value, acc.value, acc.pseudo_measurements, k), kept):
+                assert not np.shares_memory(arr, p_hat) and not np.shares_memory(arr, v_hat)
+                np.testing.assert_array_equal(arr, copy)
+
+    def test_stage_inputs_checked_like_as_vec2(self, sensors8, rng):
+        truth = TargetState((30.0, 40.0), (10.0, -5.0), (1.0, 1.0))
+        ms = synthesize_measurements(truth, sensors8, NoiseSpec(), rng)
+        good = np.array([31.0, 39.0])
+        for bad, message in ((np.array([np.nan, 1.0]), "must be finite, got [nan  1.]"),
+                             ([1.0, np.inf], "must be finite, got [ 1. inf]"),
+                             (np.zeros(3), "must have exactly 2 components, got shape (3,)"),
+                             (np.zeros((1, 2)),
+                              "must have exactly 2 components, got shape (1, 2)")):
+            with pytest.raises(ValueError, match=r"^p_hat " + re.escape(message)):
+                estimate_velocity(ms, sensors8, bad)
+            with pytest.raises(ValueError, match=r"^p_hat " + re.escape(message)):
+                estimate_acceleration(ms, sensors8, bad, good)
+            with pytest.raises(ValueError, match=r"^v_hat " + re.escape(message)):
+                estimate_acceleration(ms, sensors8, good, bad, PROPAGATED)
+            with pytest.raises(ValueError, match=r"^v_hat " + re.escape(message)):
+                acceleration_pseudo_measurements(ms, sensors8, good, bad)
+        # integer and float32 vectors are read as float64, as as_vec2 reads them
+        np.testing.assert_array_equal(
+            estimate_velocity(ms, sensors8, np.array([31, 39])).value,
+            estimate_velocity(ms, sensors8, good).value)
+        np.testing.assert_array_equal(
+            estimate_velocity(ms, sensors8, np.array([31.0, 39.0], dtype=np.float32)).value,
+            estimate_velocity(ms, sensors8, good).value)
 
     def test_methods_labeled(self, sensors8, rng):
         truth = TargetState((30.0, 40.0), (10.0, -5.0), (1.0, 1.0))

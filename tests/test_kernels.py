@@ -71,6 +71,88 @@ class TestPositionSolve:
             K.position_solve(*_lists(sx, sy), [1e200] * 8)
 
 
+def _single_pass_position(sx, sy, rbar):
+    """``position_solve`` as one pass over sensors and ranges, with nothing
+    cached: the reference its per-layout cache must match bit for bit."""
+    g00 = g01 = g02 = g11 = g12 = h0 = h1 = h2 = 0.0
+    for x, y, r in zip(sx, sy, rbar):
+        a0 = -2.0 * x
+        a1 = -2.0 * y
+        f = r * r - x * x - y * y
+        g00 += a0 * a0
+        g01 += a0 * a1
+        g02 += a0
+        g11 += a1 * a1
+        g12 += a1
+        h0 += a0 * f
+        h1 += a1 * f
+        h2 += f
+    s0, s1, s2 = math.sqrt(g00), math.sqrt(g11), math.sqrt(len(sx))
+    t01, t02, t12 = g01 / (s0 * s1), g02 / (s0 * s2), g12 / (s1 * s2)
+    u0, u1, u2 = h0 / s0, h1 / s1, h2 / s2
+    hi, lo = K._sym3_eig_extremes(1.0, t01, t02, 1.0, t12, 1.0)
+    c00 = 1.0 - t12 * t12
+    c01 = t02 * t12 - t01
+    c02 = t01 * t12 - t02
+    c11 = 1.0 - t02 * t02
+    c12 = t01 * t02 - t12
+    c22 = 1.0 - t01 * t01
+    det = c00 + t01 * c01 + t02 * c02
+    th0 = (c00 * u0 + c01 * u1 + c02 * u2) / det / s0
+    th1 = (c01 * u0 + c11 * u1 + c12 * u2) / det / s1
+    th2 = (c02 * u0 + c12 * u1 + c22 * u2) / det / s2
+    ss = 0.0
+    for x, y, r in zip(sx, sy, rbar):
+        e = -2.0 * x * th0 - 2.0 * y * th1 + th2 - (r * r - x * x - y * y)
+        ss += e * e
+    return th0, th1, th2, math.sqrt(ss), hi / lo
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+class TestLayoutCache:
+    """``position_solve`` computes the sensor-only half once per layout."""
+
+    def test_matches_single_pass_reference_bit_for_bit(self, rng):
+        for _ in range(40):
+            n = int(rng.integers(3, 65))
+            layouts = [tuple(map(tuple, rng.uniform(-100.0, 100.0, (2, n)).tolist()))
+                       for _ in range(2)]
+            for k in range(6):          # alternate: a stale cache entry would show
+                sx, sy = layouts[k % 2]
+                px, py = rng.uniform(0.0, 100.0, 2)
+                rbar = (np.hypot(px - np.array(sx), py - np.array(sy))
+                        + rng.normal(0.0, 1.0, n)).tolist()
+                got = K.position_solve(sx, sy, rbar)
+                assert _bits(got) == _bits(_single_pass_position(sx, sy, rbar))
+                # lists are read like the tuples SensorArray hands over
+                assert _bits(K.position_solve(list(sx), list(sy), rbar)) == _bits(got)
+
+    def test_degenerate_layouts_raise_on_every_call(self, rng):
+        good = tuple(rng.uniform(-100.0, 100.0, 8).tolist()), tuple(
+            rng.uniform(-100.0, 100.0, 8).tolist())
+        axis = (0.0, 50.0, 100.0), (0.0, 0.0, 0.0)          # a zero column
+        diagonal = (0.0, 50.0, 100.0), (0.0, 50.0, 100.0)   # rank 2 of 3
+        for _ in range(3):
+            for sx, sy in (axis, diagonal):
+                with pytest.raises(DegenerateGeometry, match="rank-deficient"):
+                    K.position_solve(sx, sy, [50.0, 10.0, 50.0])
+            K.position_solve(*good, [50.0] * 8)
+
+    def test_cond_cap_is_compared_on_every_call(self, rng, monkeypatch):
+        sx, sy, _, _, rbar = _random_instance(rng)
+        sx, sy, rbar = _lists(sx, sy, rbar)
+        cond = K.position_solve(sx, sy, rbar)[-1]   # the layout is cached now
+        monkeypatch.setattr(K, "COND_CAP", 1.0 + 1e-9)
+        for _ in range(2):
+            with pytest.raises(DegenerateGeometry, match=f"gram condition {cond:.3g}"):
+                K.position_solve(sx, sy, rbar)
+        monkeypatch.undo()
+        assert K.position_solve(sx, sy, rbar)[-1] == cond
+
+
 class TestSystemRows:
     def test_rows_and_ranges(self):
         bx, by, rhat = K.system_rows([1.0, 0.0], [0.0, 1.0], 0.0, 0.0)

@@ -149,3 +149,17 @@ class TestVerificationSuite:
         report = verification_suite(instances=50, seed=11,
                                     range_rate_fn=biased_rate)
         assert not report.all_passed
+
+    def test_detects_nan_rate(self):
+        # max(0.0, nan) keeps 0.0; a NaN anywhere must fail the check, not pass it
+        calls = []
+
+        def nan_once(target, sensor_pos):
+            calls.append(None)
+            return float("nan") if len(calls) == 3 else range_rate(target, sensor_pos)
+
+        report = verification_suite(instances=50, seed=11, range_rate_fn=nan_once)
+        rate, accel, solver = report.checks
+        assert np.isnan(rate.max_deviation) and not rate.passed
+        assert accel.passed and solver.passed
+        assert not report.all_passed
