@@ -39,7 +39,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import SingularGeometry, TooFewSensors
-from .model import MeasurementSet, SensorArray, _checked_vec2, _locked
+from .model import MeasurementSet, SensorArray, _locked, _vec2_floats
 
 WEIGHT_MODES = ("uniform", "inverse_range", "propagated")
 
@@ -236,7 +236,7 @@ def estimate_velocity(measurements: MeasurementSet, sensors: SensorArray, p_hat,
     p_hat coincides with a sensor.
     """
     _check_lengths(measurements, sensors)
-    px, py = _checked_vec2(p_hat, "p_hat").tolist()
+    px, py = _vec2_floats(p_hat, "p_hat")
     bx, by, rhat = _kernels.system_rows(sensors.xs, sensors.ys, px, py)
     d = [a * r for a, r in zip(measurements.range_rates.tolist(), rhat)]
     method = "LS" if weight_rule.mode == "uniform" else "WLS"
@@ -252,15 +252,15 @@ def acceleration_pseudo_measurements(measurements: MeasurementSet, sensors: Sens
     a . (p_hat - p_i) exactly.
     """
     _check_lengths(measurements, sensors)
-    v = _checked_vec2(v_hat, "v_hat")
-    px, py = _checked_vec2(p_hat, "p_hat").tolist()
-    return np.array(_pseudo_measurements(measurements, sensors, px, py, v))
+    v0, v1 = _vec2_floats(v_hat, "v_hat")
+    px, py = _vec2_floats(p_hat, "p_hat")
+    return np.array(_pseudo_measurements(measurements, sensors, px, py, v0, v1))
 
 
-def _pseudo_measurements(measurements, sensors, px, py, v) -> list:
-    """k_i as a list, from p_hat as the floats px, py and v_hat as an array."""
+def _pseudo_measurements(measurements, sensors, px, py, v0, v1) -> list:
+    """k_i as a list, from p_hat and v_hat as the floats px, py and v0, v1."""
     _, _, rhat = _kernels.system_rows(sensors.xs, sensors.ys, px, py)
-    v2 = float(v @ v)
+    v2 = v0 * v0 + v1 * v1
     return [b * r - v2 + a * a for b, r, a in
             zip(measurements.drrs.tolist(), rhat, measurements.range_rates.tolist())]
 
@@ -283,9 +283,10 @@ def acceleration_error_model(measurements: MeasurementSet, ranges, bx, by, veloc
     target within about 1e-150 m of a sensor) leaves the rows unweightable.
     """
     noise = measurements.noise
-    var_r = noise.sigma_range ** 2
-    var_a = noise.sigma_range_rate ** 2
-    var_b = noise.sigma_drr ** 2
+    # s * s, not s ** 2: libm's pow need not round a square correctly
+    var_r = noise.sigma_range * noise.sigma_range
+    var_a = noise.sigma_range_rate * noise.sigma_range_rate
+    var_b = noise.sigma_drr * noise.sigma_drr
     variances = []
     g00 = g01 = g11 = m00 = m01 = m11 = 0.0
     for r, a, b, w, x, y in zip(ranges, measurements.range_rates.tolist(),
@@ -302,7 +303,7 @@ def acceleration_error_model(measurements: MeasurementSet, ranges, bx, by, veloc
     det = g00 * g11 - g01 * g01
     if not det > 0.0:
         raise SingularGeometry("velocity Gram matrix is singular")
-    v0, v1 = _checked_vec2(v_hat, "v_hat").tolist()
+    v0, v1 = _vec2_floats(v_hat, "v_hat")
     u0 = (g11 * v0 - g01 * v1) / det      # u = G^-1 v, so v' Cov(v) v = u' M u
     u1 = (g00 * v1 - g01 * v0) / det
     shared = 4.0 * (u0 * u0 * m00 + 2.0 * u0 * u1 * m01 + u1 * u1 * m11)
@@ -323,13 +324,13 @@ def estimate_acceleration(measurements: MeasurementSet, sensors: SensorArray, p_
     velocity stage with the same rule.
     """
     _check_lengths(measurements, sensors)
-    v = _checked_vec2(v_hat, "v_hat")
-    px, py = _checked_vec2(p_hat, "p_hat").tolist()
-    k = _pseudo_measurements(measurements, sensors, px, py, v)
+    v0, v1 = _vec2_floats(v_hat, "v_hat")
+    px, py = _vec2_floats(p_hat, "p_hat")
+    k = _pseudo_measurements(measurements, sensors, px, py, v0, v1)
     bx, by, rhat = _kernels.system_rows(sensors.xs, sensors.ys, px, py)
     w = row_weights(rhat, weight_rule)
     if weight_rule.mode == "propagated":
-        variances, shared = acceleration_error_model(measurements, rhat, bx, by, w, v)
+        variances, shared = acceleration_error_model(measurements, rhat, bx, by, w, v_hat)
         return _shared_error_solve(bx, by, k, variances, shared)
     method = "LS" if weight_rule.mode == "uniform" else "WLS"
     return _solve2(bx, by, k, w, k, method)

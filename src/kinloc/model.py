@@ -41,15 +41,16 @@ def as_vec2(value, name: str = "vector") -> np.ndarray:
 _FLOAT64 = np.dtype(np.float64)
 
 
-def _checked_vec2(value, name: str) -> np.ndarray:
-    """``value`` itself when it is a finite float64 array of shape (2,), neither
-    copied nor locked, so read it before the caller can change it; anything
-    else goes through ``as_vec2``, which copies it or raises its ValueError."""
+def _vec2_floats(value, name: str) -> list:
+    """The two components of a 2-vector as floats, as ``as_vec2`` would read
+    them: a finite float64 array of shape (2,) is read in place with one
+    ``tolist``, anything else goes through ``as_vec2``, which converts it or
+    raises its ValueError."""
     if type(value) is np.ndarray and value.dtype is _FLOAT64 and value.shape == (2,):
-        x, y = value.tolist()
-        if math.isfinite(x) and math.isfinite(y):
-            return value
-    return as_vec2(value, name)
+        xy = value.tolist()
+        if math.isfinite(xy[0]) and math.isfinite(xy[1]):
+            return xy
+    return as_vec2(value, name).tolist()
 
 
 @dataclass(frozen=True)
@@ -188,17 +189,21 @@ def propagate(target: TargetState, dt: float) -> TargetState:
 
 def _true_lists(target: TargetState, sensors: SensorArray):
     """``true_measurements`` as three lists of floats."""
-    # the `@` products stay numpy: BLAS rounds them unlike a plain float loop
-    # (most 8x2 mat-vecs differ in some bit), and the golden CSVs pin the bits;
-    # the rest is elementwise, and floats round it exactly as numpy does
-    u = target.position[None, :] - sensors.positions
-    r = [math.sqrt(x * x + y * y) for x, y in u.tolist()]
-    if 0.0 in r:
-        raise ZeroRange("target coincides with a sensor")
-    rdot = [ud / ri for ud, ri in zip((u @ target.velocity).tolist(), r)]
-    v2 = float(target.velocity @ target.velocity)
-    rddot = [(ua + v2 - rd * rd) / ri
-             for ua, rd, ri in zip((u @ target.acceleration).tolist(), rdot, r)]
+    px, py = target.position.tolist()
+    v0, v1 = target.velocity.tolist()
+    a0, a1 = target.acceleration.tolist()
+    v2 = v0 * v0 + v1 * v1
+    r, rdot, rddot = [], [], []
+    for sx, sy in zip(sensors.xs, sensors.ys):
+        x = px - sx
+        y = py - sy
+        ri = math.sqrt(x * x + y * y)
+        if ri == 0.0:
+            raise ZeroRange("target coincides with a sensor")
+        rd = (x * v0 + y * v1) / ri
+        r.append(ri)
+        rdot.append(rd)
+        rddot.append((x * a0 + y * a1 + v2 - rd * rd) / ri)
     return r, rdot, rddot
 
 

@@ -239,10 +239,9 @@ class _State(np.random.bit_generator.ISeedSequence):
         self.words = words
 
     def generate_state(self, n_words, dtype=np.uint32):
-        words = self.words.view("<u8") if np.dtype(dtype) == np.uint64 else self.words
-        if n_words > words.size:
-            raise ValueError(f"only {words.size} words of {np.dtype(dtype)} are precomputed")
-        return words[:n_words].astype(dtype, copy=False)
+        if dtype is not np.uint64 or n_words != 4:
+            raise ValueError("_State only seeds PCG64 (4 uint64 words)")
+        return self.words.view("<u8")
 
 
 def run_trial(scenario: Scenario, trial_index: int,
@@ -253,13 +252,12 @@ def run_trial(scenario: Scenario, trial_index: int,
     if not 0 <= trial_index < 2 ** 63:
         raise ValueError(f"trial_index out of range: {trial_index}")
     # the truth and measurement streams of SeedSequence((seed, trial_index)).spawn(2)
-    truth_words, meas_words = _stream_block(scenario.seed, trial_index // _BLOCK)[
-        trial_index % _BLOCK]
-    truth = sample_truth(scenario, np.random.Generator(np.random.PCG64(_State(truth_words))))
+    block, j = _stream_block(scenario.seed, trial_index // _BLOCK), trial_index % _BLOCK
+    truth = sample_truth(scenario, np.random.Generator(np.random.PCG64(_State(block[j, 0]))))
     try:
         measurements = synthesize_measurements(
             truth, scenario.sensors, scenario.noise,
-            np.random.Generator(np.random.PCG64(_State(meas_words))))
+            np.random.Generator(np.random.PCG64(_State(block[j, 1]))))
         estimates, stage_times = _timed_pipeline(measurements, scenario.sensors, weight_rule)
     except _TRIAL_ERRORS as exc:
         return TrialRecord(trial_index, truth, None, {}, {}, type(exc).__name__)
@@ -337,6 +335,8 @@ def _check_grid(grid):
     values = tuple(float(g) for g in grid)
     if not values:
         raise ValueError("grid must be nonempty")
+    if not all(map(math.isfinite, values)):
+        raise ValueError("grid values must be finite")
     if any(v <= 0.0 for v in values):
         raise ValueError("grid values must be positive")
     if any(b <= a for a, b in zip(values, values[1:])):

@@ -125,6 +125,12 @@ class TestRandomStreams:
                     assert (got.standard_normal((3, 8)).tobytes()
                             == want.standard_normal((3, 8)).tobytes())
 
+    def test_state_seeds_only_pcg64(self):
+        state = montecarlo._State(montecarlo._stream_block(0, 0)[0, 0])
+        for n_words, dtype in ((4, np.uint32), (8, np.uint32), (2, np.uint64)):
+            with pytest.raises(ValueError, match="only seeds PCG64"):
+                state.generate_state(n_words, dtype)
+
     def test_stream_block_covers_every_index_of_the_block(self):
         block = montecarlo._stream_block(2 ** 40 + 3, 4_194_305)   # indices from 2**32 + 1024
         assert block.shape == (1024, 2, 8) and not block.flags.writeable
@@ -349,6 +355,10 @@ class TestSweeps:
             sweep_velocity_experiment(base, (1.0, 0.5))
         with pytest.raises(ValueError):
             sweep_velocity_experiment(base, (0.0, 1.0))
+        # NaN compares false with everything, so the order checks cannot catch it
+        for bad in ((0.1, float("nan")), (0.1, float("inf")), (float("nan"),)):
+            with pytest.raises(ValueError, match="^grid values must be finite$"):
+                sweep_velocity_experiment(base, bad)
 
     def test_all_failed_point_gives_nan_rmses(self):
         # range-rate noise 1e150 makes every stage-2 solve overflow
