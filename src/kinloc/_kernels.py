@@ -167,11 +167,14 @@ def wls_solve2(bx, by, rhs, w):
     """
     g00 = g01 = g11 = h0 = h1 = 0.0
     for x, y, r, wi in zip(bx, by, rhs, w):
-        g00 += wi * x * x
-        g01 += wi * x * y
-        g11 += wi * y * y
-        h0 += wi * x * r
-        h1 += wi * y * r
+        # Python evaluates wi * x * y as (wi * x) * y: forming wi * x once changes no bit
+        wx = wi * x
+        wy = wi * y
+        g00 += wx * x
+        g01 += wx * y
+        g11 += wy * y
+        h0 += wx * r
+        h1 += wy * r
     tr = g00 + g11
     diff = g00 - g11
     disc = math.sqrt(diff * diff + 4.0 * g01 * g01)

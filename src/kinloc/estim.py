@@ -127,7 +127,7 @@ def estimate_position(measurements: MeasurementSet, sensors: SensorArray) -> Pos
     if n < 3:
         raise TooFewSensors(f"position stage needs at least 3 sensors, got {n}")
     x, y, theta3, resid, cond = _kernels.position_solve(
-        sensors.xs, sensors.ys, measurements.ranges.tolist())
+        sensors.xs, sensors.ys, measurements._ranges)
     # the kernels return finite floats or raise
     return PositionSolution(_locked(np.array((x, y))), theta3, resid, cond)
 
@@ -209,13 +209,17 @@ def _shared_error_solve(bx, by, rhs, var, s2) -> KinematicEstimate:
             lowest, s2 = 1.0, 0.0
     # Scaling the covariance leaves the GLS solution unchanged, and scaling by
     # a power of two is exact: bring the smallest variance into [1, 2) so that
-    # the weights (at most 1) and their Gram products stay within range.
+    # the weights (at most 1) and their Gram products stay within range.  A
+    # value 2^1024 times the smallest variance or more would scale past the
+    # float range: taken as inf, it gives its row weight 0, and for s2 it
+    # gives lam = 1, the limit in which the shared offset is unconstrained.
     e = math.frexp(lowest)[1] - 1
-    s2 = math.ldexp(s2, -e)
+    top = math.ldexp(1.0, 1024 + e) if e < 0 else math.inf
+    s2 = math.ldexp(s2, -e) if s2 < top else math.inf
     w = []
     total = sx = sy = sk = 0.0
     for d, x, y, k in zip(var, bx, by, rhs):
-        wi = 1.0 / math.ldexp(d, -e)
+        wi = 1.0 / math.ldexp(d, -e) if d < top else 0.0
         w.append(wi)
         total += wi
         sx += wi * x
@@ -238,7 +242,7 @@ def estimate_velocity(measurements: MeasurementSet, sensors: SensorArray, p_hat,
     _check_lengths(measurements, sensors)
     px, py = _vec2_floats(p_hat, "p_hat")
     bx, by, rhat = _kernels.system_rows(sensors.xs, sensors.ys, px, py)
-    d = [a * r for a, r in zip(measurements.range_rates.tolist(), rhat)]
+    d = [a * r for a, r in zip(measurements._range_rates, rhat)]
     method = "LS" if weight_rule.mode == "uniform" else "WLS"
     return _solve2(bx, by, d, row_weights(rhat, weight_rule), d, method)
 
@@ -262,7 +266,7 @@ def _pseudo_measurements(measurements, sensors, px, py, v0, v1) -> list:
     _, _, rhat = _kernels.system_rows(sensors.xs, sensors.ys, px, py)
     v2 = v0 * v0 + v1 * v1
     return [b * r - v2 + a * a for b, r, a in
-            zip(measurements.drrs.tolist(), rhat, measurements.range_rates.tolist())]
+            zip(measurements._drrs, rhat, measurements._range_rates)]
 
 
 def acceleration_error_model(measurements: MeasurementSet, ranges, bx, by, velocity_weights,
@@ -289,16 +293,20 @@ def acceleration_error_model(measurements: MeasurementSet, ranges, bx, by, veloc
     var_b = noise.sigma_drr * noise.sigma_drr
     variances = []
     g00 = g01 = g11 = m00 = m01 = m11 = 0.0
-    for r, a, b, w, x, y in zip(ranges, measurements.range_rates.tolist(),
-                                measurements.drrs.tolist(), velocity_weights, bx, by,
-                                strict=True):
-        variances.append(r * r * var_b + 4.0 * a * a * var_a + b * b * var_r)
-        m = w * w * (r * r * var_a + a * a * var_r)
-        g00 += w * x * x
-        g01 += w * x * y
+    # Python evaluates w * x * y as (w * x) * y, so the shared factors rr, wx and mx
+    # leave every sum bit for bit as it was
+    for r, a, b, w, x, y in zip(ranges, measurements._range_rates, measurements._drrs,
+                                velocity_weights, bx, by, strict=True):
+        rr = r * r
+        variances.append(rr * var_b + 4.0 * a * a * var_a + b * b * var_r)
+        m = w * w * (rr * var_a + a * a * var_r)
+        wx = w * x
+        g00 += wx * x
+        g01 += wx * y
         g11 += w * y * y
-        m00 += m * x * x
-        m01 += m * x * y
+        mx = m * x
+        m00 += mx * x
+        m01 += mx * y
         m11 += m * y * y
     det = g00 * g11 - g01 * g01
     if not det > 0.0:

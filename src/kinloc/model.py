@@ -117,18 +117,28 @@ class NoiseSpec:
             object.__setattr__(self, name, value)
 
 
-def _measurement_vector(values, name: str) -> np.ndarray:
+def _measurement_vector(values, name: str):
+    """(read-only float64 array, the same values as a list of floats)."""
     arr = np.array(values, dtype=np.float64, ndmin=1)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional")
-    if not all(map(math.isfinite, arr.tolist())):
+    floats = arr.tolist()
+    # a finite sum rules out inf and NaN at C speed; only a sum that
+    # overflows needs the check of each value
+    if not (math.isfinite(sum(floats)) or all(map(math.isfinite, floats))):
         raise ValueError(f"{name} must be finite")
-    return _locked(arr)
+    return _locked(arr), floats
 
 
 @dataclass(frozen=True)
 class MeasurementSet:
-    """Per-sensor noisy (range, range rate, derivative of range rate) triples."""
+    """Per-sensor noisy (range, range rate, derivative of range rate) triples.
+
+    Besides each array field X it keeps the list of floats that the
+    finiteness check read, as the private attribute ``_X``; the stages read
+    those lists, as the kernels read ``SensorArray.xs``/``ys``, instead of
+    converting the arrays again.
+    """
 
     ranges: np.ndarray       # m
     range_rates: np.ndarray  # m/s
@@ -136,14 +146,18 @@ class MeasurementSet:
     noise: NoiseSpec
 
     def __post_init__(self):
-        object.__setattr__(self, "ranges", _measurement_vector(self.ranges, "ranges"))
-        object.__setattr__(self, "range_rates", _measurement_vector(self.range_rates, "range_rates"))
-        object.__setattr__(self, "drrs", _measurement_vector(self.drrs, "drrs"))
-        n = len(self.ranges)
-        if len(self.range_rates) != n or len(self.drrs) != n:
+        ranges, _ranges = _measurement_vector(self.ranges, "ranges")
+        range_rates, _range_rates = _measurement_vector(self.range_rates, "range_rates")
+        drrs, _drrs = _measurement_vector(self.drrs, "drrs")
+        n = len(_ranges)
+        if len(_range_rates) != n or len(_drrs) != n:
             raise ValueError("ranges, range_rates and drrs must have identical length")
         if not isinstance(self.noise, NoiseSpec):
             raise TypeError("noise must be a NoiseSpec")
+        # one write past the frozen __setattr__; the lists are not fields, so
+        # eq and repr see the arrays alone
+        self.__dict__.update(ranges=ranges, range_rates=range_rates, drrs=drrs,
+                             _ranges=_ranges, _range_rates=_range_rates, _drrs=_drrs)
 
     def __len__(self) -> int:
         return self.ranges.shape[0]

@@ -216,6 +216,30 @@ class TestSolveSharedErrorStage:
                                        np.full(3, 1e308), 0.0)
         np.testing.assert_allclose(est.value, [1.0, 2.0], rtol=1e-15, atol=1e-15)
 
+    # each row's variance or the shared one is 2^1024 times the smallest
+    # variance or more, or the smallest is subnormal: math.ldexp overflowed
+    # while scaling them and raised an unnamed OverflowError
+    @pytest.mark.parametrize("variances, shared", [([1e-300, 1e10, 1.0], 0.0),
+                                                   ([1e-300, 1.0, 1.0], 1e10),
+                                                   ([5e-324, 1.0, 1.0], 0.0)])
+    def test_variances_past_the_scaling_range_give_named_errors(self, variances, shared):
+        # the rows past the range carry weight 0 (or, for the shared variance,
+        # leave the offset free), and what is left cannot fix two unknowns
+        with pytest.raises(SingularGeometry):
+            solve_shared_error_stage([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [1.0, 2.0, 3.0],
+                                     variances, shared)
+
+    def test_variances_past_the_scaling_range_are_the_limits(self):
+        B = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0]])
+        rhs = np.array([1.0, 2.0, 4.0, -1.0])
+        # an infinite variance: the row carries no weight
+        est = solve_shared_error_stage(B[:3], rhs[:3], [1e-300, 1e-300, 1e10], 0.0)
+        assert est.value.tolist() == [1.0, 2.0]
+        # an infinite shared variance: plain LS with an unconstrained offset
+        est = solve_shared_error_stage(B, rhs, np.full(4, 1e-300), 1e10)
+        want = np.linalg.lstsq(np.column_stack((B, np.ones(4))), rhs, rcond=None)[0][:2]
+        np.testing.assert_allclose(est.value, want, rtol=1e-15, atol=0)
+
 
 class TestEstimateVelocity:
     def test_unit_range_rows(self):
@@ -378,6 +402,81 @@ class TestEstimateAcceleration:
             assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
 
 
+def _acceleration_error_model_loop(measurements, ranges, bx, by, velocity_weights, v_hat):
+    """``acceleration_error_model`` in its first loop form, every product
+    written out and the columns read from the arrays: the reference that its
+    shared factors and the stored lists must match bit for bit."""
+    noise = measurements.noise
+    var_r = noise.sigma_range * noise.sigma_range
+    var_a = noise.sigma_range_rate * noise.sigma_range_rate
+    var_b = noise.sigma_drr * noise.sigma_drr
+    variances = []
+    g00 = g01 = g11 = m00 = m01 = m11 = 0.0
+    for r, a, b, w, x, y in zip(ranges, measurements.range_rates.tolist(),
+                                measurements.drrs.tolist(), velocity_weights, bx, by,
+                                strict=True):
+        variances.append(r * r * var_b + 4.0 * a * a * var_a + b * b * var_r)
+        m = w * w * (r * r * var_a + a * a * var_r)
+        g00 += w * x * x
+        g01 += w * x * y
+        g11 += w * y * y
+        m00 += m * x * x
+        m01 += m * x * y
+        m11 += m * y * y
+    det = g00 * g11 - g01 * g01
+    if not det > 0.0:
+        raise SingularGeometry("velocity Gram matrix is singular")
+    v0, v1 = np.asarray(v_hat, dtype=np.float64).tolist()
+    u0 = (g11 * v0 - g01 * v1) / det
+    u1 = (g00 * v1 - g01 * v0) / det
+    shared = 4.0 * (u0 * u0 * m00 + 2.0 * u0 * u1 * m01 + u1 * u1 * m11)
+    if not (all(map(math.isfinite, variances)) and math.isfinite(shared)):
+        raise SingularGeometry("stage-3 error model overflows (a measurement too large to square)")
+    return variances, max(0.0, shared)
+
+
+def _near(k, signed=True):
+    """Floats near 2^k: a mantissa in [-1, 1] (or [0, 1]) times 2^(k + 0..3)."""
+    return st.builds(math.ldexp, st.floats(-1.0 if signed else 0.0, 1.0),
+                     st.integers(k, k + 3))
+
+
+@st.composite
+def _error_model_inputs(draw):
+    """Inputs of ``acceleration_error_model`` whose scales span 2^-250 to
+    2^253, each quantity at its own scale, so that the variances and the
+    shared variance underflow or overflow in some draws."""
+    n = draw(st.integers(2, 10))
+
+    def column(signed=True):
+        k = draw(st.integers(-250, 250))
+        return draw(st.lists(_near(k, signed), min_size=n, max_size=n))
+
+    sigmas = [draw(_near(draw(st.integers(-250, 250)), signed=False)) for _ in range(3)]
+    ranges, rates, drrs = column(False), column(), column()
+    k = draw(st.integers(-250, 250))        # one scale for both row columns
+    bx, by = (draw(st.lists(_near(k + draw(st.integers(-3, 3))), min_size=n, max_size=n))
+              for _ in range(2))
+    weights = column(False)
+    v_hat = np.array(draw(st.lists(_near(draw(st.integers(-250, 250))), min_size=2,
+                                   max_size=2)))
+    ms = MeasurementSet(ranges, rates, drrs, NoiseSpec(*sigmas))
+    return ms, ranges, bx, by, weights, v_hat
+
+
+@settings(max_examples=300, deadline=None)
+@given(args=_error_model_inputs())
+def test_acceleration_error_model_matches_its_loop_form_bit_for_bit(args):
+    def outcome(fn):
+        try:
+            variances, shared = fn(*args)
+        except SingularGeometry as exc:
+            return str(exc)
+        return [v.hex() for v in variances], shared.hex()
+
+    assert outcome(acceleration_error_model) == outcome(_acceleration_error_model_loop)
+
+
 class TestPipeline:
     def test_noiseless_end_to_end(self, sensors8, rng):
         for _ in range(25):
@@ -521,6 +620,10 @@ _P_UNDERFLOW = SensorArray([(100.0, 0.0), (-100.0, 0.0), (0.0, 100.0), (0.0, -10
 @example(scene=(_TINY, _TINY_TARGET, NoiseSpec(), 0), rule=PROPAGATED)
 @example(scene=(_P_UNDERFLOW, TargetState((30.0, 40.0), (1.0, 2.0)), NoiseSpec(), 0),
          rule=PROPAGATED)
+# the stage-3 variances span more than 2^1024: scaling them overflowed
+@example(scene=(SensorArray(DEFAULT_SENSOR_POSITIONS), TargetState((100.0 + 1e-12, 100.0),
+                                                                   (0.0, 1.0)),
+                NoiseSpec(1.0, 0.0, 2.3e-149), 0), rule=PROPAGATED)
 def test_degenerate_inputs_give_finite_estimates_or_named_errors(scene, rule):
     sensors, truth, noise, seed = scene
     try:

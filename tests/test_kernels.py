@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kinloc import _kernels as K
 from kinloc.errors import DegenerateGeometry, SingularGeometry, ZeroRange
@@ -211,6 +213,69 @@ class TestWlsSolve2:
         # that underflows to 0: the named error, not a division by zero
         with pytest.raises(SingularGeometry, match="condition"):
             K.wls_solve2([1e-155, 0.0], [0.0, 1e-155], [1.0] * 2, [1.0] * 2)
+
+
+def _wls_solve2_loop(bx, by, rhs, w):
+    """``wls_solve2`` with its sums in their first loop form, every product
+    written out: the reference its shared factors must match bit for bit."""
+    g00 = g01 = g11 = h0 = h1 = 0.0
+    for x, y, r, wi in zip(bx, by, rhs, w):
+        g00 += wi * x * x
+        g01 += wi * x * y
+        g11 += wi * y * y
+        h0 += wi * x * r
+        h1 += wi * y * r
+    tr = g00 + g11
+    diff = g00 - g11
+    disc = math.sqrt(diff * diff + 4.0 * g01 * g01)
+    hi = 0.5 * (tr + disc)
+    lo = 0.5 * (tr - disc)
+    det = g00 * g11 - g01 * g01
+    if not (lo > 0.0) or hi > lo * K.COND_CAP or det <= 0.0:
+        cond = math.inf if not (lo > 0.0) else hi / lo
+        raise SingularGeometry(
+            f"stage Gram matrix singular or ill-conditioned (condition {cond:.3g})")
+    x0 = (g11 * h0 - g01 * h1) / det
+    x1 = (g00 * h1 - g01 * h0) / det
+    if not (math.isfinite(x0) and math.isfinite(x1)):
+        raise SingularGeometry(f"stage solution overflows (condition {hi / lo:.3g})")
+    return x0, x1, hi / lo
+
+
+def _outcome(fn, *args):
+    """The hex bits of fn's floats, or its named error's class and message."""
+    try:
+        return _bits(fn(*args))
+    except SingularGeometry as exc:
+        return type(exc), str(exc)
+
+
+def _near(k, signed=True):
+    """Floats near 2^k: a mantissa in [-1, 1] (or [0, 1]) times 2^(k + 0..3)."""
+    return st.builds(math.ldexp, st.floats(-1.0 if signed else 0.0, 1.0),
+                     st.integers(k, k + 3))
+
+
+@st.composite
+def wide_rows(draw):
+    """Rows, rhs and weights whose scales span 2^-360 to 2^386, so that
+    products underflow to subnormals or overflow in some draws; the two
+    columns share a scale (up to 2^6) so that most Gram matrices are
+    well enough conditioned to solve."""
+    n = draw(st.integers(2, 12))
+    k = draw(st.integers(-360, 380))
+    bx = draw(st.lists(_near(k + draw(st.integers(-3, 3))), min_size=n, max_size=n))
+    by = draw(st.lists(_near(k + draw(st.integers(-3, 3))), min_size=n, max_size=n))
+    rhs = draw(st.lists(_near(draw(st.integers(-360, 380))), min_size=n, max_size=n))
+    w = draw(st.lists(_near(draw(st.integers(-360, 380)), signed=False),
+                      min_size=n, max_size=n))
+    return bx, by, rhs, w
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=wide_rows())
+def test_wls_solve2_matches_its_loop_form_bit_for_bit(rows):
+    assert _outcome(K.wls_solve2, *rows) == _outcome(_wls_solve2_loop, *rows)
 
 
 class TestSym3Eig:
