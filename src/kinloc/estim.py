@@ -191,14 +191,18 @@ def solve_shared_error_stage(B, rhs, variances, shared_variance: float) -> Kinem
     Raises SingularGeometry like ``solve_linear_stage``.
     """
     bx, by, rhs, variances = _stage_columns(B, rhs, variances, "variances")
-    return _shared_error_solve(bx, by, rhs, variances, float(shared_variance))
+    s2 = float(shared_variance)
+    # _stage_columns has checked the variances finite
+    if not (min(variances) >= 0.0 and 0.0 <= s2 < math.inf):
+        raise ValueError("variances and shared_variance must be finite and >= 0")
+    return _shared_error_solve(bx, by, rhs, variances, s2)
 
 
 def _shared_error_solve(bx, by, rhs, var, s2) -> KinematicEstimate:
-    """``solve_shared_error_stage`` on the columns of B, as lists."""
+    """``solve_shared_error_stage`` on the columns of B, as lists, for finite
+    variances and shared variance >= 0 (``acceleration_error_model`` returns
+    no others)."""
     lowest = min(var)
-    if not (lowest >= 0.0 and all(map(math.isfinite, var)) and 0.0 <= s2 < math.inf):
-        raise ValueError("variances and shared_variance must be finite and >= 0")
     if lowest == 0.0:
         positive = [d for d in var if d > 0.0]
         if positive:

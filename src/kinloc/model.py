@@ -226,6 +226,28 @@ def true_measurements(target: TargetState, sensors: SensorArray):
     return tuple(np.array(q) for q in _true_lists(target, sensors))
 
 
+def _draw(target: TargetState, sensors: SensorArray, gen: np.random.Generator) -> np.ndarray:
+    """The random part of a measurement set, before any sigma: the noise-free
+    (ranges, range rates, drrs) of ``true_measurements`` in rows 0-2 and one
+    ``gen.standard_normal((3, N))`` draw in rows 3-5, as a read-only (6, N)
+    float64 array.  Raises ZeroRange, without drawing, when the target
+    coincides with a sensor."""
+    packed = np.empty((6, len(sensors)))
+    packed[:3] = _true_lists(target, sensors)
+    gen.standard_normal(out=packed[3:])
+    return _locked(packed)
+
+
+def _noisy(draw: np.ndarray, noise: NoiseSpec) -> MeasurementSet:
+    """The MeasurementSet of a ``_draw`` at the given noise levels: each
+    measurement is q + s * e, its noise-free value plus its sigma times its
+    unit normal.  numpy rounds each product and each sum on its own, so the
+    bits are those of the same expression on Python floats."""
+    sigmas = np.array(((noise.sigma_range,), (noise.sigma_range_rate,), (noise.sigma_drr,)))
+    ranges, range_rates, drrs = draw[:3] + sigmas * draw[3:]
+    return MeasurementSet(ranges=ranges, range_rates=range_rates, drrs=drrs, noise=noise)
+
+
 def synthesize_measurements(target: TargetState, sensors: SensorArray,
                             noise: NoiseSpec, rng) -> MeasurementSet:
     """Draw one noisy MeasurementSet for the given state.
@@ -236,10 +258,4 @@ def synthesize_measurements(target: TargetState, sensors: SensorArray,
     so a given stream always yields the same measurement set regardless of
     how the result is consumed afterwards.
     """
-    gen = np.random.default_rng(rng)
-    exact = _true_lists(target, sensors)
-    eps = gen.standard_normal((3, len(sensors))).tolist()
-    sigmas = (noise.sigma_range, noise.sigma_range_rate, noise.sigma_drr)
-    ranges, range_rates, drrs = ([q + s * e for q, e in zip(qs, es)]
-                                 for qs, s, es in zip(exact, sigmas, eps))
-    return MeasurementSet(ranges=ranges, range_rates=range_rates, drrs=drrs, noise=noise)
+    return _noisy(_draw(target, sensors, np.random.default_rng(rng)), noise)

@@ -6,7 +6,8 @@ trial draws its truth and its noise from the two streams of numpy's
 ``SeedSequence((seed, trial_index)).spawn(2)``, whose seed words are derived
 for 1024 trial indices at a time, so results are a pure function of the
 scenario: execution order, thread count, and which other trials ran never
-change any number.
+change any number.  A sweep draws each trial once, at its first grid point,
+and noises the same draw with each later point's sigmas.
 
 The two sweep drivers reproduce the standard experiments: velocity RMSE
 against the range-rate noise level (constant-velocity targets, sigma_range
@@ -15,6 +16,7 @@ pinned to 1), and acceleration RMSE against the drr noise level
 Trials, ensembles and sweeps default to the ``propagated`` weight rule.
 """
 
+import contextvars
 import functools
 import math
 import operator
@@ -29,7 +31,7 @@ from .errors import (DegenerateGeometry, EmptyEnsemble, SingularGeometry,
 from .estim import PROPAGATED, EstimationResult, WeightRule, _timed_pipeline
 # not called here: perfbench's tracer test reads montecarlo.estimate_position
 from .estim import estimate_position  # noqa: F401
-from .model import NoiseSpec, SensorArray, TargetState, _locked, synthesize_measurements
+from .model import NoiseSpec, SensorArray, TargetState, _draw, _locked, _noisy
 
 # the reference eight-sensor layout used by the shipped experiments
 DEFAULT_SENSOR_POSITIONS = np.array([
@@ -244,6 +246,12 @@ class _State(np.random.bit_generator.ISeedSequence):
         return self.words.view("<u8")
 
 
+# trial index -> (truth, model._draw array) for the sweep running in this
+# context, or None outside one; a thread pool's workers start in an empty
+# context, so they draw per call
+_SWEEP_DRAWS = contextvars.ContextVar("kinloc_sweep_draws", default=None)
+
+
 def run_trial(scenario: Scenario, trial_index: int,
               weight_rule: WeightRule = PROPAGATED) -> TrialRecord:
     """Execute one trial: sample truth, synthesize measurements, run all five
@@ -251,14 +259,23 @@ def run_trial(scenario: Scenario, trial_index: int,
     trial_index = _as_index(trial_index, "trial_index")
     if not 0 <= trial_index < 2 ** 63:
         raise ValueError(f"trial_index out of range: {trial_index}")
-    # the truth and measurement streams of SeedSequence((seed, trial_index)).spawn(2)
-    block, j = _stream_block(scenario.seed, trial_index // _BLOCK), trial_index % _BLOCK
-    truth = sample_truth(scenario, np.random.Generator(np.random.PCG64(_State(block[j, 0]))))
+    draws = _SWEEP_DRAWS.get()
+    drawn = draws.get(trial_index) if draws is not None else None
+    if drawn is None:
+        # the truth and measurement streams of SeedSequence((seed, trial_index)).spawn(2)
+        block, j = _stream_block(scenario.seed, trial_index // _BLOCK), trial_index % _BLOCK
+        truth = sample_truth(scenario, np.random.Generator(np.random.PCG64(_State(block[j, 0]))))
+        try:
+            drawn = truth, _draw(truth, scenario.sensors,
+                                 np.random.Generator(np.random.PCG64(_State(block[j, 1]))))
+        except ZeroRange:       # not kept: the trial fails the same way at every point
+            return TrialRecord(trial_index, truth, None, {}, {}, ZeroRange.__name__)
+        if draws is not None:
+            draws[trial_index] = drawn
+    truth, draw = drawn
     try:
-        measurements = synthesize_measurements(
-            truth, scenario.sensors, scenario.noise,
-            np.random.Generator(np.random.PCG64(_State(block[j, 1]))))
-        estimates, stage_times = _timed_pipeline(measurements, scenario.sensors, weight_rule)
+        estimates, stage_times = _timed_pipeline(_noisy(draw, scenario.noise),
+                                                 scenario.sensors, weight_rule)
     except _TRIAL_ERRORS as exc:
         return TrialRecord(trial_index, truth, None, {}, {}, type(exc).__name__)
 
@@ -367,12 +384,20 @@ def _aggregate_point(sigma: float, records) -> SweepPoint:
 
 def _sweep(base: Scenario, swept_parameter: str, grid, motion_mode: str,
            noise_for, weight_rule: WeightRule, threads: int) -> SweepResult:
+    """Every grid point reruns trial i on the same streams, sensors, boxes and
+    motion mode; only the sigmas differ.  So each trial's truth and draw are
+    made once, at the first point, kept in a table that lives while the sweep
+    runs, and noised at every point with that point's sigmas."""
     values = _check_grid(grid)
     points = []
-    for sigma in values:
-        scenario = replace(base, noise=noise_for(sigma), motion_mode=motion_mode)
-        records = run_ensemble(scenario, weight_rule, threads)
-        points.append(_aggregate_point(sigma, records))
+    token = _SWEEP_DRAWS.set({})
+    try:
+        for sigma in values:
+            scenario = replace(base, noise=noise_for(sigma), motion_mode=motion_mode)
+            records = run_ensemble(scenario, weight_rule, threads)
+            points.append(_aggregate_point(sigma, records))
+    finally:
+        _SWEEP_DRAWS.reset(token)
     return SweepResult(swept_parameter, values, tuple(points))
 
 

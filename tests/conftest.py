@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from kinloc.model import SensorArray
 from kinloc.montecarlo import DEFAULT_SENSOR_POSITIONS
+
+# A falsifying example prints a @reproduce_failure blob, which replays it in
+# any checkout; the example database under .hypothesis/ replays it only here.
+settings.register_profile("kinloc", print_blob=True)
+settings.load_profile("kinloc")
 
 
 @pytest.fixture(scope="session")

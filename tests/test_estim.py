@@ -199,10 +199,13 @@ class TestSolveSharedErrorStage:
 
     def test_bad_inputs_rejected(self):
         B, rhs = np.eye(2), np.ones(2)
-        for var, s2 in (([1.0, -1.0], 0.0), ([1.0, np.nan], 0.0), ([1.0, 1.0], -1.0),
-                        ([1.0, 1.0], np.inf)):
-            with pytest.raises(ValueError):
+        for var, s2 in (([1.0, -1.0], 0.0), ([1.0, 1.0], -1.0), ([1.0, 1.0], np.inf),
+                        ([1.0, 1.0], np.nan)):
+            with pytest.raises(ValueError,
+                               match="^variances and shared_variance must be finite and >= 0$"):
                 solve_shared_error_stage(B, rhs, np.array(var), s2)
+        with pytest.raises(ValueError, match="^variances must be finite$"):
+            solve_shared_error_stage(B, rhs, np.array([1.0, np.nan]), 0.0)
         with pytest.raises(ValueError):
             solve_shared_error_stage(B, rhs, np.ones(3), 0.0)
         with pytest.raises(ValueError, match="rhs must be finite"):

@@ -1,0 +1,247 @@
+"""A sweep draws each trial once and noises the draw at every grid point.
+
+Every point of a sweep reruns trial i on the same streams, sensors, boxes
+and motion mode, so ``_sweep`` keeps each trial's truth and noise-free,
+unit-noise draw in a table for the later points.  These tests hold the
+shared sweep to a reference that runs ``run_ensemble`` per point outside any
+sweep, where every trial draws per call: the records and the aggregated
+points must agree bit for bit.  They also pin the table's scope: it lives
+while one sweep runs, in that sweep's context only.
+"""
+
+import math
+import struct
+import sys
+import threading
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from kinloc import montecarlo
+from kinloc.estim import PROPAGATED, UNIFORM, WeightRule
+from kinloc.model import NoiseSpec, SensorArray
+from kinloc.montecarlo import (DEFAULT_SENSOR_POSITIONS, Scenario, _aggregate_point,
+                               default_scenario, run_ensemble, sweep_acceleration_experiment,
+                               sweep_velocity_experiment)
+
+RULES = (UNIFORM, WeightRule(), PROPAGATED)
+# sweep function, motion mode, and the noise of a point, as the sweeps document them
+EXPERIMENTS = {
+    "velocity": (sweep_velocity_experiment, "constant_velocity",
+                 lambda base, s: NoiseSpec(1.0, s, base.noise.sigma_drr)),
+    "acceleration": (sweep_acceleration_experiment, "constant_acceleration",
+                     lambda base, s: NoiseSpec(1.0, 1.0, s)),
+}
+GRID = (0.1, 1.0, 10.0)
+_ANGLES = 2.0 * math.pi * np.arange(64) / 64
+RING64 = np.column_stack((100.0 * np.cos(_ANGLES), 100.0 * np.sin(_ANGLES)))
+
+
+def _bits(*values) -> bytes:
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+def record_key(rec) -> tuple:
+    """Every number a trial record holds except its wall times, as bytes."""
+    truth = rec.truth
+    key = [rec.trial_index, rec.failure, truth.position.tobytes(), truth.velocity.tobytes(),
+           truth.acceleration.tobytes(), sorted(rec.squared_errors.items()),
+           sorted(rec.stage_times)]
+    est = rec.estimates
+    if est is not None:
+        key += [est.position.position.tobytes(),
+                _bits(est.position.theta3, est.position.residual_norm,
+                      est.position.gram_condition)]
+        for k in (est.velocity_ls, est.velocity_wls, est.accel_ls, est.accel_wls):
+            key += [k.method, k.value.tobytes(), _bits(k.gram_condition),
+                    k.pseudo_measurements.tobytes()]
+    return tuple(key)
+
+
+def point_key(point) -> tuple:
+    """A sweep point's RMSEs (as bytes, so that NaN equals NaN), failures and successes."""
+    return (point.sigma,
+            _bits(point.rmse_position, point.rmse_velocity_ls, point.rmse_velocity_wls,
+                  point.rmse_accel_ls, point.rmse_accel_wls),
+            point.failures, point.successes)
+
+
+def spy_ensembles(monkeypatch):
+    """Patch ``montecarlo.run_ensemble`` with a wrapper; returns the list it
+    fills with (records, number of trials in the sweep's table on entry)."""
+    seen = []
+    real = montecarlo.run_ensemble
+
+    def spy(scenario, weight_rule, threads):
+        table = montecarlo._SWEEP_DRAWS.get()
+        entries = None if table is None else len(table)
+        records = real(scenario, weight_rule, threads)
+        seen.append((records, entries))
+        return records
+
+    monkeypatch.setattr(montecarlo, "run_ensemble", spy)
+    return seen
+
+
+def assert_sweep_matches_unshared(monkeypatch, base, experiment, rule, grid=GRID, threads=1):
+    """The sweep equals, record for record and point for point, run_ensemble
+    per point outside any sweep; returns the sweep's records per point."""
+    sweep, mode, noise_for = EXPERIMENTS[experiment]
+    reference = [run_ensemble(replace(base, noise=noise_for(base, s), motion_mode=mode), rule)
+                 for s in grid]
+    with monkeypatch.context() as patch:
+        seen = spy_ensembles(patch)
+        result = sweep(base, grid, rule, threads)
+    assert montecarlo._SWEEP_DRAWS.get() is None
+    assert len(seen) == len(grid)
+    for (records, _), want in zip(seen, reference):
+        assert [record_key(r) for r in records] == [record_key(r) for r in want]
+    assert [point_key(p) for p in result.points] == [
+        point_key(_aggregate_point(s, want)) for s, want in zip(grid, reference)]
+    return [records for records, _ in seen]
+
+
+@pytest.mark.parametrize("rule", RULES, ids=lambda r: r.mode)
+@pytest.mark.parametrize("experiment", tuple(EXPERIMENTS))
+def test_sweep_equals_unshared_points(monkeypatch, experiment, rule):
+    assert_sweep_matches_unshared(monkeypatch, default_scenario(trials=25, seed=11),
+                                  experiment, rule)
+
+
+@pytest.mark.parametrize("experiment", tuple(EXPERIMENTS))
+def test_ring_of_64_sensors(monkeypatch, experiment):
+    base = default_scenario(trials=8, seed=2 ** 40 + 3, sensors=RING64)
+    assert_sweep_matches_unshared(monkeypatch, base, experiment, PROPAGATED)
+
+
+@pytest.mark.parametrize("experiment", tuple(EXPERIMENTS))
+def test_custom_boxes(monkeypatch, experiment):
+    base = Scenario(sensors=SensorArray(DEFAULT_SENSOR_POSITIONS),
+                    position_box=((-50.0, -20.0), (150.0, 30.0)),
+                    velocity_box=((-5.0, 0.0), (5.0, 40.0)),
+                    acceleration_box=((0.0, -3.0), (2.0, 3.0)),
+                    noise=NoiseSpec(2.0, 0.5, 0.25), trials=25, seed=3,
+                    motion_mode="constant_velocity")
+    for rule in (WeightRule(), PROPAGATED):
+        assert_sweep_matches_unshared(monkeypatch, base, experiment, rule)
+
+
+def test_point_where_every_trial_fails(monkeypatch):
+    # range-rate noise 1e150 makes every stage-2 solve overflow
+    records = assert_sweep_matches_unshared(monkeypatch, default_scenario(trials=20),
+                                            "velocity", PROPAGATED, grid=(0.5, 2.0, 1e150))
+    assert all(r.ok for r in records[0]) and all(r.ok for r in records[1])
+    assert {r.failure for r in records[2]} == {"SingularGeometry"}
+    # and with drr noise 1e150 in the acceleration sweep, whatever fails there
+    assert_sweep_matches_unshared(monkeypatch, default_scenario(trials=20),
+                                  "acceleration", PROPAGATED, grid=(0.5, 1e150))
+
+
+def test_position_box_on_a_sensor_fails_every_point(monkeypatch):
+    # every truth sits on the sensor at the origin
+    base = replace(default_scenario(trials=10), position_box=((0.0, 0.0), (0.0, 0.0)))
+    records = assert_sweep_matches_unshared(monkeypatch, base, "velocity", PROPAGATED)
+    for point in records:
+        assert [r.failure for r in point] == ["ZeroRange"] * 10
+    # a trial that raises ZeroRange is not kept: the table stays empty
+    seen = spy_ensembles(monkeypatch)
+    sweep_velocity_experiment(base, GRID)
+    assert [entries for _, entries in seen] == [0, 0, 0]
+
+
+@pytest.mark.parametrize("experiment", tuple(EXPERIMENTS))
+def test_threads_1_and_2_agree(monkeypatch, experiment):
+    base = default_scenario(trials=30, seed=5)
+    serial = assert_sweep_matches_unshared(monkeypatch, base, experiment, PROPAGATED)
+    # two workers even on a one-CPU machine
+    monkeypatch.setattr(montecarlo, "_available_cpus", lambda: 2)
+    threaded = assert_sweep_matches_unshared(monkeypatch, base, experiment, PROPAGATED,
+                                             threads=2)
+    assert ([[record_key(r) for r in point] for point in threaded]
+            == [[record_key(r) for r in point] for point in serial])
+
+
+def test_table_fills_at_the_first_point_and_is_read_after(monkeypatch):
+    draws = []
+    real = montecarlo.sample_truth
+
+    def counted(scenario, rng):
+        draws.append(1)
+        return real(scenario, rng)
+
+    monkeypatch.setattr(montecarlo, "sample_truth", counted)
+    seen = spy_ensembles(monkeypatch)
+    sweep_velocity_experiment(default_scenario(trials=12), GRID)
+    assert [entries for _, entries in seen] == [0, 12, 12]
+    assert len(draws) == 12
+    # outside a sweep every call draws
+    draws.clear()
+    run_ensemble(default_scenario(trials=12))
+    run_ensemble(default_scenario(trials=12))
+    assert len(draws) == 24
+    # a pool's workers start in an empty context and draw per call as well
+    monkeypatch.setattr(montecarlo, "_available_cpus", lambda: 2)
+    draws.clear()
+    sweep_velocity_experiment(default_scenario(trials=12), GRID, threads=2)
+    assert len(draws) == 36
+
+
+def test_no_table_survives_a_sweep(monkeypatch):
+    base = default_scenario(trials=5)
+    sweep_acceleration_experiment(base, GRID)
+    assert montecarlo._SWEEP_DRAWS.get() is None
+    # the second point's noise level has no finite square: NoiseSpec raises
+    # after the first point has filled the table
+    seen = spy_ensembles(monkeypatch)
+    with pytest.raises(ValueError, match="finite square"):
+        sweep_velocity_experiment(base, (0.5, 1e160))
+    assert [entries for _, entries in seen] == [0]
+    assert montecarlo._SWEEP_DRAWS.get() is None
+
+    def broken(scenario, weight_rule, threads):
+        raise RuntimeError("ensemble failed")
+
+    monkeypatch.setattr(montecarlo, "run_ensemble", broken)
+    with pytest.raises(RuntimeError):
+        sweep_velocity_experiment(base, GRID)
+    assert montecarlo._SWEEP_DRAWS.get() is None
+
+
+def test_concurrent_sweeps_keep_their_own_tables(monkeypatch):
+    # four sweeps of different seeds, more threads than cores, step through
+    # their points in lockstep with a short switch interval, so each runs
+    # while the others' tables are filled; a table shared between them would
+    # hand one sweep another's trials
+    bases = [default_scenario(trials=15, seed=seed) for seed in (1, 2, 3, 4)]
+    want = [[point_key(p) for p in sweep_velocity_experiment(b, GRID).points] for b in bases]
+    barrier = threading.Barrier(len(bases), timeout=60)
+    real = montecarlo.run_ensemble
+    got, errors = [None] * len(bases), []
+
+    def lockstep(scenario, weight_rule, threads):
+        barrier.wait()
+        return real(scenario, weight_rule, threads)
+
+    def run(k):
+        try:
+            got[k] = [point_key(p)
+                      for p in sweep_velocity_experiment(bases[k], GRID).points]
+        except Exception as exc:        # reported below, on the test's thread
+            errors.append(exc)
+            barrier.abort()
+
+    monkeypatch.setattr(montecarlo, "run_ensemble", lockstep)
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(len(bases))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    assert got == want
