@@ -348,14 +348,24 @@ def estimate_acceleration(measurements: MeasurementSet, sensors: SensorArray, p_
     return _solve2(bx, by, k, w, k, method)
 
 
-def _timed_pipeline(measurements: MeasurementSet, sensors: SensorArray,
-                    weight_rule: WeightRule):
-    """The five stages in order, as (EstimationResult, stage wall seconds keyed
-    by the EstimationResult field names).  The stages are called through this
-    module's globals, so a tracer that patches them sees every call."""
+def _timed_position(measurements: MeasurementSet, sensors: SensorArray):
+    """The position stage, as (PositionSolution, its wall seconds): the half
+    of the pipeline that reads only the ranges and the sensors."""
     clock = time.perf_counter
     t0 = clock()
     pos = estimate_position(measurements, sensors)
+    return pos, clock() - t0
+
+
+def _timed_kinematics(measurements: MeasurementSet, sensors: SensorArray, solved,
+                      weight_rule: WeightRule):
+    """The four kinematic stages in order after ``solved``, a ``_timed_position``
+    result, as (EstimationResult, stage wall seconds keyed by the
+    EstimationResult field names, the position's taken from ``solved``).  The
+    stages are called through this module's globals, so a tracer that patches
+    them sees every call."""
+    pos, position_time = solved
+    clock = time.perf_counter
     t1 = clock()
     v_ls = estimate_velocity(measurements, sensors, pos.position, UNIFORM)
     t2 = clock()
@@ -366,7 +376,7 @@ def _timed_pipeline(measurements: MeasurementSet, sensors: SensorArray,
     a_wls = estimate_acceleration(measurements, sensors, pos.position, v_wls.value,
                                   weight_rule)
     t5 = clock()
-    times = {"position": t1 - t0, "velocity_ls": t2 - t1, "velocity_wls": t3 - t2,
+    times = {"position": position_time, "velocity_ls": t2 - t1, "velocity_wls": t3 - t2,
              "accel_ls": t4 - t3, "accel_wls": t5 - t4}
     return EstimationResult(pos, v_ls, v_wls, a_ls, a_wls), times
 
@@ -375,4 +385,5 @@ def estimate_all(measurements: MeasurementSet, sensors: SensorArray,
                  weight_rule: WeightRule = WeightRule()) -> EstimationResult:
     """Run the full sequential pipeline: position, then LS and WLS velocity and
     acceleration.  Each WLS acceleration consumes the matching WLS velocity."""
-    return _timed_pipeline(measurements, sensors, weight_rule)[0]
+    solved = _timed_position(measurements, sensors)
+    return _timed_kinematics(measurements, sensors, solved, weight_rule)[0]

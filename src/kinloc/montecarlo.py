@@ -7,7 +7,8 @@ trial draws its truth and its noise from the two streams of numpy's
 for 1024 trial indices at a time, so results are a pure function of the
 scenario: execution order, thread count, and which other trials ran never
 change any number.  A sweep draws each trial once, at its first grid point,
-and noises the same draw with each later point's sigmas.
+and noises the same draw with each later point's sigmas; it solves the
+position stage, which reads only the ranges, once per sigma_range.
 
 The two sweep drivers reproduce the standard experiments: velocity RMSE
 against the range-rate noise level (constant-velocity targets, sigma_range
@@ -28,7 +29,8 @@ import numpy as np
 
 from .errors import (DegenerateGeometry, EmptyEnsemble, SingularGeometry,
                      TooFewSensors, ZeroRange)
-from .estim import PROPAGATED, EstimationResult, WeightRule, _timed_pipeline
+from .estim import (PROPAGATED, EstimationResult, WeightRule, _timed_kinematics,
+                    _timed_position)
 # not called here: perfbench's tracer test reads montecarlo.estimate_position
 from .estim import estimate_position  # noqa: F401
 from .model import NoiseSpec, SensorArray, TargetState, _draw, _locked, _noisy
@@ -246,9 +248,12 @@ class _State(np.random.bit_generator.ISeedSequence):
         return self.words.view("<u8")
 
 
-# trial index -> (truth, model._draw array) for the sweep running in this
-# context, or None outside one; a thread pool's workers start in an empty
-# context, so they draw per call
+# trial index -> (truth, model._draw array, sigma_range, position outcome) for
+# the sweep running in this context, or None outside one.  The outcome is the
+# ``estim._timed_position`` result at that sigma_range, or the name of the
+# error class the position stage raised there; it reads only the ranges, so
+# it holds at every point with the same sigma_range.  A thread pool's workers
+# start in an empty context, so they draw and solve per call.
 _SWEEP_DRAWS = contextvars.ContextVar("kinloc_sweep_draws", default=None)
 
 
@@ -260,22 +265,32 @@ def run_trial(scenario: Scenario, trial_index: int,
     if not 0 <= trial_index < 2 ** 63:
         raise ValueError(f"trial_index out of range: {trial_index}")
     draws = _SWEEP_DRAWS.get()
-    drawn = draws.get(trial_index) if draws is not None else None
-    if drawn is None:
+    entry = draws.get(trial_index) if draws is not None else None
+    if entry is None:
         # the truth and measurement streams of SeedSequence((seed, trial_index)).spawn(2)
         block, j = _stream_block(scenario.seed, trial_index // _BLOCK), trial_index % _BLOCK
         truth = sample_truth(scenario, np.random.Generator(np.random.PCG64(_State(block[j, 0]))))
         try:
-            drawn = truth, _draw(truth, scenario.sensors,
-                                 np.random.Generator(np.random.PCG64(_State(block[j, 1]))))
+            draw = _draw(truth, scenario.sensors,
+                         np.random.Generator(np.random.PCG64(_State(block[j, 1]))))
         except ZeroRange:       # not kept: the trial fails the same way at every point
             return TrialRecord(trial_index, truth, None, {}, {}, ZeroRange.__name__)
+        entry = truth, draw, None, None
+    truth, draw, solved_at, position = entry
+    measurements = _noisy(draw, scenario.noise)
+    sigma_range = scenario.noise.sigma_range
+    if position is None or solved_at != sigma_range:
+        try:
+            position = _timed_position(measurements, scenario.sensors)
+        except _TRIAL_ERRORS as exc:
+            position = type(exc).__name__
         if draws is not None:
-            draws[trial_index] = drawn
-    truth, draw = drawn
+            draws[trial_index] = truth, draw, sigma_range, position
+    if isinstance(position, str):
+        return TrialRecord(trial_index, truth, None, {}, {}, position)
     try:
-        estimates, stage_times = _timed_pipeline(_noisy(draw, scenario.noise),
-                                                 scenario.sensors, weight_rule)
+        estimates, stage_times = _timed_kinematics(measurements, scenario.sensors, position,
+                                                   weight_rule)
     except _TRIAL_ERRORS as exc:
         return TrialRecord(trial_index, truth, None, {}, {}, type(exc).__name__)
 
@@ -387,7 +402,9 @@ def _sweep(base: Scenario, swept_parameter: str, grid, motion_mode: str,
     """Every grid point reruns trial i on the same streams, sensors, boxes and
     motion mode; only the sigmas differ.  So each trial's truth and draw are
     made once, at the first point, kept in a table that lives while the sweep
-    runs, and noised at every point with that point's sigmas."""
+    runs, and noised at every point with that point's sigmas.  The table also
+    keeps each trial's position outcome, which later points reuse while
+    sigma_range stays the same."""
     values = _check_grid(grid)
     points = []
     token = _SWEEP_DRAWS.set({})

@@ -2,11 +2,12 @@
 
 Every point of a sweep reruns trial i on the same streams, sensors, boxes
 and motion mode, so ``_sweep`` keeps each trial's truth and noise-free,
-unit-noise draw in a table for the later points.  These tests hold the
-shared sweep to a reference that runs ``run_ensemble`` per point outside any
-sweep, where every trial draws per call: the records and the aggregated
-points must agree bit for bit.  They also pin the table's scope: it lives
-while one sweep runs, in that sweep's context only.
+unit-noise draw in a table for the later points, together with the trial's
+position outcome, which later points with the same sigma_range reuse.  These
+tests hold the shared sweep to a reference that runs ``run_ensemble`` per
+point outside any sweep, where every trial draws and solves per call: the
+records and the aggregated points must agree bit for bit.  They also pin the
+table's scope: it lives while one sweep runs, in that sweep's context only.
 """
 
 import math
@@ -18,7 +19,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from kinloc import montecarlo
+from kinloc import _kernels, montecarlo
 from kinloc.estim import PROPAGATED, UNIFORM, WeightRule
 from kinloc.model import NoiseSpec, SensorArray
 from kinloc.montecarlo import (DEFAULT_SENSOR_POSITIONS, Scenario, _aggregate_point,
@@ -88,11 +89,18 @@ def assert_sweep_matches_unshared(monkeypatch, base, experiment, rule, grid=GRID
     """The sweep equals, record for record and point for point, run_ensemble
     per point outside any sweep; returns the sweep's records per point."""
     sweep, mode, noise_for = EXPERIMENTS[experiment]
-    reference = [run_ensemble(replace(base, noise=noise_for(base, s), motion_mode=mode), rule)
+    return assert_matches_unshared(monkeypatch, base, mode, lambda s: noise_for(base, s), rule,
+                                   grid, lambda: sweep(base, grid, rule, threads))
+
+
+def assert_matches_unshared(monkeypatch, base, mode, noise_for, rule, grid, run):
+    """``run()`` sweeps ``grid`` with the noise ``noise_for(sigma)`` and motion
+    mode ``mode``; its records and points equal run_ensemble's per point."""
+    reference = [run_ensemble(replace(base, noise=noise_for(s), motion_mode=mode), rule)
                  for s in grid]
     with monkeypatch.context() as patch:
         seen = spy_ensembles(patch)
-        result = sweep(base, grid, rule, threads)
+        result = run()
     assert montecarlo._SWEEP_DRAWS.get() is None
     assert len(seen) == len(grid)
     for (records, _), want in zip(seen, reference):
@@ -245,3 +253,107 @@ def test_concurrent_sweeps_keep_their_own_tables(monkeypatch):
     assert not any(t.is_alive() for t in threads)
     assert not errors
     assert got == want
+
+
+def count_position_solves(monkeypatch) -> list:
+    """Patch ``_kernels.position_solve`` to append 1 per call to the returned list."""
+    calls = []
+    real = _kernels.position_solve
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(_kernels, "position_solve", counted)
+    return calls
+
+
+@pytest.mark.parametrize("experiment", tuple(EXPERIMENTS))
+def test_position_is_solved_once_per_trial_and_sweep(monkeypatch, experiment):
+    sweep = EXPERIMENTS[experiment][0]
+    base = default_scenario(trials=12, seed=4)
+    calls = count_position_solves(monkeypatch)
+    sweep(base, GRID)
+    assert len(calls) == 12
+    # outside a sweep every trial solves
+    calls.clear()
+    run_ensemble(base)
+    assert len(calls) == 12
+    # a pool's workers solve per call as well
+    monkeypatch.setattr(montecarlo, "_available_cpus", lambda: 2)
+    calls.clear()
+    sweep(base, GRID, PROPAGATED, 2)
+    assert len(calls) == 12 * len(GRID)
+
+
+@pytest.mark.parametrize("ranges, solves", [
+    ((0.5, 1.0, 2.0), 3),       # a new sigma_range at every point
+    ((1.0, 1.0, 2.0), 2),       # the second point reuses the first's position
+    ((1.0, 2.0, 1.0), 3),       # the table keeps the last sigma_range solved at
+])
+def test_sweep_of_sigma_range_equals_unshared_points(monkeypatch, ranges, solves):
+    base = default_scenario(trials=15, seed=9)
+    sigma_range = dict(zip(GRID, ranges))
+
+    def noise_for(s):
+        return NoiseSpec(sigma_range[s], s, 0.2)
+
+    calls = count_position_solves(monkeypatch)
+    for rule in RULES:
+        assert_matches_unshared(
+            monkeypatch, base, "constant_acceleration", noise_for, rule, GRID,
+            lambda: montecarlo._sweep(base, "sigma_range", GRID, "constant_acceleration",
+                                      noise_for, rule, 1))
+    # per rule: the unshared reference solves every point, the sweep `solves` of them
+    assert len(calls) == len(RULES) * 15 * (len(GRID) + solves)
+
+
+def test_position_survives_a_later_stage_failing(monkeypatch):
+    # range-rate noise 1e150 makes every stage-2 solve overflow at the first point
+    base = default_scenario(trials=10, seed=6)
+
+    def noise_for(s):
+        return NoiseSpec(1.0, 1e150 if s == GRID[0] else s, 0.1)
+
+    calls = count_position_solves(monkeypatch)
+    records = assert_matches_unshared(
+        monkeypatch, base, "constant_velocity", noise_for, PROPAGATED, GRID,
+        lambda: montecarlo._sweep(base, "sigma_range_rate", GRID, "constant_velocity",
+                                  noise_for, PROPAGATED, 1))
+    assert {r.failure for r in records[0]} == {"SingularGeometry"}
+    assert all(r.ok for r in records[1] + records[2])
+    calls.clear()
+    seen = spy_ensembles(monkeypatch)
+    montecarlo._sweep(base, "sigma_range_rate", GRID, "constant_velocity", noise_for,
+                      PROPAGATED, 1)
+    assert len(calls) == 10
+    assert [entries for _, entries in seen] == [0, 10, 10]
+
+
+@pytest.mark.parametrize("experiment", tuple(EXPERIMENTS))
+def test_degenerate_position_fails_alike_at_every_point(monkeypatch, experiment):
+    # four sensors on the diagonal: the trilateration Gram matrix is rank-deficient
+    line = [[-50.0, -50.0], [0.0, 0.0], [50.0, 50.0], [120.0, 120.0]]
+    base = default_scenario(trials=10, seed=8, sensors=line)
+    calls = count_position_solves(monkeypatch)
+    records = assert_sweep_matches_unshared(monkeypatch, base, experiment, PROPAGATED)
+    for point in records:
+        assert [r.failure for r in point] == ["DegenerateGeometry"] * 10
+        assert [record_key(r) for r in point] == [record_key(r) for r in records[0]]
+    # the reference solves at every point, the sweep once per trial; the
+    # failure is kept in the table like a solution
+    assert len(calls) == 10 * (len(GRID) + 1)
+
+
+@pytest.mark.parametrize("experiment", tuple(EXPERIMENTS))
+def test_reused_points_carry_the_solved_position_time(monkeypatch, experiment):
+    sweep = EXPERIMENTS[experiment][0]
+    seen = spy_ensembles(monkeypatch)
+    sweep(default_scenario(trials=20, seed=12), GRID)
+    first = seen[0][0]
+    assert all(r.ok for r in first)
+    for records, _ in seen[1:]:
+        for rec, solved in zip(records, first):
+            assert sorted(rec.stage_times) == sorted(montecarlo.METHODS)
+            assert rec.stage_times["position"] == solved.stage_times["position"]
+            assert rec.estimates.position is solved.estimates.position
