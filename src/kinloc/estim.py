@@ -182,6 +182,8 @@ def solve_shared_error_stage(B, rhs, variances, shared_variance: float) -> Kinem
     w-weighted mean from each column of B and from rhs leaves a WLS problem
     with weights w whose normal equations are those of the GLS problem.
     lam = 0 is plain inverse-variance WLS; lam -> 1 leaves c unconstrained.
+    Each column is centred relative to its row of smallest variance, so that
+    no row's centred value is the difference of two rounded near-equal terms.
 
     Zero variances: a row whose variance is 0 while others are positive gets
     the smallest positive variance (a first-order variance of 0 does not make
@@ -221,18 +223,30 @@ def _shared_error_solve(bx, by, rhs, var, s2) -> KinematicEstimate:
     top = math.ldexp(1.0, 1024 + e) if e < 0 else math.inf
     s2 = math.ldexp(s2, -e) if s2 < top else math.inf
     w = []
-    total = sx = sy = sk = 0.0
-    for d, x, y, k in zip(var, bx, by, rhs):
+    total = 0.0
+    for d in var:
         wi = 1.0 / math.ldexp(d, -e) if d < top else 0.0
         w.append(wi)
         total += wi
-        sx += wi * x
-        sy += wi * y
-        sk += wi * k
-    shrink = (1.0 - 1.0 / math.sqrt(1.0 + s2 * total)) / total
-    cx, cy, ck = shrink * sx, shrink * sy, shrink * sk
-    return _solve2([x - cx for x in bx], [y - cy for y in by], [k - ck for k in rhs], w,
-                   rhs, "WLS")
+    keep = 1.0 / math.sqrt(1.0 + s2 * total)          # 1 - lam
+    if keep == 1.0:
+        return _solve2(bx, by, rhs, w, rhs, "WLS")
+    # x_i - lam * mean_w(x) would cancel in the row of the largest weight,
+    # which fills the rounded mean when its variance is far below the others';
+    # the same value centred on that row j, (x_i - x_j) + ((1 - lam) x_j -
+    # lam * mean_w(x - x_j)), forms no such difference
+    j = var.index(lowest)
+    shrink = (1.0 - keep) / total
+    centred = []
+    for column in (bx, by, rhs):
+        ref = column[j]
+        dev = [x - ref for x in column]
+        acc = 0.0
+        for wi, di in zip(w, dev):
+            acc += wi * di
+        offset = keep * ref - shrink * acc
+        centred.append([di + offset for di in dev])
+    return _solve2(*centred, w, rhs, "WLS")
 
 
 def estimate_velocity(measurements: MeasurementSet, sensors: SensorArray, p_hat,
