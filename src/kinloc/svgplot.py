@@ -61,7 +61,9 @@ def render_loglog(series: dict, xlabel: str, ylabel: str) -> str:
 
     def span(vals):
         lo, hi = min(vals), max(vals)
-        if lo == hi:                 # degenerate span: pad a decade around it
+        # degenerate span, also for distinct values whose log10 rounds alike:
+        # pad a decade around it
+        if math.log10(lo) == math.log10(hi):
             lo, hi = lo / 10 ** 0.5, hi * 10 ** 0.5
         return math.log10(lo), math.log10(hi)
 

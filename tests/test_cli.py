@@ -248,6 +248,18 @@ class TestSweep:
                    if el.tag.endswith("circle")]
         assert len(markers) == 2
 
+    def test_grid_values_with_one_log10_are_plotted(self, tmp_path, capsys):
+        # the figure's x axis had a log span of 0, and scaling a marker divided
+        # by it after the CSV was written
+        dest, fig = tmp_path / "g.csv", tmp_path / "g.svg"
+        code, _, err = run(["sweep", "--trials", "5", "--grid", "100,100.00000000000003",
+                            "--out", str(dest), "--svg", str(fig)], capsys)
+        assert code == 0 and err == ""
+        assert len(dest.read_text().splitlines()) == 3
+        markers = [el for el in ET.fromstring(fig.read_text()).iter()
+                   if el.tag.endswith("circle")]
+        assert len(markers) == 4
+
     def test_figure_without_a_finite_point_rejected(self, tmp_path, capsys):
         dest = tmp_path / "o.csv"
         code, _, err = run(["sweep", "--grid", "1e150", "--trials", "5", "--out", str(dest),

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import xml.etree.ElementTree as ET
 
@@ -22,3 +23,50 @@ def test_labels_are_escaped():
     assert {"a<b & c", "x > 0", "<y>"} <= set(texts)
     # a label that is not a string is still written as its str()
     assert ">1.5</text>" in render_loglog({1.5: ((1.0, 10.0), (2.0, 3.0))}, "x", "y")
+
+
+SVG_CIRCLE = "{http://www.w3.org/2000/svg}circle"
+# distinct values whose log10 is the same float
+CLOSE = (100.0, 100.00000000000003)
+
+
+def _markers(svg):
+    """(cx, cy) of every data marker, as floats."""
+    return [(float(c.get("cx")), float(c.get("cy")))
+            for c in ET.fromstring(svg).iter(SVG_CIRCLE)]
+
+
+@pytest.mark.parametrize("axis", ("x", "y"))
+def test_values_with_one_log10_get_a_padded_axis(axis):
+    # the log span was 0 and scaling a coordinate divided by it
+    assert CLOSE[0] != CLOSE[1] and math.log10(CLOSE[0]) == math.log10(CLOSE[1])
+    other = (1.0, 10.0)
+    pair = (CLOSE, other) if axis == "x" else (other, CLOSE)
+    svg = render_loglog({"s": pair}, "x", "y")
+    markers = _markers(svg)
+    assert len(markers) == 2
+    # both markers sit mid-axis, as a single value's would
+    single = render_loglog({"s": ((CLOSE[0],) * 2, other) if axis == "x"
+                            else (other, (CLOSE[0],) * 2)}, "x", "y")
+    k = 0 if axis == "x" else 1
+    assert [m[k] for m in markers] == [m[k] for m in _markers(single)]
+    assert ">100</text>" in svg
+
+
+# sha256 of figures as rendered before the padding covered distinct values
+# with one log10; the padding must leave every other figure as it was
+PINNED = {
+    "one point": ({"s": ((3.0,), (0.5,))},
+                  "f11670a7532013819e6e384d7443c632dc9addd79494770164d1d591992963f2"),
+    "equal x": ({"s": ((2.0, 2.0), (0.1, 40.0))},
+                "7614ea9a6dc9bf346c2f5870cd05b24cb4d6ba175d640c69725e6358389e3c79"),
+    "two series": ({"LS": ((0.1, 1.0, 10.0), (0.2, 0.9, 7.0)),
+                    "WLS": ((0.1, 1.0, 10.0), (0.15, 0.8, 6.0))},
+                   "92695dfccd7a326eb5a1fc5eab1fed29ce527c0f17b55f831825ed2832f7350f"),
+}
+
+
+@pytest.mark.parametrize("name", tuple(PINNED))
+def test_other_figures_keep_their_bytes(name):
+    series, digest = PINNED[name]
+    assert hashlib.sha256(render_loglog(series, "x", "y").encode()).hexdigest() == digest
