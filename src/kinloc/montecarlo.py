@@ -279,7 +279,7 @@ def run_trial(scenario: Scenario, trial_index: int,
     truth, draw, solved_at, position = entry
     measurements = _noisy(draw, scenario.noise)
     sigma_range = scenario.noise.sigma_range
-    if position is None or solved_at != sigma_range:
+    if solved_at != sigma_range:
         try:
             position = _timed_position(measurements, scenario.sensors)
         except _TRIAL_ERRORS as exc:
