@@ -222,31 +222,28 @@ def _shared_error_solve(bx, by, rhs, var, s2) -> KinematicEstimate:
     e = math.frexp(lowest)[1] - 1
     top = math.ldexp(1.0, 1024 + e) if e < 0 else math.inf
     s2 = math.ldexp(s2, -e) if s2 < top else math.inf
-    w = []
-    total = 0.0
-    for d in var:
-        wi = 1.0 / math.ldexp(d, -e) if d < top else 0.0
-        w.append(wi)
-        total += wi
-    keep = 1.0 / math.sqrt(1.0 + s2 * total)          # 1 - lam
-    if keep == 1.0:
-        return _solve2(bx, by, rhs, w, rhs, "WLS")
     # x_i - lam * mean_w(x) would cancel in the row of the largest weight,
     # which fills the rounded mean when its variance is far below the others';
     # the same value centred on that row j, (x_i - x_j) + ((1 - lam) x_j -
     # lam * mean_w(x - x_j)), forms no such difference
     j = var.index(lowest)
+    rx, ry, rk = bx[j], by[j], rhs[j]
+    w = []
+    total = ax = ay = ak = 0.0
+    for d, x, y, k in zip(var, bx, by, rhs):
+        wi = 1.0 / math.ldexp(d, -e) if d < top else 0.0
+        w.append(wi)
+        total += wi
+        ax += wi * (x - rx)
+        ay += wi * (y - ry)
+        ak += wi * (k - rk)
+    keep = 1.0 / math.sqrt(1.0 + s2 * total)          # 1 - lam
+    if keep == 1.0:
+        return _solve2(bx, by, rhs, w, rhs, "WLS")
     shrink = (1.0 - keep) / total
-    centred = []
-    for column in (bx, by, rhs):
-        ref = column[j]
-        dev = [x - ref for x in column]
-        acc = 0.0
-        for wi, di in zip(w, dev):
-            acc += wi * di
-        offset = keep * ref - shrink * acc
-        centred.append([di + offset for di in dev])
-    return _solve2(*centred, w, rhs, "WLS")
+    ox, oy, ok = keep * rx - shrink * ax, keep * ry - shrink * ay, keep * rk - shrink * ak
+    return _solve2([(x - rx) + ox for x in bx], [(y - ry) + oy for y in by],
+                   [(k - rk) + ok for k in rhs], w, rhs, "WLS")
 
 
 def estimate_velocity(measurements: MeasurementSet, sensors: SensorArray, p_hat,
