@@ -31,7 +31,9 @@ kernels raise the named errors.  Per-row data travels as lists of floats;
 arrays appear only where a public function takes or returns one.
 """
 
+import functools
 import math
+import struct
 import time
 from dataclasses import dataclass
 
@@ -39,7 +41,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import SingularGeometry, TooFewSensors
-from .model import MeasurementSet, SensorArray, _locked, _vec2_floats
+from .model import MeasurementSet, SensorArray, _vec2_floats
 
 WEIGHT_MODES = ("uniform", "inverse_range", "propagated")
 
@@ -110,10 +112,22 @@ class EstimationResult:
 
 
 def _check_lengths(measurements: MeasurementSet, sensors: SensorArray):
-    if len(measurements) != len(sensors):
+    # the float lists that the stages read, whose lengths equal the arrays'
+    if len(measurements._ranges) != len(sensors.xs):
         raise ValueError(
             f"measurement count {len(measurements)} does not match sensor count {len(sensors)}"
         )
+
+
+@functools.lru_cache(maxsize=64)
+def _packer(n: int):
+    return struct.Struct(f"{n}d").pack
+
+
+def _frozen(floats) -> np.ndarray:
+    """A fresh float64 array of the given floats over an immutable bytes buffer:
+    numpy makes it read-only, and no ``setflags(write=True)`` can unlock it."""
+    return np.frombuffer(_packer(len(floats))(*floats))
 
 
 def estimate_position(measurements: MeasurementSet, sensors: SensorArray) -> PositionSolution:
@@ -129,13 +143,12 @@ def estimate_position(measurements: MeasurementSet, sensors: SensorArray) -> Pos
     x, y, theta3, resid, cond = _kernels.position_solve(
         sensors.xs, sensors.ys, measurements._ranges)
     # the kernels return finite floats or raise
-    return PositionSolution(_locked(np.array((x, y))), theta3, resid, cond)
+    return PositionSolution(_frozen((x, y)), theta3, resid, cond)
 
 
 def _solve2(bx, by, rhs, weights, pseudo, method) -> KinematicEstimate:
     x0, x1, cond = _kernels.wls_solve2(bx, by, rhs, weights)
-    return KinematicEstimate(_locked(np.array((x0, x1))), method, cond,
-                             _locked(np.array(pseudo)))
+    return KinematicEstimate(_frozen((x0, x1)), method, cond, _frozen(pseudo))
 
 
 def _stage_columns(B, rhs, per_row, name):

@@ -116,6 +116,11 @@ class NoiseSpec:
                 raise ValueError(f"{name} must be >= 0 with a finite square, got {value}")
             object.__setattr__(self, name, value)
 
+    @cached_property
+    def _column(self) -> np.ndarray:    # the sigmas as the (3, 1) column ``_noisy`` scales by
+        return _locked(np.array(((self.sigma_range,), (self.sigma_range_rate,),
+                                 (self.sigma_drr,))))
+
 
 def _measurement_vector(values, name: str):
     """(read-only float64 array, the same values as a list of floats)."""
@@ -243,8 +248,7 @@ def _noisy(draw: np.ndarray, noise: NoiseSpec) -> MeasurementSet:
     measurement is q + s * e, its noise-free value plus its sigma times its
     unit normal.  numpy rounds each product and each sum on its own, so the
     bits are those of the same expression on Python floats."""
-    sigmas = np.array(((noise.sigma_range,), (noise.sigma_range_rate,), (noise.sigma_drr,)))
-    ranges, range_rates, drrs = draw[:3] + sigmas * draw[3:]
+    ranges, range_rates, drrs = draw[:3] + noise._column * draw[3:]
     return MeasurementSet(ranges=ranges, range_rates=range_rates, drrs=drrs, noise=noise)
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 
@@ -19,6 +20,15 @@ from kinloc.model import (MeasurementSet, NoiseSpec, SensorArray, TargetState,
 from kinloc.montecarlo import DEFAULT_SENSOR_POSITIONS
 
 NOISELESS = NoiseSpec(0.0, 0.0, 0.0)
+_ANGLES = np.arange(64) * (2.0 * np.pi / 64)
+_RING64 = np.column_stack((100.0 * np.cos(_ANGLES), 100.0 * np.sin(_ANGLES)))
+
+
+def _assert_cannot_unlock(arr):
+    """A result array is frozen for good: it refuses to become writable."""
+    with pytest.raises(ValueError):
+        arr.setflags(write=True)
+    assert not arr.flags.writeable
 
 
 def exact_measurements(target, sensors, noise=NOISELESS):
@@ -96,6 +106,8 @@ class TestSolveLinearStage:
             assert est.pseudo_measurements.dtype == np.float64
             assert not est.pseudo_measurements.flags.writeable
             assert not np.shares_memory(est.pseudo_measurements, rhs)
+            for arr in (est.value, est.pseudo_measurements):
+                _assert_cannot_unlock(arr)
 
     def test_parallel_rows_singular(self):
         B = np.outer([1.0, 2.0, 3.0], [1.0, 1.0])
@@ -507,21 +519,24 @@ class TestPipeline:
             worst = max(worst, np.abs(res.velocity_ls.value - truth.velocity).max())
         assert worst > 1e-6
 
-    def test_outputs_are_fresh_read_only_float64_arrays(self, sensors8, rng):
+    def test_outputs_are_fresh_read_only_float64_arrays(self, rng):
         truth = TargetState((30.0, 40.0), (10.0, -5.0), (1.0, 1.0))
-        ms = synthesize_measurements(truth, sensors8, NoiseSpec(), rng)
-        inputs = [ms.ranges, ms.range_rates, ms.drrs, sensors8.positions]
-        for rule in (UNIFORM, WeightRule(), PROPAGATED):
-            res = estimate_all(ms, sensors8, rule)
+        for sensors, rule in itertools.product(
+                (SensorArray(DEFAULT_SENSOR_POSITIONS), SensorArray(_RING64)),
+                (UNIFORM, WeightRule(), PROPAGATED)):
+            ms = synthesize_measurements(truth, sensors, NoiseSpec(), rng)
+            inputs = [ms.ranges, ms.range_rates, ms.drrs, sensors.positions]
+            res = estimate_all(ms, sensors, rule)
             stages = (res.velocity_ls, res.velocity_wls, res.accel_ls, res.accel_wls)
             arrays = ([res.position.position] + [est.value for est in stages]
                       + [est.pseudo_measurements for est in stages])
             for i, arr in enumerate(arrays):
                 assert type(arr) is np.ndarray and arr.dtype == np.float64
-                assert arr.shape == ((2,) if i < 5 else (len(sensors8),))
+                assert arr.shape == ((2,) if i < 5 else (len(sensors),))
                 assert not arr.flags.writeable
                 assert not any(np.shares_memory(arr, other)
                                for other in arrays[i + 1:] + inputs)
+                _assert_cannot_unlock(arr)
 
     def test_stages_neither_lock_nor_retain_writable_inputs(self, sensors8, rng):
         truth = TargetState((30.0, 40.0), (10.0, -5.0), (1.0, 1.0))

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from kinloc.errors import ZeroRange
 from kinloc.model import (MeasurementSet, NoiseSpec, SensorArray, TargetState,
                           as_vec2, propagate, range_accel, range_rate, range_to,
-                          synthesize_measurements, true_measurements)
+                          _noisy, synthesize_measurements, true_measurements)
 from kinloc.oracle import FdConfig, fd_range_accel, fd_range_rate
 
 
@@ -117,6 +118,24 @@ class TestSynthesize:
             resid[k] = ms.ranges - r_true
         std = resid.ravel().std(ddof=1)
         assert 0.99 <= std <= 1.01
+
+    @pytest.mark.parametrize("n", [8, 64])
+    def test_noise_step_matches_fresh_sigma_column_bitwise(self, n):
+        gen = np.random.default_rng(n)
+        draw = np.empty((6, n))
+        draw[:3] = gen.uniform(-200.0, 200.0, (3, n))
+        draw[3:] = gen.standard_normal((3, n))
+        # signed zeros in the normals, against nonzero and signed-zero true values
+        draw[3:, :4] = (0.0, -0.0, 0.0, -0.0)
+        draw[:3, 2:4] = (0.0, -0.0)
+        sigmas = (0.0, 5e-324, 1e-300, 1.0, 1e150)
+        for sr, sa, sb in itertools.product(sigmas, repeat=3):
+            noise = NoiseSpec(sr, sa, sb)
+            want = draw[:3] + np.array(((sr,), (sa,), (sb,))) * draw[3:]
+            for _ in range(2):          # the second call reuses the spec's column
+                ms = _noisy(draw, noise)
+                got = np.stack((ms.ranges, ms.range_rates, ms.drrs))
+                assert got.tobytes() == want.tobytes()
 
     def test_target_on_sensor_raises(self, sensors8, rng):
         with pytest.raises(ZeroRange):

@@ -1,3 +1,4 @@
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -238,6 +239,30 @@ class TestRmse:
     def test_unknown_method_rejected(self):
         with pytest.raises(KeyError):
             rmse([record_with_errors({m: 0.0 for m in METHODS})], "warp")
+
+    def test_sweep_point_aggregates_like_rmse_bitwise(self):
+        # 258 successes over many magnitudes, so that the order of the sums shows
+        gen = np.random.default_rng(5)
+        truth = TargetState((0.0, 0.0), (0.0, 0.0))
+        records = []
+        for i in range(301):
+            if i % 7 == 3:
+                records.append(TrialRecord(i, truth, None, {}, {}, "SingularGeometry"))
+                continue
+            sq = gen.exponential(10.0 ** gen.integers(-6, 6), 5).tolist()
+            times = gen.uniform(0.0, 1e-4, 5).tolist()
+            records.append(TrialRecord(i, truth, None, dict(zip(METHODS, sq)),
+                                       dict(zip(METHODS, times)), None))
+        point = montecarlo._aggregate_point(0.5, records)
+        assert (point.failures, point.successes) == (43, 258)
+        for m in METHODS:
+            assert getattr(point, f"rmse_{m}").hex() == rmse(records, m).hex()
+            want = float(np.mean([rec.stage_times[m] for rec in records if rec.ok]))
+            assert point.mean_stage_times[m].hex() == want.hex()
+        failed = montecarlo._aggregate_point(0.5, [r for r in records if not r.ok])
+        assert (failed.failures, failed.successes) == (43, 0)
+        assert all(math.isnan(getattr(failed, f"rmse_{m}")) for m in METHODS)
+        assert failed.mean_stage_times == dict.fromkeys(METHODS, 0.0)
 
 
 class TestEnsemble:
