@@ -150,19 +150,23 @@ class MeasurementSet:
     drrs: np.ndarray         # m/s^2
     noise: NoiseSpec
 
-    def __post_init__(self):
-        ranges, _ranges = _measurement_vector(self.ranges, "ranges")
-        range_rates, _range_rates = _measurement_vector(self.range_rates, "range_rates")
-        drrs, _drrs = _measurement_vector(self.drrs, "drrs")
+    def __init__(self, ranges, range_rates, drrs, noise):
+        ranges, _ranges = _measurement_vector(ranges, "ranges")
+        range_rates, _range_rates = _measurement_vector(range_rates, "range_rates")
+        drrs, _drrs = _measurement_vector(drrs, "drrs")
         n = len(_ranges)
         if len(_range_rates) != n or len(_drrs) != n:
             raise ValueError("ranges, range_rates and drrs must have identical length")
-        if not isinstance(self.noise, NoiseSpec):
+        if not isinstance(noise, NoiseSpec):
             raise TypeError("noise must be a NoiseSpec")
-        # one write past the frozen __setattr__; the lists are not fields, so
-        # eq and repr see the arrays alone
-        self.__dict__.update(ranges=ranges, range_rates=range_rates, drrs=drrs,
-                             _ranges=_ranges, _range_rates=_range_rates, _drrs=_drrs)
+        # written past the frozen __setattr__, which costs a call per field
+        # (dataclass keeps an __init__ that the class defines), key by key, so
+        # that the instance dict shares its keys as before (an update of the
+        # empty dict makes a table of its own); the lists are not fields, so eq
+        # and repr see the arrays alone
+        d = self.__dict__
+        d["ranges"], d["range_rates"], d["drrs"], d["noise"] = ranges, range_rates, drrs, noise
+        d["_ranges"], d["_range_rates"], d["_drrs"] = _ranges, _range_rates, _drrs
 
     def __len__(self) -> int:
         return self.ranges.shape[0]
