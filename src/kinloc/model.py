@@ -159,11 +159,9 @@ class MeasurementSet:
             raise ValueError("ranges, range_rates and drrs must have identical length")
         if not isinstance(noise, NoiseSpec):
             raise TypeError("noise must be a NoiseSpec")
-        # written past the frozen __setattr__, which costs a call per field
-        # (dataclass keeps an __init__ that the class defines), key by key, so
-        # that the instance dict shares its keys as before (an update of the
-        # empty dict makes a table of its own); the lists are not fields, so eq
-        # and repr see the arrays alone
+        # past the frozen __setattr__, a call per field, and key by key: an update
+        # of the empty instance dict would give it a key table of its own.  The
+        # lists are not fields, so eq and repr see the arrays alone
         d = self.__dict__
         d["ranges"], d["range_rates"], d["drrs"], d["noise"] = ranges, range_rates, drrs, noise
         d["_ranges"], d["_range_rates"], d["_drrs"] = _ranges, _range_rates, _drrs

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -220,6 +221,16 @@ class TestValidation:
         for arr in (ms.ranges, ms.range_rates, ms.drrs):
             assert arr.dtype == np.float64 and not arr.flags.writeable
         assert MeasurementSet(4.0, 0.0, 0.0, NoiseSpec()).ranges.shape == (1,)
+
+    def test_measurement_set_stays_a_frozen_dataclass(self):
+        ms = MeasurementSet([3.0, 4.0], [0.5, -0.5], [0.1, 0.2], NoiseSpec())
+        assert list(vars(ms)) == ["ranges", "range_rates", "drrs", "noise",
+                                  "_ranges", "_range_rates", "_drrs"]
+        again = dataclasses.replace(ms, noise=NoiseSpec(2.0))
+        assert again._drrs == [0.1, 0.2] and again.noise.sigma_range == 2.0
+        assert repr(dataclasses.replace(ms)) == repr(ms)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ms.ranges = np.zeros(2)
 
     def test_sensor_array_immutable(self, sensors8):
         with pytest.raises(ValueError):
