@@ -31,9 +31,7 @@ kernels raise the named errors.  Per-row data travels as lists of floats;
 arrays appear only where a public function takes or returns one.
 """
 
-import functools
 import math
-import struct
 import time
 from dataclasses import dataclass
 
@@ -41,7 +39,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import SingularGeometry, TooFewSensors
-from .model import MeasurementSet, SensorArray, _vec2_floats
+from .model import MeasurementSet, SensorArray, _frozen, _vec2_floats
 
 WEIGHT_MODES = ("uniform", "inverse_range", "propagated")
 
@@ -117,17 +115,6 @@ def _check_lengths(measurements: MeasurementSet, sensors: SensorArray):
         raise ValueError(
             f"measurement count {len(measurements)} does not match sensor count {len(sensors)}"
         )
-
-
-@functools.lru_cache(maxsize=64)
-def _packer(n: int):
-    return struct.Struct(f"{n}d").pack
-
-
-def _frozen(floats) -> np.ndarray:
-    """A fresh float64 array of the given floats over an immutable bytes buffer:
-    numpy makes it read-only, and no ``setflags(write=True)`` can unlock it."""
-    return np.frombuffer(_packer(len(floats))(*floats))
 
 
 def estimate_position(measurements: MeasurementSet, sensors: SensorArray) -> PositionSolution:

@@ -14,17 +14,30 @@ independent zero-mean Gaussian noise per sensor and per quantity.
 
 import math
 import numbers
+import struct
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import ZeroRange
 
 
-def _locked(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)     # half the cost of assigning flags.writeable
-    return arr
+@lru_cache(maxsize=64)
+def _packer(n: int):
+    return struct.Struct(f"{n}d").pack
+
+
+def _frozen(floats) -> np.ndarray:
+    """kinloc's one way to make a read-only array, here from floats: a fresh
+    array over immutable ``bytes``, which numpy will not unlock, nor a ``reshape``
+    view of it.  Every array kinloc hands out or shares is one; ``_frozen_array``
+    copies arrays, and per-trial float64 vectors are ``np.frombuffer(a.tobytes())``."""
+    return np.frombuffer(_packer(len(floats))(*floats))
+
+
+def _frozen_array(arr: np.ndarray) -> np.ndarray:
+    return np.ndarray(arr.shape, arr.dtype, arr.tobytes())     # one array object, C order
 
 
 def as_vec2(value, name: str = "vector") -> np.ndarray:
@@ -35,7 +48,7 @@ def as_vec2(value, name: str = "vector") -> np.ndarray:
     x, y = arr.tolist()
     if not (math.isfinite(x) and math.isfinite(y)):
         raise ValueError(f"{name} must be finite, got {arr}")
-    return _locked(arr)
+    return np.frombuffer(arr.tobytes())
 
 
 _FLOAT64 = np.dtype(np.float64)
@@ -65,7 +78,7 @@ class SensorArray:
             raise ValueError(f"positions must have shape (N, 2) with N >= 1, got {pos.shape}")
         if not np.all(np.isfinite(pos)):
             raise ValueError("sensor positions must be finite")
-        object.__setattr__(self, "positions", _locked(pos.copy()))
+        object.__setattr__(self, "positions", _frozen_array(pos))
 
     def __len__(self) -> int:
         return self.positions.shape[0]
@@ -118,21 +131,21 @@ class NoiseSpec:
 
     @cached_property
     def _column(self) -> np.ndarray:    # the sigmas as the (3, 1) column ``_noisy`` scales by
-        return _locked(np.array(((self.sigma_range,), (self.sigma_range_rate,),
-                                 (self.sigma_drr,))))
+        return _frozen((self.sigma_range, self.sigma_range_rate, self.sigma_drr)).reshape(3, 1)
 
 
 def _measurement_vector(values, name: str):
     """(read-only float64 array, the same values as a list of floats)."""
-    arr = np.array(values, dtype=np.float64, ndmin=1)
-    if arr.ndim != 1:
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.ndim > 1:
         raise ValueError(f"{name} must be one-dimensional")
+    arr = np.frombuffer(arr.tobytes())      # the only copy; a scalar gives shape (1,)
     floats = arr.tolist()
     # a finite sum rules out inf and NaN at C speed; only a sum that
     # overflows needs the check of each value
     if not (math.isfinite(sum(floats)) or all(map(math.isfinite, floats))):
         raise ValueError(f"{name} must be finite")
-    return _locked(arr), floats
+    return arr, floats
 
 
 @dataclass(frozen=True)
@@ -242,7 +255,7 @@ def _draw(target: TargetState, sensors: SensorArray, gen: np.random.Generator) -
     packed = np.empty((6, len(sensors)))
     packed[:3] = _true_lists(target, sensors)
     gen.standard_normal(out=packed[3:])
-    return _locked(packed)
+    return _frozen_array(packed)
 
 
 def _noisy(draw: np.ndarray, noise: NoiseSpec) -> MeasurementSet:

@@ -33,7 +33,7 @@ from .estim import (PROPAGATED, EstimationResult, WeightRule, _timed_kinematics,
                     _timed_position)
 # not called here: perfbench's tracer test reads montecarlo.estimate_position
 from .estim import estimate_position  # noqa: F401
-from .model import NoiseSpec, SensorArray, TargetState, _draw, _locked, _noisy
+from .model import NoiseSpec, SensorArray, TargetState, _draw, _frozen_array, _noisy
 
 # the reference eight-sensor layout used by the shipped experiments
 DEFAULT_SENSOR_POSITIONS = np.array([
@@ -70,7 +70,7 @@ def _as_box(value, name: str) -> np.ndarray:
     (x0, y0), (x1, y1) = box.tolist()
     if not (math.isfinite(x1 - x0) and math.isfinite(y1 - y0)):
         raise ValueError(f"{name} extent max - min must be finite, got {box.tolist()}")
-    return _locked(box.copy())
+    return _frozen_array(box)
 
 
 def _as_index(value, name: str) -> int:
@@ -233,7 +233,7 @@ def _stream_block(seed: int, block: int) -> np.ndarray:
             pool[dst] = _mix(pool[dst], hashmix(word))
     output = _hasher(_INIT_B, _MULT_B)
     state = np.stack([output(pool[i % 4]) for i in range(8)], axis=-1)
-    return _locked(state.astype("<u4", copy=False))
+    return _frozen_array(state.astype("<u4", copy=False))
 
 
 class _State(np.random.bit_generator.ISeedSequence):

@@ -17,6 +17,14 @@ def sensors8():
     return SensorArray(DEFAULT_SENSOR_POSITIONS)
 
 
+def assert_cannot_unlock(*arrays):
+    """Each array is frozen for good: it is read-only and refuses to become writable."""
+    for arr in arrays:
+        with pytest.raises(ValueError):
+            arr.setflags(write=True)
+        assert not arr.flags.writeable
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

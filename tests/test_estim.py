@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import assert_cannot_unlock
 from kinloc import _kernels as K
 from kinloc.errors import (DegenerateGeometry, KinlocError, SingularGeometry,
                            TooFewSensors, ZeroRange)
@@ -22,13 +23,6 @@ from kinloc.montecarlo import DEFAULT_SENSOR_POSITIONS
 NOISELESS = NoiseSpec(0.0, 0.0, 0.0)
 _ANGLES = np.arange(64) * (2.0 * np.pi / 64)
 _RING64 = np.column_stack((100.0 * np.cos(_ANGLES), 100.0 * np.sin(_ANGLES)))
-
-
-def _assert_cannot_unlock(arr):
-    """A result array is frozen for good: it refuses to become writable."""
-    with pytest.raises(ValueError):
-        arr.setflags(write=True)
-    assert not arr.flags.writeable
 
 
 def exact_measurements(target, sensors, noise=NOISELESS):
@@ -106,8 +100,7 @@ class TestSolveLinearStage:
             assert est.pseudo_measurements.dtype == np.float64
             assert not est.pseudo_measurements.flags.writeable
             assert not np.shares_memory(est.pseudo_measurements, rhs)
-            for arr in (est.value, est.pseudo_measurements):
-                _assert_cannot_unlock(arr)
+            assert_cannot_unlock(est.value, est.pseudo_measurements)
 
     def test_parallel_rows_singular(self):
         B = np.outer([1.0, 2.0, 3.0], [1.0, 1.0])
@@ -536,7 +529,7 @@ class TestPipeline:
                 assert not arr.flags.writeable
                 assert not any(np.shares_memory(arr, other)
                                for other in arrays[i + 1:] + inputs)
-                _assert_cannot_unlock(arr)
+                assert_cannot_unlock(arr)
 
     def test_stages_neither_lock_nor_retain_writable_inputs(self, sensors8, rng):
         truth = TargetState((30.0, 40.0), (10.0, -5.0), (1.0, 1.0))

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import assert_cannot_unlock
 from kinloc.errors import ZeroRange
 from kinloc.model import (MeasurementSet, NoiseSpec, SensorArray, TargetState,
                           as_vec2, propagate, range_accel, range_rate, range_to,
@@ -205,7 +206,8 @@ class TestValidation:
         locked.flags.writeable = False
         for value in (source, locked, [1.0, 2.0], (1, 2)):
             vec = as_vec2(value)
-            assert vec.dtype == np.float64 and not vec.flags.writeable
+            assert vec.dtype == np.float64
+            assert_cannot_unlock(vec)
             assert vec is not value and not np.shares_memory(vec, source)
         vec = as_vec2(source)
         source[0] = 99.0
@@ -219,8 +221,54 @@ class TestValidation:
         assert ms.ranges.tolist() == [1.0] * 3 and ms.range_rates.tolist() == [0.0] * 3
         assert ms.drrs.tolist() == [0.5] * 3
         for arr in (ms.ranges, ms.range_rates, ms.drrs):
-            assert arr.dtype == np.float64 and not arr.flags.writeable
+            assert arr.dtype == np.float64
+            assert_cannot_unlock(arr)
         assert MeasurementSet(4.0, 0.0, 0.0, NoiseSpec()).ranges.shape == (1,)
+
+    @pytest.mark.parametrize("values", [
+        np.arange(-3.0, 9.0)[::2],                                  # strided view
+        np.arange(12.0).reshape(6, 2)[:, 0],                        # column of a 2-D array
+        np.asfortranarray(np.arange(12.0).reshape(6, 2))[:, 1],
+        np.float64(-0.0),                                           # scalars give shape (1,)
+        2.5,
+        [1.0, -0.0, 3],
+        np.array([0.1, -2.5, 1e30, 7.0], dtype=np.float32),
+        np.array([3, -1, 2 ** 40], dtype=np.int64),
+    ], ids=["strided", "column", "fortran_column", "numpy_scalar", "float", "list",
+            "float32", "int64"])
+    def test_measurement_vectors_copy_any_input_once(self, values):
+        want = np.array(values, np.float64, ndmin=1)
+        ms = MeasurementSet(values, values, values, NoiseSpec())
+        for arr, floats in ((ms.ranges, ms._ranges), (ms.range_rates, ms._range_rates),
+                            (ms.drrs, ms._drrs)):
+            assert arr.dtype == np.float64 and arr.shape == want.shape
+            assert arr.tobytes() == want.tobytes()
+            assert np.array(floats).tobytes() == want.tobytes()
+            assert not (isinstance(values, np.ndarray) and np.shares_memory(arr, values))
+            assert_cannot_unlock(arr)
+
+    def test_two_dimensional_measurements_rejected(self):
+        for name in ("ranges", "range_rates", "drrs"):
+            fields = dict(ranges=[1.0, 2.0], range_rates=[0.0, 0.0], drrs=[0.0, 0.0])
+            fields[name] = np.ones((2, 1))
+            with pytest.raises(ValueError, match=f"^{name} must be one-dimensional$"):
+                MeasurementSet(**fields, noise=NoiseSpec())
+
+    @pytest.mark.parametrize("positions", [
+        np.array([3.0, -4.0]),                                       # one (2,) pair
+        np.asfortranarray(np.arange(16.0).reshape(8, 2)),
+        np.arange(24.0).reshape(8, 3)[:, 1:],                        # strided columns
+        [(0, 0), (100, 100), (-100, 100)],
+    ], ids=["pair", "fortran", "strided", "list"])
+    def test_sensor_positions_are_a_fresh_frozen_copy(self, positions):
+        want = np.atleast_2d(np.array(positions, np.float64))
+        sensors = SensorArray(positions)
+        assert sensors.positions.shape == want.shape and sensors.positions.dtype == np.float64
+        assert sensors.positions.tobytes() == want.tobytes()
+        assert (sensors.xs, sensors.ys) == (tuple(want[:, 0].tolist()), tuple(want[:, 1].tolist()))
+        if isinstance(positions, np.ndarray):
+            assert not np.shares_memory(sensors.positions, positions)
+        assert_cannot_unlock(sensors.positions)
 
     def test_measurement_set_stays_a_frozen_dataclass(self):
         ms = MeasurementSet([3.0, 4.0], [0.5, -0.5], [0.1, 0.2], NoiseSpec())
