@@ -172,12 +172,15 @@ class MeasurementSet:
             raise ValueError("ranges, range_rates and drrs must have identical length")
         if not isinstance(noise, NoiseSpec):
             raise TypeError("noise must be a NoiseSpec")
+        self._fill((ranges, range_rates, drrs), noise, (_ranges, _range_rates, _drrs))
+
+    def _fill(self, arrays, noise, lists):
         # past the frozen __setattr__, a call per field, and key by key: an update
         # of the empty instance dict would give it a key table of its own.  The
         # lists are not fields, so eq and repr see the arrays alone
         d = self.__dict__
-        d["ranges"], d["range_rates"], d["drrs"], d["noise"] = ranges, range_rates, drrs, noise
-        d["_ranges"], d["_range_rates"], d["_drrs"] = _ranges, _range_rates, _drrs
+        d["ranges"], d["range_rates"], d["drrs"], d["noise"] = *arrays, noise
+        d["_ranges"], d["_range_rates"], d["_drrs"] = lists
 
     def __len__(self) -> int:
         return self.ranges.shape[0]
@@ -246,25 +249,34 @@ def true_measurements(target: TargetState, sensors: SensorArray):
     return tuple(np.array(q) for q in _true_lists(target, sensors))
 
 
-def _draw(target: TargetState, sensors: SensorArray, gen: np.random.Generator) -> np.ndarray:
-    """The random part of a measurement set, before any sigma: the noise-free
-    (ranges, range rates, drrs) of ``true_measurements`` in rows 0-2 and one
-    ``gen.standard_normal((3, N))`` draw in rows 3-5, as a read-only (6, N)
-    float64 array.  Raises ZeroRange, without drawing, when the target
-    coincides with a sensor."""
-    packed = np.empty((6, len(sensors)))
-    packed[:3] = _true_lists(target, sensors)
-    gen.standard_normal(out=packed[3:])
-    return _frozen_array(packed)
+def _draw(target: TargetState, sensors: SensorArray, gen: np.random.Generator, out) -> None:
+    """Write a trial's measurements before any sigma into ``out``, one (6, N) row of a
+    draw block: ``true_measurements`` in rows 0-2, ``gen.standard_normal((3, N))`` in
+    rows 3-5.  Raises ZeroRange, writing nothing, when the target is on a sensor."""
+    out[:3] = _true_lists(target, sensors)
+    gen.standard_normal(out=out[3:])
 
 
-def _noisy(draw: np.ndarray, noise: NoiseSpec) -> MeasurementSet:
-    """The MeasurementSet of a ``_draw`` at the given noise levels: each
-    measurement is q + s * e, its noise-free value plus its sigma times its
-    unit normal.  numpy rounds each product and each sum on its own, so the
-    bits are those of the same expression on Python floats."""
-    ranges, range_rates, drrs = draw[:3] + noise._column * draw[3:]
-    return MeasurementSet(ranges=ranges, range_rates=range_rates, drrs=drrs, noise=noise)
+def _noisy(draws: np.ndarray, noise: NoiseSpec) -> np.ndarray:
+    """A (T, 6, N) block of ``_draw`` rows noised as one read-only (T, 3, N) array of
+    q + s * e, which numpy rounds as Python floats would.  One check covers the block:
+    it raises MeasurementSet's ValueError for the first non-finite column of the first
+    trial with one, in the order ranges, range_rates, drrs."""
+    noisy = draws[:, :3] + noise._column * draws[:, 3:]
+    finite = np.isfinite(noisy)
+    if not finite.all():
+        column = ("ranges", "range_rates", "drrs")[np.argwhere(~finite.all(axis=2))[0, 1]]
+        raise ValueError(f"{column} must be finite")
+    return _frozen_array(noisy)
+
+
+def _measurements(noisy: np.ndarray, t: int, noise: NoiseSpec) -> MeasurementSet:
+    """Trial t of a ``_noisy`` block as a MeasurementSet of its row views and one
+    ``tolist``, past the public constructor's checks, which the block passed."""
+    rows = noisy[t]
+    ms = object.__new__(MeasurementSet)
+    ms._fill(rows, noise, rows.tolist())
+    return ms
 
 
 def synthesize_measurements(target: TargetState, sensors: SensorArray,
@@ -275,6 +287,8 @@ def synthesize_measurements(target: TargetState, sensors: SensorArray,
     Generator.  The three noise blocks are drawn in one documented order
     (ranges row, then range rates, then derivatives, sensors in index order),
     so a given stream always yields the same measurement set regardless of
-    how the result is consumed afterwards.
+    how the result is consumed afterwards: the one-trial case of a sweep's blocks.
     """
-    return _noisy(_draw(target, sensors, np.random.default_rng(rng)), noise)
+    draws = np.empty((1, 6, len(sensors)))
+    _draw(target, sensors, np.random.default_rng(rng), draws[0])
+    return _measurements(_noisy(draws, noise), 0, noise)

@@ -6,9 +6,10 @@ trial draws its truth and its noise from the two streams of numpy's
 ``SeedSequence((seed, trial_index)).spawn(2)``, whose seed words are derived
 for 1024 trial indices at a time, so results are a pure function of the
 scenario: execution order, thread count, and which other trials ran never
-change any number.  A sweep draws each trial once, at its first grid point,
-and noises the same draw with each later point's sigmas; it solves the
-position stage, which reads only the ranges, once per sigma_range.
+change any number.  A sweep draws every trial once, before its first grid
+point, into one (trials, 6, N) block, and each point noises the whole block
+with its sigmas in one numpy operation; it solves the position stage, which
+reads only the ranges, once per sigma_range.
 
 The two sweep drivers reproduce the standard experiments: velocity RMSE
 against the range-rate noise level (constant-velocity targets, sigma_range
@@ -33,7 +34,8 @@ from .estim import (PROPAGATED, EstimationResult, WeightRule, _timed_kinematics,
                     _timed_position)
 # not called here: perfbench's tracer test reads montecarlo.estimate_position
 from .estim import estimate_position  # noqa: F401
-from .model import NoiseSpec, SensorArray, TargetState, _draw, _frozen_array, _noisy
+from .model import (NoiseSpec, SensorArray, TargetState, _draw, _frozen_array, _measurements,
+                    _noisy)
 
 # the reference eight-sensor layout used by the shipped experiments
 DEFAULT_SENSOR_POSITIONS = np.array([
@@ -249,12 +251,35 @@ class _State(np.random.bit_generator.ISeedSequence):
         return self.words.view("<u8")
 
 
-# trial index -> (truth, model._draw array, sigma_range, position outcome) for
-# the sweep running in this context, or None outside one.  The outcome is the
-# ``estim._timed_position`` result at that sigma_range, or the name of the
-# error class the position stage raised there; it reads only the ranges, so
-# it holds at every point with the same sigma_range.  A thread pool's workers
-# start in an empty context, so they draw and solve per call.
+class _Trials:
+    """Trials drawn once: their truths, the read-only (T, 6, N) block of their
+    ``model._draw`` rows, the rows whose truth is on a sensor (ZeroRange; they stay
+    zero), and ``noisy``, the ``model._noisy`` block each grid point sets.
+    ``positions`` holds (sigma_range, outcome) per trial: the position stage reads
+    only the ranges, so its result, or its error class name, holds at every point
+    with that sigma_range."""
+
+    def __init__(self, scenario: Scenario, indices):
+        sensors = scenario.sensors
+        draws = np.zeros((len(indices), 6, len(sensors)))
+        self.truths, self.zero_range = [], set()
+        for row, i in enumerate(indices):
+            # the truth and measurement streams of SeedSequence((seed, i)).spawn(2)
+            block, j = _stream_block(scenario.seed, i // _BLOCK), i % _BLOCK
+            truth = sample_truth(scenario, np.random.Generator(np.random.PCG64(_State(block[j, 0]))))
+            try:
+                _draw(truth, sensors, np.random.Generator(np.random.PCG64(_State(block[j, 1]))),
+                      draws[row])
+            except ZeroRange:
+                self.zero_range.add(row)
+            self.truths.append(truth)
+        self.draws = _frozen_array(draws)
+        self.noisy = None
+        self.positions = [(None, None)] * len(indices)
+
+
+# the _Trials of the sweep running in this context, or None outside one; a thread
+# pool's workers start in an empty context, so each call is a _Trials of its own
 _SWEEP_DRAWS = contextvars.ContextVar("kinloc_sweep_draws", default=None)
 
 
@@ -265,28 +290,22 @@ def run_trial(scenario: Scenario, trial_index: int,
     trial_index = _as_index(trial_index, "trial_index")
     if not 0 <= trial_index < 2 ** 63:
         raise ValueError(f"trial_index out of range: {trial_index}")
-    draws = _SWEEP_DRAWS.get()
-    entry = draws.get(trial_index) if draws is not None else None
-    if entry is None:
-        # the truth and measurement streams of SeedSequence((seed, trial_index)).spawn(2)
-        block, j = _stream_block(scenario.seed, trial_index // _BLOCK), trial_index % _BLOCK
-        truth = sample_truth(scenario, np.random.Generator(np.random.PCG64(_State(block[j, 0]))))
-        try:
-            draw = _draw(truth, scenario.sensors,
-                         np.random.Generator(np.random.PCG64(_State(block[j, 1]))))
-        except ZeroRange:       # not kept: the trial fails the same way at every point
-            return TrialRecord(trial_index, truth, None, {}, {}, ZeroRange.__name__)
-        entry = truth, draw, None, None
-    truth, draw, solved_at, position = entry
-    measurements = _noisy(draw, scenario.noise)
+    trials, row = _SWEEP_DRAWS.get(), trial_index
+    if trials is None:          # outside a sweep: the one-trial case of a sweep's table
+        trials, row = _Trials(scenario, (trial_index,)), 0
+        trials.noisy = _noisy(trials.draws, scenario.noise)
+    truth = trials.truths[row]
+    if row in trials.zero_range:
+        return TrialRecord(trial_index, truth, None, {}, {}, ZeroRange.__name__)
+    measurements = _measurements(trials.noisy, row, scenario.noise)
     sigma_range = scenario.noise.sigma_range
+    solved_at, position = trials.positions[row]
     if solved_at != sigma_range:
         try:
             position = _timed_position(measurements, scenario.sensors)
         except _TRIAL_ERRORS as exc:
             position = type(exc).__name__
-        if draws is not None:
-            draws[trial_index] = truth, draw, sigma_range, position
+        trials.positions[row] = sigma_range, position
     if isinstance(position, str):
         return TrialRecord(trial_index, truth, None, {}, {}, position)
     try:
@@ -406,17 +425,20 @@ def _aggregate_point(sigma: float, records) -> SweepPoint:
 def _sweep(base: Scenario, swept_parameter: str, grid, motion_mode: str,
            noise_for, weight_rule: WeightRule, threads: int) -> SweepResult:
     """Every grid point reruns trial i on the same streams, sensors, boxes and
-    motion mode; only the sigmas differ.  So each trial's truth and draw are
-    made once, at the first point, kept in a table that lives while the sweep
-    runs, and noised at every point with that point's sigmas.  The table also
-    keeps each trial's position outcome, which later points reuse while
-    sigma_range stays the same."""
+    motion mode; only the sigmas differ.  So every trial's truth and draw are
+    made once, before the first point, into a table that lives while the
+    sweep runs, and each point noises the whole draw block with its sigmas.
+    The table also keeps each trial's position outcome, which later points
+    reuse while sigma_range stays the same."""
     values = _check_grid(grid)
+    base = replace(base, motion_mode=motion_mode)
+    trials = _Trials(base, range(base.trials))
     points = []
-    token = _SWEEP_DRAWS.set({})
+    token = _SWEEP_DRAWS.set(trials)
     try:
         for sigma in values:
-            scenario = replace(base, noise=noise_for(sigma), motion_mode=motion_mode)
+            scenario = replace(base, noise=noise_for(sigma))
+            trials.noisy = _noisy(trials.draws, scenario.noise)
             records = run_ensemble(scenario, weight_rule, threads)
             points.append(_aggregate_point(sigma, records))
     finally:

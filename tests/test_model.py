@@ -11,7 +11,8 @@ from conftest import assert_cannot_unlock
 from kinloc.errors import ZeroRange
 from kinloc.model import (MeasurementSet, NoiseSpec, SensorArray, TargetState,
                           as_vec2, propagate, range_accel, range_rate, range_to,
-                          _noisy, synthesize_measurements, true_measurements)
+                          _measurements, _noisy, synthesize_measurements,
+                          true_measurements)
 from kinloc.oracle import FdConfig, fd_range_accel, fd_range_rate
 
 
@@ -123,21 +124,46 @@ class TestSynthesize:
 
     @pytest.mark.parametrize("n", [8, 64])
     def test_noise_step_matches_fresh_sigma_column_bitwise(self, n):
+        trials = 5
         gen = np.random.default_rng(n)
-        draw = np.empty((6, n))
-        draw[:3] = gen.uniform(-200.0, 200.0, (3, n))
-        draw[3:] = gen.standard_normal((3, n))
+        draws = np.empty((trials, 6, n))
+        draws[:, :3] = gen.uniform(-200.0, 200.0, (trials, 3, n))
+        draws[:, 3:] = gen.standard_normal((trials, 3, n))
         # signed zeros in the normals, against nonzero and signed-zero true values
-        draw[3:, :4] = (0.0, -0.0, 0.0, -0.0)
-        draw[:3, 2:4] = (0.0, -0.0)
+        draws[:, 3:, :4] = (0.0, -0.0, 0.0, -0.0)
+        draws[:, :3, 2:4] = (0.0, -0.0)
         sigmas = (0.0, 5e-324, 1e-300, 1.0, 1e150)
         for sr, sa, sb in itertools.product(sigmas, repeat=3):
             noise = NoiseSpec(sr, sa, sb)
-            want = draw[:3] + np.array(((sr,), (sa,), (sb,))) * draw[3:]
+            want = draws[:, :3] + np.array(((sr,), (sa,), (sb,))) * draws[:, 3:]
             for _ in range(2):          # the second call reuses the spec's column
-                ms = _noisy(draw, noise)
-                got = np.stack((ms.ranges, ms.range_rates, ms.drrs))
-                assert got.tobytes() == want.tobytes()
+                noisy = _noisy(draws, noise)
+                assert noisy.shape == (trials, 3, n)
+                assert noisy.tobytes() == want.tobytes()
+                # each trial's set, arrays and float lists alike
+                for t in range(trials):
+                    ms = _measurements(noisy, t, noise)
+                    got = np.stack((ms.ranges, ms.range_rates, ms.drrs))
+                    lists = np.array((ms._ranges, ms._range_rates, ms._drrs))
+                    assert got.tobytes() == lists.tobytes() == want[t].tobytes()
+                    assert ms.noise is noise
+
+    def test_noise_step_names_the_first_non_finite_column(self):
+        # one check covers the block, and raises what MeasurementSet raises for
+        # the first trial with a non-finite value: its first such column
+        draws = np.zeros((3, 6, 4))
+        draws[2, 0, 1] = np.inf         # trial 2's ranges
+        draws[1, 2, 3] = np.nan         # trial 1's drrs
+        draws[1, 1, 0] = -np.inf        # and its range rates
+        noise = NoiseSpec()
+        for trial, column in ((1, "range_rates"), (2, "ranges")):
+            with pytest.raises(ValueError, match=f"^{column} must be finite$"):
+                _noisy(draws, noise)
+            q, e = draws[trial, :3], draws[trial, 3:]
+            with pytest.raises(ValueError, match=f"^{column} must be finite$"):
+                MeasurementSet(*(q + noise._column * e), noise)
+            draws[trial] = 0.0
+        _noisy(draws, noise)
 
     def test_target_on_sensor_raises(self, sensors8, rng):
         with pytest.raises(ZeroRange):

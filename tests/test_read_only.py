@@ -4,7 +4,8 @@ kinloc builds each read-only array over an immutable bytes buffer, so
 ``setflags(write=True)`` raises instead of reopening it.  An array that could
 be reopened and written would no longer match the float lists that the
 stages read, and the arrays a sweep shares across its trials and grid points
-(the stream words, each trial's draw) would change every later result.
+(the stream words, the block of every trial's draw, each grid point's
+noisy block and the measurement sets cut from it) would change every later result.
 """
 
 import math
@@ -15,7 +16,7 @@ import pytest
 from conftest import assert_cannot_unlock
 from kinloc import montecarlo
 from kinloc.estim import PROPAGATED, estimate_all
-from kinloc.model import _noisy, as_vec2, synthesize_measurements
+from kinloc.model import _measurements, _noisy, as_vec2, synthesize_measurements
 from kinloc.montecarlo import (DEFAULT_SENSOR_POSITIONS, default_scenario, run_trial,
                                sweep_velocity_experiment)
 
@@ -32,19 +33,24 @@ def result_arrays(result) -> list:
             + [k.pseudo_measurements for k in stages])
 
 
-def sweep_draws(monkeypatch, scenario) -> list:
-    """The ``model._draw`` arrays in a velocity sweep's table after its last point."""
-    tables = []
+def sweep_table(monkeypatch, scenario):
+    """A velocity sweep's table as its last point left it, and the noisy block
+    of each grid point."""
+    tables, noisy = [], []
     real = montecarlo.run_ensemble
 
     def spy(*args):
-        records = real(*args)
-        tables.append(dict(montecarlo._SWEEP_DRAWS.get()))
-        return records
+        tables.append(montecarlo._SWEEP_DRAWS.get())
+        noisy.append(tables[-1].noisy)
+        return real(*args)
 
     monkeypatch.setattr(montecarlo, "run_ensemble", spy)
     sweep_velocity_experiment(scenario, (0.5, 2.0))
-    return [draw for _, draw, _, _ in tables[-1].values()]
+    return tables[-1], noisy
+
+
+def set_arrays(measurements) -> list:
+    return [measurements.ranges, measurements.range_rates, measurements.drrs]
 
 
 @pytest.mark.parametrize("layout", tuple(LAYOUTS))
@@ -56,9 +62,9 @@ def test_no_array_can_be_unlocked(monkeypatch, layout, rng):
     record = run_trial(scenario, 1)
     truth = record.truth
     measurements = synthesize_measurements(truth, sensors, noise, rng)
-    draws = sweep_draws(monkeypatch, scenario)
-    assert len(draws) == scenario.trials
-    noised = _noisy(draws[0], noise)
+    table, noisy = sweep_table(monkeypatch, scenario)
+    assert table.draws.shape == (scenario.trials, 6, len(sensors))
+    assert len(noisy) == 2 and all(b.shape == (scenario.trials, 3, len(sensors)) for b in noisy)
     arrays = [
         sensors.positions,
         scenario.position_box, scenario.velocity_box, scenario.acceleration_box,
@@ -66,9 +72,12 @@ def test_no_array_can_be_unlocked(monkeypatch, layout, rng):
         block, block[1, 0], block[1, 1],
         truth.position, truth.velocity, truth.acceleration,
         as_vec2((3.0, -4.0)), as_vec2(np.array([1.0, 2.0])),
-        measurements.ranges, measurements.range_rates, measurements.drrs,
-        noised.ranges, noised.range_rates, noised.drrs,
-        *draws,
+        *set_arrays(measurements),
+        table.draws, table.draws[1],
+        *noisy,
+        *[a for block_t in noisy for t in range(scenario.trials)
+          for a in set_arrays(_measurements(block_t, t, noise))],
+        *set_arrays(_measurements(_noisy(table.draws, noise), 0, noise)),
         *result_arrays(record.estimates),
         *result_arrays(estimate_all(measurements, sensors, PROPAGATED)),
     ]

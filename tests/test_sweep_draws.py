@@ -1,13 +1,15 @@
-"""A sweep draws each trial once and noises the draw at every grid point.
+"""A sweep draws each trial once and noises the draws at every grid point.
 
 Every point of a sweep reruns trial i on the same streams, sensors, boxes
-and motion mode, so ``_sweep`` keeps each trial's truth and noise-free,
-unit-noise draw in a table for the later points, together with the trial's
-position outcome, which later points with the same sigma_range reuse.  These
-tests hold the shared sweep to a reference that runs ``run_ensemble`` per
-point outside any sweep, where every trial draws and solves per call: the
-records and the aggregated points must agree bit for bit.  They also pin the
-table's scope: it lives while one sweep runs, in that sweep's context only.
+and motion mode, so ``_sweep`` draws every trial's truth and noise-free,
+unit-noise rows before its first point, into a table with one block of
+draws, and noises that block at each point.  The table also keeps each
+trial's position outcome, which later points with the same sigma_range
+reuse.  These tests hold the shared sweep to a reference that runs
+``run_ensemble`` per point outside any sweep, where every trial draws and
+solves per call: the records and the aggregated points must agree bit for
+bit.  They also pin the table's scope: it lives while one sweep runs, in
+that sweep's context only.
 """
 
 import math
@@ -23,8 +25,8 @@ from kinloc import _kernels, montecarlo
 from kinloc.estim import PROPAGATED, UNIFORM, WeightRule
 from kinloc.model import NoiseSpec, SensorArray
 from kinloc.montecarlo import (DEFAULT_SENSOR_POSITIONS, Scenario, _aggregate_point,
-                               default_scenario, run_ensemble, sweep_acceleration_experiment,
-                               sweep_velocity_experiment)
+                               default_scenario, run_ensemble, run_trial,
+                               sweep_acceleration_experiment, sweep_velocity_experiment)
 
 RULES = (UNIFORM, WeightRule(), PROPAGATED)
 # sweep function, motion mode, and the noise of a point, as the sweeps document them
@@ -76,13 +78,26 @@ def spy_ensembles(monkeypatch):
 
     def spy(scenario, weight_rule, threads):
         table = montecarlo._SWEEP_DRAWS.get()
-        entries = None if table is None else len(table)
+        entries = None if table is None else len(table.truths)
         records = real(scenario, weight_rule, threads)
         seen.append((records, entries))
         return records
 
     monkeypatch.setattr(montecarlo, "run_ensemble", spy)
     return seen
+
+
+def count_truth_draws(monkeypatch) -> list:
+    """Patch ``montecarlo.sample_truth`` to append 1 per call to the returned list."""
+    draws = []
+    real = montecarlo.sample_truth
+
+    def counted(scenario, rng):
+        draws.append(1)
+        return real(scenario, rng)
+
+    monkeypatch.setattr(montecarlo, "sample_truth", counted)
+    return draws
 
 
 def assert_sweep_matches_unshared(monkeypatch, base, experiment, rule, grid=GRID, threads=1):
@@ -152,10 +167,28 @@ def test_position_box_on_a_sensor_fails_every_point(monkeypatch):
     records = assert_sweep_matches_unshared(monkeypatch, base, "velocity", PROPAGATED)
     for point in records:
         assert [r.failure for r in point] == ["ZeroRange"] * 10
-    # a trial that raises ZeroRange is not kept: the table stays empty
+    # each trial, ZeroRange ones too, is drawn once, before the first point
+    draws = count_truth_draws(monkeypatch)
     seen = spy_ensembles(monkeypatch)
     sweep_velocity_experiment(base, GRID)
-    assert [entries for _, entries in seen] == [0, 0, 0]
+    assert [entries for _, entries in seen] == [10, 10, 10]
+    assert len(draws) == 10
+
+
+@pytest.mark.parametrize("box, column", [
+    # a truth at 1e200 squares past the float range: every range is inf
+    ("position_box", "ranges"),
+    # a speed of 1e200 makes ||v||^2 - rdot^2 inf - inf: every drr is NaN
+    ("velocity_box", "drrs"),
+])
+def test_non_finite_measurements_raise_the_constructors_error(box, column):
+    base = replace(default_scenario(trials=4), **{box: ((1e200, 1e200), (1e200, 1e200))})
+    for sweep in (sweep_velocity_experiment, sweep_acceleration_experiment):
+        with pytest.raises(ValueError, match=f"^{column} must be finite$"):
+            sweep(base, GRID)
+        assert montecarlo._SWEEP_DRAWS.get() is None
+    with pytest.raises(ValueError, match=f"^{column} must be finite$"):
+        run_trial(base, 0)
 
 
 @pytest.mark.parametrize("experiment", tuple(EXPERIMENTS))
@@ -171,28 +204,22 @@ def test_threads_1_and_2_agree(monkeypatch, experiment):
 
 
 def test_table_fills_at_the_first_point_and_is_read_after(monkeypatch):
-    draws = []
-    real = montecarlo.sample_truth
-
-    def counted(scenario, rng):
-        draws.append(1)
-        return real(scenario, rng)
-
-    monkeypatch.setattr(montecarlo, "sample_truth", counted)
+    draws = count_truth_draws(monkeypatch)
     seen = spy_ensembles(monkeypatch)
     sweep_velocity_experiment(default_scenario(trials=12), GRID)
-    assert [entries for _, entries in seen] == [0, 12, 12]
+    assert [entries for _, entries in seen] == [12, 12, 12]
     assert len(draws) == 12
     # outside a sweep every call draws
     draws.clear()
     run_ensemble(default_scenario(trials=12))
     run_ensemble(default_scenario(trials=12))
     assert len(draws) == 24
-    # a pool's workers start in an empty context and draw per call as well
+    # a pool's workers start in an empty context and draw per call as well,
+    # on top of the sweep's draw before its first point
     monkeypatch.setattr(montecarlo, "_available_cpus", lambda: 2)
     draws.clear()
     sweep_velocity_experiment(default_scenario(trials=12), GRID, threads=2)
-    assert len(draws) == 36
+    assert len(draws) == 12 + 36
 
 
 def test_no_table_survives_a_sweep(monkeypatch):
@@ -200,11 +227,13 @@ def test_no_table_survives_a_sweep(monkeypatch):
     sweep_acceleration_experiment(base, GRID)
     assert montecarlo._SWEEP_DRAWS.get() is None
     # the second point's noise level has no finite square: NoiseSpec raises
-    # after the first point has filled the table
+    # after the first point has run on the full table
+    draws = count_truth_draws(monkeypatch)
     seen = spy_ensembles(monkeypatch)
     with pytest.raises(ValueError, match="finite square"):
         sweep_velocity_experiment(base, (0.5, 1e160))
-    assert [entries for _, entries in seen] == [0]
+    assert [entries for _, entries in seen] == [5]
+    assert len(draws) == 5
     assert montecarlo._SWEEP_DRAWS.get() is None
 
     def broken(scenario, weight_rule, threads):
@@ -323,11 +352,13 @@ def test_position_survives_a_later_stage_failing(monkeypatch):
     assert {r.failure for r in records[0]} == {"SingularGeometry"}
     assert all(r.ok for r in records[1] + records[2])
     calls.clear()
+    draws = count_truth_draws(monkeypatch)
     seen = spy_ensembles(monkeypatch)
     montecarlo._sweep(base, "sigma_range_rate", GRID, "constant_velocity", noise_for,
                       PROPAGATED, 1)
     assert len(calls) == 10
-    assert [entries for _, entries in seen] == [0, 10, 10]
+    assert [entries for _, entries in seen] == [10, 10, 10]
+    assert len(draws) == 10
 
 
 @pytest.mark.parametrize("experiment", tuple(EXPERIMENTS))
