@@ -10,6 +10,16 @@ cost, but raise ZeroDivisionError where a numpy scalar returned inf or NaN,
 so every denominator that can underflow to 0 is guarded; they overflow to inf
 silently, so the solutions are checked to be finite.
 
+Each kernel walks the sensors once per call, in one ``for`` loop that forms
+every per-sensor value and appends it to its output list, except where a pass
+needs the result of the one before (``position_solve``'s residual needs the
+position).  One comprehension per output list would do the same operations in
+the same order, but it walks the sensors once per list, and before Python 3.12
+(PEP 709) each comprehension runs as a function call of its own, which at 8
+sensors costs more than the loop body.  From 3.12 on, comprehensions are
+inlined, and the loop is a few percent faster at 8 sensors but up to 10%
+slower at 64 (BENCH_pr18.json).
+
 A kernel that cannot solve raises the named error itself, never returns NaN:
 ``position_solve`` raises DegenerateGeometry and ``wls_solve2``
 SingularGeometry (as when the Gram condition number exceeds ``COND_CAP``),
@@ -150,9 +160,15 @@ def system_rows(sx, sy, px, py):
     Returns (bx, by, rhat) as lists; raises ZeroRange when p_hat coincides
     with a sensor.
     """
-    bx = [px - x for x in sx]
-    by = [py - y for y in sy]
-    rhat = [math.sqrt(dx * dx + dy * dy) for dx, dy in zip(bx, by)]
+    bx = []
+    by = []
+    rhat = []
+    for x, y in zip(sx, sy):
+        dx = px - x
+        dy = py - y
+        bx.append(dx)
+        by.append(dy)
+        rhat.append(math.sqrt(dx * dx + dy * dy))
     if 0.0 in rhat:
         raise ZeroRange("estimated position coincides with a sensor")
     return bx, by, rhat

@@ -53,7 +53,11 @@ def _as_int(key, value, minimum=0):
 def _as_float(key, value):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{key} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{key} must be a finite number, got an integer too large "
+                          "for a float") from None
 
 
 def _as_choice(choices):

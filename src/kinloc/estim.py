@@ -242,8 +242,14 @@ def _shared_error_solve(bx, by, rhs, var, s2) -> KinematicEstimate:
         return _solve2(bx, by, rhs, w, rhs, "WLS")
     shrink = (1.0 - keep) / total
     ox, oy, ok = keep * rx - shrink * ax, keep * ry - shrink * ay, keep * rk - shrink * ak
-    return _solve2([(x - rx) + ox for x in bx], [(y - ry) + oy for y in by],
-                   [(k - rk) + ok for k in rhs], w, rhs, "WLS")
+    cx = []
+    cy = []
+    ck = []
+    for x, y, k in zip(bx, by, rhs):
+        cx.append((x - rx) + ox)
+        cy.append((y - ry) + oy)
+        ck.append((k - rk) + ok)
+    return _solve2(cx, cy, ck, w, rhs, "WLS")
 
 
 def estimate_velocity(measurements: MeasurementSet, sensors: SensorArray, p_hat,

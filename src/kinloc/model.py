@@ -42,7 +42,10 @@ def _frozen_array(arr: np.ndarray) -> np.ndarray:
 
 def as_vec2(value, name: str = "vector") -> np.ndarray:
     """Coerce to a fresh read-only float64 array of shape (2,), rejecting NaN/Inf."""
-    arr = np.array(value, dtype=np.float64, ndmin=1)
+    try:
+        arr = np.array(value, dtype=np.float64, ndmin=1)
+    except OverflowError:       # an integer past the float range
+        raise ValueError(f"{name} must be finite, got an integer too large for a float") from None
     if arr.shape != (2,):
         raise ValueError(f"{name} must have exactly 2 components, got shape {arr.shape}")
     x, y = arr.tolist()
@@ -73,7 +76,10 @@ class SensorArray:
     positions: np.ndarray
 
     def __post_init__(self):
-        pos = np.atleast_2d(np.asarray(self.positions, dtype=np.float64))
+        try:
+            pos = np.atleast_2d(np.asarray(self.positions, dtype=np.float64))
+        except OverflowError:
+            raise ValueError("sensor positions must be finite") from None
         if pos.ndim != 2 or pos.shape[1] != 2 or pos.shape[0] < 1:
             raise ValueError(f"positions must have shape (N, 2) with N >= 1, got {pos.shape}")
         if not np.all(np.isfinite(pos)):
@@ -124,7 +130,10 @@ class NoiseSpec:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise TypeError(f"{name} must be a real number, got {value!r}")
-            value = float(value)
+            try:
+                value = float(value)
+            except OverflowError:       # an integer past the float range reads as inf
+                value = math.inf if value > 0 else -math.inf
             if not np.isfinite(value * value) or value < 0.0:
                 raise ValueError(f"{name} must be >= 0 with a finite square, got {value}")
             object.__setattr__(self, name, value)
@@ -136,7 +145,10 @@ class NoiseSpec:
 
 def _measurement_vector(values, name: str):
     """(read-only float64 array, the same values as a list of floats)."""
-    arr = np.asarray(values, dtype=np.float64)
+    try:
+        arr = np.asarray(values, dtype=np.float64)
+    except OverflowError:
+        raise ValueError(f"{name} must be finite") from None
     if arr.ndim > 1:
         raise ValueError(f"{name} must be one-dimensional")
     arr = np.frombuffer(arr.tobytes())      # the only copy; a scalar gives shape (1,)
@@ -216,7 +228,10 @@ def range_accel(target: TargetState, sensor_pos) -> float:
 
 def propagate(target: TargetState, dt: float) -> TargetState:
     """Constant-acceleration propagation by dt seconds (used by the oracle and demos)."""
-    dt = float(dt)
+    try:
+        dt = float(dt)
+    except OverflowError:
+        dt = math.inf
     if not np.isfinite(dt):
         raise ValueError("dt must be finite")
     pos = target.position + target.velocity * dt + 0.5 * target.acceleration * dt * dt

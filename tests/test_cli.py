@@ -149,6 +149,22 @@ class TestConfig:
                             "--out", str(tmp_path / "x.csv")], capsys)
         assert code == 2 and err.startswith("ConfigError:")
 
+    def test_integer_past_the_float_range_rejected(self, tmp_path, capsys):
+        # JSON reads a 401-digit number as an int, which float() cannot convert
+        big = 10 ** 400
+        cfg = write_config(tmp_path, {"sigma_range": big})
+        code, _, err = run(["sweep", "--config", cfg, "--trials", "1", "--grid", "1",
+                            "--out", str(tmp_path / "x.csv")], capsys)
+        assert code == 2
+        assert err == ("ConfigError: sigma_range must be a finite number, got an integer "
+                       "too large for a float\n")
+        cfg = write_config(tmp_path, {"ranges": [1.0, big, 1.0], "range_rates": [0.0] * 3,
+                                      "drrs": [0.0] * 3})
+        code, _, err = run(["estimate", "--config", cfg], capsys)
+        assert code == 2
+        assert err == ("ConfigError: ranges must be a finite number, got an integer "
+                       "too large for a float\n")
+
     def test_bad_grid_flag_rejected(self, tmp_path, capsys):
         code, _, err = run(["sweep", "--grid", "1,zap", "--out", "x.csv"], capsys)
         assert code == 2 and err.startswith("ConfigError:")

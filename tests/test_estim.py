@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import assert_cannot_unlock
 from kinloc import _kernels as K
+from kinloc import estim
 from kinloc.errors import (DegenerateGeometry, KinlocError, SingularGeometry,
                            TooFewSensors, ZeroRange)
 from kinloc.estim import (PROPAGATED, UNIFORM, WeightRule,
@@ -483,6 +484,96 @@ def test_acceleration_error_model_matches_its_loop_form_bit_for_bit(args):
         return [v.hex() for v in variances], shared.hex()
 
     assert outcome(acceleration_error_model) == outcome(_acceleration_error_model_loop)
+
+
+def _shared_error_solve_comprehension(bx, by, rhs, var, s2):
+    """``estim._shared_error_solve`` with its centring in its first form, one
+    comprehension per centred column: the reference that its single loop must
+    match bit for bit."""
+    lowest = min(var)
+    if lowest == 0.0:
+        positive = [d for d in var if d > 0.0]
+        if positive:
+            lowest = min(positive)
+            var = [max(d, lowest) for d in var]
+        else:
+            var = [1.0] * len(var)
+            lowest, s2 = 1.0, 0.0
+    e = math.frexp(lowest)[1] - 1
+    top = math.ldexp(1.0, 1024 + e) if e < 0 else math.inf
+    s2 = math.ldexp(s2, -e) if s2 < top else math.inf
+    j = var.index(lowest)
+    rx, ry, rk = bx[j], by[j], rhs[j]
+    w = []
+    total = ax = ay = ak = 0.0
+    for d, x, y, k in zip(var, bx, by, rhs):
+        wi = 1.0 / math.ldexp(d, -e) if d < top else 0.0
+        w.append(wi)
+        total += wi
+        ax += wi * (x - rx)
+        ay += wi * (y - ry)
+        ak += wi * (k - rk)
+    keep = 1.0 / math.sqrt(1.0 + s2 * total)
+    if keep == 1.0:
+        return estim._solve2(bx, by, rhs, w, rhs, "WLS")
+    shrink = (1.0 - keep) / total
+    ox, oy, ok = keep * rx - shrink * ax, keep * ry - shrink * ay, keep * rk - shrink * ak
+    return estim._solve2([(x - rx) + ox for x in bx], [(y - ry) + oy for y in by],
+                         [(k - rk) + ok for k in rhs], w, rhs, "WLS")
+
+
+@st.composite
+def _shared_error_inputs(draw):
+    """Stage columns at one scale from 2^-250 to 2^253, and variances each at
+    its own scale within a window of 2^-1074 to 2^1023, narrow in most draws
+    and so wide in others that the smallest is subnormal or a row's weight
+    is 0; some variances are 0 (all of them in some draws), and the shared
+    variance is 0 or small enough to leave 1 - lam at 1.0 in some draws."""
+    n = draw(st.integers(2, 10))
+    k = draw(st.integers(-250, 250))
+    bx, by = (draw(st.lists(_near(k + draw(st.integers(-3, 3))), min_size=n, max_size=n))
+              for _ in range(2))
+    rhs = draw(st.lists(_near(draw(st.integers(-250, 250))), min_size=n, max_size=n))
+    lo = draw(st.integers(-1074, 1020))
+    hi = min(1020, lo + draw(st.sampled_from([4, 4, 60, 2094])))
+
+    def positive(low, high):    # mantissas in [0.5, 1]: 0 only where asked for
+        return st.builds(math.ldexp, st.floats(0.5, 1.0), st.integers(low, high))
+
+    variance = positive(lo, hi)
+    zeros = draw(st.sampled_from(["none", "none", "none", "some", "all"]))
+    if zeros != "none":
+        variance = st.one_of(variance, st.just(0.0)) if zeros == "some" else st.just(0.0)
+    variances = draw(st.lists(variance, min_size=n, max_size=n))
+    # near the variances in most draws, where the offset is neither ignored nor free
+    shared = draw(st.one_of(positive(max(-1074, lo - 30), min(1020, hi + 30)),
+                            positive(-1074, 1020), st.just(0.0)))
+    return bx, by, rhs, variances, shared
+
+
+def _estimate_outcome(fn, *args):
+    """The hex bits of fn's estimate with its label, or its SingularGeometry message."""
+    try:
+        est = fn(*args)
+    except SingularGeometry as exc:
+        return str(exc)
+    return ([v.hex() for v in est.value.tolist()], est.method, est.gram_condition.hex(),
+            [p.hex() for p in est.pseudo_measurements.tolist()])
+
+
+@settings(max_examples=300, deadline=None)
+@given(args=_shared_error_inputs())
+# every variance 0: the uniform-weight fallback, which takes s2 = 0
+@example(args=([3.0, -1.0, 2.0], [1.0, 4.0, -2.0], [1.0, 2.0, 5.0], [0.0] * 3, 7.0))
+# s2 * sum(w) far below 2^-53: 1 - lam rounds to 1.0 and the rows pass uncentred
+@example(args=([3.0, -1.0, 2.0], [1.0, 4.0, -2.0], [1.0, 2.0, 5.0], [1.0, 2.0, 4.0], 1e-20))
+# a row of variance 0 among positive ones, centred
+@example(args=([3.0, -1.0, 2.0], [1.0, 4.0, -2.0], [1.0, 2.0, 5.0], [0.0, 2.0, 4.0], 0.5))
+def test_shared_error_centring_matches_its_comprehension_form_bit_for_bit(args):
+    bx, by, rhs, variances, shared = args
+    B = np.column_stack([bx, by])
+    assert (_estimate_outcome(solve_shared_error_stage, B, rhs, variances, shared)
+            == _estimate_outcome(_shared_error_solve_comprehension, *args))
 
 
 class TestPipeline:

@@ -278,6 +278,51 @@ def test_wls_solve2_matches_its_loop_form_bit_for_bit(rows):
     assert _outcome(K.wls_solve2, *rows) == _outcome(_wls_solve2_loop, *rows)
 
 
+def _system_rows_comprehension(sx, sy, px, py):
+    """``system_rows`` in its first form, one comprehension per output list:
+    the reference its single loop must match bit for bit."""
+    bx = [px - x for x in sx]
+    by = [py - y for y in sy]
+    rhat = [math.sqrt(dx * dx + dy * dy) for dx, dy in zip(bx, by)]
+    if 0.0 in rhat:
+        raise ZeroRange("estimated position coincides with a sensor")
+    return bx, by, rhat
+
+
+def _rows_outcome(sx, sy, px, py, fn):
+    """The hex bits of fn's three lists, or its ZeroRange message."""
+    try:
+        return [_bits(column) for column in fn(sx, sy, px, py)]
+    except ZeroRange as exc:
+        return str(exc)
+
+
+@st.composite
+def wide_positions(draw):
+    """Sensors and p_hat near one scale from 2^-540 to 2^515, so that dx * dx
+    underflows to a subnormal or to 0 in some draws and overflows to inf in
+    others; signed zeros anywhere, and in some draws a sensor at p_hat."""
+    n = draw(st.integers(1, 12))
+    # half the draws at the ends of the range, where the squares leave it
+    k = draw(st.one_of(st.integers(-540, 512), st.integers(-540, -505), st.integers(480, 512)))
+    near = _near(k + draw(st.integers(-3, 3)))
+    coordinate = st.one_of(near, near, near, st.sampled_from([0.0, -0.0]))
+    sx = draw(st.lists(coordinate, min_size=n, max_size=n))
+    sy = draw(st.lists(coordinate, min_size=n, max_size=n))
+    px, py = draw(coordinate), draw(coordinate)
+    if draw(st.integers(0, 3)) == 0:
+        i = draw(st.integers(0, n - 1))
+        sx[i], sy[i] = px, py
+    return sx, sy, px, py
+
+
+@settings(max_examples=300, deadline=None)
+@given(args=wide_positions())
+def test_system_rows_matches_its_comprehension_form_bit_for_bit(args):
+    assert (_rows_outcome(*args, K.system_rows)
+            == _rows_outcome(*args, _system_rows_comprehension))
+
+
 class TestSym3Eig:
     def test_against_numpy(self, rng):
         for _ in range(300):

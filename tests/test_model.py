@@ -200,6 +200,29 @@ class TestValidation:
         with pytest.raises(ValueError):
             MeasurementSet([1.0, 2.0], [0.0], [0.0, 0.0], NoiseSpec())
 
+    @pytest.mark.parametrize("build", [
+        lambda v: NoiseSpec(v, 1.0, 1.0),
+        lambda v: NoiseSpec(1.0, -v, 1.0),
+        lambda v: SensorArray([[v, 0.0], [0.0, 1.0], [1.0, 1.0]]),
+        lambda v: MeasurementSet([1.0, v, 1.0], [0.0] * 3, [0.0] * 3, NoiseSpec()),
+        lambda v: propagate(TargetState((0.0, 0.0), (1.0, 0.0)), v),
+    ], ids=["sigma_range", "negative_sigma_range_rate", "sensors", "ranges", "dt"])
+    def test_integer_past_the_float_range_rejected_as_inf(self, build):
+        # float(10 ** 400) raises OverflowError: each field takes it as inf
+        with pytest.raises(ValueError) as want:
+            build(math.inf)
+        with pytest.raises(ValueError) as got:
+            build(10 ** 400)
+        assert str(got.value) == str(want.value)
+
+    def test_vector_past_the_float_range_rejected(self):
+        for name, vectors in (("position", ((10 ** 400, 0.0), (0.0, 0.0))),
+                              ("velocity", ((0.0, 0.0), (0.0, -10 ** 400)))):
+            with pytest.raises(ValueError) as exc:
+                TargetState(*vectors)
+            assert str(exc.value) == (f"{name} must be finite, got an integer too large "
+                                      "for a float")
+
     @pytest.mark.parametrize("value, name, message", [
         ([np.nan, 0.0], "position", "position must be finite, got [nan  0.]"),
         ((1.0, np.inf), "velocity", "velocity must be finite, got [ 1. inf]"),
