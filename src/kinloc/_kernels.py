@@ -27,6 +27,20 @@ each with that number in its message, and ``system_rows`` raises ZeroRange.
 The kernels know no weighting policy: estim.py turns a WeightRule into weights.
 ``position_solve`` computes the half of its work that depends only on the
 sensors once per layout and keeps it for the last 16 layouts.
+
+``system_rows`` keeps the rows of its last call in a one-entry memo, and a
+call with the same key returns fresh copies of them.  Each estimate asks for
+the same rows six times, once in each velocity stage and twice in each
+acceleration stage, because the stage functions take the position, not the
+rows; the memo turns five of those builds into list copies.  A hit returns
+what a build would, bit for bit and type for type, so the memo keeps a call
+only when nothing about its key can change or compare equal with other
+bits: the sensors are tuples, matched by identity (a list can change in
+place), and px, py are non-zero Python floats (0.0 == -0.0, but the two
+give different rows).  A ZeroRange call is never kept, so each such call
+raises.  The memo is replaced by one assignment, so concurrent callers at
+worst miss.  It is a bridge: once the stages take rows computed once per
+estimate (ROADMAP item 4), it goes.
 """
 
 import functools
@@ -154,12 +168,23 @@ def position_solve(sx, sy, rbar):
     return th0, th1, th2, math.sqrt(ss), cond
 
 
+# (sx, sy, px, py, bx, by, rhat) of the last rows system_rows stored; a NaN
+# key equals nothing, so the first call misses
+_rows_memo = (None, None, math.nan, math.nan, None, None, None)
+
+
 def system_rows(sx, sy, px, py):
     """Stage rows (p_hat - p_i) and the ranges r_i = |p_hat - p_i|.
 
-    Returns (bx, by, rhat) as lists; raises ZeroRange when p_hat coincides
-    with a sensor.
+    Returns (bx, by, rhat) as fresh lists; raises ZeroRange when p_hat
+    coincides with a sensor.  A call with the sensor tuples and the float
+    position of the last stored call returns copies of its rows.
     """
+    global _rows_memo
+    memo = _rows_memo
+    if (memo[0] is sx and memo[1] is sy and type(px) is float and type(py) is float
+            and memo[2] == px and memo[3] == py):
+        return memo[4][:], memo[5][:], memo[6][:]
     bx = []
     by = []
     rhat = []
@@ -171,6 +196,13 @@ def system_rows(sx, sy, px, py):
         rhat.append(math.sqrt(dx * dx + dy * dy))
     if 0.0 in rhat:
         raise ZeroRange("estimated position coincides with a sensor")
+    # a tuple cannot change between calls, while a list can; 0.0 == -0.0,
+    # but the two give different bits in bx or by
+    if (type(sx) is tuple and type(sy) is tuple and type(px) is float
+            and type(py) is float and px != 0.0 and py != 0.0):
+        # one assignment: a concurrent call sees the old entry or the new one
+        _rows_memo = (sx, sy, px, py, bx, by, rhat)
+        return bx[:], by[:], rhat[:]
     return bx, by, rhat
 
 

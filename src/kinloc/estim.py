@@ -139,7 +139,13 @@ def _solve2(bx, by, rhs, weights, pseudo, method) -> KinematicEstimate:
 
 
 def _stage_columns(B, rhs, per_row, name):
-    B, rhs, per_row = (np.asarray(a, dtype=np.float64) for a in (B, rhs, per_row))
+    arrays = []
+    for label, a in (("B", B), ("rhs", rhs), (name, per_row)):
+        try:
+            arrays.append(np.asarray(a, dtype=np.float64))
+        except OverflowError:       # an integer past the float range: rejected like inf
+            raise ValueError(f"{label} must be finite") from None
+    B, rhs, per_row = arrays
     if B.ndim != 2 or B.shape[1] != 2:
         raise ValueError(f"B must have shape (N, 2), got {B.shape}")
     if B.shape[0] == 0:
@@ -193,7 +199,10 @@ def solve_shared_error_stage(B, rhs, variances, shared_variance: float) -> Kinem
     Raises SingularGeometry like ``solve_linear_stage``.
     """
     bx, by, rhs, variances = _stage_columns(B, rhs, variances, "variances")
-    s2 = float(shared_variance)
+    try:
+        s2 = float(shared_variance)
+    except OverflowError:       # an integer past the float range reads as inf
+        s2 = math.inf if shared_variance > 0 else -math.inf
     # _stage_columns has checked the variances finite
     if not (min(variances) >= 0.0 and 0.0 <= s2 < math.inf):
         raise ValueError("variances and shared_variance must be finite and >= 0")

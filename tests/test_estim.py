@@ -177,6 +177,19 @@ class TestSolveLinearStage:
             with pytest.raises(ValueError, match=name):
                 solve_linear_stage(bad_B, rhs, w)
 
+    # an integer past the float range raised an unnamed OverflowError in
+    # np.asarray; as inf it raised the ValueError
+    @pytest.mark.parametrize("huge", [10**400, math.inf], ids=["integer", "inf"])
+    def test_integer_past_the_float_range_rejected_as_inf(self, huge):
+        B = [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
+        for bad_B, rhs, weights, name in ((B, [1.0, 2.0, huge], [1.0] * 3, "rhs"),
+                                          (B, [1.0, 2.0, 3.0], [1.0, 1.0, huge], "weights"),
+                                          (B, [1.0, 2.0, 3.0], [1.0, 1.0, -huge], "weights"),
+                                          ([[1.0, 0.0], [0.0, -huge], [1.0, 1.0]],
+                                           [1.0, 2.0, 3.0], [1.0] * 3, "B")):
+            with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+                solve_linear_stage(bad_B, rhs, weights)
+
 
 class TestSolveSharedErrorStage:
     def test_zero_variance_rules(self, rng):
@@ -224,6 +237,18 @@ class TestSolveSharedErrorStage:
         est = solve_shared_error_stage([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [1.0, 2.0, 3.0],
                                        np.full(3, 1e308), 0.0)
         np.testing.assert_allclose(est.value, [1.0, 2.0], rtol=1e-15, atol=1e-15)
+
+    # an integer past the float range raised an unnamed OverflowError in
+    # np.asarray (a variance) or in float() (the shared variance)
+    @pytest.mark.parametrize("huge", [10**400, math.inf], ids=["integer", "inf"])
+    def test_integer_past_the_float_range_rejected_as_inf(self, huge):
+        shared_message = "variances and shared_variance must be finite and >= 0"
+        for variances, shared, message in (([1.0, 1.0, huge], 0.0, "variances must be finite"),
+                                           ([1.0] * 3, huge, shared_message),
+                                           ([1.0] * 3, -huge, shared_message)):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                solve_shared_error_stage([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
+                                         [1.0, 2.0, 3.0], variances, shared)
 
     # each row's variance or the shared one is 2^1024 times the smallest
     # variance or more, or the smallest is subnormal: math.ldexp overflowed

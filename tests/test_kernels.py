@@ -4,10 +4,12 @@ The kernels take lists of floats, as estim.py hands them over; the tests keep
 numpy arrays for their references and pass ``.tolist()`` copies."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kinloc import _kernels as K
@@ -318,9 +320,97 @@ def wide_positions(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(args=wide_positions())
+@example(args=([0.0, 1.0], [2.0, 3.0], 0.0, 5.0))       # a sensor at px = 0.0
+@example(args=([2.0, 3.0], [-0.0, 1.0], 5.0, -0.0))     # and at py = -0.0
+@example(args=([1.0, 3.0], [2.0, 4.0], 3.0, 4.0))       # a sensor on p_hat
 def test_system_rows_matches_its_comprehension_form_bit_for_bit(args):
-    assert (_rows_outcome(*args, K.system_rows)
-            == _rows_outcome(*args, _system_rows_comprehension))
+    sx, sy, px, py = args
+    want = _rows_outcome(*args, _system_rows_comprehension)
+    assert _rows_outcome(*args, K.system_rows) == want
+    # as tuples, the form SensorArray hands over, the second call is a memo
+    # hit whenever the first was kept; ZeroRange must come on every call
+    layout = tuple(sx), tuple(sy)
+    for _ in range(2):
+        assert _rows_outcome(*layout, px, py, K.system_rows) == want
+    if px != 0.0 and py != 0.0 and not isinstance(want, str):
+        assert K._rows_memo[0] is layout[0]
+    # 0.0 == -0.0: the other signed zero must get its own bits
+    flips = ([(-px, py)] if px == 0.0 else []) + ([(px, -py)] if py == 0.0 else [])
+    for qx, qy in flips:
+        assert (_rows_outcome(*layout, qx, qy, K.system_rows)
+                == _rows_outcome(sx, sy, qx, qy, _system_rows_comprehension))
+
+
+def _ring(n=64):
+    angles = 2.0 * math.pi * np.arange(n) / n
+    return 100.0 * np.cos(angles), 100.0 * np.sin(angles)
+
+
+def _ring_tuples(n=64):
+    """``_ring`` as the tuples of floats that SensorArray hands the kernels."""
+    sx, sy = _ring(n)
+    return tuple(sx.tolist()), tuple(sy.tolist())
+
+
+class TestRowsMemo:
+    """``system_rows`` serves a repeat call from copies of its last rows: no
+    call may see another's state."""
+
+    def test_mutating_returned_rows_leaves_the_next_hit_intact(self):
+        sx, sy = _ring_tuples()
+        want = _rows_outcome(sx, sy, 30.0, 40.0, _system_rows_comprehension)
+        for _ in range(3):
+            rows = K.system_rows(sx, sy, 30.0, 40.0)
+            assert [_bits(column) for column in rows] == want
+            assert K._rows_memo[0] is sx        # the next call is a hit
+            for column in rows:
+                column[0] = 1e300
+                column.append(7.0)
+
+    def test_list_layout_changed_in_place_gives_the_new_rows(self):
+        sx, sy = (list(c) for c in _ring_tuples(8))
+        for k in range(3):
+            sx[k] += 0.5
+            sy[-1] = -float(k)
+            assert (_rows_outcome(sx, sy, 30.0, 40.0, K.system_rows)
+                    == _rows_outcome(sx, sy, 30.0, 40.0, _system_rows_comprehension))
+
+    def test_numpy_scalar_position_gets_the_types_of_a_fresh_call(self):
+        sx, sy = _ring_tuples(8)
+        calls = [(30.0, 40.0), (np.float64(30.0), np.float64(40.0)), (30.0, 40.0),
+                 (30.0, np.float64(40.0))]
+        for px, py in calls + calls[::-1]:
+            got = K.system_rows(sx, sy, px, py)
+            want = _system_rows_comprehension(sx, sy, px, py)
+            assert [[type(v) for v in c] for c in got] == [[type(v) for v in c] for c in want]
+            assert [_bits(c) for c in got] == [_bits(c) for c in want]
+
+    def test_threads_with_their_own_layouts_get_their_own_rows(self):
+        def run(layout, positions, errors):
+            want = [_system_rows_comprehension(*layout, px, py) for px, py in positions]
+            for _ in range(100):
+                for (px, py), rows in zip(positions, want):
+                    for _ in range(2):
+                        if K.system_rows(*layout, px, py) != rows:
+                            errors.append((layout[0][0], px, py))
+
+        rng = np.random.default_rng(19)
+        errors = []
+        # more threads than the 2 cores of the benchmark VM
+        threads = [threading.Thread(target=run, args=(
+            _ring_tuples(n), [tuple(rng.uniform(-50.0, 50.0, 2).tolist()) for _ in range(5)],
+            errors)) for n in (64, 8, 16, 3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)     # switch threads often, inside the kernel too
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
 
 
 class TestSym3Eig:
@@ -349,14 +439,9 @@ class TestSym3Eig:
         assert cond == 1.0
 
 
-def _ring64():
-    angles = 2.0 * math.pi * np.arange(64) / 64
-    return 100.0 * np.cos(angles), 100.0 * np.sin(angles)
-
-
 def test_kernels_return_lists_of_floats(rng):
     # `type(...) is float`: a numpy float64 would pass an isinstance check
-    sx, sy = _ring64()
+    sx, sy = _ring()
     sx, sy, rbar = _lists(sx, sy, np.hypot(30.0 - sx, 40.0 - sy) + rng.normal(0.0, 1.0, 64))
     for value in K.position_solve(sx, sy, rbar):
         assert type(value) is float
@@ -370,7 +455,7 @@ def test_kernels_return_lists_of_floats(rng):
 
 
 def test_kernels_agree_with_dense_oracle_on_64_ring(rng):
-    sx, sy = _ring64()
+    sx, sy = _ring()
     for _ in range(20):
         px, py = rng.uniform(-50.0, 50.0, 2)
         rbar = np.hypot(px - sx, py - sy) + rng.normal(0.0, 1.0, 64)
