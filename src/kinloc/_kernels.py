@@ -209,9 +209,10 @@ def system_rows(sx, sy, px, py):
 def wls_solve2(bx, by, rhs, w):
     """Minimizer of sum_i w_i (rhs_i - bx_i*x0 - by_i*x1)^2 via 2x2 normal equations.
 
-    Returns (x0, x1, gram_cond); raises SingularGeometry when the Gram matrix
-    is singular, its condition number exceeds COND_CAP, its determinant
-    underflows to 0, or the solution overflows.
+    Returns (x0, x1, gram_cond, g00, g01, g11), the last three the Gram sums
+    sum_i w_i bx_i^2, w_i bx_i by_i and w_i by_i^2; raises SingularGeometry when
+    the Gram matrix is singular, its condition number exceeds COND_CAP, its
+    determinant underflows to 0, or the solution overflows.
     """
     g00 = g01 = g11 = h0 = h1 = 0.0
     for x, y, r, wi in zip(bx, by, rhs, w):
@@ -237,4 +238,4 @@ def wls_solve2(bx, by, rhs, w):
     x1 = (g00 * h1 - g01 * h0) / det
     if not (math.isfinite(x0) and math.isfinite(x1)):
         raise SingularGeometry(f"stage solution overflows (condition {hi / lo:.3g})")
-    return x0, x1, hi / lo
+    return x0, x1, hi / lo, g00, g01, g11

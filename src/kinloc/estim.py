@@ -29,6 +29,15 @@ the ranges, this module turns the WeightRule into per-row weights
 weighted normal-equation kernel, which guards the condition number; the
 kernels raise the named errors.  Per-row data travels as lists of floats;
 arrays appear only where a public function takes or returns one.
+
+The ``propagated`` error model needs the Gram matrix G = sum w_i B_i B_i'
+and the weights w_i = 1/r_i of the velocity solve, which depend on the rows
+alone.  A propagated ``estimate_velocity`` keeps them, as ``wls_solve2``
+returns them, in a one-entry memo keyed by the sensor tuples and p_hat, and
+``estimate_acceleration`` takes them from it when its rows are the same
+(always, in the pipeline) or forms them by the same operations, with the
+same bits.  Like the ``system_rows`` memo it is a bridge until the stages
+take rows computed once per estimate (ROADMAP item 4).
 """
 
 import math
@@ -134,7 +143,7 @@ def estimate_position(measurements: MeasurementSet, sensors: SensorArray) -> Pos
 
 
 def _solve2(bx, by, rhs, weights, pseudo, method) -> KinematicEstimate:
-    x0, x1, cond = _kernels.wls_solve2(bx, by, rhs, weights)
+    x0, x1, cond, _, _, _ = _kernels.wls_solve2(bx, by, rhs, weights)
     return KinematicEstimate(_frozen((x0, x1)), method, cond, _frozen(pseudo))
 
 
@@ -228,7 +237,10 @@ def _shared_error_solve(bx, by, rhs, var, s2) -> KinematicEstimate:
     # value 2^1024 times the smallest variance or more would scale past the
     # float range: taken as inf, it gives its row weight 0, and for s2 it
     # gives lam = 1, the limit in which the shared offset is unconstrained.
+    # Below that, a weight 2^e / d is 1 / (d * 2^-e) rounded once: 2^e (from
+    # 2^-1074 up) and d * 2^-e are exact, so both quotients are of one real.
     e = math.frexp(lowest)[1] - 1
+    scale = math.ldexp(1.0, e)
     top = math.ldexp(1.0, 1024 + e) if e < 0 else math.inf
     s2 = math.ldexp(s2, -e) if s2 < top else math.inf
     # x_i - lam * mean_w(x) would cancel in the row of the largest weight,
@@ -240,7 +252,7 @@ def _shared_error_solve(bx, by, rhs, var, s2) -> KinematicEstimate:
     w = []
     total = ax = ay = ak = 0.0
     for d, x, y, k in zip(var, bx, by, rhs):
-        wi = 1.0 / math.ldexp(d, -e) if d < top else 0.0
+        wi = scale / d if d < top else 0.0
         w.append(wi)
         total += wi
         ax += wi * (x - rx)
@@ -261,20 +273,32 @@ def _shared_error_solve(bx, by, rhs, var, s2) -> KinematicEstimate:
     return _solve2(cx, cy, ck, w, rhs, "WLS")
 
 
+# (sensors.xs, sensors.ys, px, py, weights, (g00, g01, g11)) of the last
+# propagated velocity solve; a NaN position equals none, so the first call misses
+_velocity_gram = (None, None, math.nan, math.nan, None, None)
+
+
 def estimate_velocity(measurements: MeasurementSet, sensors: SensorArray, p_hat,
                       weight_rule: WeightRule = WeightRule()) -> KinematicEstimate:
     """Velocity estimate from range rates, given the stage-1 position estimate.
 
     Solves rows (p_hat - p_i) against d_i = a_i * r_i, with r_i the range
     implied by p_hat and weights from ``row_weights``.  Raises ZeroRange when
-    p_hat coincides with a sensor.
+    p_hat coincides with a sensor.  Under the ``propagated`` rule it keeps the
+    solve's 1/r weights and Gram sums for ``estimate_acceleration``.
     """
+    global _velocity_gram
     _check_lengths(measurements, sensors)
     px, py = _vec2_floats(p_hat, "p_hat")
     bx, by, rhat = _kernels.system_rows(sensors.xs, sensors.ys, px, py)
     d = [a * r for a, r in zip(measurements._range_rates, rhat)]
+    w = row_weights(rhat, weight_rule)
+    x0, x1, cond, g00, g01, g11 = _kernels.wls_solve2(bx, by, d, w)
+    if weight_rule.mode == "propagated":
+        # one assignment: a concurrent call sees the old entry or the new one
+        _velocity_gram = (sensors.xs, sensors.ys, px, py, w, (g00, g01, g11))
     method = "LS" if weight_rule.mode == "uniform" else "WLS"
-    return _solve2(bx, by, d, row_weights(rhat, weight_rule), d, method)
+    return KinematicEstimate(_frozen((x0, x1)), method, cond, _frozen(d))
 
 
 def acceleration_pseudo_measurements(measurements: MeasurementSet, sensors: SensorArray,
@@ -300,12 +324,15 @@ def _pseudo_measurements(measurements, sensors, px, py, v0, v1) -> list:
 
 
 def acceleration_error_model(measurements: MeasurementSet, ranges, bx, by, velocity_weights,
-                             v_hat):
+                             v_hat, gram=None):
     """First-order error model of the pseudo-measurements k_i, as (D, s2), D a list.
 
     ``ranges`` are the r_i that multiply b_i in k_i, ``bx`` and ``by`` the
     columns of the stage rows (p_hat - p_i), and ``velocity_weights`` the
-    weights of the velocity solve that produced ``v_hat``, all lists.  With
+    weights of the velocity solve that produced ``v_hat``, all lists.
+    ``gram`` is that solve's (g00, g01, g11), as ``_kernels.wls_solve2``
+    returns them; without it G is formed here from the rows and weights by
+    the operations of ``wls_solve2``, so either way gives the same bits.  With
     s_r, s_a, s_b from ``measurements.noise``, the per-row variances are
     D_i = r_i^2 s_b^2 + 4 a_i^2 s_a^2 + b_i^2 s_r^2, and s2 = 4 v' Cov(v) v is
     the variance of the offset -2 v_hat . dv that every row shares, where
@@ -321,19 +348,18 @@ def acceleration_error_model(measurements: MeasurementSet, ranges, bx, by, veloc
     var_r = noise.sigma_range * noise.sigma_range
     var_a = noise.sigma_range_rate * noise.sigma_range_rate
     var_b = noise.sigma_drr * noise.sigma_drr
+    if gram is None:
+        gram = _gram(bx, by, velocity_weights)
+    g00, g01, g11 = gram
     variances = []
-    g00 = g01 = g11 = m00 = m01 = m11 = 0.0
-    # Python evaluates w * x * y as (w * x) * y, so the shared factors rr, wx and mx
+    m00 = m01 = m11 = 0.0
+    # Python evaluates m * x * y as (m * x) * y, so the shared factors rr and mx
     # leave every sum bit for bit as it was
     for r, a, b, w, x, y in zip(ranges, measurements._range_rates, measurements._drrs,
                                 velocity_weights, bx, by, strict=True):
         rr = r * r
         variances.append(rr * var_b + 4.0 * a * a * var_a + b * b * var_r)
         m = w * w * (rr * var_a + a * a * var_r)
-        wx = w * x
-        g00 += wx * x
-        g01 += wx * y
-        g11 += w * y * y
         mx = m * x
         m00 += mx * x
         m01 += mx * y
@@ -351,6 +377,17 @@ def acceleration_error_model(measurements: MeasurementSet, ranges, bx, by, veloc
     return variances, max(0.0, shared)
 
 
+def _gram(bx, by, w):
+    """(g00, g01, g11) of G = sum w_i B_i B_i', by the operations of ``wls_solve2``."""
+    g00 = g01 = g11 = 0.0
+    for wi, x, y in zip(w, bx, by):
+        wx = wi * x
+        g00 += wx * x
+        g01 += wx * y
+        g11 += wi * y * y
+    return g00, g01, g11
+
+
 def estimate_acceleration(measurements: MeasurementSet, sensors: SensorArray, p_hat, v_hat,
                           weight_rule: WeightRule = WeightRule()) -> KinematicEstimate:
     """Acceleration estimate from drr measurements, given stage-1/2 estimates.
@@ -359,19 +396,26 @@ def estimate_acceleration(measurements: MeasurementSet, sensors: SensorArray, p_
     ``acceleration_pseudo_measurements``, with weights from ``row_weights``;
     under the ``propagated`` rule it solves the GLS problem of
     ``acceleration_error_model`` instead, taking ``v_hat`` to come from the
-    velocity stage with the same rule.
+    velocity stage with the same rule.  That model needs the 1/r weights and
+    the Gram sums of the velocity solve, which depend on the rows alone: when
+    the last propagated ``estimate_velocity`` call had these sensors and this
+    p_hat, they are taken from it, otherwise formed here; the bits are the same.
     """
     _check_lengths(measurements, sensors)
     v0, v1 = _vec2_floats(v_hat, "v_hat")
     px, py = _vec2_floats(p_hat, "p_hat")
     k = _pseudo_measurements(measurements, sensors, px, py, v0, v1)
     bx, by, rhat = _kernels.system_rows(sensors.xs, sensors.ys, px, py)
-    w = row_weights(rhat, weight_rule)
     if weight_rule.mode == "propagated":
-        variances, shared = acceleration_error_model(measurements, rhat, bx, by, w, v_hat)
+        xs, ys, x, y, w, gram = _velocity_gram
+        # 0.0 == -0.0 does no harm: neither G nor 1/r sees the sign of a zero
+        if not (xs is sensors.xs and ys is sensors.ys and x == px and y == py):
+            w, gram = row_weights(rhat, weight_rule), None
+        variances, shared = acceleration_error_model(measurements, rhat, bx, by, w, v_hat,
+                                                     gram)
         return _shared_error_solve(bx, by, k, variances, shared)
     method = "LS" if weight_rule.mode == "uniform" else "WLS"
-    return _solve2(bx, by, k, w, k, method)
+    return _solve2(bx, by, k, row_weights(rhat, weight_rule), k, method)
 
 
 def _timed_position(measurements: MeasurementSet, sensors: SensorArray):

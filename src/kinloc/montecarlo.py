@@ -62,7 +62,10 @@ _TRIAL_ERRORS = (ZeroRange, TooFewSensors, DegenerateGeometry, SingularGeometry)
 
 
 def _as_box(value, name: str) -> np.ndarray:
-    box = np.asarray(value, dtype=np.float64)
+    try:
+        box = np.asarray(value, dtype=np.float64)
+    except OverflowError:       # an integer past the float range: rejected like inf
+        raise ValueError(f"{name} must be finite") from None
     if box.shape != (2, 2):
         raise ValueError(f"{name} must be ((xmin, ymin), (xmax, ymax)), got shape {box.shape}")
     if not np.all(np.isfinite(box)):
@@ -285,8 +288,12 @@ _SWEEP_DRAWS = contextvars.ContextVar("kinloc_sweep_draws", default=None)
 
 def run_trial(scenario: Scenario, trial_index: int,
               weight_rule: WeightRule = PROPAGATED) -> TrialRecord:
-    """Execute one trial: sample truth, synthesize measurements, run all five
-    estimators.  Estimator failures are captured in the record, not raised."""
+    """Execute one trial: its truth and measurement set, then all five
+    estimators.  Inside a sweep the truth comes from the sweep's table of
+    draws, the measurement set is cut from the grid point's noisy block, and
+    the position outcome is reused while sigma_range stays the same; outside
+    one the trial is the one-trial case of such a table.  Estimator failures
+    are captured in the record, not raised."""
     trial_index = _as_index(trial_index, "trial_index")
     if not 0 <= trial_index < 2 ** 63:
         raise ValueError(f"trial_index out of range: {trial_index}")
@@ -385,7 +392,10 @@ class SweepResult:
 
 
 def _check_grid(grid):
-    values = tuple(float(g) for g in grid)
+    try:
+        values = tuple(float(g) for g in grid)
+    except OverflowError:       # an integer past the float range: rejected like inf
+        raise ValueError("grid values must be finite") from None
     if not values:
         raise ValueError("grid must be nonempty")
     if not all(map(math.isfinite, values)):

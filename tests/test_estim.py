@@ -594,11 +594,86 @@ def _estimate_outcome(fn, *args):
 @example(args=([3.0, -1.0, 2.0], [1.0, 4.0, -2.0], [1.0, 2.0, 5.0], [1.0, 2.0, 4.0], 1e-20))
 # a row of variance 0 among positive ones, centred
 @example(args=([3.0, -1.0, 2.0], [1.0, 4.0, -2.0], [1.0, 2.0, 5.0], [0.0, 2.0, 4.0], 0.5))
+# smallest variance 2^-1074, so the weights' numerator 2^e is subnormal, and a
+# weight (2^-1074 / 1.5 * 2^52) that is subnormal too
+@example(args=([3.0, -1.0, 2.0], [1.0, 4.0, -2.0], [1.0, 2.0, 5.0],
+               [2.0 ** -1074, 3.0 * 2.0 ** -1060, 1.5 * 2.0 ** -52], 2.0 ** -1074))
+# e = -10: a row whose weight 2^-10 / (1.5 * 2^1013) underflows to a subnormal
+@example(args=([3.0, -1.0, 2.0], [1.0, 4.0, -2.0], [1.0, 2.0, 5.0],
+               [2.0 ** -10, 2.0 ** -9, 1.5 * 2.0 ** 1013], 0.5))
+# e = -10: a row at top = 2^1014 exactly, whose weight is 0
+@example(args=([3.0, -1.0, 2.0], [1.0, 4.0, -2.0], [1.0, 2.0, 5.0],
+               [2.0 ** -10, 2.0 ** -9, 2.0 ** 1014], 0.5))
 def test_shared_error_centring_matches_its_comprehension_form_bit_for_bit(args):
     bx, by, rhs, variances, shared = args
     B = np.column_stack([bx, by])
     assert (_estimate_outcome(solve_shared_error_stage, B, rhs, variances, shared)
             == _estimate_outcome(_shared_error_solve_comprehension, *args))
+
+
+@st.composite
+def _pipeline_inputs(draw):
+    """The default layout or the 64-sensor ring, scaled by 2^k, with ranges at
+    the layout's scale and range rates, drrs and sigmas each at a scale of its
+    own, from 2^-250 to 2^253 as in ``_error_model_inputs``; in some draws a
+    stage overflows or its Gram matrix is singular."""
+    layout = draw(st.sampled_from([DEFAULT_SENSOR_POSITIONS, _RING64]))
+    k = draw(st.integers(-250, 250))
+    sensors = SensorArray(np.ldexp(np.asarray(layout, dtype=np.float64), k))
+    n = len(sensors)
+
+    def column(scale, signed=True):
+        return draw(st.lists(_near(scale, signed), min_size=n, max_size=n))
+
+    ranges = column(k + draw(st.integers(4, 8)), signed=False)
+    rates, drrs = (column(draw(st.integers(-250, 250))) for _ in range(2))
+    sigmas = [draw(_near(draw(st.integers(-250, 250)), signed=False)) for _ in range(3)]
+    return MeasurementSet(ranges, rates, drrs, NoiseSpec(*sigmas)), sensors
+
+
+def _exact_inputs(layout, noise):
+    sensors = SensorArray(layout)
+    truth = TargetState((30.0, 40.0), (10.0, -5.0), (2.0, -1.0))
+    return exact_measurements(truth, sensors, noise), sensors
+
+
+@settings(max_examples=200, deadline=None)
+@given(args=_pipeline_inputs())
+# noiseless: every variance is 0, the uniform-weight fallback
+@example(args=_exact_inputs(DEFAULT_SENSOR_POSITIONS, NOISELESS))
+@example(args=_exact_inputs(_RING64, NoiseSpec(1.0, 0.3, 0.1)))
+# a drr sigma of 5e151: finite variances whose sum overflows
+@example(args=_exact_inputs(DEFAULT_SENSOR_POSITIONS, NoiseSpec(1.0, 1.0, 5e151)))
+def test_pipeline_acceleration_matches_the_stage_given_v_hat_alone(args):
+    # the pipeline's propagated acceleration stage takes the velocity solve's
+    # weights and Gram sums; a fresh SensorArray (other tuples) makes the direct
+    # call form them from its own rows, as a caller without that solve gets
+    ms, sensors = args
+    try:
+        p = estimate_position(ms, sensors).position
+        v_ls = estimate_velocity(ms, sensors, p, UNIFORM).value
+        v = estimate_velocity(ms, sensors, p, PROPAGATED).value
+        estimate_acceleration(ms, sensors, p, v_ls, UNIFORM)
+    except KinlocError:
+        return          # the pipeline stops before its propagated acceleration stage
+    fresh = SensorArray(sensors.positions)
+    assert (_estimate_outcome(lambda: estimate_all(ms, sensors, PROPAGATED).accel_wls)
+            == _estimate_outcome(estimate_acceleration, ms, fresh, p, v, PROPAGATED))
+
+
+def test_pipeline_takes_the_velocity_gram_instead_of_forming_it(sensors8, monkeypatch):
+    formed = []
+    real = estim._gram
+    monkeypatch.setattr(estim, "_gram", lambda *a: formed.append(1) or real(*a))
+    truth = TargetState((30.0, 40.0), (10.0, -5.0), (2.0, -1.0))
+    ms = synthesize_measurements(truth, sensors8, NoiseSpec(1.0, 0.3, 0.1), 3)
+    res = estimate_all(ms, sensors8, PROPAGATED)
+    assert formed == []
+    # a caller with v_hat alone, on other sensor tuples: G formed once, same bits
+    again = estimate_acceleration(ms, SensorArray(sensors8.positions), res.position.position,
+                                  res.velocity_wls.value, PROPAGATED)
+    assert formed == [1]
+    assert again.value.tobytes() == res.accel_wls.value.tobytes()
 
 
 class TestPipeline:

@@ -181,9 +181,10 @@ class TestSystemRows:
 
 class TestWlsSolve2:
     def test_exact_square_system(self):
-        x0, x1, cond = K.wls_solve2([1.0, 0.0], [0.0, 1.0], [4.0, 7.0], [1.0, 1.0])
+        x0, x1, cond, *gram = K.wls_solve2([1.0, 0.0], [0.0, 1.0], [4.0, 7.0], [1.0, 1.0])
         assert (x0, x1) == (4.0, 7.0)
         assert cond == pytest.approx(1.0)
+        assert gram == [1.0, 0.0, 1.0]
 
     def test_matches_weighted_lstsq(self, rng):
         for _ in range(200):
@@ -192,7 +193,7 @@ class TestWlsSolve2:
             rhs = rng.normal(0, 30, n)
             w = rng.uniform(0.1, 3.0, n)
             try:
-                x0, x1, _ = K.wls_solve2(*_lists(b[:, 0], b[:, 1], rhs, w))
+                x0, x1, *_ = K.wls_solve2(*_lists(b[:, 0], b[:, 1], rhs, w))
             except SingularGeometry:
                 continue
             sq = np.sqrt(w)
@@ -241,7 +242,7 @@ def _wls_solve2_loop(bx, by, rhs, w):
     x1 = (g00 * h1 - g01 * h0) / det
     if not (math.isfinite(x0) and math.isfinite(x1)):
         raise SingularGeometry(f"stage solution overflows (condition {hi / lo:.3g})")
-    return x0, x1, hi / lo
+    return x0, x1, hi / lo, g00, g01, g11
 
 
 def _outcome(fn, *args):
@@ -468,7 +469,7 @@ def test_kernels_agree_with_dense_oracle_on_64_ring(rng):
         bx, by, rhat = K.system_rows(*_lists(sx, sy), x, y)
         rhs = rng.normal(0.0, 100.0, 64)
         w = rng.uniform(0.1, 3.0, 64) / rhat
-        x0, x1, _ = K.wls_solve2(bx, by, *_lists(rhs, w))
+        x0, x1, *_ = K.wls_solve2(bx, by, *_lists(rhs, w))
         ref = dense_wls_solve(np.column_stack((bx, by)), rhs, w)
         np.testing.assert_allclose([x0, x1], ref, rtol=0, atol=1e-12 * np.abs(ref).max())
 

@@ -49,6 +49,12 @@ class TestScenario:
         truth = montecarlo.sample_truth(wide, np.random.default_rng(0))
         assert np.isfinite(truth.position).all()
 
+    @pytest.mark.parametrize("corner", [float("nan"), 10 ** 400], ids=["nan", "10**400"])
+    def test_non_finite_box_corner_rejected(self, corner):
+        # an integer too large for a float is not finite either
+        with pytest.raises(ValueError, match="^position_box must be finite$"):
+            replace(default_scenario(), position_box=((0, 0), (corner, 1)))
+
     def test_bad_motion_mode_rejected(self):
         with pytest.raises(ValueError):
             default_scenario(motion_mode="warp_drive")
@@ -381,7 +387,8 @@ class TestSweeps:
         with pytest.raises(ValueError):
             sweep_velocity_experiment(base, (0.0, 1.0))
         # NaN compares false with everything, so the order checks cannot catch it
-        for bad in ((0.1, float("nan")), (0.1, float("inf")), (float("nan"),)):
+        # and an integer too large for a float is rejected as infinite
+        for bad in ((0.1, float("nan")), (0.1, float("inf")), (float("nan"),), (0.1, 10 ** 400)):
             with pytest.raises(ValueError, match="^grid values must be finite$"):
                 sweep_velocity_experiment(base, bad)
 
