@@ -30,14 +30,13 @@ weighted normal-equation kernel, which guards the condition number; the
 kernels raise the named errors.  Per-row data travels as lists of floats;
 arrays appear only where a public function takes or returns one.
 
-The ``propagated`` error model needs the Gram matrix G = sum w_i B_i B_i'
-and the weights w_i = 1/r_i of the velocity solve, which depend on the rows
-alone.  A propagated ``estimate_velocity`` keeps them, as ``wls_solve2``
-returns them, in a one-entry memo keyed by the sensor tuples and p_hat, and
-``estimate_acceleration`` takes them from it when its rows are the same
-(always, in the pipeline) or forms them by the same operations, with the
-same bits.  Like the ``system_rows`` memo it is a bridge until the stages
-take rows computed once per estimate (ROADMAP item 4).
+The pipeline reads p_hat once, as floats, and runs private stage functions
+that take and return floats: the velocity stage returns its estimate's
+components with the weights and Gram sums of its solve, and the acceleration
+stage takes them, so the ``propagated`` error model needs no second pass over
+the rows.  ``estimate_velocity`` and ``estimate_acceleration`` are the public
+wrappers, which check and convert the array arguments; an acceleration call
+given v_hat alone forms those sums from its rows, with the same bits.
 """
 
 import math
@@ -273,32 +272,30 @@ def _shared_error_solve(bx, by, rhs, var, s2) -> KinematicEstimate:
     return _solve2(cx, cy, ck, w, rhs, "WLS")
 
 
-# (sensors.xs, sensors.ys, px, py, weights, (g00, g01, g11)) of the last
-# propagated velocity solve; a NaN position equals none, so the first call misses
-_velocity_gram = (None, None, math.nan, math.nan, None, None)
-
-
 def estimate_velocity(measurements: MeasurementSet, sensors: SensorArray, p_hat,
                       weight_rule: WeightRule = WeightRule()) -> KinematicEstimate:
     """Velocity estimate from range rates, given the stage-1 position estimate.
 
     Solves rows (p_hat - p_i) against d_i = a_i * r_i, with r_i the range
     implied by p_hat and weights from ``row_weights``.  Raises ZeroRange when
-    p_hat coincides with a sensor.  Under the ``propagated`` rule it keeps the
-    solve's 1/r weights and Gram sums for ``estimate_acceleration``.
+    p_hat coincides with a sensor.
     """
-    global _velocity_gram
     _check_lengths(measurements, sensors)
     px, py = _vec2_floats(p_hat, "p_hat")
+    return _velocity(measurements, sensors, px, py, weight_rule)[0]
+
+
+def _velocity(measurements, sensors, px, py, weight_rule):
+    """The velocity stage at p_hat = (px, py), as (estimate, v0, v1, weights,
+    (g00, g01, g11)): the components of the estimate, and the weights and
+    Gram sums of its solve, which depend on the rows alone."""
     bx, by, rhat = _kernels.system_rows(sensors.xs, sensors.ys, px, py)
     d = [a * r for a, r in zip(measurements._range_rates, rhat)]
     w = row_weights(rhat, weight_rule)
     x0, x1, cond, g00, g01, g11 = _kernels.wls_solve2(bx, by, d, w)
-    if weight_rule.mode == "propagated":
-        # one assignment: a concurrent call sees the old entry or the new one
-        _velocity_gram = (sensors.xs, sensors.ys, px, py, w, (g00, g01, g11))
     method = "LS" if weight_rule.mode == "uniform" else "WLS"
-    return KinematicEstimate(_frozen((x0, x1)), method, cond, _frozen(d))
+    estimate = KinematicEstimate(_frozen((x0, x1)), method, cond, _frozen(d))
+    return estimate, x0, x1, w, (g00, g01, g11)
 
 
 def acceleration_pseudo_measurements(measurements: MeasurementSet, sensors: SensorArray,
@@ -324,18 +321,18 @@ def _pseudo_measurements(measurements, sensors, px, py, v0, v1) -> list:
 
 
 def acceleration_error_model(measurements: MeasurementSet, ranges, bx, by, velocity_weights,
-                             v_hat, gram=None):
+                             v0, v1, gram=None):
     """First-order error model of the pseudo-measurements k_i, as (D, s2), D a list.
 
     ``ranges`` are the r_i that multiply b_i in k_i, ``bx`` and ``by`` the
     columns of the stage rows (p_hat - p_i), and ``velocity_weights`` the
-    weights of the velocity solve that produced ``v_hat``, all lists.
+    weights of the velocity solve that gave the floats v0, v1, all lists.
     ``gram`` is that solve's (g00, g01, g11), as ``_kernels.wls_solve2``
     returns them; without it G is formed here from the rows and weights by
     the operations of ``wls_solve2``, so either way gives the same bits.  With
     s_r, s_a, s_b from ``measurements.noise``, the per-row variances are
     D_i = r_i^2 s_b^2 + 4 a_i^2 s_a^2 + b_i^2 s_r^2, and s2 = 4 v' Cov(v) v is
-    the variance of the offset -2 v_hat . dv that every row shares, where
+    the variance of the offset -2 v . dv that every row shares, where
     Cov(v) = G^-1 M G^-1 propagates the per-row variance r_i^2 s_a^2 +
     a_i^2 s_r^2 of d_i = a_i r_i through the velocity solve
     (G = sum w_i B_i B_i', M = sum w_i^2 var(d_i) B_i B_i').
@@ -367,7 +364,6 @@ def acceleration_error_model(measurements: MeasurementSet, ranges, bx, by, veloc
     det = g00 * g11 - g01 * g01
     if not det > 0.0:
         raise SingularGeometry("velocity Gram matrix is singular")
-    v0, v1 = _vec2_floats(v_hat, "v_hat")
     u0 = (g11 * v0 - g01 * v1) / det      # u = G^-1 v, so v' Cov(v) v = u' M u
     u1 = (g00 * v1 - g01 * v0) / det
     shared = 4.0 * (u0 * u0 * m00 + 2.0 * u0 * u1 * m01 + u1 * u1 * m11)
@@ -396,26 +392,28 @@ def estimate_acceleration(measurements: MeasurementSet, sensors: SensorArray, p_
     ``acceleration_pseudo_measurements``, with weights from ``row_weights``;
     under the ``propagated`` rule it solves the GLS problem of
     ``acceleration_error_model`` instead, taking ``v_hat`` to come from the
-    velocity stage with the same rule.  That model needs the 1/r weights and
-    the Gram sums of the velocity solve, which depend on the rows alone: when
-    the last propagated ``estimate_velocity`` call had these sensors and this
-    p_hat, they are taken from it, otherwise formed here; the bits are the same.
+    velocity stage with the same rule, whose 1/r weights and Gram sums it
+    forms from its rows.
     """
     _check_lengths(measurements, sensors)
     v0, v1 = _vec2_floats(v_hat, "v_hat")
     px, py = _vec2_floats(p_hat, "p_hat")
+    return _acceleration(measurements, sensors, px, py, v0, v1, weight_rule)
+
+
+def _acceleration(measurements, sensors, px, py, v0, v1, weight_rule, w=None, gram=None):
+    """The acceleration stage at p_hat = (px, py) and v_hat = (v0, v1), given
+    the weights and Gram sums of the velocity solve that gave v_hat with this
+    rule, as ``_velocity`` returns them, or forming them with the same bits."""
     k = _pseudo_measurements(measurements, sensors, px, py, v0, v1)
     bx, by, rhat = _kernels.system_rows(sensors.xs, sensors.ys, px, py)
+    if w is None:
+        w = row_weights(rhat, weight_rule)
     if weight_rule.mode == "propagated":
-        xs, ys, x, y, w, gram = _velocity_gram
-        # 0.0 == -0.0 does no harm: neither G nor 1/r sees the sign of a zero
-        if not (xs is sensors.xs and ys is sensors.ys and x == px and y == py):
-            w, gram = row_weights(rhat, weight_rule), None
-        variances, shared = acceleration_error_model(measurements, rhat, bx, by, w, v_hat,
-                                                     gram)
+        variances, shared = acceleration_error_model(measurements, rhat, bx, by, w, v0, v1, gram)
         return _shared_error_solve(bx, by, k, variances, shared)
     method = "LS" if weight_rule.mode == "uniform" else "WLS"
-    return _solve2(bx, by, k, row_weights(rhat, weight_rule), k, method)
+    return _solve2(bx, by, k, w, k, method)
 
 
 def _timed_position(measurements: MeasurementSet, sensors: SensorArray):
@@ -432,19 +430,21 @@ def _timed_kinematics(measurements: MeasurementSet, sensors: SensorArray, solved
     """The four kinematic stages in order after ``solved``, a ``_timed_position``
     result, as (EstimationResult, stage wall seconds keyed by the
     EstimationResult field names, the position's taken from ``solved``).  The
-    stages are called through this module's globals, so a tracer that patches
-    them sees every call."""
+    position is read once, as floats, and each acceleration stage takes the
+    components, weights and Gram sums of its velocity solve from the private
+    stage functions; ``estimate_velocity`` and ``estimate_acceleration`` do not run."""
     pos, position_time = solved
+    _check_lengths(measurements, sensors)
+    px, py = pos.position.tolist()      # finite floats: the kernels return no others
     clock = time.perf_counter
     t1 = clock()
-    v_ls = estimate_velocity(measurements, sensors, pos.position, UNIFORM)
+    v_ls, l0, l1, w_ls, _ = _velocity(measurements, sensors, px, py, UNIFORM)
     t2 = clock()
-    v_wls = estimate_velocity(measurements, sensors, pos.position, weight_rule)
+    v_wls, v0, v1, w, gram = _velocity(measurements, sensors, px, py, weight_rule)
     t3 = clock()
-    a_ls = estimate_acceleration(measurements, sensors, pos.position, v_ls.value, UNIFORM)
+    a_ls = _acceleration(measurements, sensors, px, py, l0, l1, UNIFORM, w_ls)
     t4 = clock()
-    a_wls = estimate_acceleration(measurements, sensors, pos.position, v_wls.value,
-                                  weight_rule)
+    a_wls = _acceleration(measurements, sensors, px, py, v0, v1, weight_rule, w, gram)
     t5 = clock()
     times = {"position": position_time, "velocity_ls": t2 - t1, "velocity_wls": t3 - t2,
              "accel_ls": t4 - t3, "accel_wls": t5 - t4}

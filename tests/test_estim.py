@@ -384,7 +384,7 @@ class TestEstimateAcceleration:
         # lists of floats, as the velocity stage hands them over
         variances, _ = acceleration_error_model(range_noise_only, np.hypot(*rows.T).tolist(),
                                                 *rows.T.tolist(), [1.0] * len(sensors8),
-                                                still.velocity)
+                                                *still.velocity.tolist())
         assert variances.count(0.0) == 1 and max(variances) > 0.0
         cases = [(moving, exact_measurements(moving, sensors8), UNIFORM),
                  (moving, exact_measurements(moving, sensors8), PROPAGATED),
@@ -436,7 +436,7 @@ class TestEstimateAcceleration:
             assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
 
 
-def _acceleration_error_model_loop(measurements, ranges, bx, by, velocity_weights, v_hat):
+def _acceleration_error_model_loop(measurements, ranges, bx, by, velocity_weights, v0, v1):
     """``acceleration_error_model`` in its first loop form, every product
     written out and the columns read from the arrays: the reference that its
     shared factors and the stored lists must match bit for bit."""
@@ -460,7 +460,6 @@ def _acceleration_error_model_loop(measurements, ranges, bx, by, velocity_weight
     det = g00 * g11 - g01 * g01
     if not det > 0.0:
         raise SingularGeometry("velocity Gram matrix is singular")
-    v0, v1 = np.asarray(v_hat, dtype=np.float64).tolist()
     u0 = (g11 * v0 - g01 * v1) / det
     u1 = (g00 * v1 - g01 * v0) / det
     shared = 4.0 * (u0 * u0 * m00 + 2.0 * u0 * u1 * m01 + u1 * u1 * m11)
@@ -492,10 +491,9 @@ def _error_model_inputs(draw):
     bx, by = (draw(st.lists(_near(k + draw(st.integers(-3, 3))), min_size=n, max_size=n))
               for _ in range(2))
     weights = column(False)
-    v_hat = np.array(draw(st.lists(_near(draw(st.integers(-250, 250))), min_size=2,
-                                   max_size=2)))
+    v0, v1 = draw(st.lists(_near(draw(st.integers(-250, 250))), min_size=2, max_size=2))
     ms = MeasurementSet(ranges, rates, drrs, NoiseSpec(*sigmas))
-    return ms, ranges, bx, by, weights, v_hat
+    return ms, ranges, bx, by, weights, v0, v1
 
 
 @settings(max_examples=300, deadline=None)
@@ -576,14 +574,19 @@ def _shared_error_inputs(draw):
     return bx, by, rhs, variances, shared
 
 
+def _estimate_bits(est):
+    """The hex bits of an estimate, with its label."""
+    return ([v.hex() for v in est.value.tolist()], est.method, est.gram_condition.hex(),
+            [p.hex() for p in est.pseudo_measurements.tolist()])
+
+
 def _estimate_outcome(fn, *args):
     """The hex bits of fn's estimate with its label, or its SingularGeometry message."""
     try:
         est = fn(*args)
     except SingularGeometry as exc:
         return str(exc)
-    return ([v.hex() for v in est.value.tolist()], est.method, est.gram_condition.hex(),
-            [p.hex() for p in est.pseudo_measurements.tolist()])
+    return _estimate_bits(est)
 
 
 @settings(max_examples=300, deadline=None)
@@ -645,20 +648,35 @@ def _exact_inputs(layout, noise):
 # a drr sigma of 5e151: finite variances whose sum overflows
 @example(args=_exact_inputs(DEFAULT_SENSOR_POSITIONS, NoiseSpec(1.0, 1.0, 5e151)))
 def test_pipeline_acceleration_matches_the_stage_given_v_hat_alone(args):
-    # the pipeline's propagated acceleration stage takes the velocity solve's
-    # weights and Gram sums; a fresh SensorArray (other tuples) makes the direct
-    # call form them from its own rows, as a caller without that solve gets
+    # estimate_all hands each velocity solve's components, weights and Gram
+    # sums to its acceleration stage; the chain of public stage functions on a
+    # fresh SensorArray (other tuples) reads v_hat alone and forms them from its
+    # own rows.  Every field, or the first error, must be the same, in bits
     ms, sensors = args
-    try:
-        p = estimate_position(ms, sensors).position
-        v_ls = estimate_velocity(ms, sensors, p, UNIFORM).value
-        v = estimate_velocity(ms, sensors, p, PROPAGATED).value
-        estimate_acceleration(ms, sensors, p, v_ls, UNIFORM)
-    except KinlocError:
-        return          # the pipeline stops before its propagated acceleration stage
     fresh = SensorArray(sensors.positions)
-    assert (_estimate_outcome(lambda: estimate_all(ms, sensors, PROPAGATED).accel_wls)
-            == _estimate_outcome(estimate_acceleration, ms, fresh, p, v, PROPAGATED))
+
+    def outcome(stages, rule):
+        try:
+            pos, *estimates = stages(rule)
+        except KinlocError as exc:
+            return type(exc).__name__, str(exc)
+        return ([pos.position.tobytes(), pos.theta3.hex(), pos.residual_norm.hex(),
+                 pos.gram_condition.hex()] + [_estimate_bits(est) for est in estimates])
+
+    def pipeline(rule):
+        res = estimate_all(ms, sensors, rule)
+        return res.position, res.velocity_ls, res.velocity_wls, res.accel_ls, res.accel_wls
+
+    def chain(rule):
+        pos = estimate_position(ms, fresh)
+        p = pos.position
+        v_ls = estimate_velocity(ms, fresh, p, UNIFORM)
+        v_wls = estimate_velocity(ms, fresh, p, rule)
+        return (pos, v_ls, v_wls, estimate_acceleration(ms, fresh, p, v_ls.value, UNIFORM),
+                estimate_acceleration(ms, fresh, p, v_wls.value, rule))
+
+    for rule in (UNIFORM, WeightRule(), PROPAGATED):
+        assert outcome(pipeline, rule) == outcome(chain, rule), rule
 
 
 def test_pipeline_takes_the_velocity_gram_instead_of_forming_it(sensors8, monkeypatch):
@@ -669,7 +687,7 @@ def test_pipeline_takes_the_velocity_gram_instead_of_forming_it(sensors8, monkey
     ms = synthesize_measurements(truth, sensors8, NoiseSpec(1.0, 0.3, 0.1), 3)
     res = estimate_all(ms, sensors8, PROPAGATED)
     assert formed == []
-    # a caller with v_hat alone, on other sensor tuples: G formed once, same bits
+    # a caller with v_hat alone: G formed once, same bits
     again = estimate_acceleration(ms, SensorArray(sensors8.positions), res.position.position,
                                   res.velocity_wls.value, PROPAGATED)
     assert formed == [1]

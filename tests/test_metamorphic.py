@@ -331,7 +331,7 @@ def test_dominant_row_scene_matches_the_exact_gls_solve():
         bx, by, rhat = _kernels.system_rows(sensors.xs, sensors.ys, px, py)
         k = _pseudo_measurements(ms, sensors, px, py, v0, v1)
         variances, shared = acceleration_error_model(
-            ms, rhat, bx, by, row_weights(rhat, PROPAGATED), est.velocity_wls.value)
+            ms, rhat, bx, by, row_weights(rhat, PROPAGATED), v0, v1)
         assert min(variances) < 1e-10 < 10.0 < max(variances)
         want = _exact_gls(bx, by, k, variances, shared)
         got = est.accel_wls.value

@@ -207,12 +207,12 @@ class TestRunTrial:
         sc = default_scenario(trials=1)
         assert tuple(run_trial(sc, 0).stage_times) == METHODS
 
-        # the trial runs estim's stage functions, so a failure in the last
-        # stage fails the trial and leaves no partial stage times
+        # the trial runs estim's private stage functions, so a failure in the
+        # acceleration stage fails the trial and leaves no partial stage times
         def singular(*args, **kwargs):
             raise SingularGeometry("stage Gram matrix singular")
 
-        monkeypatch.setattr(estim, "estimate_acceleration", singular)
+        monkeypatch.setattr(estim, "_acceleration", singular)
         rec = run_trial(sc, 0)
         assert rec.failure == "SingularGeometry" and rec.stage_times == {}
 
