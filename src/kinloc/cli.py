@@ -196,6 +196,15 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
+def _check_output_dirs(config, keys) -> None:
+    """Raise ConfigError, naming the path as given, when an output's directory is
+    missing: checked before the work runs, not at ``_atomic_write``'s temp file."""
+    for key in keys:
+        path = config.get(key)
+        if path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            raise ConfigError(f"cannot write --{key} {path}: its directory does not exist")
+
+
 def _weight_rule(config) -> WeightRule:
     return WeightRule(mode=_WEIGHT_CHOICES[config["weights"]])
 
@@ -236,6 +245,7 @@ def _render_estimate_json(result) -> str:
 
 
 def cmd_estimate(config) -> int:
+    _check_output_dirs(config, ("out",))
     sensors = _sensors(config)
     has_truth = config.get("position") is not None
     has_meas = any(config.get(k) is not None for k in ("ranges", "range_rates", "drrs"))
@@ -312,6 +322,7 @@ def _base_scenario(config) -> Scenario:
 def cmd_sweep(config) -> int:
     if not config.get("out"):
         raise ConfigError("sweep needs an output CSV path (--out)")
+    _check_output_dirs(config, ("out", "svg"))
     base = _base_scenario(config)
     rule = _weight_rule(config)
     threads = config["threads"]

@@ -28,26 +28,29 @@ the ranges, this module turns the WeightRule into per-row weights
 (``row_weights``) and hands columns, right-hand side and weights to the 2x2
 weighted normal-equation kernel, which guards the condition number; the
 kernels raise the named errors.  Per-row data travels as lists of floats;
-arrays appear only where a public function takes or returns one.
+arrays appear only where a public function takes one or a caller reads one:
+the result objects keep their estimates as floats and their
+pseudo-measurements as packed float64 bytes, and make each array on first read.
 
 The pipeline reads p_hat once, as floats, and runs private stage functions
-that take and return floats: the velocity stage returns its estimate's
-components with the weights and Gram sums of its solve, and the acceleration
-stage takes them, so the ``propagated`` error model needs no second pass over
-the rows.  ``estimate_velocity`` and ``estimate_acceleration`` are the public
-wrappers, which check and convert the array arguments; an acceleration call
-given v_hat alone forms those sums from its rows, with the same bits.
+that take and return floats: the velocity stage returns its estimate with the
+weights and Gram sums of its solve, and the acceleration stage takes its
+components and those sums, so the ``propagated`` error model needs no second
+pass over the rows.  ``estimate_velocity`` and ``estimate_acceleration`` are
+the public wrappers, which check and convert the array arguments; an
+acceleration call given v_hat alone forms those sums from its rows, with the
+same bits.
 """
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _kernels
 from .errors import SingularGeometry, TooFewSensors
-from .model import MeasurementSet, SensorArray, _frozen, _vec2_floats
+from .model import MeasurementSet, SensorArray, _frozen, _packer, _vec2_floats
 
 WEIGHT_MODES = ("uniform", "inverse_range", "propagated")
 
@@ -90,20 +93,52 @@ def row_weights(rhat, weight_rule: WeightRule) -> list:
     return [1.0 / r for r in rhat]
 
 
+class _FirstRead:
+    """A read-only float64 array attribute, made by ``make(instance)`` on first
+    read and stored in the instance dict under the attribute's name, which
+    later reads find before this non-data descriptor: each read returns the
+    same array.  Unlike ``functools.cached_property`` it takes no lock, which
+    that property does on Python 3.11 and not on 3.12."""
+
+    def __init__(self, make):
+        self.make = make
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        # setdefault: threads that race on a first read all get the stored array
+        return instance.__dict__.setdefault(self.name, self.make(instance))
+
+
 @dataclass(frozen=True)
 class PositionSolution:
-    position: np.ndarray    # m
+    """The stage-1 estimate.  It keeps (x, y) as the floats ``_xy``;
+    ``position`` is their read-only array, made on first read."""
+
+    _xy: tuple              # m
     theta3: float           # m^2, diagnostic: the x^2+y^2 component of theta
     residual_norm: float
     gram_condition: float
+    position = _FirstRead(lambda s: _frozen(s._xy))
 
 
 @dataclass(frozen=True)
 class KinematicEstimate:
-    value: np.ndarray       # m/s for velocity, m/s^2 for acceleration
+    """A velocity or acceleration estimate, or a ``solve_*_stage`` solution.
+    It keeps its two components as the floats ``_xy`` and its
+    pseudo-measurements (the right-hand side) as the packed float64 bytes
+    ``_k``; ``value`` and ``pseudo_measurements`` are their read-only arrays,
+    made on first read."""
+
+    _xy: tuple              # m/s for velocity, m/s^2 for acceleration
     method: str             # "LS" | "WLS"
     gram_condition: float
-    pseudo_measurements: np.ndarray
+    _k: bytes = field(repr=False)
+    value = _FirstRead(lambda s: _frozen(s._xy))
+    pseudo_measurements = _FirstRead(lambda s: np.frombuffer(s._k))
 
 
 @dataclass(frozen=True)
@@ -138,12 +173,12 @@ def estimate_position(measurements: MeasurementSet, sensors: SensorArray) -> Pos
     x, y, theta3, resid, cond = _kernels.position_solve(
         sensors.xs, sensors.ys, measurements._ranges)
     # the kernels return finite floats or raise
-    return PositionSolution(_frozen((x, y)), theta3, resid, cond)
+    return PositionSolution((x, y), theta3, resid, cond)
 
 
 def _solve2(bx, by, rhs, weights, pseudo, method) -> KinematicEstimate:
     x0, x1, cond, _, _, _ = _kernels.wls_solve2(bx, by, rhs, weights)
-    return KinematicEstimate(_frozen((x0, x1)), method, cond, _frozen(pseudo))
+    return KinematicEstimate((x0, x1), method, cond, _packer(len(pseudo))(*pseudo))
 
 
 def _stage_columns(B, rhs, per_row, name):
@@ -286,16 +321,16 @@ def estimate_velocity(measurements: MeasurementSet, sensors: SensorArray, p_hat,
 
 
 def _velocity(measurements, sensors, px, py, weight_rule):
-    """The velocity stage at p_hat = (px, py), as (estimate, v0, v1, weights,
-    (g00, g01, g11)): the components of the estimate, and the weights and
-    Gram sums of its solve, which depend on the rows alone."""
+    """The velocity stage at p_hat = (px, py), as (estimate, weights,
+    (g00, g01, g11)): the weights and Gram sums of its solve, which depend on
+    the rows alone."""
     bx, by, rhat = _kernels.system_rows(sensors.xs, sensors.ys, px, py)
     d = [a * r for a, r in zip(measurements._range_rates, rhat)]
     w = row_weights(rhat, weight_rule)
     x0, x1, cond, g00, g01, g11 = _kernels.wls_solve2(bx, by, d, w)
     method = "LS" if weight_rule.mode == "uniform" else "WLS"
-    estimate = KinematicEstimate(_frozen((x0, x1)), method, cond, _frozen(d))
-    return estimate, x0, x1, w, (g00, g01, g11)
+    estimate = KinematicEstimate((x0, x1), method, cond, _packer(len(d))(*d))
+    return estimate, w, (g00, g01, g11)
 
 
 def acceleration_pseudo_measurements(measurements: MeasurementSet, sensors: SensorArray,
@@ -432,19 +467,20 @@ def _timed_kinematics(measurements: MeasurementSet, sensors: SensorArray, solved
     EstimationResult field names, the position's taken from ``solved``).  The
     position is read once, as floats, and each acceleration stage takes the
     components, weights and Gram sums of its velocity solve from the private
-    stage functions; ``estimate_velocity`` and ``estimate_acceleration`` do not run."""
+    stage functions; ``estimate_velocity`` and ``estimate_acceleration`` do not run.
+    No estimate array is made: the stages read and return floats."""
     pos, position_time = solved
     _check_lengths(measurements, sensors)
-    px, py = pos.position.tolist()      # finite floats: the kernels return no others
+    px, py = pos._xy        # finite floats: the kernels return no others
     clock = time.perf_counter
     t1 = clock()
-    v_ls, l0, l1, w_ls, _ = _velocity(measurements, sensors, px, py, UNIFORM)
+    v_ls, w_ls, _ = _velocity(measurements, sensors, px, py, UNIFORM)
     t2 = clock()
-    v_wls, v0, v1, w, gram = _velocity(measurements, sensors, px, py, weight_rule)
+    v_wls, w, gram = _velocity(measurements, sensors, px, py, weight_rule)
     t3 = clock()
-    a_ls = _acceleration(measurements, sensors, px, py, l0, l1, UNIFORM, w_ls)
+    a_ls = _acceleration(measurements, sensors, px, py, *v_ls._xy, UNIFORM, w_ls)
     t4 = clock()
-    a_wls = _acceleration(measurements, sensors, px, py, v0, v1, weight_rule, w, gram)
+    a_wls = _acceleration(measurements, sensors, px, py, *v_wls._xy, weight_rule, w, gram)
     t5 = clock()
     times = {"position": position_time, "velocity_ls": t2 - t1, "velocity_wls": t3 - t2,
              "accel_ls": t4 - t3, "accel_wls": t5 - t4}

@@ -32,7 +32,9 @@ def _frozen(floats) -> np.ndarray:
     """kinloc's one way to make a read-only array, here from floats: a fresh
     array over immutable ``bytes``, which numpy will not unlock, nor a ``reshape``
     view of it.  Every array kinloc hands out or shares is one; ``_frozen_array``
-    copies arrays, and per-trial float64 vectors are ``np.frombuffer(a.tobytes())``."""
+    copies arrays, per-trial float64 vectors are ``np.frombuffer(a.tobytes())``,
+    and the estimate classes of ``estim`` keep floats or ``_packer`` bytes and
+    make their arrays on first read, with this function or ``np.frombuffer``."""
     return np.frombuffer(_packer(len(floats))(*floats))
 
 

@@ -171,9 +171,9 @@ def sample_truth(scenario: Scenario, rng: np.random.Generator) -> TargetState:
 
 
 def _squared_error(estimate, truth) -> float:
-    """np.sum((estimate - truth) ** 2) of a 2-vector estimate and the truth's
-    (t0, t1) floats, on floats in the same order."""
-    (e0, e1), (t0, t1) = estimate.tolist(), truth
+    """np.sum((estimate - truth) ** 2) of the (e0, e1) floats of an estimate and
+    the truth's (t0, t1) floats, on floats in the same order."""
+    (e0, e1), (t0, t1) = estimate, truth
     return (e0 - t0) * (e0 - t0) + (e1 - t1) * (e1 - t1)
 
 
@@ -322,12 +322,13 @@ def run_trial(scenario: Scenario, trial_index: int,
         return TrialRecord(trial_index, truth, None, {}, {}, type(exc).__name__)
 
     p, v, a = truth.position.tolist(), truth.velocity.tolist(), truth.acceleration.tolist()
+    # scored from the estimates' floats, so a trial makes no estimate array
     squared_errors = {
-        "position": _squared_error(estimates.position.position, p),
-        "velocity_ls": _squared_error(estimates.velocity_ls.value, v),
-        "velocity_wls": _squared_error(estimates.velocity_wls.value, v),
-        "accel_ls": _squared_error(estimates.accel_ls.value, a),
-        "accel_wls": _squared_error(estimates.accel_wls.value, a),
+        "position": _squared_error(estimates.position._xy, p),
+        "velocity_ls": _squared_error(estimates.velocity_ls._xy, v),
+        "velocity_wls": _squared_error(estimates.velocity_wls._xy, v),
+        "accel_ls": _squared_error(estimates.accel_ls._xy, a),
+        "accel_wls": _squared_error(estimates.accel_wls._xy, a),
     }
     return TrialRecord(trial_index, truth, estimates, squared_errors, stage_times, None)
 

@@ -308,6 +308,20 @@ class TestSweep:
         code, _, err = run(["sweep", "--trials", "5"], capsys)
         assert code == 2 and err.startswith("ConfigError:")
 
+    @pytest.mark.parametrize("flag", ["--out", "--svg"])
+    def test_missing_output_directory_rejected_before_the_sweep(self, tmp_path, capsys,
+                                                                 monkeypatch, flag):
+        # the error used to come after the whole sweep, naming the hidden temp file
+        monkeypatch.setattr(cli, "sweep_velocity_experiment", None)     # must not run
+        missing = str(tmp_path / "missing_dir" / "x.out")
+        paths = {"--out": str(tmp_path / "o.csv"), "--svg": str(tmp_path / "o.svg")}
+        paths[flag] = missing
+        code, out, err = run(self.ARGS + [arg for item in paths.items() for arg in item],
+                             capsys)
+        assert code == 2 and out == ""
+        assert err == f"ConfigError: cannot write {flag} {missing}: its directory does not exist\n"
+        assert not list(tmp_path.iterdir())
+
 
 class TestVerify:
     def test_default_run_passes(self, capsys):

@@ -6,6 +6,8 @@ be reopened and written would no longer match the float lists that the
 stages read, and the arrays a sweep shares across its trials and grid points
 (the stream words, the block of every trial's draw, each grid point's
 noisy block and the measurement sets cut from it) would change every later result.
+The estimate classes make their arrays on first read, once each, so a sweep,
+which scores its trials from the estimates' floats, makes none.
 """
 
 import math
@@ -14,7 +16,7 @@ import numpy as np
 import pytest
 
 from conftest import assert_cannot_unlock
-from kinloc import montecarlo
+from kinloc import estim, montecarlo
 from kinloc.estim import PROPAGATED, estimate_all
 from kinloc.model import _measurements, _noisy, as_vec2, synthesize_measurements
 from kinloc.montecarlo import (DEFAULT_SENSOR_POSITIONS, default_scenario, run_trial,
@@ -82,3 +84,60 @@ def test_no_array_can_be_unlocked(monkeypatch, layout, rng):
         *result_arrays(estimate_all(measurements, sensors, PROPAGATED)),
     ]
     assert_cannot_unlock(*arrays)
+
+
+ESTIMATE_ARRAYS = ((estim.PositionSolution, "position"), (estim.KinematicEstimate, "value"),
+                   (estim.KinematicEstimate, "pseudo_measurements"))
+
+
+def count_array_builds(monkeypatch) -> list:
+    """Wrap the builder of each estimate array; the list gets one entry per build."""
+    built = []
+
+    def counted(name, make):
+        def build(obj):
+            built.append(name)
+            return make(obj)
+        return build
+
+    for cls, name in ESTIMATE_ARRAYS:
+        attr = vars(cls)[name]
+        monkeypatch.setattr(attr, "make", counted(name, attr.make))
+    return built
+
+
+@pytest.mark.parametrize("layout", tuple(LAYOUTS))
+def test_estimate_arrays_are_made_on_first_read_once(layout, rng):
+    scenario = default_scenario(sensors=LAYOUTS[layout], motion_mode="constant_acceleration")
+    truth = run_trial(scenario, 0).truth
+    measurements = synthesize_measurements(truth, scenario.sensors, scenario.noise, rng)
+    result = estimate_all(measurements, scenario.sensors, PROPAGATED)
+    first = result_arrays(result)
+    assert all(a is b for a, b in zip(first, result_arrays(result)))
+    assert_cannot_unlock(*first)
+    # the arrays carry the bits the instances keep
+    stages = (result.velocity_ls, result.velocity_wls, result.accel_ls, result.accel_wls)
+    assert first[0].tolist() == list(result.position._xy)
+    for k, value, pseudo in zip(stages, first[1:5], first[5:]):
+        assert value.dtype == pseudo.dtype == np.float64
+        assert value.tolist() == list(k._xy) and pseudo.tobytes() == k._k
+        assert pseudo.shape == (len(scenario.sensors),)
+
+
+def test_sweep_trials_make_no_estimate_array(monkeypatch):
+    records = []
+    real = montecarlo.run_trial
+
+    def spy(*args):
+        records.append(real(*args))
+        return records[-1]
+
+    monkeypatch.setattr(montecarlo, "run_trial", spy)
+    built = count_array_builds(monkeypatch)
+    sweep_velocity_experiment(default_scenario(trials=20), (0.5, 2.0))
+    assert len(records) == 40 and all(rec.ok for rec in records)
+    assert built == []
+    # the counter sees a build: one per attribute on first read, none on the second
+    result_arrays(records[0].estimates)
+    result_arrays(records[0].estimates)
+    assert sorted(built) == sorted(["position"] + ["value", "pseudo_measurements"] * 4)
