@@ -25,7 +25,9 @@ A kernel that cannot solve raises the named error itself, never returns NaN:
 SingularGeometry (as when the Gram condition number exceeds ``COND_CAP``),
 each with that number in its message, and ``system_rows`` raises ZeroRange.
 The kernels know no weighting policy: estim.py turns a WeightRule into weights.
-``position_solve`` computes the half of its work that depends only on the
+``wls_solve2`` returns the Gram sums it formed and takes them back, for a
+later solve on the same rows and weights, which then forms only the
+right-hand-side sums.  ``position_solve`` computes the half of its work that depends only on the
 sensors once per layout and keeps it for the last 16 layouts.
 
 ``system_rows`` keeps the rows of its last call in a one-entry memo, and a
@@ -206,24 +208,33 @@ def system_rows(sx, sy, px, py):
     return bx, by, rhat
 
 
-def wls_solve2(bx, by, rhs, w):
+def wls_solve2(bx, by, rhs, w, gram=None):
     """Minimizer of sum_i w_i (rhs_i - bx_i*x0 - by_i*x1)^2 via 2x2 normal equations.
 
     Returns (x0, x1, gram_cond, g00, g01, g11), the last three the Gram sums
     sum_i w_i bx_i^2, w_i bx_i by_i and w_i by_i^2; raises SingularGeometry when
     the Gram matrix is singular, its condition number exceeds COND_CAP, its
-    determinant underflows to 0, or the solution overflows.
+    determinant underflows to 0, or the solution overflows.  ``gram`` is those
+    three sums of the same rows and weights, as an earlier call returned them:
+    given it, the loop forms only the right-hand-side sums, with the same bits.
     """
-    g00 = g01 = g11 = h0 = h1 = 0.0
-    for x, y, r, wi in zip(bx, by, rhs, w):
-        # Python evaluates wi * x * y as (wi * x) * y: forming wi * x once changes no bit
-        wx = wi * x
-        wy = wi * y
-        g00 += wx * x
-        g01 += wx * y
-        g11 += wy * y
-        h0 += wx * r
-        h1 += wy * r
+    if gram is None:
+        g00 = g01 = g11 = h0 = h1 = 0.0
+        for x, y, r, wi in zip(bx, by, rhs, w):
+            # Python evaluates wi * x * y as (wi * x) * y: forming wi * x once changes no bit
+            wx = wi * x
+            wy = wi * y
+            g00 += wx * x
+            g01 += wx * y
+            g11 += wy * y
+            h0 += wx * r
+            h1 += wy * r
+    else:
+        g00, g01, g11 = gram
+        h0 = h1 = 0.0
+        for x, y, r, wi in zip(bx, by, rhs, w):
+            h0 += wi * x * r
+            h1 += wi * y * r
     tr = g00 + g11
     diff = g00 - g11
     disc = math.sqrt(diff * diff + 4.0 * g01 * g01)

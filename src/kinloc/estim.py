@@ -34,12 +34,15 @@ pseudo-measurements as packed float64 bytes, and make each array on first read.
 
 The pipeline reads p_hat once, as floats, and runs private stage functions
 that take and return floats: the velocity stage returns its estimate with the
-weights and Gram sums of its solve, and the acceleration stage takes its
-components and those sums, so the ``propagated`` error model needs no second
-pass over the rows.  ``estimate_velocity`` and ``estimate_acceleration`` are
-the public wrappers, which check and convert the array arguments; an
-acceleration call given v_hat alone forms those sums from its rows, with the
-same bits.
+weights, Gram sums and right-hand side d_i = a_i r_i of its solve, and the
+second velocity stage takes that d.  Each acceleration stage takes its
+velocity solve's components, weights and Gram sums: the LS stage, and the WLS
+stage under ``uniform`` and ``inverse_range``, solve with that Gram, forming
+only the right-hand-side sums, and the ``propagated`` error model needs no
+second pass over the rows.  ``estimate_velocity`` and
+``estimate_acceleration`` are the public wrappers, which check and convert
+the array arguments; an acceleration call given v_hat alone forms those sums
+from its rows, with the same bits.
 """
 
 import math
@@ -176,8 +179,8 @@ def estimate_position(measurements: MeasurementSet, sensors: SensorArray) -> Pos
     return PositionSolution((x, y), theta3, resid, cond)
 
 
-def _solve2(bx, by, rhs, weights, pseudo, method) -> KinematicEstimate:
-    x0, x1, cond, _, _, _ = _kernels.wls_solve2(bx, by, rhs, weights)
+def _solve2(bx, by, rhs, weights, pseudo, method, gram=None) -> KinematicEstimate:
+    x0, x1, cond, _, _, _ = _kernels.wls_solve2(bx, by, rhs, weights, gram)
     return KinematicEstimate((x0, x1), method, cond, _packer(len(pseudo))(*pseudo))
 
 
@@ -320,17 +323,19 @@ def estimate_velocity(measurements: MeasurementSet, sensors: SensorArray, p_hat,
     return _velocity(measurements, sensors, px, py, weight_rule)[0]
 
 
-def _velocity(measurements, sensors, px, py, weight_rule):
+def _velocity(measurements, sensors, px, py, weight_rule, d=None):
     """The velocity stage at p_hat = (px, py), as (estimate, weights,
-    (g00, g01, g11)): the weights and Gram sums of its solve, which depend on
-    the rows alone."""
+    (g00, g01, g11), d): the weights and Gram sums of its solve, which depend
+    on the rows alone, and its right-hand side d, which an earlier velocity
+    stage at the same p_hat may hand in."""
     bx, by, rhat = _kernels.system_rows(sensors.xs, sensors.ys, px, py)
-    d = [a * r for a, r in zip(measurements._range_rates, rhat)]
+    if d is None:
+        d = [a * r for a, r in zip(measurements._range_rates, rhat)]
     w = row_weights(rhat, weight_rule)
     x0, x1, cond, g00, g01, g11 = _kernels.wls_solve2(bx, by, d, w)
     method = "LS" if weight_rule.mode == "uniform" else "WLS"
     estimate = KinematicEstimate((x0, x1), method, cond, _packer(len(d))(*d))
-    return estimate, w, (g00, g01, g11)
+    return estimate, w, (g00, g01, g11), d
 
 
 def acceleration_pseudo_measurements(measurements: MeasurementSet, sensors: SensorArray,
@@ -439,7 +444,9 @@ def estimate_acceleration(measurements: MeasurementSet, sensors: SensorArray, p_
 def _acceleration(measurements, sensors, px, py, v0, v1, weight_rule, w=None, gram=None):
     """The acceleration stage at p_hat = (px, py) and v_hat = (v0, v1), given
     the weights and Gram sums of the velocity solve that gave v_hat with this
-    rule, as ``_velocity`` returns them, or forming them with the same bits."""
+    rule, as ``_velocity`` returns them, or forming them with the same bits.
+    The rows and weights are the velocity solve's, so outside ``propagated``
+    the solve takes that Gram."""
     k = _pseudo_measurements(measurements, sensors, px, py, v0, v1)
     bx, by, rhat = _kernels.system_rows(sensors.xs, sensors.ys, px, py)
     if w is None:
@@ -448,7 +455,7 @@ def _acceleration(measurements, sensors, px, py, v0, v1, weight_rule, w=None, gr
         variances, shared = acceleration_error_model(measurements, rhat, bx, by, w, v0, v1, gram)
         return _shared_error_solve(bx, by, k, variances, shared)
     method = "LS" if weight_rule.mode == "uniform" else "WLS"
-    return _solve2(bx, by, k, w, k, method)
+    return _solve2(bx, by, k, w, k, method, gram)
 
 
 def _timed_position(measurements: MeasurementSet, sensors: SensorArray):
@@ -465,20 +472,21 @@ def _timed_kinematics(measurements: MeasurementSet, sensors: SensorArray, solved
     """The four kinematic stages in order after ``solved``, a ``_timed_position``
     result, as (EstimationResult, stage wall seconds keyed by the
     EstimationResult field names, the position's taken from ``solved``).  The
-    position is read once, as floats, and each acceleration stage takes the
-    components, weights and Gram sums of its velocity solve from the private
-    stage functions; ``estimate_velocity`` and ``estimate_acceleration`` do not run.
-    No estimate array is made: the stages read and return floats."""
+    position is read once, as floats, the WLS velocity stage takes the LS one's
+    d, and each acceleration stage takes the components, weights and Gram sums
+    of its velocity solve from the private stage functions;
+    ``estimate_velocity`` and ``estimate_acceleration`` do not run.  No
+    estimate array is made: the stages read and return floats."""
     pos, position_time = solved
     _check_lengths(measurements, sensors)
     px, py = pos._xy        # finite floats: the kernels return no others
     clock = time.perf_counter
     t1 = clock()
-    v_ls, w_ls, _ = _velocity(measurements, sensors, px, py, UNIFORM)
+    v_ls, w_ls, gram_ls, d = _velocity(measurements, sensors, px, py, UNIFORM)
     t2 = clock()
-    v_wls, w, gram = _velocity(measurements, sensors, px, py, weight_rule)
+    v_wls, w, gram, _ = _velocity(measurements, sensors, px, py, weight_rule, d)
     t3 = clock()
-    a_ls = _acceleration(measurements, sensors, px, py, *v_ls._xy, UNIFORM, w_ls)
+    a_ls = _acceleration(measurements, sensors, px, py, *v_ls._xy, UNIFORM, w_ls, gram_ls)
     t4 = clock()
     a_wls = _acceleration(measurements, sensors, px, py, *v_wls._xy, weight_rule, w, gram)
     t5 = clock()

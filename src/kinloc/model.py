@@ -114,6 +114,16 @@ class TargetState:
         object.__setattr__(self, "acceleration", as_vec2(self.acceleration, "acceleration"))
 
 
+def _target_state(position, velocity, acceleration) -> TargetState:
+    """The TargetState of three pairs of finite floats, with the arrays ``as_vec2``
+    would make of them, past its conversion and checks."""
+    state = object.__new__(TargetState)
+    d = state.__dict__
+    d["position"], d["velocity"], d["acceleration"] = (
+        _frozen(position), _frozen(velocity), _frozen(acceleration))
+    return state
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
     """Standard deviations of the additive Gaussian measurement noise.
@@ -272,6 +282,28 @@ def _draw(target: TargetState, sensors: SensorArray, gen: np.random.Generator, o
     rows 3-5.  Raises ZeroRange, writing nothing, when the target is on a sensor."""
     out[:3] = _true_lists(target, sensors)
     gen.standard_normal(out=out[3:])
+
+
+def _true_block(targets, sensors: SensorArray, out) -> set:
+    """``_draw``'s rows 0-2 for T targets at once, written into ``out``, a (T, 6, N)
+    draw block: one numpy expression per quantity over (T, N), each element by the
+    IEEE operations of ``_true_lists`` in the same order, under ``np.errstate``
+    because Python floats overflow silently.  A target on a sensor is ZeroRange:
+    its whole (6, N) row is set to zero.  Returns the set of those rows."""
+    p, v, a = (np.concatenate([getattr(t, name) for t in targets]).reshape(-1, 2)
+               for name in ("position", "velocity", "acceleration"))
+    px, py, v0, v1, a0, a1 = p[:, :1], p[:, 1:], v[:, :1], v[:, 1:], a[:, :1], a[:, 1:]
+    sx, sy = sensors.positions[:, 0], sensors.positions[:, 1]
+    with np.errstate(all="ignore"):
+        v2 = v0 * v0 + v1 * v1
+        x = px - sx
+        y = py - sy
+        r = np.sqrt(x * x + y * y, out=out[:, 0])
+        rd = np.divide(x * v0 + y * v1, r, out=out[:, 1])
+        np.divide(x * a0 + y * a1 + v2 - rd * rd, r, out=out[:, 2])
+    on_sensor = (r == 0.0).any(axis=1)
+    out[on_sensor] = 0.0
+    return set(np.flatnonzero(on_sensor).tolist())
 
 
 def _noisy(draws: np.ndarray, noise: NoiseSpec) -> np.ndarray:

@@ -35,7 +35,7 @@ from .estim import (PROPAGATED, EstimationResult, WeightRule, _timed_kinematics,
 # not called here: perfbench's tracer test reads montecarlo.estimate_position
 from .estim import estimate_position  # noqa: F401
 from .model import (NoiseSpec, SensorArray, TargetState, _draw, _frozen_array, _measurements,
-                    _noisy)
+                    _noisy, _target_state, _true_block)
 
 # the reference eight-sensor layout used by the shipped experiments
 DEFAULT_SENSOR_POSITIONS = np.array([
@@ -117,6 +117,11 @@ class Scenario:
         if self.motion_mode not in MOTION_MODES:
             raise ValueError(f"motion_mode must be one of {MOTION_MODES}, got {self.motion_mode!r}")
 
+    @functools.cached_property
+    def _boxes(self) -> tuple:      # (position, velocity, acceleration) boxes as floats
+        return (self.position_box.tolist(), self.velocity_box.tolist(),
+                self.acceleration_box.tolist())
+
 
 def default_scenario(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED,
                      noise: NoiseSpec | None = None,
@@ -150,24 +155,25 @@ class TrialRecord:
 
 
 def _uniform_boxes(rng: np.random.Generator, boxes) -> list:
-    """``[rng.uniform(box[0], box[1]) for box in boxes]`` bit for bit, on floats:
-    one ``rng.random(2 * len(boxes))`` draw gives the same doubles u in the same
-    order, each mapped as lo + (hi - lo) * u."""
+    """``[rng.uniform(box[0], box[1]) for box in boxes]`` bit for bit, on the
+    boxes' floats: one ``rng.random(2 * len(boxes))`` draw gives the same
+    doubles u in the same order, each mapped as lo + (hi - lo) * u."""
     u = rng.random(2 * len(boxes)).tolist()
     out = []
-    for i, box in enumerate(boxes):
-        (lo0, lo1), (hi0, hi1) = box.tolist()
+    for i, ((lo0, lo1), (hi0, hi1)) in enumerate(boxes):
         out.append((lo0 + (hi0 - lo0) * u[2 * i], lo1 + (hi1 - lo1) * u[2 * i + 1]))
     return out
 
 
 def sample_truth(scenario: Scenario, rng: np.random.Generator) -> TargetState:
     """Draw the ground-truth state from the scenario boxes (position, velocity,
-    then acceleration; constant_velocity mode forces zero acceleration)."""
+    then acceleration; constant_velocity mode forces zero acceleration).  The
+    boxes are read as floats, once per scenario, and the state is built from the
+    drawn floats, finite because each box and its extent are."""
+    position, velocity, acceleration = scenario._boxes
     if scenario.motion_mode == "constant_acceleration":
-        return TargetState(*_uniform_boxes(rng, (scenario.position_box, scenario.velocity_box,
-                                                 scenario.acceleration_box)))
-    return TargetState(*_uniform_boxes(rng, (scenario.position_box, scenario.velocity_box)))
+        return _target_state(*_uniform_boxes(rng, (position, velocity, acceleration)))
+    return _target_state(*_uniform_boxes(rng, (position, velocity)), (0.0, 0.0))
 
 
 def _squared_error(estimate, truth) -> float:
@@ -256,26 +262,36 @@ class _State(np.random.bit_generator.ISeedSequence):
 
 class _Trials:
     """Trials drawn once: their truths, the read-only (T, 6, N) block of their
-    ``model._draw`` rows, the rows whose truth is on a sensor (ZeroRange; they stay
-    zero), and ``noisy``, the ``model._noisy`` block each grid point sets.
-    ``positions`` holds (sigma_range, outcome) per trial: the position stage reads
-    only the ranges, so its result, or its error class name, holds at every point
-    with that sigma_range."""
+    noise-free rows and unit normals (the rows of ``model._draw``), the rows whose
+    truth is on a sensor (ZeroRange; they stay zero), and ``noisy``, the
+    ``model._noisy`` block each grid point sets.  A table of more than one trial
+    draws each trial's normals straight into the block and then computes the
+    noise-free rows of all its trials at once (``model._true_block``); one trial
+    takes ``model._draw``'s list path, which on one target costs less than
+    numpy's dispatch.  ``positions`` holds (sigma_range, outcome) per trial: the
+    position stage reads only the ranges, so its result, or its error class
+    name, holds at every point with that sigma_range."""
 
     def __init__(self, scenario: Scenario, indices):
         sensors = scenario.sensors
         draws = np.zeros((len(indices), 6, len(sensors)))
         self.truths, self.zero_range = [], set()
+        batch = len(indices) > 1
         for row, i in enumerate(indices):
             # the truth and measurement streams of SeedSequence((seed, i)).spawn(2)
             block, j = _stream_block(scenario.seed, i // _BLOCK), i % _BLOCK
             truth = sample_truth(scenario, np.random.Generator(np.random.PCG64(_State(block[j, 0]))))
-            try:
-                _draw(truth, sensors, np.random.Generator(np.random.PCG64(_State(block[j, 1]))),
-                      draws[row])
-            except ZeroRange:
-                self.zero_range.add(row)
+            gen = np.random.Generator(np.random.PCG64(_State(block[j, 1])))
+            if batch:
+                gen.standard_normal(out=draws[row, 3:])
+            else:
+                try:
+                    _draw(truth, sensors, gen, draws[row])
+                except ZeroRange:
+                    self.zero_range.add(row)
             self.truths.append(truth)
+        if batch:
+            self.zero_range = _true_block(self.truths, sensors, draws)
         self.draws = _frozen_array(draws)
         self.noisy = None
         self.positions = [(None, None)] * len(indices)
@@ -442,13 +458,15 @@ def _sweep(base: Scenario, swept_parameter: str, grid, motion_mode: str,
     The table also keeps each trial's position outcome, which later points
     reuse while sigma_range stays the same."""
     values = _check_grid(grid)
+    # every point's noise, checked before any trial is drawn or run
+    noises = [noise_for(sigma) for sigma in values]
     base = replace(base, motion_mode=motion_mode)
     trials = _Trials(base, range(base.trials))
     points = []
     token = _SWEEP_DRAWS.set(trials)
     try:
-        for sigma in values:
-            scenario = replace(base, noise=noise_for(sigma))
+        for sigma, noise in zip(values, noises):
+            scenario = replace(base, noise=noise)
             trials.noisy = _noisy(trials.draws, scenario.noise)
             records = run_ensemble(scenario, weight_rule, threads)
             points.append(_aggregate_point(sigma, records))

@@ -6,7 +6,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from kinloc import cli, model
+from kinloc import cli, model, montecarlo
 from kinloc.model import SensorArray, TargetState
 from kinloc.montecarlo import DEFAULT_SENSOR_POSITIONS
 
@@ -234,6 +234,19 @@ class TestSweep:
                                 "--out", str(tmp_path / "o.csv")], capsys)
             assert code == 2
             assert err.startswith("ValueError:") and err.count("\n") == 1
+
+    def test_overflowing_noise_late_in_the_grid_runs_no_trial(self, tmp_path, capsys,
+                                                              monkeypatch):
+        # the three points before 1e200 are valid, but no point runs
+        ensembles = []
+        real = montecarlo.run_ensemble
+        monkeypatch.setattr(montecarlo, "run_ensemble",
+                            lambda *a: ensembles.append(1) or real(*a))
+        code, _, err = run(["sweep", "--trials", "3", "--grid", "0.1,0.3,1,1e200",
+                            "--out", str(tmp_path / "o.csv")], capsys)
+        assert code == 2
+        assert err.startswith("ValueError:") and err.count("\n") == 1
+        assert ensembles == []
 
     def test_noise_with_tiny_weights_gives_finite_rmses(self, tmp_path, capsys):
         # 1e150 squared is finite, but the propagated weights 1/D near 1e-304

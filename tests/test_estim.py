@@ -694,6 +694,33 @@ def test_pipeline_takes_the_velocity_gram_instead_of_forming_it(sensors8, monkey
     assert again.value.tobytes() == res.accel_wls.value.tobytes()
 
 
+@pytest.mark.parametrize("rule, handed", [
+    # velocity LS, velocity WLS, acceleration LS, acceleration WLS
+    (UNIFORM, [False, False, True, True]),
+    (WeightRule(), [False, False, True, True]),
+    # the propagated acceleration WLS reweights its rows: its Gram is its own
+    (PROPAGATED, [False, False, True, False]),
+])
+def test_pipeline_hands_each_acceleration_solve_its_velocity_gram(sensors8, monkeypatch,
+                                                                   rule, handed):
+    calls = []
+    real = K.wls_solve2
+
+    def spy(bx, by, rhs, w, gram=None):
+        calls.append(gram is not None)
+        return real(bx, by, rhs, w, gram)
+
+    monkeypatch.setattr(K, "wls_solve2", spy)
+    truth = TargetState((30.0, 40.0), (10.0, -5.0), (2.0, -1.0))
+    ms = synthesize_measurements(truth, sensors8, NoiseSpec(1.0, 0.3, 0.1), 3)
+    estimate_all(ms, sensors8, rule)
+    assert calls == handed
+    # a caller with v_hat alone forms the Gram itself
+    calls.clear()
+    estimate_acceleration(ms, sensors8, truth.position, truth.velocity, rule)
+    assert calls == [False]
+
+
 class TestPipeline:
     def test_noiseless_end_to_end(self, sensors8, rng):
         for _ in range(25):

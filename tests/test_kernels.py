@@ -281,6 +281,25 @@ def test_wls_solve2_matches_its_loop_form_bit_for_bit(rows):
     assert _outcome(K.wls_solve2, *rows) == _outcome(_wls_solve2_loop, *rows)
 
 
+def _gram_sums(bx, by, w):
+    """The Gram sums of ``_wls_solve2_loop``, every product written out."""
+    g00 = g01 = g11 = 0.0
+    for x, y, wi in zip(bx, by, w):
+        g00 += wi * x * x
+        g01 += wi * x * y
+        g11 += wi * y * y
+    return g00, g01, g11
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=wide_rows())
+def test_wls_solve2_given_its_own_gram_sums_is_unchanged(rows):
+    # the six floats bit for bit, or the same SingularGeometry and message
+    gram = _gram_sums(rows[0], rows[1], rows[3])
+    given_gram = _outcome(lambda *a: K.wls_solve2(*a, gram=gram), *rows)
+    assert given_gram == _outcome(K.wls_solve2, *rows)
+
+
 def _system_rows_comprehension(sx, sy, px, py):
     """``system_rows`` in its first form, one comprehension per output list:
     the reference its single loop must match bit for bit."""

@@ -13,17 +13,22 @@ that sweep's context only.
 """
 
 import math
+import operator
 import struct
 import sys
 import threading
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from kinloc import _kernels, montecarlo
+from kinloc import _kernels, model, montecarlo
+from kinloc.errors import ZeroRange
 from kinloc.estim import PROPAGATED, UNIFORM, WeightRule
-from kinloc.model import NoiseSpec, SensorArray
+from kinloc.model import NoiseSpec, SensorArray, TargetState
 from kinloc.montecarlo import (DEFAULT_SENSOR_POSITIONS, Scenario, _aggregate_point,
                                default_scenario, run_ensemble, run_trial,
                                sweep_acceleration_experiment, sweep_velocity_experiment)
@@ -227,13 +232,13 @@ def test_no_table_survives_a_sweep(monkeypatch):
     sweep_acceleration_experiment(base, GRID)
     assert montecarlo._SWEEP_DRAWS.get() is None
     # the second point's noise level has no finite square: NoiseSpec raises
-    # after the first point has run on the full table
+    # before any trial is drawn or run
     draws = count_truth_draws(monkeypatch)
     seen = spy_ensembles(monkeypatch)
     with pytest.raises(ValueError, match="finite square"):
         sweep_velocity_experiment(base, (0.5, 1e160))
-    assert [entries for _, entries in seen] == [5]
-    assert len(draws) == 5
+    assert seen == []
+    assert draws == []
     assert montecarlo._SWEEP_DRAWS.get() is None
 
     def broken(scenario, weight_rule, threads):
@@ -388,3 +393,90 @@ def test_reused_points_carry_the_solved_position_time(monkeypatch, experiment):
             assert sorted(rec.stage_times) == sorted(montecarlo.METHODS)
             assert rec.stage_times["position"] == solved.stage_times["position"]
             assert rec.estimates.position is solved.estimates.position
+
+
+def test_overflowing_noise_anywhere_in_the_grid_runs_no_trial(monkeypatch):
+    # 1e200 squared overflows: every point's NoiseSpec is built before the
+    # table is drawn, so the three valid points before it run no trial either
+    seen = spy_ensembles(monkeypatch)
+    draws = count_truth_draws(monkeypatch)
+    for sweep in (sweep_velocity_experiment, sweep_acceleration_experiment):
+        with pytest.raises(ValueError, match="finite square"):
+            sweep(default_scenario(trials=10), (0.1, 0.3, 1.0, 1e200))
+        assert montecarlo._SWEEP_DRAWS.get() is None
+    assert seen == []
+    assert draws == []
+
+
+LAYOUTS = {"default": SensorArray(DEFAULT_SENSOR_POSITIONS), "ring64": SensorArray(RING64)}
+
+
+@st.composite
+def target_tables(draw):
+    """A layout and 2 to 6 targets: ordinary ones, targets on a sensor (ZeroRange)
+    and targets in boxes near +-8e307, whose squared offsets overflow, with
+    speeds and accelerations up to 1e200, whose squares overflow too."""
+    sensors = LAYOUTS[draw(st.sampled_from(sorted(LAYOUTS)))]
+    ordinary = st.tuples(st.floats(-300.0, 300.0), st.floats(-300.0, 300.0))
+    on_sensor = st.sampled_from([tuple(p) for p in sensors.positions.tolist()])
+    far = st.builds(operator.mul, st.sampled_from((-8e307, 8e307)), st.floats(0.0, 1.0))
+    position = st.one_of(ordinary, ordinary, on_sensor, st.tuples(far, far))
+    component = st.one_of(st.floats(-50.0, 50.0), st.floats(-1e200, 1e200))
+    pair = st.tuples(component, component)
+    targets = st.lists(st.builds(TargetState, position, pair, pair), min_size=2, max_size=6)
+    return sensors, draw(targets)
+
+
+def _noisy_outcome(draws, noise):
+    try:
+        return model._noisy(draws, noise).tobytes()
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(args=target_tables())
+@example(args=(LAYOUTS["default"], [
+    TargetState((0.0, 0.0), (1.0, 2.0)),                           # on a sensor
+    TargetState((8e307, -8e307), (1e200, -1e200), (3.0, 4.0)),     # every range inf
+    TargetState((30.0, 40.0), (1e200, 0.0)),                       # every drr NaN
+]))
+def test_table_rows_equal_the_list_path_bit_for_bit(args):
+    # model._true_block against model._true_lists target by target, with the
+    # same unit normals in rows 3-5; a ZeroRange target's whole row stays zero.
+    # A NaN compares by position, not payload: every other value by its bits
+    sensors, targets = args
+    n = len(sensors)
+    normals = np.random.default_rng(len(targets)).standard_normal((len(targets), 3, n))
+    want = np.zeros((len(targets), 6, n))
+    on_sensor = set()
+    for t, target in enumerate(targets):
+        try:
+            want[t, :3] = model._true_lists(target, sensors)
+        except ZeroRange:
+            on_sensor.add(t)
+            continue
+        want[t, 3:] = normals[t]
+    got = np.zeros_like(want)
+    got[:, 3:] = normals
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # no warning escapes the block
+        assert model._true_block(targets, sensors, got) == on_sensor
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == want[~nan].tobytes()
+        for noise in (NoiseSpec(), NoiseSpec(0.0, 2.0, 1e150)):
+            assert _noisy_outcome(got, noise) == _noisy_outcome(want, noise)
+
+
+def test_sweep_tables_take_no_trial_down_the_list_path(monkeypatch):
+    calls = []
+    real = model._true_lists
+    monkeypatch.setattr(model, "_true_lists", lambda *a: calls.append(1) or real(*a))
+    for sweep, _, _ in EXPERIMENTS.values():
+        sweep(default_scenario(trials=12), GRID)
+    sweep_velocity_experiment(default_scenario(trials=6, sensors=RING64), GRID)
+    assert calls == []
+    # a trial outside a sweep is a one-trial table, which takes the list path
+    run_trial(default_scenario(), 3)
+    assert calls == [1]
