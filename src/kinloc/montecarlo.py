@@ -34,7 +34,7 @@ from .estim import (PROPAGATED, EstimationResult, WeightRule, _timed_kinematics,
                     _timed_position)
 # not called here: perfbench's tracer test reads montecarlo.estimate_position
 from .estim import estimate_position  # noqa: F401
-from .model import (NoiseSpec, SensorArray, TargetState, _draw, _frozen_array, _measurements,
+from .model import (NoiseSpec, SensorArray, TargetState, _frozen_array, _measurements,
                     _noisy, _target_state, _true_block)
 
 # the reference eight-sensor layout used by the shipped experiments
@@ -262,36 +262,26 @@ class _State(np.random.bit_generator.ISeedSequence):
 
 class _Trials:
     """Trials drawn once: their truths, the read-only (T, 6, N) block of their
-    noise-free rows and unit normals (the rows of ``model._draw``), the rows whose
-    truth is on a sensor (ZeroRange; they stay zero), and ``noisy``, the
-    ``model._noisy`` block each grid point sets.  A table of more than one trial
-    draws each trial's normals straight into the block and then computes the
-    noise-free rows of all its trials at once (``model._true_block``); one trial
-    takes ``model._draw``'s list path, which on one target costs less than
-    numpy's dispatch.  ``positions`` holds (sigma_range, outcome) per trial: the
-    position stage reads only the ranges, so its result, or its error class
-    name, holds at every point with that sigma_range."""
+    noise-free rows and unit normals, the rows whose truth is on a sensor
+    (ZeroRange; they stay zero), and ``noisy``, the ``model._noisy`` block each
+    grid point sets.  Each trial's normals are drawn straight into the block,
+    and then the noise-free rows of all its trials are computed at once
+    (``model._true_block``).  ``positions`` holds (sigma_range, outcome) per
+    trial: the position stage reads only the ranges, so its result, or its
+    error class name, holds at every point with that sigma_range."""
 
     def __init__(self, scenario: Scenario, indices):
         sensors = scenario.sensors
         draws = np.zeros((len(indices), 6, len(sensors)))
-        self.truths, self.zero_range = [], set()
-        batch = len(indices) > 1
+        self.truths = []
         for row, i in enumerate(indices):
             # the truth and measurement streams of SeedSequence((seed, i)).spawn(2)
             block, j = _stream_block(scenario.seed, i // _BLOCK), i % _BLOCK
             truth = sample_truth(scenario, np.random.Generator(np.random.PCG64(_State(block[j, 0]))))
             gen = np.random.Generator(np.random.PCG64(_State(block[j, 1])))
-            if batch:
-                gen.standard_normal(out=draws[row, 3:])
-            else:
-                try:
-                    _draw(truth, sensors, gen, draws[row])
-                except ZeroRange:
-                    self.zero_range.add(row)
+            gen.standard_normal(out=draws[row, 3:])
             self.truths.append(truth)
-        if batch:
-            self.zero_range = _true_block(self.truths, sensors, draws)
+        self.zero_range = _true_block(self.truths, sensors, draws)
         self.draws = _frozen_array(draws)
         self.noisy = None
         self.positions = [(None, None)] * len(indices)

@@ -469,14 +469,13 @@ def test_table_rows_equal_the_list_path_bit_for_bit(args):
             assert _noisy_outcome(got, noise) == _noisy_outcome(want, noise)
 
 
-def test_sweep_tables_take_no_trial_down_the_list_path(monkeypatch):
+def test_trial_tables_take_no_trial_down_the_list_path(monkeypatch):
     calls = []
     real = model._true_lists
     monkeypatch.setattr(model, "_true_lists", lambda *a: calls.append(1) or real(*a))
     for sweep, _, _ in EXPERIMENTS.values():
         sweep(default_scenario(trials=12), GRID)
     sweep_velocity_experiment(default_scenario(trials=6, sensors=RING64), GRID)
-    assert calls == []
-    # a trial outside a sweep is a one-trial table, which takes the list path
+    # a trial outside a sweep is a one-trial table
     run_trial(default_scenario(), 3)
-    assert calls == [1]
+    assert calls == []
