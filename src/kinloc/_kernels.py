@@ -10,10 +10,10 @@ cost, but raise ZeroDivisionError where a numpy scalar returned inf or NaN,
 so every denominator that can underflow to 0 is guarded; they overflow to inf
 silently, so the solutions are checked to be finite.
 
-Each kernel walks the sensors once per call, in one ``for`` loop that forms
-every per-sensor value and appends it to its output list, except where a pass
-needs the result of the one before (``position_solve``'s residual needs the
-position).  One comprehension per output list would do the same operations in
+Each kernel that walks the sensors does so once per call, in one ``for``
+loop that forms every per-sensor value and appends it to its output list,
+except where a pass needs the result of the one before (``position_solve``'s
+residual needs the position).  One comprehension per output list would do the same operations in
 the same order, but it walks the sensors once per list, and before Python 3.12
 (PEP 709) each comprehension runs as a function call of its own, which at 8
 sensors costs more than the loop body.  From 3.12 on, comprehensions are
@@ -25,9 +25,13 @@ A kernel that cannot solve raises the named error itself, never returns NaN:
 SingularGeometry (as when the Gram condition number exceeds ``COND_CAP``),
 each with that number in its message, and ``system_rows`` raises ZeroRange.
 The kernels know no weighting policy: estim.py turns a WeightRule into weights.
-``wls_solve2`` returns the Gram sums it formed and takes them back, for a
-later solve on the same rows and weights, which then forms only the
-right-hand-side sums.  ``position_solve`` computes the half of its work that depends only on the
+``wls_solve2`` solves from the five weighted sums of the normal equations and
+walks no rows: a stage that already walks its rows (estim's velocity stage
+and its propagated GLS centring) forms the sums in that loop, and the others
+hand their lists to ``normal_sums``.  ``normal_sums`` returns the Gram sums
+with the right-hand-side ones and takes them back, for a later solve on the
+same rows and weights, which then forms only the right-hand-side sums.
+``position_solve`` computes the half of its work that depends only on the
 sensors once per layout and keeps it for the last 16 layouts.
 
 ``system_rows`` keeps the rows of its last call in a one-entry memo, and a
@@ -208,15 +212,15 @@ def system_rows(sx, sy, px, py):
     return bx, by, rhat
 
 
-def wls_solve2(bx, by, rhs, w, gram=None):
-    """Minimizer of sum_i w_i (rhs_i - bx_i*x0 - by_i*x1)^2 via 2x2 normal equations.
+def normal_sums(bx, by, rhs, w, gram=None):
+    """The five sums of the 2x2 weighted normal equations of rows (bx_i, by_i).
 
-    Returns (x0, x1, gram_cond, g00, g01, g11), the last three the Gram sums
-    sum_i w_i bx_i^2, w_i bx_i by_i and w_i by_i^2; raises SingularGeometry when
-    the Gram matrix is singular, its condition number exceeds COND_CAP, its
-    determinant underflows to 0, or the solution overflows.  ``gram`` is those
-    three sums of the same rows and weights, as an earlier call returned them:
-    given it, the loop forms only the right-hand-side sums, with the same bits.
+    Returns (g00, g01, g11, h0, h1): the Gram sums sum_i w_i bx_i^2,
+    w_i bx_i by_i and w_i by_i^2, and the right-hand-side sums
+    sum_i w_i bx_i rhs_i and w_i by_i rhs_i, as ``wls_solve2`` takes them.
+    ``gram`` is the three Gram sums of the same rows and weights, as an
+    earlier call returned them: given it, the loop forms only the
+    right-hand-side sums, with the same bits.
     """
     if gram is None:
         g00 = g01 = g11 = h0 = h1 = 0.0
@@ -235,6 +239,16 @@ def wls_solve2(bx, by, rhs, w, gram=None):
         for x, y, r, wi in zip(bx, by, rhs, w):
             h0 += wi * x * r
             h1 += wi * y * r
+    return g00, g01, g11, h0, h1
+
+
+def wls_solve2(g00, g01, g11, h0, h1):
+    """Solution of the 2x2 normal equations [[g00, g01], [g01, g11]] x = (h0, h1).
+
+    Returns (x0, x1, gram_cond); raises SingularGeometry when the Gram matrix
+    is singular, its condition number exceeds COND_CAP, its determinant
+    underflows to 0, or the solution overflows.
+    """
     tr = g00 + g11
     diff = g00 - g11
     disc = math.sqrt(diff * diff + 4.0 * g01 * g01)
@@ -249,4 +263,4 @@ def wls_solve2(bx, by, rhs, w, gram=None):
     x1 = (g00 * h1 - g01 * h0) / det
     if not (math.isfinite(x0) and math.isfinite(x1)):
         raise SingularGeometry(f"stage solution overflows (condition {hi / lo:.3g})")
-    return x0, x1, hi / lo, g00, g01, g11
+    return x0, x1, hi / lo

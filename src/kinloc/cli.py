@@ -333,9 +333,11 @@ def cmd_sweep(config) -> int:
         grid = config.get("grid") or VELOCITY_GRID
         sweep = sweep_velocity_experiment(base, grid, rule, threads=threads)
 
+    # the figure first: one it rejects (no finite point) leaves neither file
+    figure = svgplot.sweep_figure(sweep) if config.get("svg") else None
     _atomic_write(config["out"], _sweep_csv(sweep, config["timing"]))
-    if config.get("svg"):
-        _atomic_write(config["svg"], svgplot.sweep_figure(sweep))
+    if figure is not None:
+        _atomic_write(config["svg"], figure)
 
     report = timing_report(sweep)
     out = [f"wrote {config['out']}" + (f" and {config['svg']}" if config.get("svg") else "")]

@@ -24,18 +24,22 @@ D_i = r_i^2 s_b^2 + 4 a_i^2 s_a^2 + b_i^2 s_r^2 plus the shared variance
 Chan & Ho (1994) and Ho & Xu (2004); its velocity stage keeps the 1/r_i rule.
 
 Stages 2 and 3 share one path: the kernels return the rows (p_hat - p_i) and
-the ranges, this module turns the WeightRule into per-row weights
-(``row_weights``) and hands columns, right-hand side and weights to the 2x2
-weighted normal-equation kernel, which guards the condition number; the
-kernels raise the named errors.  Per-row data travels as lists of floats;
-arrays appear only where a public function takes one or a caller reads one:
-the result objects keep their estimates as floats and their
+the ranges, this module turns the WeightRule into per-row weights and forms
+the five weighted sums of the 2x2 normal equations, and the kernel
+``wls_solve2`` solves from those sums and guards the condition number; the
+kernels raise the named errors.  Each stage owns the loop over its rows: the
+velocity stage forms d_i = a_i r_i, its weights and the five sums in one loop
+per weight rule, and the ``propagated`` acceleration stage forms the sums of
+its centred columns in the loop that centres them; the other solves hand
+their lists to ``_kernels.normal_sums``.  Per-row data travels as lists of
+floats; arrays appear only where a public function takes one or a caller
+reads one: the result objects keep their estimates as floats and their
 pseudo-measurements as packed float64 bytes, and make each array on first read.
 
 The pipeline reads p_hat once, as floats, and runs private stage functions
 that take and return floats: the velocity stage returns its estimate with the
-weights, Gram sums and right-hand side d_i = a_i r_i of its solve, and the
-second velocity stage takes that d.  Each acceleration stage takes its
+weights and Gram sums of its solve, and each velocity stage forms its own
+d_i = a_i r_i, one multiply per row.  Each acceleration stage takes its
 velocity solve's components, weights and Gram sums: the LS stage, and the WLS
 stage under ``uniform`` and ``inverse_range``, solve with that Gram, forming
 only the right-hand-side sums, and the ``propagated`` error model needs no
@@ -67,8 +71,8 @@ class WeightRule:
     ``propagated`` weights velocity rows by 1/r as well, but solves the
     acceleration stage with the first-order covariance of its
     pseudo-measurements, propagated through those 1/r velocity weights (see
-    ``acceleration_error_model``).  ``row_weights`` is the one place the
-    rule turns into per-row weights.
+    ``acceleration_error_model``).  ``row_weights`` turns the rule into
+    per-row weights; the velocity stage forms the same weights in its loop.
 
     ``WeightRule()`` stays the paper's 1/r rule so that library callers get
     the published estimator; the Monte Carlo drivers and the CLI default to
@@ -180,7 +184,7 @@ def estimate_position(measurements: MeasurementSet, sensors: SensorArray) -> Pos
 
 
 def _solve2(bx, by, rhs, weights, pseudo, method, gram=None) -> KinematicEstimate:
-    x0, x1, cond, _, _, _ = _kernels.wls_solve2(bx, by, rhs, weights, gram)
+    x0, x1, cond = _kernels.wls_solve2(*_kernels.normal_sums(bx, by, rhs, weights, gram))
     return KinematicEstimate((x0, x1), method, cond, _packer(len(pseudo))(*pseudo))
 
 
@@ -300,14 +304,22 @@ def _shared_error_solve(bx, by, rhs, var, s2) -> KinematicEstimate:
         return _solve2(bx, by, rhs, w, rhs, "WLS")
     shrink = (1.0 - keep) / total
     ox, oy, ok = keep * rx - shrink * ax, keep * ry - shrink * ay, keep * rk - shrink * ak
-    cx = []
-    cy = []
-    ck = []
-    for x, y, k in zip(bx, by, rhs):
-        cx.append((x - rx) + ox)
-        cy.append((y - ry) + oy)
-        ck.append((k - rk) + ok)
-    return _solve2(cx, cy, ck, w, rhs, "WLS")
+    # the normal-equation sums of the centred columns, formed as they are
+    # centred, by the operations of ``_kernels.normal_sums``
+    g00 = g01 = g11 = h0 = h1 = 0.0
+    for wi, x, y, k in zip(w, bx, by, rhs):
+        cx = (x - rx) + ox
+        cy = (y - ry) + oy
+        ck = (k - rk) + ok
+        wx = wi * cx
+        wy = wi * cy
+        g00 += wx * cx
+        g01 += wx * cy
+        g11 += wy * cy
+        h0 += wx * ck
+        h1 += wy * ck
+    x0, x1, cond = _kernels.wls_solve2(g00, g01, g11, h0, h1)
+    return KinematicEstimate((x0, x1), "WLS", cond, _packer(len(rhs))(*rhs))
 
 
 def estimate_velocity(measurements: MeasurementSet, sensors: SensorArray, p_hat,
@@ -323,19 +335,44 @@ def estimate_velocity(measurements: MeasurementSet, sensors: SensorArray, p_hat,
     return _velocity(measurements, sensors, px, py, weight_rule)[0]
 
 
-def _velocity(measurements, sensors, px, py, weight_rule, d=None):
+def _velocity(measurements, sensors, px, py, weight_rule):
     """The velocity stage at p_hat = (px, py), as (estimate, weights,
-    (g00, g01, g11), d): the weights and Gram sums of its solve, which depend
-    on the rows alone, and its right-hand side d, which an earlier velocity
-    stage at the same p_hat may hand in."""
+    (g00, g01, g11)): the weights and Gram sums of its solve, which depend on
+    the rows alone.  One loop per rule forms d_i = a_i r_i, the weights of
+    ``row_weights`` and the sums of ``_kernels.normal_sums``, bit for bit."""
     bx, by, rhat = _kernels.system_rows(sensors.xs, sensors.ys, px, py)
-    if d is None:
-        d = [a * r for a, r in zip(measurements._range_rates, rhat)]
-    w = row_weights(rhat, weight_rule)
-    x0, x1, cond, g00, g01, g11 = _kernels.wls_solve2(bx, by, d, w)
-    method = "LS" if weight_rule.mode == "uniform" else "WLS"
+    d = []
+    g00 = g01 = g11 = h0 = h1 = 0.0
+    if weight_rule.mode == "uniform":
+        # weight 1.0: 1.0 * x is x exactly, so the products leave it out
+        for x, y, r, a in zip(bx, by, rhat, measurements._range_rates):
+            di = a * r
+            d.append(di)
+            g00 += x * x
+            g01 += x * y
+            g11 += y * y
+            h0 += x * di
+            h1 += y * di
+        w = [1.0] * len(d)
+        method = "LS"
+    else:
+        w = []
+        for x, y, r, a in zip(bx, by, rhat, measurements._range_rates):
+            di = a * r
+            wi = 1.0 / r
+            d.append(di)
+            w.append(wi)
+            wx = wi * x
+            wy = wi * y
+            g00 += wx * x
+            g01 += wx * y
+            g11 += wy * y
+            h0 += wx * di
+            h1 += wy * di
+        method = "WLS"
+    x0, x1, cond = _kernels.wls_solve2(g00, g01, g11, h0, h1)
     estimate = KinematicEstimate((x0, x1), method, cond, _packer(len(d))(*d))
-    return estimate, w, (g00, g01, g11), d
+    return estimate, w, (g00, g01, g11)
 
 
 def acceleration_pseudo_measurements(measurements: MeasurementSet, sensors: SensorArray,
@@ -367,9 +404,9 @@ def acceleration_error_model(measurements: MeasurementSet, ranges, bx, by, veloc
     ``ranges`` are the r_i that multiply b_i in k_i, ``bx`` and ``by`` the
     columns of the stage rows (p_hat - p_i), and ``velocity_weights`` the
     weights of the velocity solve that gave the floats v0, v1, all lists.
-    ``gram`` is that solve's (g00, g01, g11), as ``_kernels.wls_solve2``
+    ``gram`` is that solve's (g00, g01, g11), as ``_kernels.normal_sums``
     returns them; without it G is formed here from the rows and weights by
-    the operations of ``wls_solve2``, so either way gives the same bits.  With
+    the operations of ``normal_sums``, so either way gives the same bits.  With
     s_r, s_a, s_b from ``measurements.noise``, the per-row variances are
     D_i = r_i^2 s_b^2 + 4 a_i^2 s_a^2 + b_i^2 s_r^2, and s2 = 4 v' Cov(v) v is
     the variance of the offset -2 v . dv that every row shares, where
@@ -414,7 +451,8 @@ def acceleration_error_model(measurements: MeasurementSet, ranges, bx, by, veloc
 
 
 def _gram(bx, by, w):
-    """(g00, g01, g11) of G = sum w_i B_i B_i', by the operations of ``wls_solve2``."""
+    """(g00, g01, g11) of G = sum w_i B_i B_i', by the operations of
+    ``_kernels.normal_sums``."""
     g00 = g01 = g11 = 0.0
     for wi, x, y in zip(w, bx, by):
         wx = wi * x
@@ -472,19 +510,18 @@ def _timed_kinematics(measurements: MeasurementSet, sensors: SensorArray, solved
     """The four kinematic stages in order after ``solved``, a ``_timed_position``
     result, as (EstimationResult, stage wall seconds keyed by the
     EstimationResult field names, the position's taken from ``solved``).  The
-    position is read once, as floats, the WLS velocity stage takes the LS one's
-    d, and each acceleration stage takes the components, weights and Gram sums
-    of its velocity solve from the private stage functions;
-    ``estimate_velocity`` and ``estimate_acceleration`` do not run.  No
-    estimate array is made: the stages read and return floats."""
+    position is read once, as floats, and each acceleration stage takes the
+    components, weights and Gram sums of its velocity solve from the private
+    stage functions; ``estimate_velocity`` and ``estimate_acceleration`` do
+    not run.  No estimate array is made: the stages read and return floats."""
     pos, position_time = solved
     _check_lengths(measurements, sensors)
     px, py = pos._xy        # finite floats: the kernels return no others
     clock = time.perf_counter
     t1 = clock()
-    v_ls, w_ls, gram_ls, d = _velocity(measurements, sensors, px, py, UNIFORM)
+    v_ls, w_ls, gram_ls = _velocity(measurements, sensors, px, py, UNIFORM)
     t2 = clock()
-    v_wls, w, gram, _ = _velocity(measurements, sensors, px, py, weight_rule, d)
+    v_wls, w, gram = _velocity(measurements, sensors, px, py, weight_rule)
     t3 = clock()
     a_ls = _acceleration(measurements, sensors, px, py, *v_ls._xy, UNIFORM, w_ls, gram_ls)
     t4 = clock()

@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
+from kinloc import _kernels as K
+from kinloc.errors import SingularGeometry
 from kinloc.model import SensorArray
 from kinloc.montecarlo import DEFAULT_SENSOR_POSITIONS
 
@@ -28,3 +32,32 @@ def assert_cannot_unlock(*arrays):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def _wls_solve2_loop(bx, by, rhs, w):
+    """``wls_solve2(*normal_sums(...))`` in its first loop form, every product
+    written out, returning the Gram sums after the solution: the reference
+    that ``normal_sums`` and the stage loops that form their own sums must
+    match bit for bit."""
+    g00 = g01 = g11 = h0 = h1 = 0.0
+    for x, y, r, wi in zip(bx, by, rhs, w):
+        g00 += wi * x * x
+        g01 += wi * x * y
+        g11 += wi * y * y
+        h0 += wi * x * r
+        h1 += wi * y * r
+    tr = g00 + g11
+    diff = g00 - g11
+    disc = math.sqrt(diff * diff + 4.0 * g01 * g01)
+    hi = 0.5 * (tr + disc)
+    lo = 0.5 * (tr - disc)
+    det = g00 * g11 - g01 * g01
+    if not (lo > 0.0) or hi > lo * K.COND_CAP or det <= 0.0:
+        cond = math.inf if not (lo > 0.0) else hi / lo
+        raise SingularGeometry(
+            f"stage Gram matrix singular or ill-conditioned (condition {cond:.3g})")
+    x0 = (g11 * h0 - g01 * h1) / det
+    x1 = (g00 * h1 - g01 * h0) / det
+    if not (math.isfinite(x0) and math.isfinite(x1)):
+        raise SingularGeometry(f"stage solution overflows (condition {hi / lo:.3g})")
+    return x0, x1, hi / lo, g00, g01, g11

@@ -290,12 +290,24 @@ class TestSweep:
         assert len(markers) == 4
 
     def test_figure_without_a_finite_point_rejected(self, tmp_path, capsys):
-        dest = tmp_path / "o.csv"
+        dest, fig = tmp_path / "o.csv", tmp_path / "o.svg"
         code, _, err = run(["sweep", "--grid", "1e150", "--trials", "5", "--out", str(dest),
-                            "--svg", str(tmp_path / "o.svg")], capsys)
+                            "--svg", str(fig)], capsys)
         assert code == 2
         assert err.startswith("ValueError: no sweep point has a finite") and err.count("\n") == 1
-        assert dest.read_text().splitlines()[1].split(",")[6] == "5"
+        # the figure is rendered before either file is written
+        assert not dest.exists() and not fig.exists()
+
+    def test_rejected_figure_of_an_all_failed_sweep_leaves_no_file(self, tmp_path, capsys):
+        # four collinear sensors: every trial's position stage fails
+        cfg = write_config(tmp_path, {"sensors": [[0, 0], [1, 0], [2, 0], [3, 0]],
+                                      "trials": 5})
+        dest, fig = tmp_path / "v.csv", tmp_path / "v.svg"
+        code, _, err = run(["sweep", "--config", cfg, "--out", str(dest), "--svg", str(fig)],
+                           capsys)
+        assert code == 2
+        assert err == "ValueError: no sweep point has a finite velocity LS RMSE to plot\n"
+        assert not dest.exists() and not fig.exists()
 
     def test_box_with_overflowing_extent_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"position_box": [[-1e308, -1e308], [1e308, 1e308]]})

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_cannot_unlock
+from conftest import _wls_solve2_loop, assert_cannot_unlock
 from kinloc import _kernels as K
 from kinloc import estim
 from kinloc.errors import (DegenerateGeometry, KinlocError, SingularGeometry,
@@ -509,10 +509,60 @@ def test_acceleration_error_model_matches_its_loop_form_bit_for_bit(args):
     assert outcome(acceleration_error_model) == outcome(_acceleration_error_model_loop)
 
 
+def _velocity_loop_form(measurements, sensors, px, py, rule):
+    """``estim._velocity`` in its first form: weights from ``row_weights``,
+    d = [a * r ...] and the sums of ``_wls_solve2_loop``, as (estimate,
+    weights, Gram sums).  The reference that the stage's one loop per rule
+    must match bit for bit."""
+    bx, by, rhat = K.system_rows(sensors.xs, sensors.ys, px, py)
+    w = row_weights(rhat, rule)
+    d = [a * r for a, r in zip(measurements.range_rates.tolist(), rhat)]
+    x0, x1, cond, *gram = _wls_solve2_loop(bx, by, d, w)
+    method = "LS" if rule.mode == "uniform" else "WLS"
+    return estim.KinematicEstimate((x0, x1), method, cond, np.array(d).tobytes()), w, gram
+
+
+@st.composite
+def _velocity_inputs(draw):
+    """A layout of 2 to 12 sensors and a position near 2^k, k from -250 to
+    250, and range rates at a scale of their own, so that a row's d_i or a
+    sum underflows or overflows, or the Gram matrix is singular, in some
+    draws; in some the position is a sensor's (ZeroRange)."""
+    n = draw(st.integers(2, 12))
+    k = draw(st.integers(-250, 250))
+    sx, sy = (draw(st.lists(_near(k + draw(st.integers(-3, 3))), min_size=n, max_size=n))
+              for _ in range(2))
+    px, py = draw(_near(k)), draw(_near(k))
+    if draw(st.integers(0, 9)) == 0:
+        px, py = sx[-1], sy[-1]
+    rates = draw(st.lists(_near(draw(st.integers(-250, 250))), min_size=n, max_size=n))
+    ms = MeasurementSet([1.0] * n, rates, [0.0] * n, NoiseSpec(1.0, 0.1, 0.1))
+    return ms, SensorArray(np.column_stack([sx, sy])), px, py
+
+
+@settings(max_examples=300, deadline=None)
+@given(args=_velocity_inputs())
+# the default layout at its scale, where 1/r and every product are normal
+@example(args=(exact_measurements(TargetState((30.0, 40.0), (10.0, -5.0)),
+                                  SensorArray(DEFAULT_SENSOR_POSITIONS)),
+               SensorArray(DEFAULT_SENSOR_POSITIONS), 31.0, 39.0))
+def test_velocity_stage_loops_match_their_loop_form_bit_for_bit(args):
+    def outcome(fn, rule):
+        try:
+            est, w, gram = fn(*args, rule)
+        except (SingularGeometry, ZeroRange) as exc:
+            return type(exc).__name__, str(exc)
+        return _estimate_bits(est), [v.hex() for v in w], [g.hex() for g in gram]
+
+    for rule in (UNIFORM, WeightRule(), PROPAGATED):
+        assert outcome(estim._velocity, rule) == outcome(_velocity_loop_form, rule), rule
+
+
 def _shared_error_solve_comprehension(bx, by, rhs, var, s2):
     """``estim._shared_error_solve`` with its centring in its first form, one
-    comprehension per centred column: the reference that its single loop must
-    match bit for bit."""
+    comprehension per centred column, solved by ``_wls_solve2_loop``: the
+    reference that its single loop, which forms the normal-equation sums as
+    it centres, must match bit for bit."""
     lowest = min(var)
     if lowest == 0.0:
         positive = [d for d in var if d > 0.0]
@@ -538,11 +588,15 @@ def _shared_error_solve_comprehension(bx, by, rhs, var, s2):
         ak += wi * (k - rk)
     keep = 1.0 / math.sqrt(1.0 + s2 * total)
     if keep == 1.0:
-        return estim._solve2(bx, by, rhs, w, rhs, "WLS")
-    shrink = (1.0 - keep) / total
-    ox, oy, ok = keep * rx - shrink * ax, keep * ry - shrink * ay, keep * rk - shrink * ak
-    return estim._solve2([(x - rx) + ox for x in bx], [(y - ry) + oy for y in by],
-                         [(k - rk) + ok for k in rhs], w, rhs, "WLS")
+        cx, cy, ck = bx, by, rhs
+    else:
+        shrink = (1.0 - keep) / total
+        ox, oy, ok = keep * rx - shrink * ax, keep * ry - shrink * ay, keep * rk - shrink * ak
+        cx = [(x - rx) + ox for x in bx]
+        cy = [(y - ry) + oy for y in by]
+        ck = [(k - rk) + ok for k in rhs]
+    x0, x1, cond, *_ = _wls_solve2_loop(cx, cy, ck, w)
+    return estim.KinematicEstimate((x0, x1), "WLS", cond, np.array(rhs).tobytes())
 
 
 @st.composite
@@ -593,6 +647,8 @@ def _estimate_outcome(fn, *args):
 @given(args=_shared_error_inputs())
 # every variance 0: the uniform-weight fallback, which takes s2 = 0
 @example(args=([3.0, -1.0, 2.0], [1.0, 4.0, -2.0], [1.0, 2.0, 5.0], [0.0] * 3, 7.0))
+# s2 = 0 with positive variances: 1 - lam is 1.0 and the rows pass uncentred
+@example(args=([3.0, -1.0, 2.0], [1.0, 4.0, -2.0], [1.0, 2.0, 5.0], [1.0, 2.0, 4.0], 0.0))
 # s2 * sum(w) far below 2^-53: 1 - lam rounds to 1.0 and the rows pass uncentred
 @example(args=([3.0, -1.0, 2.0], [1.0, 4.0, -2.0], [1.0, 2.0, 5.0], [1.0, 2.0, 4.0], 1e-20))
 # a row of variance 0 among positive ones, centred
@@ -703,14 +759,22 @@ def test_pipeline_takes_the_velocity_gram_instead_of_forming_it(sensors8, monkey
 ])
 def test_pipeline_hands_each_acceleration_solve_its_velocity_gram(sensors8, monkeypatch,
                                                                    rule, handed):
+    # one entry per solve: whether normal_sums formed its sums from a handed
+    # Gram; a stage that forms its sums in its own loop calls no normal_sums
     calls = []
-    real = K.wls_solve2
+    handed_gram = []
+    real_sums, real_solve = K.normal_sums, K.wls_solve2
 
-    def spy(bx, by, rhs, w, gram=None):
-        calls.append(gram is not None)
-        return real(bx, by, rhs, w, gram)
+    def sums_spy(bx, by, rhs, w, gram=None):
+        handed_gram.append(gram is not None)
+        return real_sums(bx, by, rhs, w, gram)
 
-    monkeypatch.setattr(K, "wls_solve2", spy)
+    def solve_spy(*sums):
+        calls.append(handed_gram.pop() if handed_gram else False)
+        return real_solve(*sums)
+
+    monkeypatch.setattr(K, "normal_sums", sums_spy)
+    monkeypatch.setattr(K, "wls_solve2", solve_spy)
     truth = TargetState((30.0, 40.0), (10.0, -5.0), (2.0, -1.0))
     ms = synthesize_measurements(truth, sensors8, NoiseSpec(1.0, 0.3, 0.1), 3)
     estimate_all(ms, sensors8, rule)

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import _wls_solve2_loop
 from kinloc import _kernels as K
 from kinloc.errors import DegenerateGeometry, SingularGeometry, ZeroRange
 from kinloc.estim import PROPAGATED, UNIFORM, WeightRule, row_weights
@@ -181,7 +182,7 @@ class TestSystemRows:
 
 class TestWlsSolve2:
     def test_exact_square_system(self):
-        x0, x1, cond, *gram = K.wls_solve2([1.0, 0.0], [0.0, 1.0], [4.0, 7.0], [1.0, 1.0])
+        x0, x1, cond, *gram = _normal_solve([1.0, 0.0], [0.0, 1.0], [4.0, 7.0], [1.0, 1.0])
         assert (x0, x1) == (4.0, 7.0)
         assert cond == pytest.approx(1.0)
         assert gram == [1.0, 0.0, 1.0]
@@ -193,7 +194,7 @@ class TestWlsSolve2:
             rhs = rng.normal(0, 30, n)
             w = rng.uniform(0.1, 3.0, n)
             try:
-                x0, x1, *_ = K.wls_solve2(*_lists(b[:, 0], b[:, 1], rhs, w))
+                x0, x1, *_ = _normal_solve(*_lists(b[:, 0], b[:, 1], rhs, w))
             except SingularGeometry:
                 continue
             sq = np.sqrt(w)
@@ -204,45 +205,25 @@ class TestWlsSolve2:
     def test_parallel_rows_singular(self):
         col = [1.0, 2.0, 3.0]
         with pytest.raises(SingularGeometry, match="condition"):
-            K.wls_solve2(col, col, col, [1.0] * 3)
+            _normal_solve(col, col, col, [1.0] * 3)
 
     def test_overflowing_solution_singular(self):
         # a well-posed system whose exact solution, 2e308, is not a float
         with pytest.raises(SingularGeometry, match="overflows"):
-            K.wls_solve2([0.5, 0.0], [0.0, 0.5], [1e308] * 2, [1.0] * 2)
+            _normal_solve([0.5, 0.0], [0.0, 0.5], [1e308] * 2, [1.0] * 2)
 
     def test_determinant_underflow_singular(self):
         # a well-conditioned Gram matrix whose entries (1e-310) have a product
         # that underflows to 0: the named error, not a division by zero
         with pytest.raises(SingularGeometry, match="condition"):
-            K.wls_solve2([1e-155, 0.0], [0.0, 1e-155], [1.0] * 2, [1.0] * 2)
+            _normal_solve([1e-155, 0.0], [0.0, 1e-155], [1.0] * 2, [1.0] * 2)
 
 
-def _wls_solve2_loop(bx, by, rhs, w):
-    """``wls_solve2`` with its sums in their first loop form, every product
-    written out: the reference its shared factors must match bit for bit."""
-    g00 = g01 = g11 = h0 = h1 = 0.0
-    for x, y, r, wi in zip(bx, by, rhs, w):
-        g00 += wi * x * x
-        g01 += wi * x * y
-        g11 += wi * y * y
-        h0 += wi * x * r
-        h1 += wi * y * r
-    tr = g00 + g11
-    diff = g00 - g11
-    disc = math.sqrt(diff * diff + 4.0 * g01 * g01)
-    hi = 0.5 * (tr + disc)
-    lo = 0.5 * (tr - disc)
-    det = g00 * g11 - g01 * g01
-    if not (lo > 0.0) or hi > lo * K.COND_CAP or det <= 0.0:
-        cond = math.inf if not (lo > 0.0) else hi / lo
-        raise SingularGeometry(
-            f"stage Gram matrix singular or ill-conditioned (condition {cond:.3g})")
-    x0 = (g11 * h0 - g01 * h1) / det
-    x1 = (g00 * h1 - g01 * h0) / det
-    if not (math.isfinite(x0) and math.isfinite(x1)):
-        raise SingularGeometry(f"stage solution overflows (condition {hi / lo:.3g})")
-    return x0, x1, hi / lo, g00, g01, g11
+def _normal_solve(bx, by, rhs, w, gram=None):
+    """``wls_solve2(*normal_sums(...))`` with the Gram sums after the solution:
+    the six floats of one solve on the rows, as ``_wls_solve2_loop`` returns them."""
+    sums = K.normal_sums(bx, by, rhs, w, gram)
+    return K.wls_solve2(*sums) + sums[:3]
 
 
 def _outcome(fn, *args):
@@ -278,7 +259,7 @@ def wide_rows(draw):
 @settings(max_examples=300, deadline=None)
 @given(rows=wide_rows())
 def test_wls_solve2_matches_its_loop_form_bit_for_bit(rows):
-    assert _outcome(K.wls_solve2, *rows) == _outcome(_wls_solve2_loop, *rows)
+    assert _outcome(_normal_solve, *rows) == _outcome(_wls_solve2_loop, *rows)
 
 
 def _gram_sums(bx, by, w):
@@ -296,8 +277,8 @@ def _gram_sums(bx, by, w):
 def test_wls_solve2_given_its_own_gram_sums_is_unchanged(rows):
     # the six floats bit for bit, or the same SingularGeometry and message
     gram = _gram_sums(rows[0], rows[1], rows[3])
-    given_gram = _outcome(lambda *a: K.wls_solve2(*a, gram=gram), *rows)
-    assert given_gram == _outcome(K.wls_solve2, *rows)
+    given_gram = _outcome(lambda *a: _normal_solve(*a, gram=gram), *rows)
+    assert given_gram == _outcome(_normal_solve, *rows)
 
 
 def _system_rows_comprehension(sx, sy, px, py):
@@ -470,7 +451,7 @@ def test_kernels_return_lists_of_floats(rng):
         assert type(column) is list and len(column) == 64
         assert all(type(value) is float for value in column)
     bx, by, rhat = rows
-    for value in K.wls_solve2(bx, by, rbar, [1.0 / r for r in rhat]):
+    for value in _normal_solve(bx, by, rbar, [1.0 / r for r in rhat]):
         assert type(value) is float
 
 
@@ -488,7 +469,7 @@ def test_kernels_agree_with_dense_oracle_on_64_ring(rng):
         bx, by, rhat = K.system_rows(*_lists(sx, sy), x, y)
         rhs = rng.normal(0.0, 100.0, 64)
         w = rng.uniform(0.1, 3.0, 64) / rhat
-        x0, x1, *_ = K.wls_solve2(bx, by, *_lists(rhs, w))
+        x0, x1, *_ = _normal_solve(bx, by, *_lists(rhs, w))
         ref = dense_wls_solve(np.column_stack((bx, by)), rhs, w)
         np.testing.assert_allclose([x0, x1], ref, rtol=0, atol=1e-12 * np.abs(ref).max())
 
