@@ -13,12 +13,12 @@ silently, so the solutions are checked to be finite.
 Each kernel that walks the sensors does so once per call, in one ``for``
 loop that forms every per-sensor value and appends it to its output list,
 except where a pass needs the result of the one before (``position_solve``'s
-residual needs the position).  One comprehension per output list would do the same operations in
-the same order, but it walks the sensors once per list, and before Python 3.12
-(PEP 709) each comprehension runs as a function call of its own, which at 8
-sensors costs more than the loop body.  From 3.12 on, comprehensions are
-inlined, and the loop is a few percent faster at 8 sensors but up to 10%
-slower at 64 (BENCH_pr18.json).
+residual needs the position).  One comprehension per output list would do
+the same operations in the same order, but it walks the sensors once per
+list, and before Python 3.12 (PEP 709) each comprehension runs as a function
+call of its own, which at 8 sensors costs more than the loop body.  From 3.12
+on, comprehensions are inlined, and the loop is a few percent faster at 8
+sensors but up to 10% slower at 64 (BENCH_pr18.json).
 
 A kernel that cannot solve raises the named error itself, never returns NaN:
 ``position_solve`` raises DegenerateGeometry and ``wls_solve2``
