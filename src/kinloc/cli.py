@@ -1,6 +1,7 @@
 """Command-line front end: estimate / sweep / verify.
 
-Configuration is a flat JSON object (see _KEYS); each subcommand takes
+Configuration is a flat JSON object of the settings in _SETTINGS, each
+declared once with its validator, default and flag; each subcommand takes
 --config and the flags it reads (_COMMANDS), which override file values.
 All numeric output is serialized with 17 significant digits and files are
 written via a temp file + rename, so a finished file is always complete and
@@ -42,12 +43,14 @@ def _g17(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _as_int(key, value, minimum=0):
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ConfigError(f"{key} must be >= {minimum}, got {value}")
-    return value
+def _as_int(minimum):
+    def cast(key, value):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"{key} must be an integer, got {value!r}")
+        if value < minimum:
+            raise ConfigError(f"{key} must be >= {minimum}, got {value}")
+        return value
+    return cast
 
 
 def _as_float(key, value):
@@ -105,50 +108,42 @@ def _as_box(key, value):
     return pair
 
 
-# accepted config keys and their validators; anything else is rejected
-_KEYS = {
-    "seed": lambda k, v: _as_int(k, v, minimum=0),
-    "trials": lambda k, v: _as_int(k, v, minimum=1),
-    "grid": _as_float_list,
-    "weights": _as_choice(tuple(_WEIGHT_CHOICES)),
-    "experiment": _as_choice(_EXPERIMENTS),
-    "out": _as_str,
-    "svg": _as_str,
-    "format": _as_choice(_FORMATS),
-    "threads": lambda k, v: _as_int(k, v, minimum=1),
-    "timing": _as_bool,
-    "sensors": _as_pair_list,
-    "position_box": _as_box,
-    "velocity_box": _as_box,
-    "acceleration_box": _as_box,
-    "sigma_range": _as_float,
-    "sigma_range_rate": _as_float,
-    "sigma_drr": _as_float,
-    "position": _as_pair,
-    "velocity": _as_pair,
-    "acceleration": _as_pair,
-    "ranges": _as_float_list,
-    "range_rates": _as_float_list,
-    "drrs": _as_float_list,
-}
-
-_DEFAULTS = {
-    "seed": DEFAULT_SEED,
-    "trials": DEFAULT_TRIALS,
-    "weights": "propagated",
-    "experiment": "velocity",
-    "format": "text",
-    "threads": 1,
-    "timing": False,
-    "sigma_range": 1.0,
-    "sigma_range_rate": 1.0,
-    "sigma_drr": 1.0,
+# every setting once: (validator, default or None, argparse settings of its
+# flag or None); a config file may set any of them and nothing else, and a
+# subcommand takes --config and the flags _COMMANDS lists for it
+_SETTINGS = {
+    "seed": (_as_int(0), DEFAULT_SEED, dict(type=int, metavar="U64")),
+    "trials": (_as_int(1), DEFAULT_TRIALS, dict(type=int, metavar="K")),
+    "grid": (_as_float_list, None, dict(metavar="LIST", help="comma-separated noise levels")),
+    "weights": (_as_choice(tuple(_WEIGHT_CHOICES)), "propagated",
+                dict(choices=sorted(_WEIGHT_CHOICES))),
+    "experiment": (_as_choice(_EXPERIMENTS), "velocity", dict(choices=_EXPERIMENTS)),
+    "out": (_as_str, None, dict(metavar="PATH")),
+    "svg": (_as_str, None, dict(metavar="PATH")),
+    "format": (_as_choice(_FORMATS), "text", dict(choices=_FORMATS)),
+    "threads": (_as_int(1), 1, dict(type=int, metavar="T")),
+    "timing": (_as_bool, False, dict(action="store_const", const=True,
+                                     help="report measured per-trial times in the CSV")),
+    "sensors": (_as_pair_list, None, None),
+    "position_box": (_as_box, None, None),
+    "velocity_box": (_as_box, None, None),
+    "acceleration_box": (_as_box, None, None),
+    "sigma_range": (_as_float, 1.0, None),
+    "sigma_range_rate": (_as_float, 1.0, None),
+    "sigma_drr": (_as_float, 1.0, None),
+    "position": (_as_pair, None, None),
+    "velocity": (_as_pair, None, None),
+    "acceleration": (_as_pair, None, None),
+    "ranges": (_as_float_list, None, None),
+    "range_rates": (_as_float_list, None, None),
+    "drrs": (_as_float_list, None, None),
 }
 
 
 def load_config(path: str | None, overrides: dict) -> dict:
     """Defaults, then the JSON config file, then non-None CLI overrides."""
-    config = dict(_DEFAULTS)
+    config = {key: default for key, (_, default, _) in _SETTINGS.items()
+              if default is not None}
     if path is not None:
         try:
             with open(path) as fh:
@@ -159,14 +154,14 @@ def load_config(path: str | None, overrides: dict) -> dict:
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError(f"config {path} must be a JSON object")
-        unknown = sorted(set(raw) - set(_KEYS))
+        unknown = sorted(set(raw) - set(_SETTINGS))
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
         for key, value in raw.items():
-            config[key] = _KEYS[key](key, value)
+            config[key] = _SETTINGS[key][0](key, value)
     for key, value in overrides.items():
         if value is not None:
-            config[key] = _KEYS[key](key, value)
+            config[key] = _SETTINGS[key][0](key, value)
     return config
 
 
@@ -198,11 +193,21 @@ def _atomic_write(path: str, text: str) -> None:
 
 def _check_output_dirs(config, keys) -> None:
     """Raise ConfigError, naming the path as given, when an output's directory is
-    missing: checked before the work runs, not at ``_atomic_write``'s temp file."""
+    missing, the output names a directory, or two outputs name one file: checked
+    before the work runs, not at ``_atomic_write``'s temp file."""
+    seen = {}
     for key in keys:
         path = config.get(key)
-        if path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        if not path:
+            continue
+        if os.path.isdir(path) or not os.path.basename(path):
+            raise ConfigError(f"cannot write --{key} {path}: it names a directory")
+        if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
             raise ConfigError(f"cannot write --{key} {path}: its directory does not exist")
+        real = os.path.realpath(path)
+        if real in seen:
+            raise ConfigError(f"cannot write --{key} {path}: --{seen[real]} names the same file")
+        seen[real] = key
 
 
 def _weight_rule(config) -> WeightRule:
@@ -363,20 +368,7 @@ def cmd_verify(config) -> int:
     return 1
 
 
-# argparse settings of each flag; a subcommand takes --config and the flags it reads
-_FLAGS = {
-    "seed": dict(type=int, metavar="U64"),
-    "trials": dict(type=int, metavar="K"),
-    "grid": dict(metavar="LIST", help="comma-separated noise levels"),
-    "weights": dict(choices=sorted(_WEIGHT_CHOICES)),
-    "experiment": dict(choices=_EXPERIMENTS),
-    "out": dict(metavar="PATH"),
-    "svg": dict(metavar="PATH"),
-    "format": dict(choices=_FORMATS),
-    "threads": dict(type=int, metavar="T"),
-    "timing": dict(action="store_const", const=True,
-                   help="report measured per-trial times in the CSV"),
-}
+# the flags of each subcommand, besides --config
 _COMMANDS = {
     "estimate": ("run the estimator pipeline on one measurement set",
                  ("seed", "weights", "out", "format")),
@@ -397,7 +389,7 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(command, help=help_text)
         cmd.add_argument("--config", metavar="PATH", help="JSON config file")
         for flag in flags:
-            cmd.add_argument("--" + flag, **_FLAGS[flag])
+            cmd.add_argument("--" + flag, **_SETTINGS[flag][2])
     return parser
 
 

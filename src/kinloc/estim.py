@@ -57,7 +57,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import SingularGeometry, TooFewSensors
-from .model import MeasurementSet, SensorArray, _frozen, _packer, _vec2_floats
+from .model import MeasurementSet, SensorArray, _frozen, _packer, as_vec2
 
 WEIGHT_MODES = ("uniform", "inverse_range", "propagated")
 
@@ -331,7 +331,7 @@ def estimate_velocity(measurements: MeasurementSet, sensors: SensorArray, p_hat,
     p_hat coincides with a sensor.
     """
     _check_lengths(measurements, sensors)
-    px, py = _vec2_floats(p_hat, "p_hat")
+    px, py = as_vec2(p_hat, "p_hat").tolist()
     return _velocity(measurements, sensors, px, py, weight_rule)[0]
 
 
@@ -384,8 +384,8 @@ def acceleration_pseudo_measurements(measurements: MeasurementSet, sensors: Sens
     a . (p_hat - p_i) exactly.
     """
     _check_lengths(measurements, sensors)
-    v0, v1 = _vec2_floats(v_hat, "v_hat")
-    px, py = _vec2_floats(p_hat, "p_hat")
+    v0, v1 = as_vec2(v_hat, "v_hat").tolist()
+    px, py = as_vec2(p_hat, "p_hat").tolist()
     return np.array(_pseudo_measurements(measurements, sensors, px, py, v0, v1))
 
 
@@ -474,8 +474,8 @@ def estimate_acceleration(measurements: MeasurementSet, sensors: SensorArray, p_
     forms from its rows.
     """
     _check_lengths(measurements, sensors)
-    v0, v1 = _vec2_floats(v_hat, "v_hat")
-    px, py = _vec2_floats(p_hat, "p_hat")
+    v0, v1 = as_vec2(v_hat, "v_hat").tolist()
+    px, py = as_vec2(p_hat, "p_hat").tolist()
     return _acceleration(measurements, sensors, px, py, v0, v1, weight_rule)
 
 

@@ -56,21 +56,6 @@ def as_vec2(value, name: str = "vector") -> np.ndarray:
     return np.frombuffer(arr.tobytes())
 
 
-_FLOAT64 = np.dtype(np.float64)
-
-
-def _vec2_floats(value, name: str) -> list:
-    """The two components of a 2-vector as floats, as ``as_vec2`` would read
-    them: a finite float64 array of shape (2,) is read in place with one
-    ``tolist``, anything else goes through ``as_vec2``, which converts it or
-    raises its ValueError."""
-    if type(value) is np.ndarray and value.dtype is _FLOAT64 and value.shape == (2,):
-        xy = value.tolist()
-        if math.isfinite(xy[0]) and math.isfinite(xy[1]):
-            return xy
-    return as_vec2(value, name).tolist()
-
-
 @dataclass(frozen=True)
 class SensorArray:
     """Fixed sensor positions (m); row i belongs to measurement i everywhere."""
@@ -165,9 +150,7 @@ def _measurement_vector(values, name: str):
         raise ValueError(f"{name} must be one-dimensional")
     arr = np.frombuffer(arr.tobytes())      # the only copy; a scalar gives shape (1,)
     floats = arr.tolist()
-    # a finite sum rules out inf and NaN at C speed; only a sum that
-    # overflows needs the check of each value
-    if not (math.isfinite(sum(floats)) or all(map(math.isfinite, floats))):
+    if not all(map(math.isfinite, floats)):
         raise ValueError(f"{name} must be finite")
     return arr, floats
 

@@ -1,7 +1,10 @@
+import itertools
 import json
 import os
+import re
 import stat
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -97,6 +100,17 @@ class TestEstimate:
         assert code == 0
         assert dest.read_text() != "old"
         assert stat.S_IMODE(dest.stat().st_mode) == 0o604
+
+    def test_directory_as_out_rejected_before_the_estimate(self, tmp_path, capsys,
+                                                           monkeypatch):
+        monkeypatch.setattr(cli, "estimate_all", None)      # must not run
+        cfg = write_config(tmp_path, TRUTH)
+        # an existing directory, and a new name that ends in a separator
+        for directory in (str(tmp_path), str(tmp_path / "new") + os.sep):
+            code, out, err = run(["estimate", "--config", cfg, "--out", directory], capsys)
+            assert code == 2 and out == ""
+            assert err == f"ConfigError: cannot write --out {directory}: it names a directory\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
     def test_degenerate_geometry_exits_2_with_error_name(self, tmp_path, capsys):
         cfg = write_config(tmp_path, dict(
@@ -346,6 +360,59 @@ class TestSweep:
         assert code == 2 and out == ""
         assert err == f"ConfigError: cannot write {flag} {missing}: its directory does not exist\n"
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("flag", ["--out", "--svg"])
+    def test_directory_as_output_rejected_before_the_sweep(self, tmp_path, capsys,
+                                                           monkeypatch, flag):
+        # the error used to come after the whole sweep, naming the hidden temp file
+        monkeypatch.setattr(cli, "sweep_velocity_experiment", None)     # must not run
+        directory = tmp_path / "a_dir"
+        directory.mkdir()
+        paths = {"--out": str(tmp_path / "o.csv"), "--svg": str(tmp_path / "o.svg")}
+        paths[flag] = str(directory)
+        code, out, err = run(self.ARGS + [arg for item in paths.items() for arg in item],
+                             capsys)
+        assert code == 2 and out == ""
+        assert err == f"ConfigError: cannot write {flag} {directory}: it names a directory\n"
+        assert list(tmp_path.iterdir()) == [directory] and not list(directory.iterdir())
+
+    def test_same_path_for_csv_and_svg_rejected_before_the_sweep(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        # the SVG used to replace the CSV, and the sweep exited 0
+        monkeypatch.setattr(cli, "sweep_velocity_experiment", None)     # must not run
+        same = str(tmp_path / "same.x")
+        code, out, err = run(self.ARGS + ["--out", same, "--svg", same], capsys)
+        assert code == 2 and out == ""
+        assert err == f"ConfigError: cannot write --svg {same}: --out names the same file\n"
+        assert not list(tmp_path.iterdir())
+
+
+class TestSettingsTable:
+    def test_every_flag_has_argparse_settings(self):
+        for _, flags in cli._COMMANDS.values():
+            for flag in flags:
+                assert cli._SETTINGS[flag][2] is not None, flag
+
+    def test_every_setting_with_argparse_settings_is_a_flag(self):
+        flags = {flag for _, command_flags in cli._COMMANDS.values() for flag in command_flags}
+        assert {key for key, (_, _, settings) in cli._SETTINGS.items()
+                if settings is not None} == flags
+
+    def test_readme_tables_list_the_commands_and_settings(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+        def table(header):
+            lines = readme.split(header + "\n", 1)[1].splitlines()[1:]
+            return [line.split(" | ") for line in itertools.takewhile(
+                lambda line: line.startswith("|"), lines)]
+
+        commands = {re.findall(r"`([^`]+)`", cells[0])[0]:
+                    tuple(re.findall(r"`--([^`]+)`", cells[1]))
+                    for cells in table("| subcommand | flags |")}
+        assert commands == {command: flags for command, (_, flags) in cli._COMMANDS.items()}
+        keys = [key for cells in table("| key | meaning | default |")
+                for key in re.findall(r"`([^`]+)`", cells[0])]
+        assert sorted(keys) == sorted(cli._SETTINGS)
 
 
 class TestVerify:
