@@ -57,7 +57,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import SingularGeometry, TooFewSensors
-from .model import MeasurementSet, SensorArray, _frozen, _packer, as_vec2
+from .model import MeasurementSet, SensorArray, _finite, _frozen, _packer, as_vec2
 
 WEIGHT_MODES = ("uniform", "inverse_range", "propagated")
 
@@ -183,28 +183,19 @@ def estimate_position(measurements: MeasurementSet, sensors: SensorArray) -> Pos
     return PositionSolution((x, y), theta3, resid, cond)
 
 
-def _solve2(bx, by, rhs, weights, pseudo, method, gram=None) -> KinematicEstimate:
+def _solve2(bx, by, rhs, weights, method, gram=None) -> KinematicEstimate:
     x0, x1, cond = _kernels.wls_solve2(*_kernels.normal_sums(bx, by, rhs, weights, gram))
-    return KinematicEstimate((x0, x1), method, cond, _packer(len(pseudo))(*pseudo))
+    return KinematicEstimate((x0, x1), method, cond, _packer(len(rhs))(*rhs))
 
 
 def _stage_columns(B, rhs, per_row, name):
-    arrays = []
-    for label, a in (("B", B), ("rhs", rhs), (name, per_row)):
-        try:
-            arrays.append(np.asarray(a, dtype=np.float64))
-        except OverflowError:       # an integer past the float range: rejected like inf
-            raise ValueError(f"{label} must be finite") from None
-    B, rhs, per_row = arrays
+    B, rhs, per_row = _finite(B, "B"), _finite(rhs, "rhs"), _finite(per_row, name)
     if B.ndim != 2 or B.shape[1] != 2:
         raise ValueError(f"B must have shape (N, 2), got {B.shape}")
     if B.shape[0] == 0:
         raise ValueError("stage system is empty: B has no rows")
     if rhs.shape != (B.shape[0],) or per_row.shape != (B.shape[0],):
         raise ValueError(f"rhs and {name} must be N-vectors matching B")
-    for label, arr in (("B", B), ("rhs", rhs), (name, per_row)):
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"{label} must be finite")
     return B[:, 0].tolist(), B[:, 1].tolist(), rhs.tolist(), per_row.tolist()
 
 
@@ -225,7 +216,7 @@ def solve_linear_stage(B, rhs, weights) -> KinematicEstimate:
     # as in _shared_error_solve: an exact power-of-two scale that brings the
     # largest weight into [0.5, 1) keeps the Gram products within range
     e = math.frexp(highest)[1]
-    return _solve2(bx, by, rhs, [math.ldexp(w, -e) for w in weights], rhs, method)
+    return _solve2(bx, by, rhs, [math.ldexp(w, -e) for w in weights], method)
 
 
 def solve_shared_error_stage(B, rhs, variances, shared_variance: float) -> KinematicEstimate:
@@ -301,7 +292,7 @@ def _shared_error_solve(bx, by, rhs, var, s2) -> KinematicEstimate:
         ak += wi * (k - rk)
     keep = 1.0 / math.sqrt(1.0 + s2 * total)          # 1 - lam
     if keep == 1.0:
-        return _solve2(bx, by, rhs, w, rhs, "WLS")
+        return _solve2(bx, by, rhs, w, "WLS")
     shrink = (1.0 - keep) / total
     ox, oy, ok = keep * rx - shrink * ax, keep * ry - shrink * ay, keep * rk - shrink * ak
     # the normal-equation sums of the centred columns, formed as they are
@@ -493,7 +484,7 @@ def _acceleration(measurements, sensors, px, py, v0, v1, weight_rule, w=None, gr
         variances, shared = acceleration_error_model(measurements, rhat, bx, by, w, v0, v1, gram)
         return _shared_error_solve(bx, by, k, variances, shared)
     method = "LS" if weight_rule.mode == "uniform" else "WLS"
-    return _solve2(bx, by, k, w, k, method, gram)
+    return _solve2(bx, by, k, w, method, gram)
 
 
 def _timed_position(measurements: MeasurementSet, sensors: SensorArray):

@@ -42,6 +42,19 @@ def _frozen_array(arr: np.ndarray) -> np.ndarray:
     return np.ndarray(arr.shape, arr.dtype, arr.tobytes())     # one array object, C order
 
 
+def _finite(value, name: str) -> np.ndarray:
+    """``value`` as a float64 array; ValueError "<name> must be finite" if it holds
+    NaN, inf or an integer past the float range.  Every array input but ``as_vec2``'s
+    is read here; the caller checks the shape and copies what it keeps."""
+    try:
+        arr = np.asarray(value, dtype=np.float64)
+    except OverflowError:
+        raise ValueError(f"{name} must be finite") from None
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite")
+    return arr
+
+
 def as_vec2(value, name: str = "vector") -> np.ndarray:
     """Coerce to a fresh read-only float64 array of shape (2,), rejecting NaN/Inf."""
     try:
@@ -63,14 +76,9 @@ class SensorArray:
     positions: np.ndarray
 
     def __post_init__(self):
-        try:
-            pos = np.atleast_2d(np.asarray(self.positions, dtype=np.float64))
-        except OverflowError:
-            raise ValueError("sensor positions must be finite") from None
+        pos = np.atleast_2d(_finite(self.positions, "sensor positions"))
         if pos.ndim != 2 or pos.shape[1] != 2 or pos.shape[0] < 1:
             raise ValueError(f"positions must have shape (N, 2) with N >= 1, got {pos.shape}")
-        if not np.all(np.isfinite(pos)):
-            raise ValueError("sensor positions must be finite")
         object.__setattr__(self, "positions", _frozen_array(pos))
 
     def __len__(self) -> int:
@@ -142,27 +150,21 @@ class NoiseSpec:
 
 def _measurement_vector(values, name: str):
     """(read-only float64 array, the same values as a list of floats)."""
-    try:
-        arr = np.asarray(values, dtype=np.float64)
-    except OverflowError:
-        raise ValueError(f"{name} must be finite") from None
+    arr = _finite(values, name)
     if arr.ndim > 1:
         raise ValueError(f"{name} must be one-dimensional")
     arr = np.frombuffer(arr.tobytes())      # the only copy; a scalar gives shape (1,)
-    floats = arr.tolist()
-    if not all(map(math.isfinite, floats)):
-        raise ValueError(f"{name} must be finite")
-    return arr, floats
+    return arr, arr.tolist()
 
 
 @dataclass(frozen=True)
 class MeasurementSet:
     """Per-sensor noisy (range, range rate, derivative of range rate) triples.
 
-    Besides each array field X it keeps the list of floats that the
-    finiteness check read, as the private attribute ``_X``; the stages read
-    those lists, as the kernels read ``SensorArray.xs``/``ys``, instead of
-    converting the arrays again.
+    Besides each array field X it keeps the array's values as a list of
+    floats, the private attribute ``_X``; the stages read those lists, as the
+    kernels read ``SensorArray.xs``/``ys``, instead of converting the arrays
+    again.
     """
 
     ranges: np.ndarray       # m

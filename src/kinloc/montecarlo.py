@@ -21,6 +21,7 @@ Trials, ensembles and sweeps default to the ``propagated`` weight rule.
 import contextvars
 import functools
 import math
+import numbers
 import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -34,8 +35,8 @@ from .estim import (PROPAGATED, EstimationResult, WeightRule, _timed_kinematics,
                     _timed_position)
 # not called here: perfbench's tracer test reads montecarlo.estimate_position
 from .estim import estimate_position  # noqa: F401
-from .model import (NoiseSpec, SensorArray, TargetState, _frozen_array, _measurements,
-                    _noisy, _target_state, _true_block)
+from .model import (NoiseSpec, SensorArray, TargetState, _finite, _frozen_array,
+                    _measurements, _noisy, _target_state, _true_block)
 
 # the reference eight-sensor layout used by the shipped experiments
 DEFAULT_SENSOR_POSITIONS = np.array([
@@ -62,14 +63,9 @@ _TRIAL_ERRORS = (ZeroRange, TooFewSensors, DegenerateGeometry, SingularGeometry)
 
 
 def _as_box(value, name: str) -> np.ndarray:
-    try:
-        box = np.asarray(value, dtype=np.float64)
-    except OverflowError:       # an integer past the float range: rejected like inf
-        raise ValueError(f"{name} must be finite") from None
+    box = _finite(value, name)
     if box.shape != (2, 2):
         raise ValueError(f"{name} must be ((xmin, ymin), (xmax, ymax)), got shape {box.shape}")
-    if not np.all(np.isfinite(box)):
-        raise ValueError(f"{name} must be finite")
     if np.any(box[0] > box[1]):
         raise ValueError(f"{name} must have min <= max componentwise")
     (x0, y0), (x1, y1) = box.tolist()
@@ -399,8 +395,14 @@ class SweepResult:
 
 
 def _check_grid(grid):
+    """The grid as floats.  Its values are sigmas, so, as with a ``NoiseSpec``
+    sigma, a bool or a value that is not a real number raises TypeError."""
+    values = tuple(grid)
+    for g in values:
+        if isinstance(g, bool) or not isinstance(g, numbers.Real):
+            raise TypeError(f"grid values must be real numbers, got {g!r}")
     try:
-        values = tuple(float(g) for g in grid)
+        values = tuple(map(float, values))
     except OverflowError:       # an integer past the float range: rejected like inf
         raise ValueError("grid values must be finite") from None
     if not values:

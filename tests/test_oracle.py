@@ -82,12 +82,16 @@ class TestDenseWlsSolve:
 
     def test_non_finite_input_rejected(self):
         # NaN weights reached LAPACK (LinAlgError after a DLASCL complaint), an
-        # inf weight raised RuntimeWarning, and a NaN in rhs returned [nan, nan]
+        # inf weight raised RuntimeWarning, and a NaN in rhs returned [nan, nan];
+        # an integer past the float range raised a bare OverflowError
         rows, rhs, w = np.eye(3)[:, :2], np.ones(3), np.ones(3)
         for label, bad in (("weights", (rows, rhs, [1.0, np.nan, 1.0])),
                            ("weights", (rows, rhs, [1.0, np.inf, 1.0])),
                            ("rhs", (rows, [1.0, np.nan, 1.0], w)),
-                           ("rows", (np.where(rows == 1.0, np.inf, rows), rhs, w))):
+                           ("rows", (np.where(rows == 1.0, np.inf, rows), rhs, w)),
+                           ("rows", ([[10 ** 400, 1.0], [0.0, 1.0]], [1.0, 2.0], [1.0, 1.0])),
+                           ("rhs", (rows, [1.0, 10 ** 400, 1.0], w)),
+                           ("weights", (rows, rhs, [1.0, 1.0, -10 ** 400]))):
             with pytest.raises(ValueError, match=f"^{label} must be finite$"):
                 dense_wls_solve(*bad)
 

@@ -408,6 +408,22 @@ def test_overflowing_noise_anywhere_in_the_grid_runs_no_trial(monkeypatch):
     assert draws == []
 
 
+@pytest.mark.parametrize("value", [True, "3", np.bool_(True), 1 + 0j],
+                         ids=["bool", "str", "numpy-bool", "complex"])
+def test_grid_value_that_is_no_real_number_runs_no_trial(monkeypatch, value):
+    # grid values are sigmas: what NoiseSpec rejects with TypeError, the grid
+    # does too, where float() would have read True as 1.0 and "3" as 3.0
+    with pytest.raises(TypeError):
+        NoiseSpec(1.0, value)
+    seen = spy_ensembles(monkeypatch)
+    draws = count_truth_draws(monkeypatch)
+    for sweep in (sweep_velocity_experiment, sweep_acceleration_experiment):
+        with pytest.raises(TypeError, match=r"^grid values must be real numbers, got "):
+            sweep(default_scenario(trials=3), (0.5, value))
+    assert seen == []
+    assert draws == []
+
+
 LAYOUTS = {"default": SensorArray(DEFAULT_SENSOR_POSITIONS), "ring64": SensorArray(RING64)}
 
 
