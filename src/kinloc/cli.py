@@ -14,7 +14,6 @@ import os
 import stat
 import sys
 import tempfile
-from dataclasses import replace
 
 import numpy as np
 
@@ -22,7 +21,7 @@ from . import model, montecarlo, oracle, svgplot
 from .errors import ConfigError, KinlocError
 from .estim import WeightRule, estimate_all
 from .model import MeasurementSet, NoiseSpec, SensorArray, TargetState
-from .montecarlo import (DEFAULT_SEED, DEFAULT_TRIALS, Scenario, default_scenario,
+from .montecarlo import (DEFAULT_SEED, DEFAULT_TRIALS, Scenario,
                          sweep_acceleration_experiment, sweep_velocity_experiment,
                          timing_report)
 
@@ -313,15 +312,13 @@ def _sweep_csv(sweep, with_timing: bool) -> str:
 
 
 def _base_scenario(config) -> Scenario:
-    scenario = default_scenario(trials=config["trials"], seed=config["seed"],
-                                noise=_noise(config), sensors=_sensors(config).positions)
-    boxes = {}
-    for key in ("position_box", "velocity_box", "acceleration_box"):
-        if config.get(key) is not None:
-            boxes[key] = config[key]
-    if boxes:
-        scenario = replace(scenario, **boxes)
-    return scenario
+    return Scenario(
+        sensors=_sensors(config),
+        position_box=config.get("position_box", montecarlo.DEFAULT_POSITION_BOX),
+        velocity_box=config.get("velocity_box", montecarlo.DEFAULT_VELOCITY_BOX),
+        acceleration_box=config.get("acceleration_box", montecarlo.DEFAULT_ACCELERATION_BOX),
+        noise=_noise(config), trials=config["trials"], seed=config["seed"],
+        motion_mode="constant_velocity")
 
 
 def cmd_sweep(config) -> int:

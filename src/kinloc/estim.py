@@ -57,7 +57,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import SingularGeometry, TooFewSensors
-from .model import MeasurementSet, SensorArray, _finite, _frozen, _packer, as_vec2
+from .model import MeasurementSet, SensorArray, _finite, _frozen, _packer, _real, as_vec2
 
 WEIGHT_MODES = ("uniform", "inverse_range", "propagated")
 
@@ -240,10 +240,7 @@ def solve_shared_error_stage(B, rhs, variances, shared_variance: float) -> Kinem
     Raises SingularGeometry like ``solve_linear_stage``.
     """
     bx, by, rhs, variances = _stage_columns(B, rhs, variances, "variances")
-    try:
-        s2 = float(shared_variance)
-    except OverflowError:       # an integer past the float range reads as inf
-        s2 = math.inf if shared_variance > 0 else -math.inf
+    s2 = _real(shared_variance, "shared_variance")
     # _stage_columns has checked the variances finite
     if not (min(variances) >= 0.0 and 0.0 <= s2 < math.inf):
         raise ValueError("variances and shared_variance must be finite and >= 0")

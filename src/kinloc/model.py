@@ -14,6 +14,7 @@ independent zero-mean Gaussian noise per sensor and per quantity.
 
 import math
 import numbers
+import operator
 import struct
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -42,14 +43,41 @@ def _frozen_array(arr: np.ndarray) -> np.ndarray:
     return np.ndarray(arr.shape, arr.dtype, arr.tobytes())     # one array object, C order
 
 
-def _finite(value, name: str) -> np.ndarray:
-    """``value`` as a float64 array; ValueError "<name> must be finite" if it holds
-    NaN, inf or an integer past the float range.  Every array input but ``as_vec2``'s
-    is read here; the caller checks the shape and copies what it keeps."""
+def _real(value, name: str, noun: str = "a real number") -> float:
+    """``value`` as a float; TypeError "<name> must be <noun>, got <value!r>" for a bool
+    or a non-real.  An integer past the float range reads as +-inf, for the caller's
+    own range check.  Every real-number scalar input is read here."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be {noun}, got {value!r}")
     try:
-        arr = np.asarray(value, dtype=np.float64)
+        return float(value)
     except OverflowError:
-        raise ValueError(f"{name} must be finite") from None
+        return math.inf if value > 0 else -math.inf
+
+
+def _as_index(value, name: str) -> int:
+    """A Python or numpy integer as an int; a float, a string or a bool raises TypeError."""
+    if isinstance(value, bool):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _finite(value, name: str) -> np.ndarray:
+    """``value`` as a float64 array.  ValueError if it is ragged or holds NaN, inf or an
+    integer past the float range ("<name> must be finite"); ``_real``'s TypeError for an
+    entry that is not a real number, though numpy reads a bool among floats as a float.
+    Every array input but ``as_vec2``'s is read here; the caller checks the shape."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:          # numpy's message for a ragged list names no input
+        raise ValueError(f"{name} must be a rectangular array") from None
+    if arr.dtype.kind not in "iuf":     # bool, complex, string or object entries
+        entries = np.asarray(value, dtype=object)
+        arr = np.reshape([_real(e, name, "real numbers") for e in entries.flat], entries.shape)
+    arr = arr.astype(np.float64, copy=False)
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} must be finite")
     return arr
@@ -132,13 +160,7 @@ class NoiseSpec:
 
     def __post_init__(self):
         for name in ("sigma_range", "sigma_range_rate", "sigma_drr"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise TypeError(f"{name} must be a real number, got {value!r}")
-            try:
-                value = float(value)
-            except OverflowError:       # an integer past the float range reads as inf
-                value = math.inf if value > 0 else -math.inf
+            value = _real(getattr(self, name), name)
             if not np.isfinite(value * value) or value < 0.0:
                 raise ValueError(f"{name} must be >= 0 with a finite square, got {value}")
             object.__setattr__(self, name, value)
@@ -225,11 +247,8 @@ def range_accel(target: TargetState, sensor_pos) -> float:
 
 def propagate(target: TargetState, dt: float) -> TargetState:
     """Constant-acceleration propagation by dt seconds (used by the oracle and demos)."""
-    try:
-        dt = float(dt)
-    except OverflowError:
-        dt = math.inf
-    if not np.isfinite(dt):
+    dt = _real(dt, "dt")
+    if not math.isfinite(dt):
         raise ValueError("dt must be finite")
     pos = target.position + target.velocity * dt + 0.5 * target.acceleration * dt * dt
     vel = target.velocity + target.acceleration * dt

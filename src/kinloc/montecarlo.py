@@ -21,8 +21,6 @@ Trials, ensembles and sweeps default to the ``propagated`` weight rule.
 import contextvars
 import functools
 import math
-import numbers
-import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -35,8 +33,8 @@ from .estim import (PROPAGATED, EstimationResult, WeightRule, _timed_kinematics,
                     _timed_position)
 # not called here: perfbench's tracer test reads montecarlo.estimate_position
 from .estim import estimate_position  # noqa: F401
-from .model import (NoiseSpec, SensorArray, TargetState, _finite, _frozen_array,
-                    _measurements, _noisy, _target_state, _true_block)
+from .model import (NoiseSpec, SensorArray, TargetState, _as_index, _finite, _frozen_array,
+                    _measurements, _noisy, _real, _target_state, _true_block)
 
 # the reference eight-sensor layout used by the shipped experiments
 DEFAULT_SENSOR_POSITIONS = np.array([
@@ -72,16 +70,6 @@ def _as_box(value, name: str) -> np.ndarray:
     if not (math.isfinite(x1 - x0) and math.isfinite(y1 - y0)):
         raise ValueError(f"{name} extent max - min must be finite, got {box.tolist()}")
     return _frozen_array(box)
-
-
-def _as_index(value, name: str) -> int:
-    """A Python or numpy integer as an int; a float, a string or a bool raises TypeError."""
-    if isinstance(value, bool):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -395,16 +383,8 @@ class SweepResult:
 
 
 def _check_grid(grid):
-    """The grid as floats.  Its values are sigmas, so, as with a ``NoiseSpec``
-    sigma, a bool or a value that is not a real number raises TypeError."""
-    values = tuple(grid)
-    for g in values:
-        if isinstance(g, bool) or not isinstance(g, numbers.Real):
-            raise TypeError(f"grid values must be real numbers, got {g!r}")
-    try:
-        values = tuple(map(float, values))
-    except OverflowError:       # an integer past the float range: rejected like inf
-        raise ValueError("grid values must be finite") from None
+    """The grid as floats, each value read as a ``NoiseSpec`` sigma is."""
+    values = tuple(_real(g, "grid values", "real numbers") for g in grid)
     if not values:
         raise ValueError("grid must be nonempty")
     if not all(map(math.isfinite, values)):

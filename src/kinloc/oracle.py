@@ -31,8 +31,10 @@ class FdConfig:
     step: float = FD_STEP_RATE
 
     def __post_init__(self):
-        if not (0.0 < self.step <= 1.0):
-            raise ValueError(f"step must be in (0, 1], got {self.step}")
+        step = model._real(self.step, "step")
+        if not (0.0 < step <= 1.0):
+            raise ValueError(f"step must be in (0, 1], got {step}")
+        object.__setattr__(self, "step", step)
 
 
 def _range_at(target: model.TargetState, sensor_pos, t: float) -> float:
@@ -143,7 +145,10 @@ def verification_suite(instances: int = 1000, seed: int = 7,
                        range_rate_fn: Callable = model.range_rate,
                        range_accel_fn: Callable = model.range_accel) -> VerifyReport:
     """Compare analytic derivatives and the closed-form stage solver against
-    their independent oracles on seeded random instances."""
+    their independent oracles on seeded random instances (at least one)."""
+    instances = model._as_index(instances, "instances")
+    if instances < 1:
+        raise ValueError(f"instances must be >= 1, got {instances}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     max_rate = 0.0
     max_accel = 0.0

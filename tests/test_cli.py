@@ -323,6 +323,23 @@ class TestSweep:
         assert err == "ValueError: no sweep point has a finite velocity LS RMSE to plot\n"
         assert not dest.exists() and not fig.exists()
 
+    def test_custom_sensors_and_boxes_give_the_library_sweep(self, tmp_path, capsys):
+        settings = {"sensors": [[0.0, 0.0], [60.0, 5.0], [10.0, 70.0], [-40.0, 30.0]],
+                    "position_box": [[10.0, 10.0], [30.0, 40.0]],
+                    "velocity_box": [[-5.0, 0.0], [5.0, 8.0]],
+                    "acceleration_box": [[-1.0, -2.0], [1.0, 0.0]],
+                    "sigma_drr": 0.5, "trials": 30, "seed": 5}
+        dest = tmp_path / "v.csv"
+        code, _, err = run(["sweep", "--config", write_config(tmp_path, settings),
+                            "--grid", "0.2,2", "--out", str(dest)], capsys)
+        assert code == 0 and err == ""
+        base = montecarlo.Scenario(
+            SensorArray(settings["sensors"]), settings["position_box"],
+            settings["velocity_box"], settings["acceleration_box"],
+            model.NoiseSpec(sigma_drr=0.5), 30, 5, "constant_velocity")
+        sweep = montecarlo.sweep_velocity_experiment(base, (0.2, 2.0))
+        assert dest.read_text() == cli._sweep_csv(sweep, False)
+
     def test_box_with_overflowing_extent_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"position_box": [[-1e308, -1e308], [1e308, 1e308]]})
         code, _, err = run(["sweep", "--config", cfg, "--trials", "3",

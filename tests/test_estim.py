@@ -238,6 +238,14 @@ class TestSolveSharedErrorStage:
                                        np.full(3, 1e308), 0.0)
         np.testing.assert_allclose(est.value, [1.0, 2.0], rtol=1e-15, atol=1e-15)
 
+    def test_non_numeric_shared_variance_rejected(self):
+        # float() read True as s2 = 1 and "0.5" as s2 = 0.5
+        B, rhs = np.eye(2), np.ones(2)
+        for bad in (True, np.True_, "0.5", None, 0.5 + 0j):
+            message = f"^shared_variance must be a real number, got {re.escape(repr(bad))}$"
+            with pytest.raises(TypeError, match=message):
+                solve_shared_error_stage(B, rhs, np.ones(2), bad)
+
     # an integer past the float range raised an unnamed OverflowError in
     # np.asarray (a variance) or in float() (the shared variance)
     @pytest.mark.parametrize("huge", [10**400, math.inf], ids=["integer", "inf"])

@@ -2,6 +2,8 @@ import dataclasses
 import itertools
 import math
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -188,6 +190,15 @@ class TestValidation:
         spec = NoiseSpec(2, np.float32(0.5), np.int64(3))
         sigmas = (spec.sigma_range, spec.sigma_range_rate, spec.sigma_drr)
         assert sigmas == (2.0, 0.5, 3.0) and all(type(s) is float for s in sigmas)
+
+    def test_non_numeric_dt_rejected(self):
+        # float() read True as a 1 s step and "2" as 2 s
+        state = TargetState((0.0, 0.0), (1.0, 0.0))
+        for bad in (True, np.True_, "2", None, 1 + 0j):
+            message = f"^dt must be a real number, got {re.escape(repr(bad))}$"
+            with pytest.raises(TypeError, match=message):
+                propagate(state, bad)
+        assert propagate(state, np.float32(0.5)).position.tolist() == [0.5, 0.0]
 
     def test_sigma_with_overflowing_square_rejected(self):
         # the propagated weights use sigma^2; 1e200 ** 2 is not a finite float

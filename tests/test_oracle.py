@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,15 @@ class TestFdRangeRate:
     def test_zero_range_raises(self):
         with pytest.raises(ZeroRange):
             fd_range_rate(TargetState((0.0, 0.0), (1.0, 0.0)), (0.0, 0.0))
+
+    def test_step_that_is_no_real_number_rejected(self):
+        # True was a 1 s step; "0.1" failed in the range check with a bare '<' message
+        for bad in (True, np.True_, "0.1", None):
+            message = f"^step must be a real number, got {re.escape(repr(bad))}$"
+            with pytest.raises(TypeError, match=message):
+                FdConfig(step=bad)
+        step = FdConfig(step=np.float32(0.5)).step
+        assert step == 0.5 and type(step) is float
 
 
 class TestFdRangeAccel:
@@ -137,6 +148,16 @@ class TestVerificationSuite:
         assert report.all_passed
         names = [c.name for c in report.checks]
         assert len(names) == 3 and len(set(names)) == 3
+
+    def test_instance_count_below_one_rejected(self):
+        # zero instances compared nothing and reported three passing checks
+        for bad in (0, -3):
+            with pytest.raises(ValueError, match=f"^instances must be >= 1, got {bad}$"):
+                verification_suite(instances=bad)
+        for bad in (True, 2.0, "5"):
+            with pytest.raises(TypeError, match="^instances must be an integer, got "):
+                verification_suite(instances=bad)
+        assert verification_suite(instances=np.int64(1)).all_passed
 
     def test_detects_wrong_derivative(self):
         def broken_accel(target, sensor_pos):
