@@ -65,28 +65,39 @@ def _as_index(value, name: str) -> int:
         raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
-def _finite(value, name: str) -> np.ndarray:
-    """``value`` as a float64 array.  ValueError if it is ragged or holds NaN, inf or an
-    integer past the float range ("<name> must be finite"); ``_real``'s TypeError for an
-    entry that is not a real number, though numpy reads a bool among floats as a float.
-    Every array input but ``as_vec2``'s is read here; the caller checks the shape."""
+def _real_array(value, name: str) -> np.ndarray:
+    """``value`` as a float64 array.  ValueError "<name> must be a rectangular array" if it
+    is ragged; ``_real``'s TypeError for an entry that is not a real number, though numpy
+    reads a bool among floats as a float; OverflowError for an integer past the float range."""
     try:
         arr = np.asarray(value)
     except ValueError:          # numpy's message for a ragged list names no input
         raise ValueError(f"{name} must be a rectangular array") from None
     if arr.dtype.kind not in "iuf":     # bool, complex, string or object entries
-        entries = np.asarray(value, dtype=object)
-        arr = np.reshape([_real(e, name, "real numbers") for e in entries.flat], entries.shape)
-    arr = arr.astype(np.float64, copy=False)
+        arr = np.asarray(value, dtype=object)
+        for entry in arr.flat:
+            _real(entry, name, "real numbers")
+    return arr.astype(np.float64, copy=False)
+
+
+def _finite(value, name: str) -> np.ndarray:
+    """``_real_array(value, name)``, with ValueError "<name> must be finite" if it holds
+    NaN, inf or an integer past the float range.  Every array input but ``as_vec2``'s is
+    read here; the caller checks the shape."""
+    try:
+        arr = _real_array(value, name)
+    except OverflowError:
+        raise ValueError(f"{name} must be finite") from None
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} must be finite")
     return arr
 
 
 def as_vec2(value, name: str = "vector") -> np.ndarray:
-    """Coerce to a fresh read-only float64 array of shape (2,), rejecting NaN/Inf."""
+    """Coerce to a fresh read-only float64 array of shape (2,), rejecting NaN/Inf and,
+    as ``_real_array`` does, entries that are not real numbers."""
     try:
-        arr = np.array(value, dtype=np.float64, ndmin=1)
+        arr = np.atleast_1d(_real_array(value, name))
     except OverflowError:       # an integer past the float range
         raise ValueError(f"{name} must be finite, got an integer too large for a float") from None
     if arr.shape != (2,):

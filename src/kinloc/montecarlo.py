@@ -9,7 +9,10 @@ scenario: execution order, thread count, and which other trials ran never
 change any number.  A sweep draws every trial once, before its first grid
 point, into one (trials, 6, N) block, and each point noises the whole block
 with its sigmas in one numpy operation; it solves the position stage, which
-reads only the ranges, once per sigma_range.
+reads only the ranges, once per sigma_range.  A one-thread sweep folds each
+trial's squared errors and stage times into its point's float columns and
+drops the trial's record, so it holds one record at a time; a pooled sweep
+holds a point's list from ``run_ensemble``.
 
 The two sweep drivers reproduce the standard experiments: velocity RMSE
 against the range-rate noise level (constant-velocity targets, sigma_range
@@ -23,7 +26,7 @@ import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -105,6 +108,13 @@ class Scenario:
     def _boxes(self) -> tuple:      # (position, velocity, acceleration) boxes as floats
         return (self.position_box.tolist(), self.velocity_box.tolist(),
                 self.acceleration_box.tolist())
+
+    def _derive(self, **changes) -> "Scenario":
+        """A copy with ``changes``, which the caller has checked; the fields of this
+        checked scenario, and its box floats if read, are taken as they are."""
+        derived = object.__new__(type(self))
+        derived.__dict__.update(self.__dict__, **changes)
+        return derived
 
 
 def default_scenario(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED,
@@ -353,10 +363,15 @@ def rmse(records, method: str) -> float:
     """
     if method not in METHODS:
         raise KeyError(f"unknown method {method!r}, expected one of {METHODS}")
-    sq = np.array([rec.squared_errors[method] for rec in records if rec.ok])
-    if sq.size == 0:
+    sq = [rec.squared_errors[method] for rec in records if rec.ok]
+    if not sq:
         raise EmptyEnsemble(f"no successful trials to aggregate for {method!r}")
-    return float(np.sqrt(np.mean(sq)))
+    return _rms(sq)
+
+
+def _rms(squared) -> float:
+    """The root of the mean of a nonempty sequence of squared errors: every RMSE's formula."""
+    return float(np.sqrt(np.mean(np.array(squared))))
 
 
 @dataclass(frozen=True)
@@ -396,29 +411,31 @@ def _check_grid(grid):
     return values
 
 
+def _scores(rec):
+    """A successful record's five squared errors, then its five stage times; None
+    for a failed one."""
+    if not rec.ok:
+        return None
+    return (*map(rec.squared_errors.__getitem__, METHODS),
+            *map(rec.stage_times.__getitem__, METHODS))
+
+
 def _aggregate_point(sigma: float, records) -> SweepPoint:
-    ok = [rec for rec in records if rec.ok]
-    successes = len(ok)
-    failures = len(records) - successes
-    if ok:
-        mean_times = {m: float(np.mean([rec.stage_times[m] for rec in ok])) for m in METHODS}
-        # rmse of the kept records, called through this module so that a tracer
-        # that patches rmse still sees each aggregation
-        errors = {m: rmse(ok, m) for m in METHODS}
+    """Fold an iterable of records, read once in order, into a grid point.  ``map``
+    drops each record once it is scored, before it reads the next, so a generator
+    of trials holds one record at a time."""
+    scored = list(map(_scores, records))
+    rows = [row for row in scored if row is not None]
+    if rows:
+        columns = list(zip(*rows))      # per-method float columns, in trial order
+        rmses = {f"rmse_{m}": _rms(column) for m, column in zip(METHODS, columns)}
+        mean_times = {m: float(np.mean(column))
+                      for m, column in zip(METHODS, columns[len(METHODS):])}
     else:
+        rmses = {f"rmse_{m}": float("nan") for m in METHODS}
         mean_times = dict.fromkeys(METHODS, 0.0)
-        errors = dict.fromkeys(METHODS, float("nan"))
-    return SweepPoint(
-        sigma=sigma,
-        rmse_position=errors["position"],
-        rmse_velocity_ls=errors["velocity_ls"],
-        rmse_velocity_wls=errors["velocity_wls"],
-        rmse_accel_ls=errors["accel_ls"],
-        rmse_accel_wls=errors["accel_wls"],
-        failures=failures,
-        successes=successes,
-        mean_stage_times=mean_times,
-    )
+    return SweepPoint(sigma=sigma, **rmses, failures=len(scored) - len(rows),
+                      successes=len(rows), mean_stage_times=mean_times)
 
 
 def _sweep(base: Scenario, swept_parameter: str, grid, motion_mode: str,
@@ -432,15 +449,20 @@ def _sweep(base: Scenario, swept_parameter: str, grid, motion_mode: str,
     values = _check_grid(grid)
     # every point's noise, checked before any trial is drawn or run
     noises = [noise_for(sigma) for sigma in values]
-    base = replace(base, motion_mode=motion_mode)
+    # the base's fields were checked when it was built: each point's scenario
+    # takes them as they are
+    base = base._derive(motion_mode=motion_mode)
     trials = _Trials(base, range(base.trials))
     points = []
     token = _SWEEP_DRAWS.set(trials)
     try:
         for sigma, noise in zip(values, noises):
-            scenario = replace(base, noise=noise)
-            trials.noisy = _noisy(trials.draws, scenario.noise)
-            records = run_ensemble(scenario, weight_rule, threads)
+            scenario = base._derive(noise=noise)
+            trials.noisy = _noisy(trials.draws, noise)
+            if threads > 1:
+                records = run_ensemble(scenario, weight_rule, threads)
+            else:       # one record at a time, through the module's run_trial
+                records = (run_trial(scenario, i, weight_rule) for i in range(base.trials))
             points.append(_aggregate_point(sigma, records))
     finally:
         _SWEEP_DRAWS.reset(token)

@@ -2,16 +2,21 @@
 inf, or an integer past the float range raises ValueError("<name> must be
 finite"), an entry that is not a real number raises TypeError("<name> must be
 real numbers, got <entry>"), and a ragged list raises ValueError, each naming
-the input, at each of the five boundaries that read one."""
+the input, at each of the five boundaries that read one.  ``as_vec2`` rejects
+such entries and ragged lists alike, and keeps its own shape and finiteness
+messages."""
 
 import re
+import warnings
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from kinloc.estim import solve_linear_stage, solve_shared_error_stage
-from kinloc.model import MeasurementSet, NoiseSpec, SensorArray
+from kinloc.estim import estimate_velocity, solve_linear_stage, solve_shared_error_stage
+from kinloc.model import (MeasurementSet, NoiseSpec, SensorArray, TargetState, as_vec2,
+                          range_to, synthesize_measurements)
 from kinloc.montecarlo import default_scenario
 from kinloc.oracle import dense_wls_solve
 
@@ -108,3 +113,49 @@ def test_ragged_list_is_a_value_error_naming_the_input(name, build):
     # numpy's own message ("inhomogeneous shape") named no input
     with pytest.raises(ValueError, match=f"^{name} must be a rectangular array$"):
         build()
+
+
+# as_vec2 reads the TargetState vectors, range_to's points and the stage functions'
+# p_hat and v_hat; numpy read '3', b'0' and True as numbers, raised its own message
+# for a complex tuple and dropped a complex array's imaginary part with a warning
+VEC2_BOUNDARIES = [
+    ("position", "'3'", lambda: TargetState(("3", True), (0, 0))),
+    ("velocity", "True", lambda: TargetState((0.0, 0.0), (True, False))),
+    ("acceleration", "(1+0j)", lambda: TargetState((0.0, 0.0), (0.0, 0.0), (1 + 0j, 0.0))),
+    ("position", "(1+2j)", lambda: TargetState(np.array([1 + 2j, 0.0]), (0.0, 0.0))),
+    ("target_pos", "'3'", lambda: range_to(("3", 0), (b"0", 0))),
+    ("sensor_pos", "b'0'", lambda: range_to((3.0, 0.0), (b"0", 0))),
+    ("p_hat", "None", lambda: estimate_velocity(*_velocity_inputs(), (None, 1.0))),
+]
+
+
+def _velocity_inputs():
+    sensors = SensorArray(SENSORS)
+    truth = TargetState((3.0, 4.0), (1.0, -1.0))
+    return synthesize_measurements(truth, sensors, NoiseSpec(), 0), sensors
+
+
+@pytest.mark.parametrize("name, entry, build", VEC2_BOUNDARIES,
+                         ids=["str", "bool", "complex", "complex-array", "range_to-str",
+                              "range_to-bytes", "stage-None"])
+def test_vec2_entry_that_is_no_real_number_is_a_type_error_naming_the_input(name, entry,
+                                                                            build):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # no ComplexWarning in place of the error
+        with pytest.raises(TypeError, match=f"^{name} must be real numbers, got "
+                                            f"{re.escape(entry)}$"):
+            build()
+
+
+def test_vec2_keeps_its_shape_and_finiteness_messages():
+    for value, message in ((np.zeros(3), "must have exactly 2 components, got shape (3,)"),
+                           ((np.nan, 0.0), "must be finite, got [nan  0.]"),
+                           ((10 ** 400, 0.0),
+                            "must be finite, got an integer too large for a float")):
+        with pytest.raises(ValueError, match=f"^v {re.escape(message)}$"):
+            as_vec2(value, "v")
+    with pytest.raises(ValueError, match="^v must be a rectangular array$"):
+        as_vec2(((1.0, 2.0), 3.0), "v")
+    # integer, float32 and Fraction entries are real numbers, read as float64
+    assert as_vec2((np.float32(0.5), Fraction(1, 4))).tolist() == [0.5, 0.25]
+    assert as_vec2(np.array([3, -4])).tolist() == [3.0, -4.0]

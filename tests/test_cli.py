@@ -252,15 +252,19 @@ class TestSweep:
     def test_overflowing_noise_late_in_the_grid_runs_no_trial(self, tmp_path, capsys,
                                                               monkeypatch):
         # the three points before 1e200 are valid, but no point runs
-        ensembles = []
-        real = montecarlo.run_ensemble
-        monkeypatch.setattr(montecarlo, "run_ensemble",
-                            lambda *a: ensembles.append(1) or real(*a))
+        trials = []
+        real = montecarlo.run_trial
+        monkeypatch.setattr(montecarlo, "run_trial",
+                            lambda *a: trials.append(1) or real(*a))
         code, _, err = run(["sweep", "--trials", "3", "--grid", "0.1,0.3,1,1e200",
                             "--out", str(tmp_path / "o.csv")], capsys)
         assert code == 2
         assert err.startswith("ValueError:") and err.count("\n") == 1
-        assert ensembles == []
+        assert trials == []
+        # the spy sees every trial of a valid sweep
+        code, _, _ = run(["sweep", "--trials", "3", "--grid", "0.1,0.3,1",
+                          "--out", str(tmp_path / "o.csv")], capsys)
+        assert code == 0 and len(trials) == 9
 
     def test_noise_with_tiny_weights_gives_finite_rmses(self, tmp_path, capsys):
         # 1e150 squared is finite, but the propagated weights 1/D near 1e-304

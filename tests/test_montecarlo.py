@@ -246,7 +246,9 @@ class TestRmse:
         with pytest.raises(KeyError):
             rmse([record_with_errors({m: 0.0 for m in METHODS})], "warp")
 
-    def test_sweep_point_aggregates_like_rmse_bitwise(self):
+    @staticmethod
+    def assert_point_aggregates_like_rmse_bitwise(given):
+        """``_aggregate_point`` of ``given(records)`` against ``rmse`` of the records."""
         # 258 successes over many magnitudes, so that the order of the sums shows
         gen = np.random.default_rng(5)
         truth = TargetState((0.0, 0.0), (0.0, 0.0))
@@ -259,16 +261,23 @@ class TestRmse:
             times = gen.uniform(0.0, 1e-4, 5).tolist()
             records.append(TrialRecord(i, truth, None, dict(zip(METHODS, sq)),
                                        dict(zip(METHODS, times)), None))
-        point = montecarlo._aggregate_point(0.5, records)
+        point = montecarlo._aggregate_point(0.5, given(records))
         assert (point.failures, point.successes) == (43, 258)
         for m in METHODS:
             assert getattr(point, f"rmse_{m}").hex() == rmse(records, m).hex()
             want = float(np.mean([rec.stage_times[m] for rec in records if rec.ok]))
             assert point.mean_stage_times[m].hex() == want.hex()
-        failed = montecarlo._aggregate_point(0.5, [r for r in records if not r.ok])
+        failed = montecarlo._aggregate_point(0.5, given([r for r in records if not r.ok]))
         assert (failed.failures, failed.successes) == (43, 0)
         assert all(math.isnan(getattr(failed, f"rmse_{m}")) for m in METHODS)
         assert failed.mean_stage_times == dict.fromkeys(METHODS, 0.0)
+
+    def test_sweep_point_aggregates_like_rmse_bitwise(self):
+        self.assert_point_aggregates_like_rmse_bitwise(list)
+
+    def test_point_folds_a_one_shot_iterator_like_rmse_bitwise(self):
+        # a one-thread sweep hands the fold a generator of its point's trials
+        self.assert_point_aggregates_like_rmse_bitwise(lambda records: iter(list(records)))
 
 
 class TestEnsemble:

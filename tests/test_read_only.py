@@ -37,16 +37,16 @@ def result_arrays(result) -> list:
 
 def sweep_table(monkeypatch, scenario):
     """A velocity sweep's table as its last point left it, and the noisy block
-    of each grid point."""
+    of each grid point, which ``montecarlo._noisy`` makes once per point."""
     tables, noisy = [], []
-    real = montecarlo.run_ensemble
+    real = montecarlo._noisy
 
     def spy(*args):
+        noisy.append(real(*args))
         tables.append(montecarlo._SWEEP_DRAWS.get())
-        noisy.append(tables[-1].noisy)
-        return real(*args)
+        return noisy[-1]
 
-    monkeypatch.setattr(montecarlo, "run_ensemble", spy)
+    monkeypatch.setattr(montecarlo, "_noisy", spy)
     sweep_velocity_experiment(scenario, (0.5, 2.0))
     return tables[-1], noisy
 

@@ -9,15 +9,19 @@ reuse.  These tests hold the shared sweep to a reference that runs
 ``run_ensemble`` per point outside any sweep, where every trial draws and
 solves per call: the records and the aggregated points must agree bit for
 bit.  They also pin the table's scope: it lives while one sweep runs, in
-that sweep's context only.
+that sweep's context only.  The spies watch ``run_trial``, which a sweep
+calls once per trial: a one-thread sweep calls it directly and holds one
+record at a time, and only a pooled sweep goes through ``run_ensemble``.
 """
 
+import bisect
 import math
 import operator
 import struct
 import sys
 import threading
 import warnings
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -30,7 +34,7 @@ from kinloc.errors import ZeroRange
 from kinloc.estim import PROPAGATED, UNIFORM, WeightRule
 from kinloc.model import NoiseSpec, SensorArray, TargetState
 from kinloc.montecarlo import (DEFAULT_SENSOR_POSITIONS, Scenario, _aggregate_point,
-                               default_scenario, run_ensemble, run_trial,
+                               default_scenario, rmse, run_ensemble, run_trial,
                                sweep_acceleration_experiment, sweep_velocity_experiment)
 
 RULES = (UNIFORM, WeightRule(), PROPAGATED)
@@ -75,20 +79,29 @@ def point_key(point) -> tuple:
             point.failures, point.successes)
 
 
-def spy_ensembles(monkeypatch):
-    """Patch ``montecarlo.run_ensemble`` with a wrapper; returns the list it
-    fills with (records, number of trials in the sweep's table on entry)."""
-    seen = []
-    real = montecarlo.run_ensemble
+def spy_points(monkeypatch):
+    """Patch ``montecarlo.run_trial``, which a sweep calls once per trial at every
+    grid point, with a wrapper; returns the list it fills with one (records,
+    number of trials in the sweep's table at the point's first trial) per point.
+    A point's trials are those given its scenario, and its records are kept in
+    trial order, also when a pool's workers run them out of order."""
+    seen, scenarios = [], []
+    lock = threading.Lock()
+    real = montecarlo.run_trial
 
-    def spy(scenario, weight_rule, threads):
-        table = montecarlo._SWEEP_DRAWS.get()
-        entries = None if table is None else len(table.truths)
-        records = real(scenario, weight_rule, threads)
-        seen.append((records, entries))
-        return records
+    def spy(scenario, trial_index, weight_rule=PROPAGATED):
+        record = real(scenario, trial_index, weight_rule)
+        with lock:
+            point = next((k for k, s in enumerate(scenarios) if s is scenario), None)
+            if point is None:
+                table = montecarlo._SWEEP_DRAWS.get()
+                scenarios.append(scenario)
+                seen.append(([], None if table is None else len(table.truths)))
+                point = -1
+            bisect.insort(seen[point][0], record, key=lambda rec: rec.trial_index)
+        return record
 
-    monkeypatch.setattr(montecarlo, "run_ensemble", spy)
+    monkeypatch.setattr(montecarlo, "run_trial", spy)
     return seen
 
 
@@ -119,7 +132,7 @@ def assert_matches_unshared(monkeypatch, base, mode, noise_for, rule, grid, run)
     reference = [run_ensemble(replace(base, noise=noise_for(s), motion_mode=mode), rule)
                  for s in grid]
     with monkeypatch.context() as patch:
-        seen = spy_ensembles(patch)
+        seen = spy_points(patch)
         result = run()
     assert montecarlo._SWEEP_DRAWS.get() is None
     assert len(seen) == len(grid)
@@ -174,7 +187,7 @@ def test_position_box_on_a_sensor_fails_every_point(monkeypatch):
         assert [r.failure for r in point] == ["ZeroRange"] * 10
     # each trial, ZeroRange ones too, is drawn once, before the first point
     draws = count_truth_draws(monkeypatch)
-    seen = spy_ensembles(monkeypatch)
+    seen = spy_points(monkeypatch)
     sweep_velocity_experiment(base, GRID)
     assert [entries for _, entries in seen] == [10, 10, 10]
     assert len(draws) == 10
@@ -210,7 +223,7 @@ def test_threads_1_and_2_agree(monkeypatch, experiment):
 
 def test_table_fills_at_the_first_point_and_is_read_after(monkeypatch):
     draws = count_truth_draws(monkeypatch)
-    seen = spy_ensembles(monkeypatch)
+    seen = spy_points(monkeypatch)
     sweep_velocity_experiment(default_scenario(trials=12), GRID)
     assert [entries for _, entries in seen] == [12, 12, 12]
     assert len(draws) == 12
@@ -234,17 +247,17 @@ def test_no_table_survives_a_sweep(monkeypatch):
     # the second point's noise level has no finite square: NoiseSpec raises
     # before any trial is drawn or run
     draws = count_truth_draws(monkeypatch)
-    seen = spy_ensembles(monkeypatch)
+    seen = spy_points(monkeypatch)
     with pytest.raises(ValueError, match="finite square"):
         sweep_velocity_experiment(base, (0.5, 1e160))
     assert seen == []
     assert draws == []
     assert montecarlo._SWEEP_DRAWS.get() is None
 
-    def broken(scenario, weight_rule, threads):
-        raise RuntimeError("ensemble failed")
+    def broken(scenario, trial_index, weight_rule):
+        raise RuntimeError("trial failed")
 
-    monkeypatch.setattr(montecarlo, "run_ensemble", broken)
+    monkeypatch.setattr(montecarlo, "run_trial", broken)
     with pytest.raises(RuntimeError):
         sweep_velocity_experiment(base, GRID)
     assert montecarlo._SWEEP_DRAWS.get() is None
@@ -252,18 +265,18 @@ def test_no_table_survives_a_sweep(monkeypatch):
 
 def test_concurrent_sweeps_keep_their_own_tables(monkeypatch):
     # four sweeps of different seeds, more threads than cores, step through
-    # their points in lockstep with a short switch interval, so each runs
+    # their trials in lockstep with a short switch interval, so each runs
     # while the others' tables are filled; a table shared between them would
     # hand one sweep another's trials
     bases = [default_scenario(trials=15, seed=seed) for seed in (1, 2, 3, 4)]
     want = [[point_key(p) for p in sweep_velocity_experiment(b, GRID).points] for b in bases]
     barrier = threading.Barrier(len(bases), timeout=60)
-    real = montecarlo.run_ensemble
+    real = montecarlo.run_trial
     got, errors = [None] * len(bases), []
 
-    def lockstep(scenario, weight_rule, threads):
+    def lockstep(scenario, trial_index, weight_rule):
         barrier.wait()
-        return real(scenario, weight_rule, threads)
+        return real(scenario, trial_index, weight_rule)
 
     def run(k):
         try:
@@ -273,7 +286,7 @@ def test_concurrent_sweeps_keep_their_own_tables(monkeypatch):
             errors.append(exc)
             barrier.abort()
 
-    monkeypatch.setattr(montecarlo, "run_ensemble", lockstep)
+    monkeypatch.setattr(montecarlo, "run_trial", lockstep)
     threads = [threading.Thread(target=run, args=(k,)) for k in range(len(bases))]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -358,7 +371,7 @@ def test_position_survives_a_later_stage_failing(monkeypatch):
     assert all(r.ok for r in records[1] + records[2])
     calls.clear()
     draws = count_truth_draws(monkeypatch)
-    seen = spy_ensembles(monkeypatch)
+    seen = spy_points(monkeypatch)
     montecarlo._sweep(base, "sigma_range_rate", GRID, "constant_velocity", noise_for,
                       PROPAGATED, 1)
     assert len(calls) == 10
@@ -384,7 +397,7 @@ def test_degenerate_position_fails_alike_at_every_point(monkeypatch, experiment)
 @pytest.mark.parametrize("experiment", tuple(EXPERIMENTS))
 def test_reused_points_carry_the_solved_position_time(monkeypatch, experiment):
     sweep = EXPERIMENTS[experiment][0]
-    seen = spy_ensembles(monkeypatch)
+    seen = spy_points(monkeypatch)
     sweep(default_scenario(trials=20, seed=12), GRID)
     first = seen[0][0]
     assert all(r.ok for r in first)
@@ -398,7 +411,7 @@ def test_reused_points_carry_the_solved_position_time(monkeypatch, experiment):
 def test_overflowing_noise_anywhere_in_the_grid_runs_no_trial(monkeypatch):
     # 1e200 squared overflows: every point's NoiseSpec is built before the
     # table is drawn, so the three valid points before it run no trial either
-    seen = spy_ensembles(monkeypatch)
+    seen = spy_points(monkeypatch)
     draws = count_truth_draws(monkeypatch)
     for sweep in (sweep_velocity_experiment, sweep_acceleration_experiment):
         with pytest.raises(ValueError, match="finite square"):
@@ -415,7 +428,7 @@ def test_grid_value_that_is_no_real_number_runs_no_trial(monkeypatch, value):
     # does too, where float() would have read True as 1.0 and "3" as 3.0
     with pytest.raises(TypeError):
         NoiseSpec(1.0, value)
-    seen = spy_ensembles(monkeypatch)
+    seen = spy_points(monkeypatch)
     draws = count_truth_draws(monkeypatch)
     for sweep in (sweep_velocity_experiment, sweep_acceleration_experiment):
         with pytest.raises(TypeError, match=r"^grid values must be real numbers, got "):
@@ -495,3 +508,87 @@ def test_trial_tables_take_no_trial_down_the_list_path(monkeypatch):
     # a trial outside a sweep is a one-trial table
     run_trial(default_scenario(), 3)
     assert calls == []
+
+
+@pytest.mark.parametrize("experiment, grid, successes", [
+    ("velocity", (0.5, 2.0, 1e150), [15, 15, 0]),       # 1e150 fails every trial
+    ("acceleration", GRID, [15, 15, 15]),
+])
+def test_one_thread_sweep_holds_one_trial_record_at_a_time(monkeypatch, experiment, grid,
+                                                           successes):
+    # each point folds its trials' floats into columns and drops each record,
+    # failed ones too, before the next trial starts
+    sweep = EXPERIMENTS[experiment][0]
+    records, alive = [], []
+    real = montecarlo.run_trial
+
+    def spy(scenario, trial_index, weight_rule):
+        alive.append(sum(ref() is not None for ref in records))
+        record = real(scenario, trial_index, weight_rule)
+        records.append(weakref.ref(record))
+        return record
+
+    monkeypatch.setattr(montecarlo, "run_trial", spy)
+    result = sweep(default_scenario(trials=15), grid)
+    assert [p.successes for p in result.points] == successes
+    assert alive == [0] * 45
+
+
+@pytest.mark.parametrize("threads, ensembles", [(1, 0), (2, len(GRID))])
+def test_only_a_pooled_sweep_runs_its_points_through_run_ensemble(monkeypatch, threads,
+                                                                   ensembles):
+    # the choice follows the threads argument, not the workers a host gives:
+    # with one CPU a threads=2 sweep still runs each point's trials in run_ensemble
+    monkeypatch.setattr(montecarlo, "_available_cpus", lambda: 1)
+    calls = []
+    real = montecarlo.run_ensemble
+    monkeypatch.setattr(montecarlo, "run_ensemble", lambda *a: calls.append(a[2]) or real(*a))
+    seen = spy_points(monkeypatch)
+    sweep_velocity_experiment(default_scenario(trials=6), GRID, PROPAGATED, threads)
+    assert calls == [threads] * ensembles
+    assert [len(records) for records, _ in seen] == [6] * len(GRID)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_sweep_rmses_equal_rmse_of_the_points_records_bit_for_bit(monkeypatch, threads):
+    # at 6e76 some trials' stage-2 solves overflow, at 1e150 every one does
+    monkeypatch.setattr(montecarlo, "_available_cpus", lambda: 2)
+    base = default_scenario(trials=40, seed=7)
+    grid = (0.5, 6e76, 1e150)
+    result = sweep_velocity_experiment(base, grid, PROPAGATED, threads)
+    for point, sigma in zip(result.points, grid):
+        noise = NoiseSpec(1.0, sigma, base.noise.sigma_drr)
+        records = run_ensemble(replace(base, noise=noise, motion_mode="constant_velocity"))
+        successes = sum(rec.ok for rec in records)
+        assert (point.failures, point.successes) == (len(records) - successes, successes)
+        for m in montecarlo.METHODS:
+            got = getattr(point, f"rmse_{m}")
+            if successes:
+                assert got.hex() == rmse(records, m).hex()
+            else:
+                assert math.isnan(got) and point.mean_stage_times[m] == 0.0
+    assert 0 < result.points[1].failures < 40 and result.points[2].successes == 0
+
+
+def test_boxes_are_checked_once_per_sweep(monkeypatch):
+    # each point's scenario takes the checked fields of the sweep's base as they are
+    checked = []
+    real = montecarlo._as_box
+    monkeypatch.setattr(montecarlo, "_as_box",
+                        lambda value, name: checked.append(name) or real(value, name))
+    seen = []
+    real_trial = montecarlo.run_trial
+    monkeypatch.setattr(montecarlo, "run_trial",
+                        lambda scenario, *a: seen.append(scenario) or real_trial(scenario, *a))
+    for sweep, mode, noise_for in EXPERIMENTS.values():
+        checked.clear()
+        seen.clear()
+        base = default_scenario(trials=3)
+        sweep(base, GRID)
+        assert checked == ["position_box", "velocity_box", "acceleration_box"]
+        assert len(seen) == 3 * len(GRID)
+        for scenario, sigma in zip(seen[::3], GRID):
+            assert scenario.motion_mode == mode and scenario.noise == noise_for(base, sigma)
+            for field in ("sensors", "position_box", "velocity_box", "acceleration_box",
+                          "trials", "seed"):
+                assert getattr(scenario, field) is getattr(base, field)
