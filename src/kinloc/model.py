@@ -55,14 +55,18 @@ def _real(value, name: str, noun: str = "a real number") -> float:
         return math.inf if value > 0 else -math.inf
 
 
-def _as_index(value, name: str) -> int:
-    """A Python or numpy integer as an int; a float, a string or a bool raises TypeError."""
+def _as_index(value, name: str, low: int | None = None) -> int:
+    """A Python or numpy integer as an int; a float, a string or a bool raises TypeError,
+    and an integer below ``low`` ValueError."""
     if isinstance(value, bool):
         raise TypeError(f"{name} must be an integer, got {value!r}")
     try:
-        return operator.index(value)
+        index = operator.index(value)
     except TypeError:
         raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    if low is not None and index < low:
+        raise ValueError(f"{name} must be >= {low}, got {index}")
+    return index
 
 
 def _real_array(value, name: str) -> np.ndarray:

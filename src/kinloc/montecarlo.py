@@ -8,11 +8,13 @@ for 1024 trial indices at a time, so results are a pure function of the
 scenario: execution order, thread count, and which other trials ran never
 change any number.  A sweep draws every trial once, before its first grid
 point, into one (trials, 6, N) block, and each point noises the whole block
-with its sigmas in one numpy operation; it solves the position stage, which
-reads only the ranges, once per sigma_range.  A one-thread sweep folds each
-trial's squared errors and stage times into its point's float columns and
-drops the trial's record, so it holds one record at a time; a pooled sweep
-holds a point's list from ``run_ensemble``.
+with its sigmas in one numpy operation; each point's scenario carries the
+table and its noisy block, so a pool's workers read them as a one-thread
+sweep does.  It solves the position stage, which reads only the ranges, once
+per sigma_range.  A one-thread sweep folds each trial's squared errors and
+stage times into its point's float columns and drops the trial's record, so
+it holds one record at a time; a pooled sweep holds a point's list from
+``run_ensemble``.
 
 The two sweep drivers reproduce the standard experiments: velocity RMSE
 against the range-rate noise level (constant-velocity targets, sigma_range
@@ -21,7 +23,6 @@ pinned to 1), and acceleration RMSE against the drr noise level
 Trials, ensembles and sweeps default to the ``propagated`` weight rule.
 """
 
-import contextvars
 import functools
 import math
 import os
@@ -85,6 +86,9 @@ class Scenario:
     trials: int
     seed: int
     motion_mode: str
+    # a sweep point's (_Trials table, noisy block), set on its scenario by _sweep;
+    # not a field, so it takes no part in == or repr
+    _point = None
 
     def __post_init__(self):
         if not isinstance(self.sensors, SensorArray):
@@ -95,12 +99,8 @@ class Scenario:
                            _as_box(self.acceleration_box, "acceleration_box"))
         if not isinstance(self.noise, NoiseSpec):
             raise TypeError("noise must be a NoiseSpec")
-        object.__setattr__(self, "trials", _as_index(self.trials, "trials"))
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        object.__setattr__(self, "seed", _as_index(self.seed, "seed"))
-        if self.seed < 0:
-            raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
+        object.__setattr__(self, "trials", _as_index(self.trials, "trials", 1))
+        object.__setattr__(self, "seed", _as_index(self.seed, "seed", 0))
         if self.motion_mode not in MOTION_MODES:
             raise ValueError(f"motion_mode must be one of {MOTION_MODES}, got {self.motion_mode!r}")
 
@@ -256,11 +256,10 @@ class _State(np.random.bit_generator.ISeedSequence):
 
 class _Trials:
     """Trials drawn once: their truths, the read-only (T, 6, N) block of their
-    noise-free rows and unit normals, the rows whose truth is on a sensor
-    (ZeroRange; they stay zero), and ``noisy``, the ``model._noisy`` block each
-    grid point sets.  Each trial's normals are drawn straight into the block,
-    and then the noise-free rows of all its trials are computed at once
-    (``model._true_block``).  ``positions`` holds (sigma_range, outcome) per
+    noise-free rows and unit normals, and the rows whose truth is on a sensor
+    (ZeroRange; they stay zero).  Each trial's normals are drawn straight into
+    the block, and then the noise-free rows of all its trials are computed at
+    once (``model._true_block``).  ``positions`` holds (sigma_range, outcome) per
     trial: the position stage reads only the ranges, so its result, or its
     error class name, holds at every point with that sigma_range."""
 
@@ -277,34 +276,31 @@ class _Trials:
             self.truths.append(truth)
         self.zero_range = _true_block(self.truths, sensors, draws)
         self.draws = _frozen_array(draws)
-        self.noisy = None
         self.positions = [(None, None)] * len(indices)
-
-
-# the _Trials of the sweep running in this context, or None outside one; a thread
-# pool's workers start in an empty context, so each call is a _Trials of its own
-_SWEEP_DRAWS = contextvars.ContextVar("kinloc_sweep_draws", default=None)
 
 
 def run_trial(scenario: Scenario, trial_index: int,
               weight_rule: WeightRule = PROPAGATED) -> TrialRecord:
     """Execute one trial: its truth and measurement set, then all five
-    estimators.  Inside a sweep the truth comes from the sweep's table of
-    draws, the measurement set is cut from the grid point's noisy block, and
-    the position outcome is reused while sigma_range stays the same; outside
-    one the trial is the one-trial case of such a table.  Estimator failures
-    are captured in the record, not raised."""
+    estimators.  On a sweep point's scenario the truth comes from the sweep's
+    table of draws, the measurement set is cut from the point's noisy block,
+    and the position outcome is reused while sigma_range stays the same; on
+    any other scenario, or past the table's trials, the trial is the
+    one-trial case of such a table.  Either way the record depends only on
+    the scenario and the index.  Estimator failures are captured in the
+    record, not raised."""
     trial_index = _as_index(trial_index, "trial_index")
     if not 0 <= trial_index < 2 ** 63:
         raise ValueError(f"trial_index out of range: {trial_index}")
-    trials, row = _SWEEP_DRAWS.get(), trial_index
-    if trials is None:          # outside a sweep: the one-trial case of a sweep's table
+    if scenario._point is not None and trial_index < scenario.trials:
+        (trials, noisy), row = scenario._point, trial_index
+    else:
         trials, row = _Trials(scenario, (trial_index,)), 0
-        trials.noisy = _noisy(trials.draws, scenario.noise)
+        noisy = _noisy(trials.draws, scenario.noise)
     truth = trials.truths[row]
     if row in trials.zero_range:
         return TrialRecord(trial_index, truth, None, {}, {}, ZeroRange.__name__)
-    measurements = _measurements(trials.noisy, row, scenario.noise)
+    measurements = _measurements(noisy, row, scenario.noise)
     sigma_range = scenario.noise.sigma_range
     solved_at, position = trials.positions[row]
     if solved_at != sigma_range:
@@ -348,7 +344,7 @@ def run_ensemble(scenario: Scenario, weight_rule: WeightRule = PROPAGATED,
     to the process, whatever ``threads`` asks for.
     """
     indices = range(scenario.trials)
-    workers = min(threads, _available_cpus(), scenario.trials)
+    workers = min(_as_index(threads, "threads", 1), _available_cpus(), scenario.trials)
     if workers <= 1:
         return [run_trial(scenario, i, weight_rule) for i in indices]
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -442,10 +438,11 @@ def _sweep(base: Scenario, swept_parameter: str, grid, motion_mode: str,
            noise_for, weight_rule: WeightRule, threads: int) -> SweepResult:
     """Every grid point reruns trial i on the same streams, sensors, boxes and
     motion mode; only the sigmas differ.  So every trial's truth and draw are
-    made once, before the first point, into a table that lives while the
-    sweep runs, and each point noises the whole draw block with its sigmas.
-    The table also keeps each trial's position outcome, which later points
-    reuse while sigma_range stays the same."""
+    made once, before the first point, into a table, and each point noises
+    the whole draw block with its sigmas.  The point's scenario carries both,
+    for ``run_trial``.  The table also keeps each trial's position outcome,
+    which later points reuse while sigma_range stays the same."""
+    threads = _as_index(threads, "threads", 1)
     values = _check_grid(grid)
     # every point's noise, checked before any trial is drawn or run
     noises = [noise_for(sigma) for sigma in values]
@@ -454,18 +451,13 @@ def _sweep(base: Scenario, swept_parameter: str, grid, motion_mode: str,
     base = base._derive(motion_mode=motion_mode)
     trials = _Trials(base, range(base.trials))
     points = []
-    token = _SWEEP_DRAWS.set(trials)
-    try:
-        for sigma, noise in zip(values, noises):
-            scenario = base._derive(noise=noise)
-            trials.noisy = _noisy(trials.draws, noise)
-            if threads > 1:
-                records = run_ensemble(scenario, weight_rule, threads)
-            else:       # one record at a time, through the module's run_trial
-                records = (run_trial(scenario, i, weight_rule) for i in range(base.trials))
-            points.append(_aggregate_point(sigma, records))
-    finally:
-        _SWEEP_DRAWS.reset(token)
+    for sigma, noise in zip(values, noises):
+        scenario = base._derive(noise=noise, _point=(trials, _noisy(trials.draws, noise)))
+        if threads > 1:
+            records = run_ensemble(scenario, weight_rule, threads)
+        else:       # one record at a time, through the module's run_trial
+            records = (run_trial(scenario, i, weight_rule) for i in range(base.trials))
+        points.append(_aggregate_point(sigma, records))
     return SweepResult(swept_parameter, values, tuple(points))
 
 

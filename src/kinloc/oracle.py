@@ -146,9 +146,7 @@ def verification_suite(instances: int = 1000, seed: int = 7,
                        range_accel_fn: Callable = model.range_accel) -> VerifyReport:
     """Compare analytic derivatives and the closed-form stage solver against
     their independent oracles on seeded random instances (at least one)."""
-    instances = model._as_index(instances, "instances")
-    if instances < 1:
-        raise ValueError(f"instances must be >= 1, got {instances}")
+    instances = model._as_index(instances, "instances", 1)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     max_rate = 0.0
     max_accel = 0.0

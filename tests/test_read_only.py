@@ -37,18 +37,19 @@ def result_arrays(result) -> list:
 
 def sweep_table(monkeypatch, scenario):
     """A velocity sweep's table as its last point left it, and the noisy block
-    of each grid point, which ``montecarlo._noisy`` makes once per point."""
-    tables, noisy = [], []
-    real = montecarlo._noisy
+    of each grid point, read from the (table, noisy block) each point's scenario
+    carries."""
+    points = []
+    real = montecarlo.run_trial
 
-    def spy(*args):
-        noisy.append(real(*args))
-        tables.append(montecarlo._SWEEP_DRAWS.get())
-        return noisy[-1]
+    def spy(point, *args):
+        if not points or points[-1] is not point._point:
+            points.append(point._point)
+        return real(point, *args)
 
-    monkeypatch.setattr(montecarlo, "_noisy", spy)
+    monkeypatch.setattr(montecarlo, "run_trial", spy)
     sweep_velocity_experiment(scenario, (0.5, 2.0))
-    return tables[-1], noisy
+    return points[-1][0], [noisy for _, noisy in points]
 
 
 def set_arrays(measurements) -> list:

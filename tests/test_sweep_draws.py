@@ -8,13 +8,16 @@ trial's position outcome, which later points with the same sigma_range
 reuse.  These tests hold the shared sweep to a reference that runs
 ``run_ensemble`` per point outside any sweep, where every trial draws and
 solves per call: the records and the aggregated points must agree bit for
-bit.  They also pin the table's scope: it lives while one sweep runs, in
-that sweep's context only.  The spies watch ``run_trial``, which a sweep
-calls once per trial: a one-thread sweep calls it directly and holds one
-record at a time, and only a pooled sweep goes through ``run_ensemble``.
+bit.  They also pin the table's scope: each grid point's scenario carries
+the table and that point's noisy block, so a pool's workers read them too,
+any other scenario's trial draws its own, and no table outlives its sweep.
+The spies watch ``run_trial``, which a sweep calls once per trial: a
+one-thread sweep calls it directly and holds one record at a time, and only
+a pooled sweep goes through ``run_ensemble``.
 """
 
 import bisect
+import gc
 import math
 import operator
 import struct
@@ -82,7 +85,7 @@ def point_key(point) -> tuple:
 def spy_points(monkeypatch):
     """Patch ``montecarlo.run_trial``, which a sweep calls once per trial at every
     grid point, with a wrapper; returns the list it fills with one (records,
-    number of trials in the sweep's table at the point's first trial) per point.
+    number of trials in the table the point's scenario carries) per point.
     A point's trials are those given its scenario, and its records are kept in
     trial order, also when a pool's workers run them out of order."""
     seen, scenarios = [], []
@@ -94,9 +97,9 @@ def spy_points(monkeypatch):
         with lock:
             point = next((k for k, s in enumerate(scenarios) if s is scenario), None)
             if point is None:
-                table = montecarlo._SWEEP_DRAWS.get()
+                point = scenario._point
                 scenarios.append(scenario)
-                seen.append(([], None if table is None else len(table.truths)))
+                seen.append(([], None if point is None else len(point[0].truths)))
                 point = -1
             bisect.insort(seen[point][0], record, key=lambda rec: rec.trial_index)
         return record
@@ -134,7 +137,6 @@ def assert_matches_unshared(monkeypatch, base, mode, noise_for, rule, grid, run)
     with monkeypatch.context() as patch:
         seen = spy_points(patch)
         result = run()
-    assert montecarlo._SWEEP_DRAWS.get() is None
     assert len(seen) == len(grid)
     for (records, _), want in zip(seen, reference):
         assert [record_key(r) for r in records] == [record_key(r) for r in want]
@@ -204,7 +206,6 @@ def test_non_finite_measurements_raise_the_constructors_error(box, column):
     for sweep in (sweep_velocity_experiment, sweep_acceleration_experiment):
         with pytest.raises(ValueError, match=f"^{column} must be finite$"):
             sweep(base, GRID)
-        assert montecarlo._SWEEP_DRAWS.get() is None
     with pytest.raises(ValueError, match=f"^{column} must be finite$"):
         run_trial(base, 0)
 
@@ -232,18 +233,33 @@ def test_table_fills_at_the_first_point_and_is_read_after(monkeypatch):
     run_ensemble(default_scenario(trials=12))
     run_ensemble(default_scenario(trials=12))
     assert len(draws) == 24
-    # a pool's workers start in an empty context and draw per call as well,
-    # on top of the sweep's draw before its first point
+    # a pool's workers read the table from each point's scenario
     monkeypatch.setattr(montecarlo, "_available_cpus", lambda: 2)
     draws.clear()
+    seen = spy_points(monkeypatch)
     sweep_velocity_experiment(default_scenario(trials=12), GRID, threads=2)
-    assert len(draws) == 12 + 36
+    assert [entries for _, entries in seen] == [12, 12, 12]
+    assert len(draws) == 12
+
+
+def track_tables(monkeypatch) -> list:
+    """Patch ``montecarlo._Trials`` to append a weak reference to each table it makes."""
+    tables = []
+
+    class Tracked(montecarlo._Trials):
+        def __init__(self, *args):
+            super().__init__(*args)
+            tables.append(weakref.ref(self))
+
+    monkeypatch.setattr(montecarlo, "_Trials", Tracked)
+    return tables
 
 
 def test_no_table_survives_a_sweep(monkeypatch):
     base = default_scenario(trials=5)
+    tables = track_tables(monkeypatch)
     sweep_acceleration_experiment(base, GRID)
-    assert montecarlo._SWEEP_DRAWS.get() is None
+    assert len(tables) == 1 and tables[0]() is None
     # the second point's noise level has no finite square: NoiseSpec raises
     # before any trial is drawn or run
     draws = count_truth_draws(monkeypatch)
@@ -252,7 +268,7 @@ def test_no_table_survives_a_sweep(monkeypatch):
         sweep_velocity_experiment(base, (0.5, 1e160))
     assert seen == []
     assert draws == []
-    assert montecarlo._SWEEP_DRAWS.get() is None
+    assert len(tables) == 1
 
     def broken(scenario, trial_index, weight_rule):
         raise RuntimeError("trial failed")
@@ -260,7 +276,67 @@ def test_no_table_survives_a_sweep(monkeypatch):
     monkeypatch.setattr(montecarlo, "run_trial", broken)
     with pytest.raises(RuntimeError):
         sweep_velocity_experiment(base, GRID)
-    assert montecarlo._SWEEP_DRAWS.get() is None
+    gc.collect()        # the exception's traceback held the sweep's frame
+    assert len(tables) == 2 and tables[1]() is None
+
+
+SWEEPS = {
+    "velocity": lambda base, threads: sweep_velocity_experiment(base, GRID, PROPAGATED, threads),
+    # each point solves the position anew, so a call for an earlier point's
+    # scenario finds the table's positions solved at another sigma_range
+    "sigma_range": lambda base, threads: montecarlo._sweep(
+        base, "sigma_range", GRID, "constant_acceleration", lambda s: NoiseSpec(s, 1.0, 0.2),
+        PROPAGATED, threads),
+}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("sweep", tuple(SWEEPS))
+def test_a_trial_run_during_a_sweep_equals_a_lone_call(monkeypatch, sweep, threads):
+    # a wrapper runs trials of its own at each point's trial 1: another
+    # scenario's, an earlier point's and one past the point's table; each
+    # record equals the one a call outside any sweep returns, and the sweep's
+    # points do not move
+    monkeypatch.setattr(montecarlo, "_available_cpus", lambda: 2)
+    base, other = default_scenario(trials=6, seed=4), default_scenario(trials=3, seed=99)
+    want = [point_key(p) for p in SWEEPS[sweep](base, threads).points]
+    real = montecarlo.run_trial
+    points, calls = [], []
+
+    def spy(scenario, trial_index, weight_rule=PROPAGATED):
+        if trial_index == 1:
+            points.append(scenario)
+            calls.extend([(other, 0, real(other, 0)),
+                          (points[0], 0, real(points[0], 0)),
+                          (scenario, 8, real(scenario, 8))])
+        return real(scenario, trial_index, weight_rule)
+
+    monkeypatch.setattr(montecarlo, "run_trial", spy)
+    assert [point_key(p) for p in SWEEPS[sweep](base, threads).points] == want
+    assert len(points) == len(GRID) and all(p._point is not None for p in points)
+    for scenario, trial_index, record in calls:
+        lone = replace(scenario)       # the same fields, and no table
+        assert lone._point is None and repr(lone) == repr(scenario)
+        assert record_key(record) == record_key(real(lone, trial_index))
+
+
+@pytest.mark.parametrize("threads, error, message", [
+    (2.7, TypeError, "must be an integer"), (True, TypeError, "must be an integer"),
+    ("2", TypeError, "must be an integer"), (None, TypeError, "must be an integer"),
+    (0, ValueError, "must be >= 1"), (-3, ValueError, "must be >= 1"),
+])
+def test_threads_that_is_no_count_of_workers_runs_no_trial(monkeypatch, threads, error,
+                                                           message):
+    # where a float was cut to a pool size and a bool, 0 or -3 ran serially
+    draws = count_truth_draws(monkeypatch)
+    seen = spy_points(monkeypatch)
+    with pytest.raises(error, match=f"^threads {message}, got "):
+        run_ensemble(default_scenario(trials=4), threads=threads)
+    for sweep, _, _ in EXPERIMENTS.values():
+        with pytest.raises(error, match=f"^threads {message}, got "):
+            sweep(default_scenario(trials=4), GRID, PROPAGATED, threads)
+    assert seen == []
+    assert draws == []
 
 
 def test_concurrent_sweeps_keep_their_own_tables(monkeypatch):
@@ -326,11 +402,11 @@ def test_position_is_solved_once_per_trial_and_sweep(monkeypatch, experiment):
     calls.clear()
     run_ensemble(base)
     assert len(calls) == 12
-    # a pool's workers solve per call as well
+    # a pool's workers reuse the table's positions as well
     monkeypatch.setattr(montecarlo, "_available_cpus", lambda: 2)
     calls.clear()
     sweep(base, GRID, PROPAGATED, 2)
-    assert len(calls) == 12 * len(GRID)
+    assert len(calls) == 12
 
 
 @pytest.mark.parametrize("ranges, solves", [
@@ -416,7 +492,6 @@ def test_overflowing_noise_anywhere_in_the_grid_runs_no_trial(monkeypatch):
     for sweep in (sweep_velocity_experiment, sweep_acceleration_experiment):
         with pytest.raises(ValueError, match="finite square"):
             sweep(default_scenario(trials=10), (0.1, 0.3, 1.0, 1e200))
-        assert montecarlo._SWEEP_DRAWS.get() is None
     assert seen == []
     assert draws == []
 
