@@ -1,8 +1,10 @@
 """Command-line front end: estimate / sweep / verify.
 
 Configuration is a flat JSON object of the settings in _SETTINGS, each
-declared once with its validator, default and flag; each subcommand takes
---config and the flags it reads (_COMMANDS), which override file values.
+declared once with its validator, default and flag; a numeric setting is
+validated by the library reader its value reaches (``_read``).  Each
+subcommand takes --config and the flags it reads (_COMMANDS), which override
+file values.
 All numeric output is serialized with 17 significant digits and files are
 written via a temp file + rename, so a finished file is always complete and
 reruns with the same config and seed are byte-identical.
@@ -42,24 +44,16 @@ def _g17(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _as_int(minimum):
+def _read(reader, *args):
+    """A setting's validator: the library reader its value reaches, called as
+    ``reader(value, key, *args)``, whose TypeError or ValueError becomes a
+    ConfigError with the same text."""
     def cast(key, value):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{key} must be an integer, got {value!r}")
-        if value < minimum:
-            raise ConfigError(f"{key} must be >= {minimum}, got {value}")
-        return value
+        try:
+            return reader(value, key, *args)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(str(exc)) from None
     return cast
-
-
-def _as_float(key, value):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{key} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ConfigError(f"{key} must be a finite number, got an integer too large "
-                          "for a float") from None
 
 
 def _as_choice(choices):
@@ -82,60 +76,52 @@ def _as_bool(key, value):
     return value
 
 
-def _as_pair(key, value):
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise ConfigError(f"{key} must be a pair of numbers, got {value!r}")
-    return (_as_float(key, value[0]), _as_float(key, value[1]))
-
-
-def _as_pair_list(key, value):
+# the config format's own shape rules: the library reads a scalar as one
+# measurement and one [x, y] pair as one sensor
+def _measurement_list(value, name):
     if not isinstance(value, (list, tuple)) or not value:
-        raise ConfigError(f"{key} must be a nonempty list of [x, y] pairs")
-    return tuple(_as_pair(key, item) for item in value)
+        raise ValueError(f"{name} must be a nonempty list of numbers")
+    return model._measurement_vector(value, name)[0]
 
 
-def _as_float_list(key, value):
-    if not isinstance(value, (list, tuple)) or not value:
-        raise ConfigError(f"{key} must be a nonempty list of numbers")
-    return tuple(_as_float(key, item) for item in value)
-
-
-def _as_box(key, value):
-    pair = _as_pair_list(key, value)
-    if len(pair) != 2:
-        raise ConfigError(f"{key} must be [[xmin, ymin], [xmax, ymax]]")
-    return pair
+def _sensor_list(value, name):
+    positions = SensorArray(value).positions
+    if np.shape(value) != positions.shape:
+        raise ValueError(f"{name} must be a list of [x, y] pairs")
+    return positions
 
 
 # every setting once: (validator, default or None, argparse settings of its
 # flag or None); a config file may set any of them and nothing else, and a
-# subcommand takes --config and the flags _COMMANDS lists for it
+# subcommand takes --config and the flags _COMMANDS lists for it.  Every value
+# is validated at load, whatever the subcommand
 _SETTINGS = {
-    "seed": (_as_int(0), DEFAULT_SEED, dict(type=int, metavar="U64")),
-    "trials": (_as_int(1), DEFAULT_TRIALS, dict(type=int, metavar="K")),
-    "grid": (_as_float_list, None, dict(metavar="LIST", help="comma-separated noise levels")),
+    "seed": (_read(model._as_index, 0), DEFAULT_SEED, dict(type=int, metavar="U64")),
+    "trials": (_read(model._as_index, 1), DEFAULT_TRIALS, dict(type=int, metavar="K")),
+    "grid": (_read(montecarlo._check_grid), None,
+             dict(metavar="LIST", help="comma-separated noise levels")),
     "weights": (_as_choice(tuple(_WEIGHT_CHOICES)), "propagated",
                 dict(choices=sorted(_WEIGHT_CHOICES))),
     "experiment": (_as_choice(_EXPERIMENTS), "velocity", dict(choices=_EXPERIMENTS)),
     "out": (_as_str, None, dict(metavar="PATH")),
     "svg": (_as_str, None, dict(metavar="PATH")),
     "format": (_as_choice(_FORMATS), "text", dict(choices=_FORMATS)),
-    "threads": (_as_int(1), 1, dict(type=int, metavar="T")),
+    "threads": (_read(model._as_index, 1), 1, dict(type=int, metavar="T")),
     "timing": (_as_bool, False, dict(action="store_const", const=True,
                                      help="report measured per-trial times in the CSV")),
-    "sensors": (_as_pair_list, None, None),
-    "position_box": (_as_box, None, None),
-    "velocity_box": (_as_box, None, None),
-    "acceleration_box": (_as_box, None, None),
-    "sigma_range": (_as_float, 1.0, None),
-    "sigma_range_rate": (_as_float, 1.0, None),
-    "sigma_drr": (_as_float, 1.0, None),
-    "position": (_as_pair, None, None),
-    "velocity": (_as_pair, None, None),
-    "acceleration": (_as_pair, None, None),
-    "ranges": (_as_float_list, None, None),
-    "range_rates": (_as_float_list, None, None),
-    "drrs": (_as_float_list, None, None),
+    "sensors": (_read(_sensor_list), None, None),
+    "position_box": (_read(montecarlo._as_box), None, None),
+    "velocity_box": (_read(montecarlo._as_box), None, None),
+    "acceleration_box": (_read(montecarlo._as_box), None, None),
+    "sigma_range": (_read(model._sigma), 1.0, None),
+    "sigma_range_rate": (_read(model._sigma), 1.0, None),
+    "sigma_drr": (_read(model._sigma), 1.0, None),
+    "position": (_read(model.as_vec2), None, None),
+    "velocity": (_read(model.as_vec2), None, None),
+    "acceleration": (_read(model.as_vec2), None, None),
+    "ranges": (_read(_measurement_list), None, None),
+    "range_rates": (_read(_measurement_list), None, None),
+    "drrs": (_read(_measurement_list), None, None),
 }
 
 
@@ -351,9 +337,7 @@ def cmd_sweep(config) -> int:
 
 
 def cmd_verify(config) -> int:
-    report = oracle.verification_suite(instances=config["trials"], seed=config["seed"],
-                                       range_rate_fn=model.range_rate,
-                                       range_accel_fn=model.range_accel)
+    report = oracle.verification_suite(instances=config["trials"], seed=config["seed"])
     for check in report.checks:
         status = "pass" if check.passed else "FAIL"
         sys.stdout.write(f"{check.name:<24} max deviation {check.max_deviation:.3e} "

@@ -32,10 +32,11 @@ def _packer(n: int):
 def _frozen(floats) -> np.ndarray:
     """kinloc's one way to make a read-only array, here from floats: a fresh
     array over immutable ``bytes``, which numpy will not unlock, nor a ``reshape``
-    view of it.  Every array kinloc hands out or shares is one; ``_frozen_array``
-    copies arrays, per-trial float64 vectors are ``np.frombuffer(a.tobytes())``,
-    and the estimate classes of ``estim`` keep floats or ``_packer`` bytes and
-    make their arrays on first read, with this function or ``np.frombuffer``."""
+    view of it.  The input classes' arrays, the estimates' and a sweep's shared
+    blocks are such arrays (``_frozen_array`` copies arrays, per-trial vectors are
+    ``np.frombuffer(a.tobytes())``, the estimates' are made on first read), but
+    ``true_measurements``, ``acceleration_pseudo_measurements`` and
+    ``oracle.dense_wls_solve`` return fresh writable arrays."""
     return np.frombuffer(_packer(len(floats))(*floats))
 
 
@@ -70,16 +71,15 @@ def _as_index(value, name: str, low: int | None = None) -> int:
 
 
 def _real_array(value, name: str) -> np.ndarray:
-    """``value`` as a float64 array.  ValueError "<name> must be a rectangular array" if it
-    is ragged; ``_real``'s TypeError for an entry that is not a real number, though numpy
-    reads a bool among floats as a float; OverflowError for an integer past the float range."""
+    """``value`` as a float64 array.  ValueError "<name> must be a rectangular array" if
+    ragged; ``_real``'s TypeError for an entry that is not a real number, each read unless
+    ``value`` is an int or float ndarray; OverflowError for an integer past the float range."""
     try:
         arr = np.asarray(value)
     except ValueError:          # numpy's message for a ragged list names no input
         raise ValueError(f"{name} must be a rectangular array") from None
-    if arr.dtype.kind not in "iuf":     # bool, complex, string or object entries
-        arr = np.asarray(value, dtype=object)
-        for entry in arr.flat:
+    if arr.dtype.kind not in "iuf" or not isinstance(value, np.ndarray):
+        for entry in np.asarray(value, dtype=object).flat:
             _real(entry, name, "real numbers")
     return arr.astype(np.float64, copy=False)
 
@@ -112,7 +112,8 @@ def as_vec2(value, name: str = "vector") -> np.ndarray:
     return np.frombuffer(arr.tobytes())
 
 
-@dataclass(frozen=True)
+# eq=False, as on every class with array fields: == is identity; a generated one raises
+@dataclass(frozen=True, eq=False)
 class SensorArray:
     """Fixed sensor positions (m); row i belongs to measurement i everywhere."""
 
@@ -136,7 +137,7 @@ class SensorArray:
         return tuple(self.positions[:, 1].tolist())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TargetState:
     """Target kinematics at the measurement instant."""
 
@@ -160,6 +161,14 @@ def _target_state(position, velocity, acceleration) -> TargetState:
     return state
 
 
+def _sigma(value, name: str) -> float:
+    """A noise sigma as a float: ``_real``, then ValueError unless >= 0 with a finite square."""
+    value = _real(value, name)
+    if not np.isfinite(value * value) or value < 0.0:
+        raise ValueError(f"{name} must be >= 0 with a finite square, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
     """Standard deviations of the additive Gaussian measurement noise.
@@ -175,10 +184,7 @@ class NoiseSpec:
 
     def __post_init__(self):
         for name in ("sigma_range", "sigma_range_rate", "sigma_drr"):
-            value = _real(getattr(self, name), name)
-            if not np.isfinite(value * value) or value < 0.0:
-                raise ValueError(f"{name} must be >= 0 with a finite square, got {value}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _sigma(getattr(self, name), name))
 
     @cached_property
     def _column(self) -> np.ndarray:    # the sigmas as the (3, 1) column ``_noisy`` scales by
@@ -194,7 +200,7 @@ def _measurement_vector(values, name: str):
     return arr, arr.tolist()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementSet:
     """Per-sensor noisy (range, range rate, derivative of range rate) triples.
 
@@ -223,7 +229,7 @@ class MeasurementSet:
     def _fill(self, arrays, noise, lists):
         # past the frozen __setattr__, a call per field, and key by key: an update
         # of the empty instance dict would give it a key table of its own.  The
-        # lists are not fields, so eq and repr see the arrays alone
+        # lists are not fields, so repr shows the arrays alone
         d = self.__dict__
         d["ranges"], d["range_rates"], d["drrs"], d["noise"] = *arrays, noise
         d["_ranges"], d["_range_rates"], d["_drrs"] = lists

@@ -76,7 +76,7 @@ def _as_box(value, name: str) -> np.ndarray:
     return _frozen_array(box)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)      # == is identity, as for model's array classes
 class Scenario:
     sensors: SensorArray
     position_box: np.ndarray          # ((xmin, ymin), (xmax, ymax)) m
@@ -87,7 +87,7 @@ class Scenario:
     seed: int
     motion_mode: str
     # a sweep point's (_Trials table, noisy block), set on its scenario by _sweep;
-    # not a field, so it takes no part in == or repr
+    # not a field, so it takes no part in repr
     _point = None
 
     def __post_init__(self):
@@ -393,17 +393,21 @@ class SweepResult:
     points: tuple
 
 
-def _check_grid(grid):
+def _check_grid(grid, name: str = "grid"):
     """The grid as floats, each value read as a ``NoiseSpec`` sigma is."""
-    values = tuple(_real(g, "grid values", "real numbers") for g in grid)
+    try:
+        entries = iter(grid)
+    except TypeError:
+        raise TypeError(f"{name} must be a sequence of real numbers, got {grid!r}") from None
+    values = tuple(_real(g, f"{name} values", "real numbers") for g in entries)
     if not values:
-        raise ValueError("grid must be nonempty")
+        raise ValueError(f"{name} must be nonempty")
     if not all(map(math.isfinite, values)):
-        raise ValueError("grid values must be finite")
+        raise ValueError(f"{name} values must be finite")
     if any(v <= 0.0 for v in values):
-        raise ValueError("grid values must be positive")
+        raise ValueError(f"{name} values must be positive")
     if any(b <= a for a, b in zip(values, values[1:])):
-        raise ValueError("grid must be strictly increasing")
+        raise ValueError(f"{name} must be strictly increasing")
     return values
 
 

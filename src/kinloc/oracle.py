@@ -142,11 +142,14 @@ def _random_stage_system(rng, n=8, max_cond=1e6):
 
 
 def verification_suite(instances: int = 1000, seed: int = 7,
-                       range_rate_fn: Callable = model.range_rate,
-                       range_accel_fn: Callable = model.range_accel) -> VerifyReport:
+                       range_rate_fn: Callable | None = None,
+                       range_accel_fn: Callable | None = None) -> VerifyReport:
     """Compare analytic derivatives and the closed-form stage solver against
-    their independent oracles on seeded random instances (at least one)."""
+    their independent oracles on seeded random instances (at least one); the
+    derivative functions default to ``model``'s, looked up at the call."""
     instances = model._as_index(instances, "instances", 1)
+    range_rate_fn = range_rate_fn or model.range_rate
+    range_accel_fn = range_accel_fn or model.range_accel
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     max_rate = 0.0
     max_accel = 0.0

@@ -2,7 +2,8 @@
 inf, or an integer past the float range raises ValueError("<name> must be
 finite"), an entry that is not a real number raises TypeError("<name> must be
 real numbers, got <entry>"), and a ragged list raises ValueError, each naming
-the input, at each of the five boundaries that read one.  ``as_vec2`` rejects
+the input, at each of the five boundaries that read one; a bool among floats
+is such an entry.  ``as_vec2`` rejects
 such entries and ragged lists alike, and keeps its own shape and finiteness
 messages."""
 
@@ -95,9 +96,15 @@ def test_bool_or_complex_array_is_a_type_error_naming_the_input(name, build):
         build()
 
 
-def test_bool_among_floats_is_read_by_numpy_before_the_reader():
-    # numpy makes a float array of [True, 0.0]; the reader never sees the bool
-    assert SensorArray([[True, 0.0], *SENSORS[1:]]).positions[0, 0] == 1.0
+# numpy makes a float array of [True, 0.0], which was read as [1.0, 0.0]; the
+# reader now reads the entries of every input that is not an ndarray
+@pytest.mark.parametrize("boundary, name, build", [
+    *BOUNDARIES, ("TargetState", "position", lambda v: TargetState((v, 3.0), (0.0, 0.0)))],
+    ids=[f"{b}-{n}" for b, n, _ in BOUNDARIES] + ["TargetState-position"])
+def test_bool_among_floats_is_a_type_error_naming_the_input(boundary, name, build):
+    build(1.0)
+    with pytest.raises(TypeError, match=f"^{name} must be real numbers, got True$"):
+        build(True)
 
 
 @pytest.mark.parametrize("name, build", [

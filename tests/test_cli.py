@@ -137,7 +137,113 @@ class TestEstimate:
         assert code == 2 and "2 measurements" in err
 
 
+NAN, BIG = float("nan"), 10 ** 400     # JSON writes NaN, and BIG as its 401 digits
+
+
+def _integer_rows(key, low):
+    return [(key, label, value, f"{key} must be an integer, got {text}")
+            for label, value, text in (("str", "3", "'3'"), ("true", True, "True"),
+                                       ("nan", NAN, "nan"), ("float", 2.5, "2.5"),
+                                       ("shape", [3], "[3]"))
+            ] + [(key, "range", low - 1, f"{key} must be >= {low}, got {low - 1}")]
+
+
+def _rows(key, cases):
+    return [(key, label, value, message.format(key=key)) for label, value, message in cases]
+
+
+BOX_CASES = [
+    ("str", "x", "{key} must be real numbers, got 'x'"),
+    ("true", True, "{key} must be real numbers, got True"),
+    ("bool-entry", [[True, 3.0], [4.0, 5.0]], "{key} must be real numbers, got True"),
+    ("nan", [[NAN, 0.0], [1.0, 1.0]], "{key} must be finite"),
+    ("10**400", [[0.0, 0.0], [BIG, 1.0]], "{key} must be finite"),
+    ("shape", [[0.0, 0.0]], "{key} must be ((xmin, ymin), (xmax, ymax)), got shape (1, 2)"),
+    ("range", [[1.0, 1.0], [0.0, 0.0]], "{key} must have min <= max componentwise"),
+]
+SIGMA_CASES = [
+    ("str", "x", "{key} must be a real number, got 'x'"),
+    ("true", True, "{key} must be a real number, got True"),
+    ("nan", NAN, "{key} must be >= 0 with a finite square, got nan"),
+    ("10**400", BIG, "{key} must be >= 0 with a finite square, got inf"),
+    ("shape", [1.0], "{key} must be a real number, got [1.0]"),
+    ("range", -1.0, "{key} must be >= 0 with a finite square, got -1.0"),
+]
+VECTOR_CASES = [
+    ("str", "x", "{key} must be real numbers, got 'x'"),
+    ("true", True, "{key} must be real numbers, got True"),
+    ("bool-entry", [True, 3.0], "{key} must be real numbers, got True"),
+    ("nan", [NAN, 1.0], "{key} must be finite, got [nan  1.]"),
+    ("10**400", [BIG, 0.0], "{key} must be finite, got an integer too large for a float"),
+    ("shape", [1.0, 2.0, 3.0], "{key} must have exactly 2 components, got shape (3,)"),
+]
+MEASUREMENT_CASES = [
+    ("str", "x", "{key} must be a nonempty list of numbers"),
+    ("true", True, "{key} must be a nonempty list of numbers"),
+    ("bool-entry", [True, 3.0], "{key} must be real numbers, got True"),
+    ("nan", [NAN], "{key} must be finite"),
+    ("10**400", [1.0, BIG], "{key} must be finite"),
+    ("shape", [[1.0]], "{key} must be one-dimensional"),
+    ("range", [], "{key} must be a nonempty list of numbers"),
+]
+
+# every numeric setting with a string, true, NaN, 10**400, a wrong shape and an
+# out-of-range value, and [true, 3.0] where it takes an array, each with the text
+# after "ConfigError: ".  An integer setting takes any integer from its low up,
+# 10**400 too, so it gets a float in that place; the sensors and the truth
+# vectors have no range but finiteness
+REJECTIONS = [
+    *_integer_rows("seed", 0), *_integer_rows("trials", 1), *_integer_rows("threads", 1),
+    *_rows("grid", [
+        ("str", "x", "grid values must be real numbers, got 'x'"),
+        ("true", True, "grid must be a sequence of real numbers, got True"),
+        ("bool-entry", [True, 3.0], "grid values must be real numbers, got True"),
+        ("nan", [0.1, NAN], "grid values must be finite"),
+        ("10**400", [0.1, BIG], "grid values must be finite"),
+        ("shape", [[0.1, 0.3]], "grid values must be real numbers, got [0.1, 0.3]"),
+        ("range", [0.3, 0.1], "grid must be strictly increasing"),
+    ]),
+    *_rows("sensors", [
+        ("str", "x", "sensor positions must be real numbers, got 'x'"),
+        ("true", True, "sensor positions must be real numbers, got True"),
+        ("bool-entry", [[True, 3.0], [1.0, 2.0]],
+         "sensor positions must be real numbers, got True"),
+        ("nan", [[NAN, 0.0], [1.0, 2.0]], "sensor positions must be finite"),
+        ("10**400", [[BIG, 0.0], [1.0, 2.0]], "sensor positions must be finite"),
+        ("shape", [[1.0, 2.0, 3.0]], "positions must have shape (N, 2) with N >= 1, got (1, 3)"),
+        ("flat-pair", [1.0, 2.0], "sensors must be a list of [x, y] pairs"),
+    ]),
+    *[row for key in ("position_box", "velocity_box", "acceleration_box")
+      for row in _rows(key, BOX_CASES)],
+    *[row for key in ("sigma_range", "sigma_range_rate", "sigma_drr")
+      for row in _rows(key, SIGMA_CASES)],
+    *[row for key in ("position", "velocity", "acceleration")
+      for row in _rows(key, VECTOR_CASES)],
+    *[row for key in ("ranges", "range_rates", "drrs")
+      for row in _rows(key, MEASUREMENT_CASES)],
+]
+ESTIMATE_INPUTS = ("position", "velocity", "acceleration", "ranges", "range_rates", "drrs")
+
+
 class TestConfig:
+    def test_rejection_table_covers_every_numeric_setting(self):
+        numeric = {key for key, (validator, _, _) in cli._SETTINGS.items()
+                   if validator.__qualname__.startswith("_read.")}
+        assert {row[0] for row in REJECTIONS} == numeric
+
+    @pytest.mark.parametrize("key, label, value, message", REJECTIONS,
+                             ids=[f"{key}-{label}" for key, label, _, _ in REJECTIONS])
+    def test_bad_numeric_setting_rejected_at_load(self, tmp_path, capsys, key, label, value,
+                                                  message):
+        # every setting is read at load, so verify, which reads none of these
+        # but seed and trials, rejects each as the command that reads it does
+        cfg = write_config(tmp_path, {key: value})
+        dest = tmp_path / "o.out"
+        command = "estimate" if key in ESTIMATE_INPUTS else "sweep"
+        for argv in (["verify", "--config", cfg], [command, "--config", cfg, "--out", str(dest)]):
+            assert run(argv, capsys) == (2, "", f"ConfigError: {message}\n")
+        assert not dest.exists()
+
     def test_unknown_keys_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, dict(TRUTH, tyop=1))
         code, _, err = run(["estimate", "--config", cfg], capsys)
@@ -170,14 +276,12 @@ class TestConfig:
         code, _, err = run(["sweep", "--config", cfg, "--trials", "1", "--grid", "1",
                             "--out", str(tmp_path / "x.csv")], capsys)
         assert code == 2
-        assert err == ("ConfigError: sigma_range must be a finite number, got an integer "
-                       "too large for a float\n")
+        assert err == "ConfigError: sigma_range must be >= 0 with a finite square, got inf\n"
         cfg = write_config(tmp_path, {"ranges": [1.0, big, 1.0], "range_rates": [0.0] * 3,
                                       "drrs": [0.0] * 3})
         code, _, err = run(["estimate", "--config", cfg], capsys)
         assert code == 2
-        assert err == ("ConfigError: ranges must be a finite number, got an integer "
-                       "too large for a float\n")
+        assert err == "ConfigError: ranges must be finite\n"
 
     def test_bad_grid_flag_rejected(self, tmp_path, capsys):
         code, _, err = run(["sweep", "--grid", "1,zap", "--out", "x.csv"], capsys)
@@ -189,7 +293,7 @@ class TestConfig:
             code, _, err = run(["sweep", "--grid", grid, "--trials", "3",
                                 "--out", str(dest)], capsys)
             assert code == 2
-            assert err == "ValueError: grid values must be finite\n"
+            assert err == "ConfigError: grid values must be finite\n"
             assert not dest.exists()
 
 
@@ -349,7 +453,7 @@ class TestSweep:
         code, _, err = run(["sweep", "--config", cfg, "--trials", "3",
                             "--out", str(tmp_path / "o.csv")], capsys)
         assert code == 2
-        assert err.startswith("ValueError: position_box") and err.count("\n") == 1
+        assert err.startswith("ConfigError: position_box") and err.count("\n") == 1
         assert not (tmp_path / "o.csv").exists()
 
     def test_squared_inverse_range_weights_rejected(self, tmp_path, capsys):

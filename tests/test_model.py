@@ -15,6 +15,7 @@ from kinloc.model import (MeasurementSet, NoiseSpec, SensorArray, TargetState,
                           as_vec2, propagate, range_accel, range_rate, range_to,
                           _measurements, _noisy, synthesize_measurements,
                           true_measurements)
+from kinloc.montecarlo import default_scenario
 from kinloc.oracle import FdConfig, fd_range_accel, fd_range_rate
 
 
@@ -397,3 +398,17 @@ def test_range_rate_bounded_by_speed(p, v, s):
         return
     t = TargetState(p, v)
     assert abs(range_rate(t, s)) <= math.hypot(*v) + 1e-9
+
+
+# a generated == compared the array fields, whose truth value raises ValueError,
+# and left the instances unhashable; these classes compare by identity instead
+@pytest.mark.parametrize("make", [
+    lambda: SensorArray([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]]),
+    lambda: TargetState((1.0, 2.0), (3.0, 4.0)),
+    lambda: MeasurementSet([1.0, 2.0], [0.0, 0.0], [0.0, 0.0], NoiseSpec()),
+    lambda: default_scenario(trials=1),
+], ids=["SensorArray", "TargetState", "MeasurementSet", "Scenario"])
+def test_array_classes_compare_by_identity_and_hash(make):
+    a, b = make(), make()
+    assert (a == a) is True and (a == b) is False and (a != b) is True
+    assert hash(a) == hash(a) and len({a, b, a}) == 2

@@ -20,6 +20,7 @@ import bisect
 import gc
 import math
 import operator
+import re
 import struct
 import sys
 import threading
@@ -496,18 +497,24 @@ def test_overflowing_noise_anywhere_in_the_grid_runs_no_trial(monkeypatch):
     assert draws == []
 
 
-@pytest.mark.parametrize("value", [True, "3", np.bool_(True), 1 + 0j],
-                         ids=["bool", "str", "numpy-bool", "complex"])
-def test_grid_value_that_is_no_real_number_runs_no_trial(monkeypatch, value):
+@pytest.mark.parametrize("grid", [*[(0.5, value) for value in (True, "3", np.bool_(True), 1 + 0j)],
+                                  5, None, 1.0],
+                         ids=["bool", "str", "numpy-bool", "complex", "int", "None", "float"])
+def test_grid_value_that_is_no_real_number_runs_no_trial(monkeypatch, grid):
     # grid values are sigmas: what NoiseSpec rejects with TypeError, the grid
-    # does too, where float() would have read True as 1.0 and "3" as 3.0
-    with pytest.raises(TypeError):
-        NoiseSpec(1.0, value)
+    # does too, where float() would have read True as 1.0 and "3" as 3.0; a grid
+    # that is not iterable is named, where iter()'s own message named only its type
+    if isinstance(grid, tuple):
+        with pytest.raises(TypeError):
+            NoiseSpec(1.0, grid[1])
+        message = f"^grid values must be real numbers, got {re.escape(repr(grid[1]))}$"
+    else:
+        message = f"^grid must be a sequence of real numbers, got {grid!r}$"
     seen = spy_points(monkeypatch)
     draws = count_truth_draws(monkeypatch)
     for sweep in (sweep_velocity_experiment, sweep_acceleration_experiment):
-        with pytest.raises(TypeError, match=r"^grid values must be real numbers, got "):
-            sweep(default_scenario(trials=3), (0.5, value))
+        with pytest.raises(TypeError, match=message):
+            sweep(default_scenario(trials=3), grid)
     assert seen == []
     assert draws == []
 
