@@ -393,8 +393,8 @@ def acceleration_error_model(measurements: MeasurementSet, ranges, bx, by, veloc
     columns of the stage rows (p_hat - p_i), and ``velocity_weights`` the
     weights of the velocity solve that gave the floats v0, v1, all lists.
     ``gram`` is that solve's (g00, g01, g11), as ``_kernels.normal_sums``
-    returns them; without it G is formed here from the rows and weights by
-    the operations of ``normal_sums``, so either way gives the same bits.  With
+    returns them; without it G is formed here by ``normal_sums`` from the rows
+    and weights, so either way gives the same bits.  With
     s_r, s_a, s_b from ``measurements.noise``, the per-row variances are
     D_i = r_i^2 s_b^2 + 4 a_i^2 s_a^2 + b_i^2 s_r^2, and s2 = 4 v' Cov(v) v is
     the variance of the offset -2 v . dv that every row shares, where
@@ -410,8 +410,8 @@ def acceleration_error_model(measurements: MeasurementSet, ranges, bx, by, veloc
     var_r = noise.sigma_range * noise.sigma_range
     var_a = noise.sigma_range_rate * noise.sigma_range_rate
     var_b = noise.sigma_drr * noise.sigma_drr
-    if gram is None:
-        gram = _gram(bx, by, velocity_weights)
+    if gram is None:        # the Gram half of the sums; the rhs does not enter it
+        gram = _kernels.normal_sums(bx, by, ranges, velocity_weights)[:3]
     g00, g01, g11 = gram
     variances = []
     m00 = m01 = m11 = 0.0
@@ -436,18 +436,6 @@ def acceleration_error_model(measurements: MeasurementSet, ranges, bx, by, veloc
         raise SingularGeometry("stage-3 error model overflows (a measurement too large to square)")
     # M is positive semidefinite; rounding may still take u' M u a hair below 0
     return variances, max(0.0, shared)
-
-
-def _gram(bx, by, w):
-    """(g00, g01, g11) of G = sum w_i B_i B_i', by the operations of
-    ``_kernels.normal_sums``."""
-    g00 = g01 = g11 = 0.0
-    for wi, x, y in zip(w, bx, by):
-        wx = wi * x
-        g00 += wx * x
-        g01 += wx * y
-        g11 += wi * y * y
-    return g00, g01, g11
 
 
 def estimate_acceleration(measurements: MeasurementSet, sensors: SensorArray, p_hat, v_hat,

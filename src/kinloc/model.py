@@ -120,9 +120,11 @@ class SensorArray:
     positions: np.ndarray
 
     def __post_init__(self):
-        pos = np.atleast_2d(_finite(self.positions, "sensor positions"))
+        given = _finite(self.positions, "sensor positions")
+        pos = np.atleast_2d(given)
         if pos.ndim != 2 or pos.shape[1] != 2 or pos.shape[0] < 1:
-            raise ValueError(f"positions must have shape (N, 2) with N >= 1, got {pos.shape}")
+            raise ValueError("sensor positions must have shape (N, 2) with N >= 1, "
+                             f"got {given.shape}")
         object.__setattr__(self, "positions", _frozen_array(pos))
 
     def __len__(self) -> int:

@@ -11,10 +11,11 @@ point, into one (trials, 6, N) block, and each point noises the whole block
 with its sigmas in one numpy operation; each point's scenario carries the
 table and its noisy block, so a pool's workers read them as a one-thread
 sweep does.  It solves the position stage, which reads only the ranges, once
-per sigma_range.  A one-thread sweep folds each trial's squared errors and
-stage times into its point's float columns and drops the trial's record, so
-it holds one record at a time; a pooled sweep holds a point's list from
-``run_ensemble``.
+per sigma_range.  ``_score_point`` scores each point, the seam the sweep
+tests hold to lone ``run_trial`` calls: float columns of its successful
+trials' squared errors and stage times in trial order, and its failure
+count, which ``_aggregate_point`` folds.  One thread holds one record at a
+time; a pooled sweep scores a point's list from ``run_ensemble``.
 
 The two sweep drivers reproduce the standard experiments: velocity RMSE
 against the range-rate noise level (constant-velocity targets, sigma_range
@@ -420,22 +421,32 @@ def _scores(rec):
             *map(rec.stage_times.__getitem__, METHODS))
 
 
-def _aggregate_point(sigma: float, records) -> SweepPoint:
-    """Fold an iterable of records, read once in order, into a grid point.  ``map``
-    drops each record once it is scored, before it reads the next, so a generator
-    of trials holds one record at a time."""
+def _score_point(scenario: Scenario, weight_rule: WeightRule, threads: int):
+    """(columns, failures): the five squared-error columns, then the five
+    stage-time columns, of the point's successful trials in trial order (empty
+    when none succeeded), and the count of failed trials.  One thread scores
+    each ``run_trial`` record and drops it before the next trial runs."""
+    if threads > 1:
+        records = run_ensemble(scenario, weight_rule, threads)
+    else:       # one record at a time, through the module's run_trial
+        records = (run_trial(scenario, i, weight_rule) for i in range(scenario.trials))
     scored = list(map(_scores, records))
     rows = [row for row in scored if row is not None]
-    if rows:
-        columns = list(zip(*rows))      # per-method float columns, in trial order
+    return list(zip(*rows)), len(scored) - len(rows)
+
+
+def _aggregate_point(sigma: float, columns, failures: int) -> SweepPoint:
+    """Fold a point's ``_score_point`` columns and failure count into a grid point."""
+    successes = len(columns[0]) if columns else 0
+    if successes:
         rmses = {f"rmse_{m}": _rms(column) for m, column in zip(METHODS, columns)}
         mean_times = {m: float(np.mean(column))
                       for m, column in zip(METHODS, columns[len(METHODS):])}
     else:
         rmses = {f"rmse_{m}": float("nan") for m in METHODS}
         mean_times = dict.fromkeys(METHODS, 0.0)
-    return SweepPoint(sigma=sigma, **rmses, failures=len(scored) - len(rows),
-                      successes=len(rows), mean_stage_times=mean_times)
+    return SweepPoint(sigma=sigma, **rmses, failures=failures, successes=successes,
+                      mean_stage_times=mean_times)
 
 
 def _sweep(base: Scenario, swept_parameter: str, grid, motion_mode: str,
@@ -443,8 +454,8 @@ def _sweep(base: Scenario, swept_parameter: str, grid, motion_mode: str,
     """Every grid point reruns trial i on the same streams, sensors, boxes and
     motion mode; only the sigmas differ.  So every trial's truth and draw are
     made once, before the first point, into a table, and each point noises
-    the whole draw block with its sigmas.  The point's scenario carries both,
-    for ``run_trial``.  The table also keeps each trial's position outcome,
+    the whole draw block with its sigmas.  The point's scenario carries both
+    to ``_score_point``.  The table also keeps each trial's position outcome,
     which later points reuse while sigma_range stays the same."""
     threads = _as_index(threads, "threads", 1)
     values = _check_grid(grid)
@@ -456,12 +467,8 @@ def _sweep(base: Scenario, swept_parameter: str, grid, motion_mode: str,
     trials = _Trials(base, range(base.trials))
     points = []
     for sigma, noise in zip(values, noises):
-        scenario = base._derive(noise=noise, _point=(trials, _noisy(trials.draws, noise)))
-        if threads > 1:
-            records = run_ensemble(scenario, weight_rule, threads)
-        else:       # one record at a time, through the module's run_trial
-            records = (run_trial(scenario, i, weight_rule) for i in range(base.trials))
-        points.append(_aggregate_point(sigma, records))
+        point = base._derive(noise=noise, _point=(trials, _noisy(trials.draws, noise)))
+        points.append(_aggregate_point(sigma, *_score_point(point, weight_rule, threads)))
     return SweepResult(swept_parameter, values, tuple(points))
 
 

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import settings
 
 from kinloc import _kernels as K
+from kinloc import montecarlo
 from kinloc.errors import SingularGeometry
 from kinloc.model import SensorArray
-from kinloc.montecarlo import DEFAULT_SENSOR_POSITIONS
+from kinloc.montecarlo import DEFAULT_SENSOR_POSITIONS, METHODS
 
 # A falsifying example prints a @reproduce_failure blob, which replays it in
 # any checkout; the example database under .hypothesis/ replays it only here.
@@ -27,6 +28,30 @@ def assert_cannot_unlock(*arrays):
         with pytest.raises(ValueError):
             arr.setflags(write=True)
         assert not arr.flags.writeable
+
+
+def spy_points(monkeypatch) -> list:
+    """Wrap ``montecarlo._score_point``, which a sweep calls once per grid point;
+    returns the list it fills with one (scenario, columns, failures) per point."""
+    seen = []
+    real = montecarlo._score_point
+
+    def spy(scenario, weight_rule, threads):
+        columns, failures = real(scenario, weight_rule, threads)
+        seen.append((scenario, columns, failures))
+        return columns, failures
+
+    monkeypatch.setattr(montecarlo, "_score_point", spy)
+    return seen
+
+
+def record_columns(records):
+    """The (columns, failures) that ``montecarlo._score_point`` gives for these
+    records: the squared errors, then the stage times, of the successful ones."""
+    ok = [rec for rec in records if rec.ok]
+    columns = ([tuple(rec.squared_errors[m] for rec in ok) for m in METHODS]
+               + [tuple(rec.stage_times[m] for rec in ok) for m in METHODS])
+    return (columns if ok else []), len(records) - len(ok)
 
 
 @pytest.fixture

@@ -210,7 +210,12 @@ REJECTIONS = [
          "sensor positions must be real numbers, got True"),
         ("nan", [[NAN, 0.0], [1.0, 2.0]], "sensor positions must be finite"),
         ("10**400", [[BIG, 0.0], [1.0, 2.0]], "sensor positions must be finite"),
-        ("shape", [[1.0, 2.0, 3.0]], "positions must have shape (N, 2) with N >= 1, got (1, 3)"),
+        # the shape reported is the input's, as given
+        ("shape", [[1.0, 2.0, 3.0]],
+         "sensor positions must have shape (N, 2) with N >= 1, got (1, 3)"),
+        ("empty", [], "sensor positions must have shape (N, 2) with N >= 1, got (0,)"),
+        ("flat-triple", [1.0, 2.0, 3.0],
+         "sensor positions must have shape (N, 2) with N >= 1, got (3,)"),
         ("flat-pair", [1.0, 2.0], "sensors must be a list of [x, y] pairs"),
     ]),
     *[row for key in ("position_box", "velocity_box", "acceleration_box")
@@ -355,20 +360,23 @@ class TestSweep:
 
     def test_overflowing_noise_late_in_the_grid_runs_no_trial(self, tmp_path, capsys,
                                                               monkeypatch):
-        # the three points before 1e200 are valid, but no point runs
-        trials = []
-        real = montecarlo.run_trial
-        monkeypatch.setattr(montecarlo, "run_trial",
-                            lambda *a: trials.append(1) or real(*a))
+        # the three points before 1e200 are valid, but no truth is drawn and
+        # no point is scored
+        draws, points = [], []
+        real_truth, real_score = montecarlo.sample_truth, montecarlo._score_point
+        monkeypatch.setattr(montecarlo, "sample_truth",
+                            lambda *a: draws.append(1) or real_truth(*a))
+        monkeypatch.setattr(montecarlo, "_score_point",
+                            lambda *a: points.append(1) or real_score(*a))
         code, _, err = run(["sweep", "--trials", "3", "--grid", "0.1,0.3,1,1e200",
                             "--out", str(tmp_path / "o.csv")], capsys)
         assert code == 2
         assert err.startswith("ValueError:") and err.count("\n") == 1
-        assert trials == []
-        # the spy sees every trial of a valid sweep
+        assert draws == [] and points == []
+        # the spies see each trial drawn and each point scored in a valid sweep
         code, _, _ = run(["sweep", "--trials", "3", "--grid", "0.1,0.3,1",
                           "--out", str(tmp_path / "o.csv")], capsys)
-        assert code == 0 and len(trials) == 9
+        assert code == 0 and (len(draws), len(points)) == (3, 3)
 
     def test_noise_with_tiny_weights_gives_finite_rmses(self, tmp_path, capsys):
         # 1e150 squared is finite, but the propagated weights 1/D near 1e-304

@@ -744,17 +744,26 @@ def test_pipeline_acceleration_matches_the_stage_given_v_hat_alone(args):
 
 
 def test_pipeline_takes_the_velocity_gram_instead_of_forming_it(sensors8, monkeypatch):
+    # one entry per normal_sums call: whether it formed the Gram sums itself
     formed = []
-    real = estim._gram
-    monkeypatch.setattr(estim, "_gram", lambda *a: formed.append(1) or real(*a))
+    real = K.normal_sums
+
+    def sums_spy(bx, by, rhs, w, gram=None):
+        formed.append(gram is None)
+        return real(bx, by, rhs, w, gram)
+
+    monkeypatch.setattr(K, "normal_sums", sums_spy)
     truth = TargetState((30.0, 40.0), (10.0, -5.0), (2.0, -1.0))
     ms = synthesize_measurements(truth, sensors8, NoiseSpec(1.0, 0.3, 0.1), 3)
     res = estimate_all(ms, sensors8, PROPAGATED)
-    assert formed == []
+    # the LS acceleration solve's sums, on the LS velocity Gram; the propagated
+    # solve forms its own in its loop and its error model takes the WLS Gram
+    assert formed == [False]
     # a caller with v_hat alone: G formed once, same bits
+    formed.clear()
     again = estimate_acceleration(ms, SensorArray(sensors8.positions), res.position.position,
                                   res.velocity_wls.value, PROPAGATED)
-    assert formed == [1]
+    assert formed == [True]
     assert again.value.tobytes() == res.accel_wls.value.tobytes()
 
 

@@ -208,6 +208,15 @@ class TestValidation:
                 NoiseSpec(**{name: 1e200})
         assert NoiseSpec(sigma_drr=1e150).sigma_drr == 1e150
 
+    @pytest.mark.parametrize("positions, shape", [
+        ([], "(0,)"), ([1.0, 2.0, 3.0], "(3,)"), ([[1.0, 2.0, 3.0]], "(1, 3)"),
+        (np.zeros((2, 2, 2)), "(2, 2, 2)"), (np.zeros((0, 2)), "(0, 2)"),
+    ])
+    def test_sensor_shape_error_names_the_input_and_its_shape_as_given(self, positions, shape):
+        with pytest.raises(ValueError) as exc:
+            SensorArray(positions)
+        assert str(exc.value) == f"sensor positions must have shape (N, 2) with N >= 1, got {shape}"
+
     def test_measurement_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             MeasurementSet([1.0, 2.0], [0.0], [0.0, 0.0], NoiseSpec())

@@ -15,7 +15,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import assert_cannot_unlock
+from conftest import assert_cannot_unlock, spy_points
 from kinloc import estim, montecarlo
 from kinloc.estim import PROPAGATED, estimate_all
 from kinloc.model import _measurements, _noisy, as_vec2, synthesize_measurements
@@ -37,18 +37,11 @@ def result_arrays(result) -> list:
 
 def sweep_table(monkeypatch, scenario):
     """A velocity sweep's table as its last point left it, and the noisy block
-    of each grid point, read from the (table, noisy block) each point's scenario
-    carries."""
-    points = []
-    real = montecarlo.run_trial
-
-    def spy(point, *args):
-        if not points or points[-1] is not point._point:
-            points.append(point._point)
-        return real(point, *args)
-
-    monkeypatch.setattr(montecarlo, "run_trial", spy)
+    of each grid point, read from the (table, noisy block) that each point's
+    scenario carries to ``montecarlo._score_point``."""
+    seen = spy_points(monkeypatch)
     sweep_velocity_experiment(scenario, (0.5, 2.0))
+    points = [point._point for point, _, _ in seen]
     return points[-1][0], [noisy for _, noisy in points]
 
 
@@ -126,19 +119,13 @@ def test_estimate_arrays_are_made_on_first_read_once(layout, rng):
 
 
 def test_sweep_trials_make_no_estimate_array(monkeypatch):
-    records = []
-    real = montecarlo.run_trial
-
-    def spy(*args):
-        records.append(real(*args))
-        return records[-1]
-
-    monkeypatch.setattr(montecarlo, "run_trial", spy)
+    seen = spy_points(monkeypatch)
     built = count_array_builds(monkeypatch)
     sweep_velocity_experiment(default_scenario(trials=20), (0.5, 2.0))
-    assert len(records) == 40 and all(rec.ok for rec in records)
+    assert [(len(columns[0]), failures) for _, columns, failures in seen] == [(20, 0)] * 2
     assert built == []
     # the counter sees a build: one per attribute on first read, none on the second
-    result_arrays(records[0].estimates)
-    result_arrays(records[0].estimates)
+    estimates = run_trial(seen[0][0], 0).estimates
+    result_arrays(estimates)
+    result_arrays(estimates)
     assert sorted(built) == sorted(["position"] + ["value", "pseudo_measurements"] * 4)

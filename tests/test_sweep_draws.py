@@ -5,18 +5,27 @@ and motion mode, so ``_sweep`` draws every trial's truth and noise-free,
 unit-noise rows before its first point, into a table with one block of
 draws, and noises that block at each point.  The table also keeps each
 trial's position outcome, which later points with the same sigma_range
-reuse.  These tests hold the shared sweep to a reference that runs
-``run_ensemble`` per point outside any sweep, where every trial draws and
-solves per call: the records and the aggregated points must agree bit for
-bit.  They also pin the table's scope: each grid point's scenario carries
-the table and that point's noisy block, so a pool's workers read them too,
-any other scenario's trial draws its own, and no table outlives its sweep.
-The spies watch ``run_trial``, which a sweep calls once per trial: a
-one-thread sweep calls it directly and holds one record at a time, and only
-a pooled sweep goes through ``run_ensemble``.
+reuse.  Each point is scored through one seam, ``montecarlo._score_point``,
+and these tests state what a point's scores must be, not how they are made:
+
+- equality: each point's squared-error columns and failure count equal
+  those of lone ``run_trial`` calls on an unshared scenario, bit for bit,
+  and ``run_trial`` of the point's own scenario gives the lone records;
+- work: one ``sample_truth`` call per trial per sweep, one
+  ``_kernels.position_solve`` per trial for each run of equal sigma_range,
+  and the boxes checked once;
+- memory: at most one live ``TrialRecord`` during a one-thread sweep, and
+  no table outlives its sweep;
+- concurrency: sweeps run at once from user threads keep their own tables,
+  and a trial run during a sweep equals a lone call;
+- errors: a bad grid, noise or ``threads`` value draws no truth and scores
+  no point.
+
+The one spy wraps ``_score_point`` and captures each point's scenario,
+columns and failure count; work is counted only at ``sample_truth``,
+``_kernels.position_solve`` and ``_as_box``.
 """
 
-import bisect
 import gc
 import math
 import operator
@@ -33,11 +42,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import record_columns, spy_points
 from kinloc import _kernels, model, montecarlo
 from kinloc.errors import ZeroRange
 from kinloc.estim import PROPAGATED, UNIFORM, WeightRule
 from kinloc.model import NoiseSpec, SensorArray, TargetState
-from kinloc.montecarlo import (DEFAULT_SENSOR_POSITIONS, Scenario, _aggregate_point,
+from kinloc.montecarlo import (DEFAULT_SENSOR_POSITIONS, METHODS, Scenario, _aggregate_point,
                                default_scenario, rmse, run_ensemble, run_trial,
                                sweep_acceleration_experiment, sweep_velocity_experiment)
 
@@ -52,6 +62,14 @@ EXPERIMENTS = {
 GRID = (0.1, 1.0, 10.0)
 _ANGLES = 2.0 * math.pi * np.arange(64) / 64
 RING64 = np.column_stack((100.0 * np.cos(_ANGLES), 100.0 * np.sin(_ANGLES)))
+# each point's columns: the squared errors, then the stage times, one per method
+SQUARED, TIMES = slice(0, len(METHODS)), slice(len(METHODS), 2 * len(METHODS))
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Two pool workers for ``threads=2``, even on a one-CPU machine."""
+    monkeypatch.setattr(montecarlo, "_available_cpus", lambda: 2)
 
 
 def _bits(*values) -> bytes:
@@ -83,32 +101,6 @@ def point_key(point) -> tuple:
             point.failures, point.successes)
 
 
-def spy_points(monkeypatch):
-    """Patch ``montecarlo.run_trial``, which a sweep calls once per trial at every
-    grid point, with a wrapper; returns the list it fills with one (records,
-    number of trials in the table the point's scenario carries) per point.
-    A point's trials are those given its scenario, and its records are kept in
-    trial order, also when a pool's workers run them out of order."""
-    seen, scenarios = [], []
-    lock = threading.Lock()
-    real = montecarlo.run_trial
-
-    def spy(scenario, trial_index, weight_rule=PROPAGATED):
-        record = real(scenario, trial_index, weight_rule)
-        with lock:
-            point = next((k for k, s in enumerate(scenarios) if s is scenario), None)
-            if point is None:
-                point = scenario._point
-                scenarios.append(scenario)
-                seen.append(([], None if point is None else len(point[0].truths)))
-                point = -1
-            bisect.insort(seen[point][0], record, key=lambda rec: rec.trial_index)
-        return record
-
-    monkeypatch.setattr(montecarlo, "run_trial", spy)
-    return seen
-
-
 def count_truth_draws(monkeypatch) -> list:
     """Patch ``montecarlo.sample_truth`` to append 1 per call to the returned list."""
     draws = []
@@ -122,9 +114,22 @@ def count_truth_draws(monkeypatch) -> list:
     return draws
 
 
+def count_position_solves(monkeypatch) -> list:
+    """Patch ``_kernels.position_solve`` to append 1 per call to the returned list."""
+    calls = []
+    real = _kernels.position_solve
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(_kernels, "position_solve", counted)
+    return calls
+
+
 def assert_sweep_matches_unshared(monkeypatch, base, experiment, rule, grid=GRID, threads=1):
-    """The sweep equals, record for record and point for point, run_ensemble
-    per point outside any sweep; returns the sweep's records per point."""
+    """The sweep's points equal lone trials on unshared scenarios (see below);
+    returns the lone records per point."""
     sweep, mode, noise_for = EXPERIMENTS[experiment]
     return assert_matches_unshared(monkeypatch, base, mode, lambda s: noise_for(base, s), rule,
                                    grid, lambda: sweep(base, grid, rule, threads))
@@ -132,18 +137,30 @@ def assert_sweep_matches_unshared(monkeypatch, base, experiment, rule, grid=GRID
 
 def assert_matches_unshared(monkeypatch, base, mode, noise_for, rule, grid, run):
     """``run()`` sweeps ``grid`` with the noise ``noise_for(sigma)`` and motion
-    mode ``mode``; its records and points equal run_ensemble's per point."""
-    reference = [run_ensemble(replace(base, noise=noise_for(s), motion_mode=mode), rule)
-                 for s in grid]
+    mode ``mode``.  Each point's squared-error columns and failure count equal,
+    bit for bit, those of lone ``run_trial`` calls on an unshared copy of the
+    point's scenario, whose fields are the base's with that noise and mode;
+    ``run_trial`` of the point's own scenario gives the lone records, and the
+    SweepPoint is the fold of the lone columns.  Returns the lone records per
+    point."""
     with monkeypatch.context() as patch:
         seen = spy_points(patch)
         result = run()
-    assert len(seen) == len(grid)
-    for (records, _), want in zip(seen, reference):
-        assert [record_key(r) for r in records] == [record_key(r) for r in want]
-    assert [point_key(p) for p in result.points] == [
-        point_key(_aggregate_point(s, want)) for s, want in zip(grid, reference)]
-    return [records for records, _ in seen]
+    assert len(seen) == len(grid) == len(result.points)
+    lone_records = []
+    for (point, columns, failures), sigma, got in zip(seen, grid, result.points):
+        lone = replace(point)       # the same fields, and nothing the sweep shares
+        assert repr(lone) == repr(replace(base, noise=noise_for(sigma), motion_mode=mode))
+        records = [run_trial(lone, i, rule) for i in range(base.trials)]
+        assert ([record_key(run_trial(point, i, rule)) for i in range(base.trials)]
+                == [record_key(rec) for rec in records])
+        want, want_failures = record_columns(records)
+        assert failures == want_failures
+        assert [_bits(*c) for c in columns[SQUARED]] == [_bits(*c) for c in want[SQUARED]]
+        assert [len(c) for c in columns] == [len(c) for c in want]
+        assert point_key(got) == point_key(_aggregate_point(sigma, want, want_failures))
+        lone_records.append(records)
+    return lone_records
 
 
 @pytest.mark.parametrize("rule", RULES, ids=lambda r: r.mode)
@@ -192,7 +209,7 @@ def test_position_box_on_a_sensor_fails_every_point(monkeypatch):
     draws = count_truth_draws(monkeypatch)
     seen = spy_points(monkeypatch)
     sweep_velocity_experiment(base, GRID)
-    assert [entries for _, entries in seen] == [10, 10, 10]
+    assert [(columns, failures) for _, columns, failures in seen] == [([], 10)] * len(GRID)
     assert len(draws) == 10
 
 
@@ -212,73 +229,80 @@ def test_non_finite_measurements_raise_the_constructors_error(box, column):
 
 
 @pytest.mark.parametrize("experiment", tuple(EXPERIMENTS))
-def test_threads_1_and_2_agree(monkeypatch, experiment):
+def test_threads_1_and_2_agree(monkeypatch, two_cpus, experiment):
     base = default_scenario(trials=30, seed=5)
-    serial = assert_sweep_matches_unshared(monkeypatch, base, experiment, PROPAGATED)
-    # two workers even on a one-CPU machine
-    monkeypatch.setattr(montecarlo, "_available_cpus", lambda: 2)
-    threaded = assert_sweep_matches_unshared(monkeypatch, base, experiment, PROPAGATED,
-                                             threads=2)
-    assert ([[record_key(r) for r in point] for point in threaded]
-            == [[record_key(r) for r in point] for point in serial])
+    assert_sweep_matches_unshared(monkeypatch, base, experiment, PROPAGATED)
+    assert_sweep_matches_unshared(monkeypatch, base, experiment, PROPAGATED, threads=2)
 
 
-def test_table_fills_at_the_first_point_and_is_read_after(monkeypatch):
+def test_pooled_columns_equal_one_thread_columns_element_by_element(monkeypatch, two_cpus):
+    # at 6e76 some trials' stage-2 solves overflow, at 1e150 every one does.
+    # np.mean's bits depend on the order of a column, so a pool must hand back
+    # each point's scores in trial order, not only the same set of them
+    base = default_scenario(trials=40, seed=7)
+    grid = (0.5, 6e76, 1e150)
+    scores = []
+    for threads in (1, 2):
+        with monkeypatch.context() as patch:
+            seen = spy_points(patch)
+            sweep_velocity_experiment(base, grid, PROPAGATED, threads)
+        scores.append([(failures, [_bits(*c) for c in columns[SQUARED]],
+                        [len(c) for c in columns]) for _, columns, failures in seen])
+    assert scores[0] == scores[1]
+    (none, _, _), (some, _, _), (every, _, lengths) = scores[0]
+    assert none == 0 and 0 < some < 40 and every == 40 and lengths == []
+
+
+def test_each_trial_is_drawn_once_per_sweep(monkeypatch, two_cpus):
     draws = count_truth_draws(monkeypatch)
-    seen = spy_points(monkeypatch)
-    sweep_velocity_experiment(default_scenario(trials=12), GRID)
-    assert [entries for _, entries in seen] == [12, 12, 12]
-    assert len(draws) == 12
+    # a pool's workers read the draws a one-thread sweep reads
+    for threads in (1, 2):
+        draws.clear()
+        sweep_velocity_experiment(default_scenario(trials=12), GRID, PROPAGATED, threads)
+        assert len(draws) == 12
     # outside a sweep every call draws
     draws.clear()
     run_ensemble(default_scenario(trials=12))
     run_ensemble(default_scenario(trials=12))
     assert len(draws) == 24
-    # a pool's workers read the table from each point's scenario
-    monkeypatch.setattr(montecarlo, "_available_cpus", lambda: 2)
-    draws.clear()
-    seen = spy_points(monkeypatch)
-    sweep_velocity_experiment(default_scenario(trials=12), GRID, threads=2)
-    assert [entries for _, entries in seen] == [12, 12, 12]
-    assert len(draws) == 12
 
 
-def track_tables(monkeypatch) -> list:
-    """Patch ``montecarlo._Trials`` to append a weak reference to each table it makes."""
-    tables = []
+def live_tables() -> int:
+    """The number of sweep tables alive after a full collection."""
+    gc.collect()
+    return sum(isinstance(obj, montecarlo._Trials) for obj in gc.get_objects())
 
-    class Tracked(montecarlo._Trials):
-        def __init__(self, *args):
-            super().__init__(*args)
-            tables.append(weakref.ref(self))
 
-    monkeypatch.setattr(montecarlo, "_Trials", Tracked)
-    return tables
+def assert_points_freed(seen, tables):
+    """Every scenario ``seen`` captured is freed once the list lets go of it,
+    and ``tables`` tables are alive, as before the sweep."""
+    scenarios = [weakref.ref(scenario) for scenario, _, _ in seen]
+    seen.clear()
+    assert live_tables() == tables
+    assert all(ref() is None for ref in scenarios)
 
 
 def test_no_table_survives_a_sweep(monkeypatch):
     base = default_scenario(trials=5)
-    tables = track_tables(monkeypatch)
-    sweep_acceleration_experiment(base, GRID)
-    assert len(tables) == 1 and tables[0]() is None
-    # the second point's noise level has no finite square: NoiseSpec raises
-    # before any trial is drawn or run
-    draws = count_truth_draws(monkeypatch)
+    tables = live_tables()
     seen = spy_points(monkeypatch)
-    with pytest.raises(ValueError, match="finite square"):
-        sweep_velocity_experiment(base, (0.5, 1e160))
-    assert seen == []
-    assert draws == []
-    assert len(tables) == 1
+    sweep_acceleration_experiment(base, GRID)
+    assert len(seen) == len(GRID)
+    assert_points_freed(seen, tables)
+    # a sweep that raises while it scores its second point leaves none behind
+    spy = montecarlo._score_point
 
-    def broken(scenario, trial_index, weight_rule):
-        raise RuntimeError("trial failed")
+    def broken(scenario, weight_rule, threads):
+        if seen:
+            raise RuntimeError("point failed")
+        return spy(scenario, weight_rule, threads)
 
-    monkeypatch.setattr(montecarlo, "run_trial", broken)
+    monkeypatch.setattr(montecarlo, "_score_point", broken)
     with pytest.raises(RuntimeError):
         sweep_velocity_experiment(base, GRID)
-    gc.collect()        # the exception's traceback held the sweep's frame
-    assert len(tables) == 2 and tables[1]() is None
+    assert len(seen) == 1
+    # the collection also frees the frames the exception's traceback held
+    assert_points_freed(seen, tables)
 
 
 SWEEPS = {
@@ -293,32 +317,40 @@ SWEEPS = {
 
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("sweep", tuple(SWEEPS))
-def test_a_trial_run_during_a_sweep_equals_a_lone_call(monkeypatch, sweep, threads):
-    # a wrapper runs trials of its own at each point's trial 1: another
-    # scenario's, an earlier point's and one past the point's table; each
-    # record equals the one a call outside any sweep returns, and the sweep's
-    # points do not move
-    monkeypatch.setattr(montecarlo, "_available_cpus", lambda: 2)
+def test_a_trial_run_during_a_sweep_equals_a_lone_call(monkeypatch, two_cpus, sweep, threads):
+    # while each point is scored, a user thread runs trials of its own:
+    # another scenario's, an earlier point's, the point's own and one past
+    # the point's trials; each record equals the one a call on an unshared
+    # scenario returns, and the sweep's points do not move
     base, other = default_scenario(trials=6, seed=4), default_scenario(trials=3, seed=99)
     want = [point_key(p) for p in SWEEPS[sweep](base, threads).points]
-    real = montecarlo.run_trial
+    real = montecarlo._score_point
     points, calls = [], []
 
-    def spy(scenario, trial_index, weight_rule=PROPAGATED):
-        if trial_index == 1:
-            points.append(scenario)
-            calls.extend([(other, 0, real(other, 0)),
-                          (points[0], 0, real(points[0], 0)),
-                          (scenario, 8, real(scenario, 8))])
-        return real(scenario, trial_index, weight_rule)
+    def score_beside_a_user_thread(scenario, weight_rule, threads):
+        points.append(scenario)
+        jobs = ((other, 0), (points[0], 0), (scenario, 1), (scenario, 8))
+        user = threading.Thread(
+            target=lambda: calls.extend((s, i, run_trial(s, i)) for s, i in jobs))
+        user.start()
+        try:
+            return real(scenario, weight_rule, threads)
+        finally:
+            user.join()
 
-    monkeypatch.setattr(montecarlo, "run_trial", spy)
-    assert [point_key(p) for p in SWEEPS[sweep](base, threads).points] == want
-    assert len(points) == len(GRID) and all(p._point is not None for p in points)
+    monkeypatch.setattr(montecarlo, "_score_point", score_beside_a_user_thread)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        got = [point_key(p) for p in SWEEPS[sweep](base, threads).points]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
+    assert len(points) == len(GRID) and len(calls) == 4 * len(GRID)
     for scenario, trial_index, record in calls:
-        lone = replace(scenario)       # the same fields, and no table
-        assert lone._point is None and repr(lone) == repr(scenario)
-        assert record_key(record) == record_key(real(lone, trial_index))
+        lone = replace(scenario)       # the same fields, and nothing the sweep shares
+        assert repr(lone) == repr(scenario)
+        assert record_key(record) == record_key(run_trial(lone, trial_index))
 
 
 @pytest.mark.parametrize("threads, error, message", [
@@ -341,19 +373,23 @@ def test_threads_that_is_no_count_of_workers_runs_no_trial(monkeypatch, threads,
 
 
 def test_concurrent_sweeps_keep_their_own_tables(monkeypatch):
-    # four sweeps of different seeds, more threads than cores, step through
-    # their trials in lockstep with a short switch interval, so each runs
-    # while the others' tables are filled; a table shared between them would
-    # hand one sweep another's trials
+    # four sweeps of different seeds, more threads than cores, draw each truth
+    # and start each point in lockstep with a short switch interval, so each
+    # fills its table and scores its points while the others do; a table
+    # shared between them would hand one sweep another's trials
     bases = [default_scenario(trials=15, seed=seed) for seed in (1, 2, 3, 4)]
     want = [[point_key(p) for p in sweep_velocity_experiment(b, GRID).points] for b in bases]
     barrier = threading.Barrier(len(bases), timeout=60)
-    real = montecarlo.run_trial
+    real_truth, real_score = montecarlo.sample_truth, montecarlo._score_point
     got, errors = [None] * len(bases), []
 
-    def lockstep(scenario, trial_index, weight_rule):
+    def truth_in_lockstep(scenario, rng):
         barrier.wait()
-        return real(scenario, trial_index, weight_rule)
+        return real_truth(scenario, rng)
+
+    def score_in_lockstep(scenario, weight_rule, threads):
+        barrier.wait()
+        return real_score(scenario, weight_rule, threads)
 
     def run(k):
         try:
@@ -363,7 +399,8 @@ def test_concurrent_sweeps_keep_their_own_tables(monkeypatch):
             errors.append(exc)
             barrier.abort()
 
-    monkeypatch.setattr(montecarlo, "run_trial", lockstep)
+    monkeypatch.setattr(montecarlo, "sample_truth", truth_in_lockstep)
+    monkeypatch.setattr(montecarlo, "_score_point", score_in_lockstep)
     threads = [threading.Thread(target=run, args=(k,)) for k in range(len(bases))]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -379,21 +416,8 @@ def test_concurrent_sweeps_keep_their_own_tables(monkeypatch):
     assert got == want
 
 
-def count_position_solves(monkeypatch) -> list:
-    """Patch ``_kernels.position_solve`` to append 1 per call to the returned list."""
-    calls = []
-    real = _kernels.position_solve
-
-    def counted(*args):
-        calls.append(1)
-        return real(*args)
-
-    monkeypatch.setattr(_kernels, "position_solve", counted)
-    return calls
-
-
 @pytest.mark.parametrize("experiment", tuple(EXPERIMENTS))
-def test_position_is_solved_once_per_trial_and_sweep(monkeypatch, experiment):
+def test_position_is_solved_once_per_trial_and_sweep(monkeypatch, two_cpus, experiment):
     sweep = EXPERIMENTS[experiment][0]
     base = default_scenario(trials=12, seed=4)
     calls = count_position_solves(monkeypatch)
@@ -404,10 +428,24 @@ def test_position_is_solved_once_per_trial_and_sweep(monkeypatch, experiment):
     run_ensemble(base)
     assert len(calls) == 12
     # a pool's workers reuse the table's positions as well
-    monkeypatch.setattr(montecarlo, "_available_cpus", lambda: 2)
     calls.clear()
     sweep(base, GRID, PROPAGATED, 2)
     assert len(calls) == 12
+
+
+def counted_run(counters, run):
+    """``run`` wrapped to clear each list in ``counters`` first; the returned
+    list gets the lengths they reached during each call."""
+    counts = []
+
+    def counted():
+        for counter in counters:
+            counter.clear()
+        result = run()
+        counts.append([len(counter) for counter in counters])
+        return result
+
+    return counted, counts
 
 
 @pytest.mark.parametrize("ranges, solves", [
@@ -424,12 +462,12 @@ def test_sweep_of_sigma_range_equals_unshared_points(monkeypatch, ranges, solves
 
     calls = count_position_solves(monkeypatch)
     for rule in RULES:
-        assert_matches_unshared(
-            monkeypatch, base, "constant_acceleration", noise_for, rule, GRID,
-            lambda: montecarlo._sweep(base, "sigma_range", GRID, "constant_acceleration",
-                                      noise_for, rule, 1))
-    # per rule: the unshared reference solves every point, the sweep `solves` of them
-    assert len(calls) == len(RULES) * 15 * (len(GRID) + solves)
+        run, counts = counted_run([calls], lambda: montecarlo._sweep(
+            base, "sigma_range", GRID, "constant_acceleration", noise_for, rule, 1))
+        assert_matches_unshared(monkeypatch, base, "constant_acceleration", noise_for, rule,
+                                GRID, run)
+        # one solve per trial for each run of equal sigma_range
+        assert counts == [[15 * solves]]
 
 
 def test_position_survives_a_later_stage_failing(monkeypatch):
@@ -439,21 +477,16 @@ def test_position_survives_a_later_stage_failing(monkeypatch):
     def noise_for(s):
         return NoiseSpec(1.0, 1e150 if s == GRID[0] else s, 0.1)
 
-    calls = count_position_solves(monkeypatch)
-    records = assert_matches_unshared(
-        monkeypatch, base, "constant_velocity", noise_for, PROPAGATED, GRID,
+    run, counts = counted_run(
+        [count_position_solves(monkeypatch), count_truth_draws(monkeypatch)],
         lambda: montecarlo._sweep(base, "sigma_range_rate", GRID, "constant_velocity",
                                   noise_for, PROPAGATED, 1))
+    records = assert_matches_unshared(monkeypatch, base, "constant_velocity", noise_for,
+                                      PROPAGATED, GRID, run)
     assert {r.failure for r in records[0]} == {"SingularGeometry"}
     assert all(r.ok for r in records[1] + records[2])
-    calls.clear()
-    draws = count_truth_draws(monkeypatch)
-    seen = spy_points(monkeypatch)
-    montecarlo._sweep(base, "sigma_range_rate", GRID, "constant_velocity", noise_for,
-                      PROPAGATED, 1)
-    assert len(calls) == 10
-    assert [entries for _, entries in seen] == [10, 10, 10]
-    assert len(draws) == 10
+    # each trial drawn and its position solved once, before the failing stage
+    assert counts == [[10, 10]]
 
 
 @pytest.mark.parametrize("experiment", tuple(EXPERIMENTS))
@@ -461,38 +494,43 @@ def test_degenerate_position_fails_alike_at_every_point(monkeypatch, experiment)
     # four sensors on the diagonal: the trilateration Gram matrix is rank-deficient
     line = [[-50.0, -50.0], [0.0, 0.0], [50.0, 50.0], [120.0, 120.0]]
     base = default_scenario(trials=10, seed=8, sensors=line)
-    calls = count_position_solves(monkeypatch)
-    records = assert_sweep_matches_unshared(monkeypatch, base, experiment, PROPAGATED)
+    sweep, mode, noise_for = EXPERIMENTS[experiment]
+    run, counts = counted_run([count_position_solves(monkeypatch)],
+                              lambda: sweep(base, GRID, PROPAGATED))
+    records = assert_matches_unshared(monkeypatch, base, mode, lambda s: noise_for(base, s),
+                                      PROPAGATED, GRID, run)
     for point in records:
         assert [r.failure for r in point] == ["DegenerateGeometry"] * 10
         assert [record_key(r) for r in point] == [record_key(r) for r in records[0]]
-    # the reference solves at every point, the sweep once per trial; the
-    # failure is kept in the table like a solution
-    assert len(calls) == 10 * (len(GRID) + 1)
+    # the sweep solves once per trial: the failure is kept like a solution
+    assert counts == [[10]]
 
 
+@pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("experiment", tuple(EXPERIMENTS))
-def test_reused_points_carry_the_solved_position_time(monkeypatch, experiment):
+def test_reused_points_carry_the_solved_position_time(monkeypatch, two_cpus, experiment,
+                                                      threads):
+    # each later point's position-time column is the first point's, element by
+    # element: the time measured when the trial's position was solved
     sweep = EXPERIMENTS[experiment][0]
     seen = spy_points(monkeypatch)
-    sweep(default_scenario(trials=20, seed=12), GRID)
-    first = seen[0][0]
-    assert all(r.ok for r in first)
-    for records, _ in seen[1:]:
-        for rec, solved in zip(records, first):
-            assert sorted(rec.stage_times) == sorted(montecarlo.METHODS)
-            assert rec.stage_times["position"] == solved.stage_times["position"]
-            assert rec.estimates.position is solved.estimates.position
+    sweep(default_scenario(trials=20, seed=12), GRID, PROPAGATED, threads)
+    (_, first, failures), *later = seen
+    assert failures == 0 and [len(c) for c in first] == [20] * 2 * len(METHODS)
+    for _, columns, failures in later:
+        assert failures == 0 and [len(c) for c in columns] == [20] * 2 * len(METHODS)
+        assert _bits(*columns[TIMES][0]) == _bits(*first[TIMES][0])
 
 
-def test_overflowing_noise_anywhere_in_the_grid_runs_no_trial(monkeypatch):
-    # 1e200 squared overflows: every point's NoiseSpec is built before the
-    # table is drawn, so the three valid points before it run no trial either
+@pytest.mark.parametrize("grid", [(0.1, 0.3, 1.0, 1e200), (0.5, 1e160)])
+def test_overflowing_noise_anywhere_in_the_grid_runs_no_trial(monkeypatch, grid):
+    # the last value squared overflows: every point's NoiseSpec is built before
+    # the table is drawn, so the valid points before it run no trial either
     seen = spy_points(monkeypatch)
     draws = count_truth_draws(monkeypatch)
     for sweep in (sweep_velocity_experiment, sweep_acceleration_experiment):
         with pytest.raises(ValueError, match="finite square"):
-            sweep(default_scenario(trials=10), (0.1, 0.3, 1.0, 1e200))
+            sweep(default_scenario(trials=10), grid)
     assert seen == []
     assert draws == []
 
@@ -599,42 +637,26 @@ def test_trial_tables_take_no_trial_down_the_list_path(monkeypatch):
 def test_one_thread_sweep_holds_one_trial_record_at_a_time(monkeypatch, experiment, grid,
                                                            successes):
     # each point folds its trials' floats into columns and drops each record,
-    # failed ones too, before the next trial starts
+    # failed ones too, before the next is made: whenever a record is made, no
+    # other one is alive.  A sweep that makes no record at all keeps this too
     sweep = EXPERIMENTS[experiment][0]
-    records, alive = [], []
-    real = montecarlo.run_trial
+    made, alive = [], []
 
-    def spy(scenario, trial_index, weight_rule):
-        alive.append(sum(ref() is not None for ref in records))
-        record = real(scenario, trial_index, weight_rule)
-        records.append(weakref.ref(record))
-        return record
+    class Tracked(montecarlo.TrialRecord):
+        def __init__(self, *args, **kwargs):
+            alive.append(sum(ref() is not None for ref in made))
+            super().__init__(*args, **kwargs)
+            made.append(weakref.ref(self))
 
-    monkeypatch.setattr(montecarlo, "run_trial", spy)
+    monkeypatch.setattr(montecarlo, "TrialRecord", Tracked)
     result = sweep(default_scenario(trials=15), grid)
     assert [p.successes for p in result.points] == successes
-    assert alive == [0] * 45
-
-
-@pytest.mark.parametrize("threads, ensembles", [(1, 0), (2, len(GRID))])
-def test_only_a_pooled_sweep_runs_its_points_through_run_ensemble(monkeypatch, threads,
-                                                                   ensembles):
-    # the choice follows the threads argument, not the workers a host gives:
-    # with one CPU a threads=2 sweep still runs each point's trials in run_ensemble
-    monkeypatch.setattr(montecarlo, "_available_cpus", lambda: 1)
-    calls = []
-    real = montecarlo.run_ensemble
-    monkeypatch.setattr(montecarlo, "run_ensemble", lambda *a: calls.append(a[2]) or real(*a))
-    seen = spy_points(monkeypatch)
-    sweep_velocity_experiment(default_scenario(trials=6), GRID, PROPAGATED, threads)
-    assert calls == [threads] * ensembles
-    assert [len(records) for records, _ in seen] == [6] * len(GRID)
+    assert max(alive, default=0) == 0
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_sweep_rmses_equal_rmse_of_the_points_records_bit_for_bit(monkeypatch, threads):
+def test_sweep_rmses_equal_rmse_of_the_points_records_bit_for_bit(two_cpus, threads):
     # at 6e76 some trials' stage-2 solves overflow, at 1e150 every one does
-    monkeypatch.setattr(montecarlo, "_available_cpus", lambda: 2)
     base = default_scenario(trials=40, seed=7)
     grid = (0.5, 6e76, 1e150)
     result = sweep_velocity_experiment(base, grid, PROPAGATED, threads)
@@ -643,7 +665,7 @@ def test_sweep_rmses_equal_rmse_of_the_points_records_bit_for_bit(monkeypatch, t
         records = run_ensemble(replace(base, noise=noise, motion_mode="constant_velocity"))
         successes = sum(rec.ok for rec in records)
         assert (point.failures, point.successes) == (len(records) - successes, successes)
-        for m in montecarlo.METHODS:
+        for m in METHODS:
             got = getattr(point, f"rmse_{m}")
             if successes:
                 assert got.hex() == rmse(records, m).hex()
@@ -653,23 +675,21 @@ def test_sweep_rmses_equal_rmse_of_the_points_records_bit_for_bit(monkeypatch, t
 
 
 def test_boxes_are_checked_once_per_sweep(monkeypatch):
-    # each point's scenario takes the checked fields of the sweep's base as they are
+    # when the base is built; each point's scenario takes the checked fields of
+    # the sweep's base as they are
     checked = []
     real = montecarlo._as_box
     monkeypatch.setattr(montecarlo, "_as_box",
                         lambda value, name: checked.append(name) or real(value, name))
-    seen = []
-    real_trial = montecarlo.run_trial
-    monkeypatch.setattr(montecarlo, "run_trial",
-                        lambda scenario, *a: seen.append(scenario) or real_trial(scenario, *a))
     for sweep, mode, noise_for in EXPERIMENTS.values():
         checked.clear()
-        seen.clear()
         base = default_scenario(trials=3)
-        sweep(base, GRID)
+        with monkeypatch.context() as patch:
+            seen = spy_points(patch)
+            sweep(base, GRID)
         assert checked == ["position_box", "velocity_box", "acceleration_box"]
-        assert len(seen) == 3 * len(GRID)
-        for scenario, sigma in zip(seen[::3], GRID):
+        assert len(seen) == len(GRID)
+        for (scenario, _, _), sigma in zip(seen, GRID):
             assert scenario.motion_mode == mode and scenario.noise == noise_for(base, sigma)
             for field in ("sensors", "position_box", "velocity_box", "acceleration_box",
                           "trials", "seed"):
