@@ -55,6 +55,12 @@ def record_columns(records):
 
 
 @pytest.fixture
+def two_cpus(monkeypatch):
+    """Two pool workers for ``threads=2``, even on a one-CPU machine."""
+    monkeypatch.setattr(montecarlo, "_available_cpus", lambda: 2)
+
+
+@pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
 

@@ -215,7 +215,8 @@ class TestValidation:
     def test_sensor_shape_error_names_the_input_and_its_shape_as_given(self, positions, shape):
         with pytest.raises(ValueError) as exc:
             SensorArray(positions)
-        assert str(exc.value) == f"sensor positions must have shape (N, 2) with N >= 1, got {shape}"
+        assert str(exc.value) == ("sensor positions must have shape (N, 2) with N >= 1, "
+                                  f"got {shape}")
 
     def test_measurement_length_mismatch_rejected(self):
         with pytest.raises(ValueError):

@@ -272,7 +272,7 @@ class TestRmse:
         assert failed.mean_stage_times == dict.fromkeys(METHODS, 0.0)
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_point_scores_are_its_records_floats_in_trial_order(self, threads):
+    def test_point_scores_are_its_records_floats_in_trial_order(self, two_cpus, threads):
         # on a scenario that carries no sweep table too: at range-rate noise
         # 6e76 some trials' stage-2 solves overflow
         sc = default_scenario(trials=40, seed=7, noise=NoiseSpec(1.0, 6e76, 0.1))

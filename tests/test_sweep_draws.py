@@ -66,12 +66,6 @@ RING64 = np.column_stack((100.0 * np.cos(_ANGLES), 100.0 * np.sin(_ANGLES)))
 SQUARED, TIMES = slice(0, len(METHODS)), slice(len(METHODS), 2 * len(METHODS))
 
 
-@pytest.fixture
-def two_cpus(monkeypatch):
-    """Two pool workers for ``threads=2``, even on a one-CPU machine."""
-    monkeypatch.setattr(montecarlo, "_available_cpus", lambda: 2)
-
-
 def _bits(*values) -> bytes:
     return struct.pack(f"<{len(values)}d", *values)
 
@@ -235,24 +229,6 @@ def test_threads_1_and_2_agree(monkeypatch, two_cpus, experiment):
     assert_sweep_matches_unshared(monkeypatch, base, experiment, PROPAGATED, threads=2)
 
 
-def test_pooled_columns_equal_one_thread_columns_element_by_element(monkeypatch, two_cpus):
-    # at 6e76 some trials' stage-2 solves overflow, at 1e150 every one does.
-    # np.mean's bits depend on the order of a column, so a pool must hand back
-    # each point's scores in trial order, not only the same set of them
-    base = default_scenario(trials=40, seed=7)
-    grid = (0.5, 6e76, 1e150)
-    scores = []
-    for threads in (1, 2):
-        with monkeypatch.context() as patch:
-            seen = spy_points(patch)
-            sweep_velocity_experiment(base, grid, PROPAGATED, threads)
-        scores.append([(failures, [_bits(*c) for c in columns[SQUARED]],
-                        [len(c) for c in columns]) for _, columns, failures in seen])
-    assert scores[0] == scores[1]
-    (none, _, _), (some, _, _), (every, _, lengths) = scores[0]
-    assert none == 0 and 0 < some < 40 and every == 40 and lengths == []
-
-
 def test_each_trial_is_drawn_once_per_sweep(monkeypatch, two_cpus):
     draws = count_truth_draws(monkeypatch)
     # a pool's workers read the draws a one-thread sweep reads
@@ -320,21 +296,29 @@ SWEEPS = {
 def test_a_trial_run_during_a_sweep_equals_a_lone_call(monkeypatch, two_cpus, sweep, threads):
     # while each point is scored, a user thread runs trials of its own:
     # another scenario's, an earlier point's, the point's own and one past
-    # the point's trials; each record equals the one a call on an unshared
-    # scenario returns, and the sweep's points do not move
+    # the point's trials.  The sweep's own thread runs them too, just before
+    # and just after the point, where state kept per thread or per context
+    # (a ContextVar, a threading.local) would still hold the sweep's table.
+    # Each record equals the one a call on an unshared scenario returns, and
+    # the sweep's points do not move
     base, other = default_scenario(trials=6, seed=4), default_scenario(trials=3, seed=99)
     want = [point_key(p) for p in SWEEPS[sweep](base, threads).points]
     real = montecarlo._score_point
     points, calls = [], []
 
+    def run_jobs(jobs):
+        calls.extend((s, i, run_trial(s, i)) for s, i in jobs)
+
     def score_beside_a_user_thread(scenario, weight_rule, threads):
         points.append(scenario)
         jobs = ((other, 0), (points[0], 0), (scenario, 1), (scenario, 8))
-        user = threading.Thread(
-            target=lambda: calls.extend((s, i, run_trial(s, i)) for s, i in jobs))
+        user = threading.Thread(target=run_jobs, args=(jobs,))
         user.start()
         try:
-            return real(scenario, weight_rule, threads)
+            run_jobs(jobs)
+            scores = real(scenario, weight_rule, threads)
+            run_jobs(jobs)
+            return scores
         finally:
             user.join()
 
@@ -346,7 +330,7 @@ def test_a_trial_run_during_a_sweep_equals_a_lone_call(monkeypatch, two_cpus, sw
     finally:
         sys.setswitchinterval(interval)
     assert got == want
-    assert len(points) == len(GRID) and len(calls) == 4 * len(GRID)
+    assert len(points) == len(GRID) and len(calls) == 3 * 4 * len(GRID)
     for scenario, trial_index, record in calls:
         lone = replace(scenario)       # the same fields, and nothing the sweep shares
         assert repr(lone) == repr(scenario)
@@ -638,7 +622,8 @@ def test_one_thread_sweep_holds_one_trial_record_at_a_time(monkeypatch, experime
                                                            successes):
     # each point folds its trials' floats into columns and drops each record,
     # failed ones too, before the next is made: whenever a record is made, no
-    # other one is alive.  A sweep that makes no record at all keeps this too
+    # other one is alive.  Every trial of every point makes one record, so
+    # the count shows that the subclass sees the sweep's records
     sweep = EXPERIMENTS[experiment][0]
     made, alive = [], []
 
@@ -651,14 +636,20 @@ def test_one_thread_sweep_holds_one_trial_record_at_a_time(monkeypatch, experime
     monkeypatch.setattr(montecarlo, "TrialRecord", Tracked)
     result = sweep(default_scenario(trials=15), grid)
     assert [p.successes for p in result.points] == successes
-    assert max(alive, default=0) == 0
+    assert len(alive) == 15 * len(grid)
+    assert max(alive) == 0
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_sweep_rmses_equal_rmse_of_the_points_records_bit_for_bit(two_cpus, threads):
-    # at 6e76 some trials' stage-2 solves overflow, at 1e150 every one does
+def test_sweep_rmses_equal_rmse_of_the_points_records_bit_for_bit(monkeypatch, two_cpus,
+                                                                 threads):
+    # at 6e76 some trials' stage-2 solves overflow, at 1e150 every one does.
+    # np.mean's bits depend on the order of a column, so at either thread
+    # count each point's columns must hold the lone trials' scores in trial
+    # order, not only the same set of them
     base = default_scenario(trials=40, seed=7)
     grid = (0.5, 6e76, 1e150)
+    assert_sweep_matches_unshared(monkeypatch, base, "velocity", PROPAGATED, grid, threads)
     result = sweep_velocity_experiment(base, grid, PROPAGATED, threads)
     for point, sigma in zip(result.points, grid):
         noise = NoiseSpec(1.0, sigma, base.noise.sigma_drr)
