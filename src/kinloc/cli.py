@@ -76,21 +76,6 @@ def _as_bool(key, value):
     return value
 
 
-# the config format's own shape rules: the library reads a scalar as one
-# measurement and one [x, y] pair as one sensor
-def _measurement_list(value, name):
-    if not isinstance(value, (list, tuple)) or not value:
-        raise ValueError(f"{name} must be a nonempty list of numbers")
-    return model._measurement_vector(value, name)[0]
-
-
-def _sensor_list(value, name):
-    positions = SensorArray(value).positions
-    if np.shape(value) != positions.shape:
-        raise ValueError(f"{name} must be a list of [x, y] pairs")
-    return positions
-
-
 # every setting once: (validator, default or None, argparse settings of its
 # flag or None); a config file may set any of them and nothing else, and a
 # subcommand takes --config and the flags _COMMANDS lists for it.  Every value
@@ -109,7 +94,7 @@ _SETTINGS = {
     "threads": (_read(model._as_index, 1), 1, dict(type=int, metavar="T")),
     "timing": (_as_bool, False, dict(action="store_const", const=True,
                                      help="report measured per-trial times in the CSV")),
-    "sensors": (_read(_sensor_list), None, None),
+    "sensors": (_read(model._finite, (None, 2)), None, None),
     "position_box": (_read(montecarlo._as_box), None, None),
     "velocity_box": (_read(montecarlo._as_box), None, None),
     "acceleration_box": (_read(montecarlo._as_box), None, None),
@@ -119,9 +104,9 @@ _SETTINGS = {
     "position": (_read(model.as_vec2), None, None),
     "velocity": (_read(model.as_vec2), None, None),
     "acceleration": (_read(model.as_vec2), None, None),
-    "ranges": (_read(_measurement_list), None, None),
-    "range_rates": (_read(_measurement_list), None, None),
-    "drrs": (_read(_measurement_list), None, None),
+    "ranges": (_read(model._finite, (None,)), None, None),
+    "range_rates": (_read(model._finite, (None,)), None, None),
+    "drrs": (_read(model._finite, (None,)), None, None),
 }
 
 
@@ -257,9 +242,6 @@ def cmd_estimate(config) -> int:
                               f"{', '.join(missing)}")
         measurements = MeasurementSet(config["ranges"], config["range_rates"],
                                       config["drrs"], _noise(config))
-        if len(measurements.ranges) != len(sensors):
-            raise ConfigError(f"got {len(measurements.ranges)} measurements for "
-                              f"{len(sensors)} sensors")
 
     result = estimate_all(measurements, sensors, _weight_rule(config))
     if config["format"] == "json":

@@ -189,13 +189,8 @@ def _solve2(bx, by, rhs, weights, method, gram=None) -> KinematicEstimate:
 
 
 def _stage_columns(B, rhs, per_row, name):
-    B, rhs, per_row = _finite(B, "B"), _finite(rhs, "rhs"), _finite(per_row, name)
-    if B.ndim != 2 or B.shape[1] != 2:
-        raise ValueError(f"B must have shape (N, 2), got {B.shape}")
-    if B.shape[0] == 0:
-        raise ValueError("stage system is empty: B has no rows")
-    if rhs.shape != (B.shape[0],) or per_row.shape != (B.shape[0],):
-        raise ValueError(f"rhs and {name} must be N-vectors matching B")
+    B = _finite(B, "B", (None, 2))
+    rhs, per_row = _finite(rhs, "rhs", (len(B),)), _finite(per_row, name, (len(B),))
     return B[:, 0].tolist(), B[:, 1].tolist(), rhs.tolist(), per_row.tolist()
 
 

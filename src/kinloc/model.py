@@ -70,10 +70,15 @@ def _as_index(value, name: str, low: int | None = None) -> int:
     return index
 
 
-def _real_array(value, name: str) -> np.ndarray:
-    """``value`` as a float64 array.  ValueError "<name> must be a rectangular array" if
-    ragged; ``_real``'s TypeError for an entry that is not a real number, each read unless
-    ``value`` is an int or float ndarray; OverflowError for an integer past the float range."""
+def _finite(value, name: str, shape=None, ndmin: int = 0) -> np.ndarray:
+    """``value`` as a float64 array; every array input is read here, and each error
+    names the input.  In order: ValueError "<name> must be a rectangular array" if
+    ragged; ``_real``'s TypeError for an entry that is not a real number, each read
+    unless ``value`` is an int or float ndarray; ValueError "<name> must be finite" for
+    NaN, inf or an integer past the float range.  Then ``ndmin`` leading axes of length
+    1 are added, as ``np.array(..., ndmin=)`` does, and the result must match ``shape``,
+    each of whose entries is an exact length or None for any length >= 1 (printed as N):
+    ValueError otherwise, with the input's shape as given."""
     try:
         arr = np.asarray(value)
     except ValueError:          # numpy's message for a ragged list names no input
@@ -81,35 +86,24 @@ def _real_array(value, name: str) -> np.ndarray:
     if arr.dtype.kind not in "iuf" or not isinstance(value, np.ndarray):
         for entry in np.asarray(value, dtype=object).flat:
             _real(entry, name, "real numbers")
-    return arr.astype(np.float64, copy=False)
-
-
-def _finite(value, name: str) -> np.ndarray:
-    """``_real_array(value, name)``, with ValueError "<name> must be finite" if it holds
-    NaN, inf or an integer past the float range.  Every array input but ``as_vec2``'s is
-    read here; the caller checks the shape."""
     try:
-        arr = _real_array(value, name)
+        arr = arr.astype(np.float64, copy=False)
     except OverflowError:
         raise ValueError(f"{name} must be finite") from None
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} must be finite")
+    given = arr.shape
+    arr = arr.reshape((1,) * (ndmin - arr.ndim) + given)
+    if shape is not None and (arr.ndim != len(shape) or any(
+            n < 1 if want is None else n != want for n, want in zip(arr.shape, shape))):
+        spec = str(tuple("N" if want is None else want for want in shape)).replace("'", "")
+        raise ValueError(f"{name} must have shape {spec}, got {given}")
     return arr
 
 
 def as_vec2(value, name: str = "vector") -> np.ndarray:
-    """Coerce to a fresh read-only float64 array of shape (2,), rejecting NaN/Inf and,
-    as ``_real_array`` does, entries that are not real numbers."""
-    try:
-        arr = np.atleast_1d(_real_array(value, name))
-    except OverflowError:       # an integer past the float range
-        raise ValueError(f"{name} must be finite, got an integer too large for a float") from None
-    if arr.shape != (2,):
-        raise ValueError(f"{name} must have exactly 2 components, got shape {arr.shape}")
-    x, y = arr.tolist()
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise ValueError(f"{name} must be finite, got {arr}")
-    return np.frombuffer(arr.tobytes())
+    """``_finite(value, name, (2,))`` as a fresh read-only array."""
+    return np.frombuffer(_finite(value, name, (2,)).tobytes())
 
 
 # eq=False, as on every class with array fields: == is identity; a generated one raises
@@ -120,11 +114,8 @@ class SensorArray:
     positions: np.ndarray
 
     def __post_init__(self):
-        given = _finite(self.positions, "sensor positions")
-        pos = np.atleast_2d(given)
-        if pos.ndim != 2 or pos.shape[1] != 2 or pos.shape[0] < 1:
-            raise ValueError("sensor positions must have shape (N, 2) with N >= 1, "
-                             f"got {given.shape}")
+        # a lone [x, y] is one sensor
+        pos = _finite(self.positions, "sensor positions", (None, 2), ndmin=2)
         object.__setattr__(self, "positions", _frozen_array(pos))
 
     def __len__(self) -> int:
@@ -194,11 +185,9 @@ class NoiseSpec:
 
 
 def _measurement_vector(values, name: str):
-    """(read-only float64 array, the same values as a list of floats)."""
-    arr = _finite(values, name)
-    if arr.ndim > 1:
-        raise ValueError(f"{name} must be one-dimensional")
-    arr = np.frombuffer(arr.tobytes())      # the only copy; a scalar gives shape (1,)
+    """(read-only float64 array, the same values as a list of floats); a scalar is
+    one measurement."""
+    arr = np.frombuffer(_finite(values, name, (None,), ndmin=1).tobytes())  # the only copy
     return arr, arr.tolist()
 
 

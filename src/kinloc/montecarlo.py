@@ -66,9 +66,7 @@ _TRIAL_ERRORS = (ZeroRange, TooFewSensors, DegenerateGeometry, SingularGeometry)
 
 
 def _as_box(value, name: str) -> np.ndarray:
-    box = _finite(value, name)
-    if box.shape != (2, 2):
-        raise ValueError(f"{name} must be ((xmin, ymin), (xmax, ymax)), got shape {box.shape}")
+    box = _finite(value, name, (2, 2))
     if np.any(box[0] > box[1]):
         raise ValueError(f"{name} must have min <= max componentwise")
     (x0, y0), (x1, y1) = box.tolist()
@@ -80,7 +78,7 @@ def _as_box(value, name: str) -> np.ndarray:
 @dataclass(frozen=True, eq=False)      # == is identity, as for model's array classes
 class Scenario:
     sensors: SensorArray
-    position_box: np.ndarray          # ((xmin, ymin), (xmax, ymax)) m
+    position_box: np.ndarray          # m; rows (xmin, ymin) and (xmax, ymax)
     velocity_box: np.ndarray          # m/s
     acceleration_box: np.ndarray      # m/s^2
     noise: NoiseSpec

@@ -66,13 +66,12 @@ def dense_wls_solve(rows, rhs, weights) -> np.ndarray:
 
     Scales the system by sqrt(w) and solves with numpy's lstsq, a different
     factorization path than the production normal equations.  Raises
-    ValueError, naming the input, unless rows, rhs and weights are finite.
+    ValueError, naming the input, unless rows is a finite matrix and rhs and
+    weights are finite vectors with one entry per row.
     """
-    rows = model._finite(rows, "rows")
-    rhs = model._finite(rhs, "rhs")
-    weights = model._finite(weights, "weights")
-    if rows.ndim != 2:
-        raise ValueError("rows must be a 2-D matrix")
+    rows = model._finite(rows, "rows", (None, None))
+    rhs = model._finite(rhs, "rhs", (len(rows),))
+    weights = model._finite(weights, "weights", (len(rows),))
     if np.any(weights <= 0.0):
         raise ValueError("weights must be positive")
     sw = np.sqrt(weights)

@@ -134,7 +134,8 @@ class TestEstimate:
         cfg = write_config(tmp_path, {"ranges": [1.0, 2.0], "range_rates": [0.0, 0.0],
                                       "drrs": [0.0, 0.0]})
         code, _, err = run(["estimate", "--config", cfg], capsys)
-        assert code == 2 and "2 measurements" in err
+        assert (code, err) == (2, "ValueError: measurement count 2 does not match sensor "
+                                  "count 8\n")
 
 
 NAN, BIG = float("nan"), 10 ** 400     # JSON writes NaN, and BIG as its 401 digits
@@ -158,7 +159,7 @@ BOX_CASES = [
     ("bool-entry", [[True, 3.0], [4.0, 5.0]], "{key} must be real numbers, got True"),
     ("nan", [[NAN, 0.0], [1.0, 1.0]], "{key} must be finite"),
     ("10**400", [[0.0, 0.0], [BIG, 1.0]], "{key} must be finite"),
-    ("shape", [[0.0, 0.0]], "{key} must be ((xmin, ymin), (xmax, ymax)), got shape (1, 2)"),
+    ("shape", [[0.0, 0.0]], "{key} must have shape (2, 2), got (1, 2)"),
     ("range", [[1.0, 1.0], [0.0, 0.0]], "{key} must have min <= max componentwise"),
 ]
 SIGMA_CASES = [
@@ -173,18 +174,18 @@ VECTOR_CASES = [
     ("str", "x", "{key} must be real numbers, got 'x'"),
     ("true", True, "{key} must be real numbers, got True"),
     ("bool-entry", [True, 3.0], "{key} must be real numbers, got True"),
-    ("nan", [NAN, 1.0], "{key} must be finite, got [nan  1.]"),
-    ("10**400", [BIG, 0.0], "{key} must be finite, got an integer too large for a float"),
-    ("shape", [1.0, 2.0, 3.0], "{key} must have exactly 2 components, got shape (3,)"),
+    ("nan", [NAN, 1.0], "{key} must be finite"),
+    ("10**400", [BIG, 0.0], "{key} must be finite"),
+    ("shape", [1.0, 2.0, 3.0], "{key} must have shape (2,), got (3,)"),
 ]
 MEASUREMENT_CASES = [
-    ("str", "x", "{key} must be a nonempty list of numbers"),
-    ("true", True, "{key} must be a nonempty list of numbers"),
+    ("str", "x", "{key} must be real numbers, got 'x'"),
+    ("true", True, "{key} must be real numbers, got True"),
     ("bool-entry", [True, 3.0], "{key} must be real numbers, got True"),
     ("nan", [NAN], "{key} must be finite"),
     ("10**400", [1.0, BIG], "{key} must be finite"),
-    ("shape", [[1.0]], "{key} must be one-dimensional"),
-    ("range", [], "{key} must be a nonempty list of numbers"),
+    ("shape", [[1.0]], "{key} must have shape (N,), got (1, 1)"),
+    ("range", [], "{key} must have shape (N,), got (0,)"),
 ]
 
 # every numeric setting with a string, true, NaN, 10**400, a wrong shape and an
@@ -204,19 +205,16 @@ REJECTIONS = [
         ("range", [0.3, 0.1], "grid must be strictly increasing"),
     ]),
     *_rows("sensors", [
-        ("str", "x", "sensor positions must be real numbers, got 'x'"),
-        ("true", True, "sensor positions must be real numbers, got True"),
-        ("bool-entry", [[True, 3.0], [1.0, 2.0]],
-         "sensor positions must be real numbers, got True"),
-        ("nan", [[NAN, 0.0], [1.0, 2.0]], "sensor positions must be finite"),
-        ("10**400", [[BIG, 0.0], [1.0, 2.0]], "sensor positions must be finite"),
+        ("str", "x", "sensors must be real numbers, got 'x'"),
+        ("true", True, "sensors must be real numbers, got True"),
+        ("bool-entry", [[True, 3.0], [1.0, 2.0]], "sensors must be real numbers, got True"),
+        ("nan", [[NAN, 0.0], [1.0, 2.0]], "sensors must be finite"),
+        ("10**400", [[BIG, 0.0], [1.0, 2.0]], "sensors must be finite"),
         # the shape reported is the input's, as given
-        ("shape", [[1.0, 2.0, 3.0]],
-         "sensor positions must have shape (N, 2) with N >= 1, got (1, 3)"),
-        ("empty", [], "sensor positions must have shape (N, 2) with N >= 1, got (0,)"),
-        ("flat-triple", [1.0, 2.0, 3.0],
-         "sensor positions must have shape (N, 2) with N >= 1, got (3,)"),
-        ("flat-pair", [1.0, 2.0], "sensors must be a list of [x, y] pairs"),
+        ("shape", [[1.0, 2.0, 3.0]], "sensors must have shape (N, 2), got (1, 3)"),
+        ("empty", [], "sensors must have shape (N, 2), got (0,)"),
+        ("flat-triple", [1.0, 2.0, 3.0], "sensors must have shape (N, 2), got (3,)"),
+        ("flat-pair", [1.0, 2.0], "sensors must have shape (N, 2), got (2,)"),
     ]),
     *[row for key in ("position_box", "velocity_box", "acceleration_box")
       for row in _rows(key, BOX_CASES)],

@@ -166,7 +166,7 @@ class TestSolveLinearStage:
             solve_linear_stage(np.ones((3, 3)), np.ones(3), np.ones(3))
         with pytest.raises(ValueError):
             solve_linear_stage(np.ones((3, 2)), np.ones(4), np.ones(3))
-        with pytest.raises(ValueError, match="empty"):
+        with pytest.raises(ValueError, match=r"^B must have shape \(N, 2\), got \(0, 2\)$"):
             solve_linear_stage(np.zeros((0, 2)), [], [])
         B = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         for bad_B, rhs, w, name in (
@@ -231,7 +231,7 @@ class TestSolveSharedErrorStage:
             solve_shared_error_stage(B, [1.0, np.nan], np.ones(2), 0.0)
         with pytest.raises(ValueError, match="B must be finite"):
             solve_shared_error_stage([[1.0, 0.0], [0.0, np.inf]], rhs, np.ones(2), 0.0)
-        with pytest.raises(ValueError, match="empty"):
+        with pytest.raises(ValueError, match=r"^B must have shape \(N, 2\), got \(0, 2\)$"):
             solve_shared_error_stage(np.zeros((0, 2)), [], [], 0.0)
         # each variance finite though their sum overflows: accepted and solved
         est = solve_shared_error_stage([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [1.0, 2.0, 3.0],
@@ -867,11 +867,10 @@ class TestPipeline:
         truth = TargetState((30.0, 40.0), (10.0, -5.0), (1.0, 1.0))
         ms = synthesize_measurements(truth, sensors8, NoiseSpec(), rng)
         good = np.array([31.0, 39.0])
-        for bad, message in ((np.array([np.nan, 1.0]), "must be finite, got [nan  1.]"),
-                             ([1.0, np.inf], "must be finite, got [ 1. inf]"),
-                             (np.zeros(3), "must have exactly 2 components, got shape (3,)"),
-                             (np.zeros((1, 2)),
-                              "must have exactly 2 components, got shape (1, 2)")):
+        for bad, message in ((np.array([np.nan, 1.0]), "must be finite"),
+                             ([1.0, np.inf], "must be finite"),
+                             (np.zeros(3), "must have shape (2,), got (3,)"),
+                             (np.zeros((1, 2)), "must have shape (2,), got (1, 2)")):
             with pytest.raises(ValueError, match=r"^p_hat " + re.escape(message)):
                 estimate_velocity(ms, sensors8, bad)
             with pytest.raises(ValueError, match=r"^p_hat " + re.escape(message)):

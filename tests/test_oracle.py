@@ -106,6 +106,23 @@ class TestDenseWlsSolve:
             with pytest.raises(ValueError, match=f"^{label} must be finite$"):
                 dense_wls_solve(*bad)
 
+    # numpy broadcast each of these: an (N, 1) rhs gave a (2, N) "solution", a
+    # length-1 or scalar rhs or weights was solved, a (1, 2) row with 3 weights
+    # became 3 equal rows (SingularGeometry), and scalar weights raised IndexError
+    @pytest.mark.parametrize("rows, rhs, weights, message", [
+        (np.eye(3)[:, :2], np.ones((3, 1)), np.ones(3), "rhs must have shape (3,), got (3, 1)"),
+        (np.eye(3)[:, :2], [1.0], np.ones(3), "rhs must have shape (3,), got (1,)"),
+        (np.eye(3)[:, :2], 1.0, np.ones(3), "rhs must have shape (3,), got ()"),
+        (np.eye(3)[:, :2], np.ones(3), [1.0], "weights must have shape (3,), got (1,)"),
+        (np.eye(3)[:, :2], np.ones(3), 1.0, "weights must have shape (3,), got ()"),
+        ([[1.0, 0.0]], [1.0], np.ones(3), "weights must have shape (1,), got (3,)"),
+        (np.ones(3), np.ones(3), np.ones(3), "rows must have shape (N, N), got (3,)"),
+    ], ids=["rhs-column", "rhs-length-1", "rhs-scalar", "weights-length-1", "weights-scalar",
+            "one-row-three-weights", "rows-vector"])
+    def test_mis_shaped_input_rejected(self, rows, rhs, weights, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            dense_wls_solve(rows, rhs, weights)
+
     def test_cross_solver_agreement(self, rng):
         # the normal-equations production path vs the orthogonal-factorization
         # reference, on well-conditioned random stage systems
