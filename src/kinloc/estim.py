@@ -36,17 +36,18 @@ floats; arrays appear only where a public function takes one or a caller
 reads one: the result objects keep their estimates as floats and their
 pseudo-measurements as packed float64 bytes, and make each array on first read.
 
-The pipeline reads p_hat once, as floats, and runs private stage functions
-that take and return floats: the velocity stage returns its estimate with the
-weights and Gram sums of its solve, and each velocity stage forms its own
-d_i = a_i r_i, one multiply per row.  Each acceleration stage takes its
-velocity solve's components, weights and Gram sums: the LS stage, and the WLS
-stage under ``uniform`` and ``inverse_range``, solve with that Gram, forming
-only the right-hand-side sums, and the ``propagated`` error model needs no
-second pass over the rows.  ``estimate_velocity`` and
+Stage 3 is defined on the stage-2 solve that it follows, and there is one
+route to it.  The private velocity stage returns its estimate with the
+weights and Gram sums of its solve, and every acceleration stage takes them:
+the LS stage, and the WLS stage under ``uniform`` and ``inverse_range``,
+solve with that Gram, forming only the right-hand-side sums, and the
+``propagated`` error model needs no second pass over the rows.  The pipeline
+reads p_hat once, as floats, and hands each velocity solve's weights and Gram
+sums to its acceleration stage.  ``estimate_velocity`` and
 ``estimate_acceleration`` are the public wrappers, which check and convert
-the array arguments; an acceleration call given v_hat alone forms those sums
-from its rows, with the same bits.
+the array arguments; ``estimate_acceleration`` runs the velocity stage with
+its rule at p_hat for those sums, as the pipeline does, so it fails where
+that stage fails.
 """
 
 import math
@@ -71,8 +72,8 @@ class WeightRule:
     ``propagated`` weights velocity rows by 1/r as well, but solves the
     acceleration stage with the first-order covariance of its
     pseudo-measurements, propagated through those 1/r velocity weights (see
-    ``acceleration_error_model``).  ``row_weights`` turns the rule into
-    per-row weights; the velocity stage forms the same weights in its loop.
+    ``acceleration_error_model``).  The velocity stage forms each rule's
+    weights in its loop, and the acceleration stage takes them from there.
 
     ``WeightRule()`` stays the paper's 1/r rule so that library callers get
     the published estimator; the Monte Carlo drivers and the CLI default to
@@ -89,15 +90,6 @@ class WeightRule:
 
 UNIFORM = WeightRule(mode="uniform")
 PROPAGATED = WeightRule(mode="propagated")
-
-
-def row_weights(rhat, weight_rule: WeightRule) -> list:
-    """Per-row weights of a stage solve from the ranges r implied by p_hat:
-    ones under ``uniform``, 1/r under ``inverse_range`` and ``propagated``
-    (whose acceleration stage then reweights, see ``estimate_acceleration``)."""
-    if weight_rule.mode == "uniform":
-        return [1.0] * len(rhat)
-    return [1.0 / r for r in rhat]
 
 
 class _FirstRead:
@@ -183,7 +175,7 @@ def estimate_position(measurements: MeasurementSet, sensors: SensorArray) -> Pos
     return PositionSolution((x, y), theta3, resid, cond)
 
 
-def _solve2(bx, by, rhs, weights, method, gram=None) -> KinematicEstimate:
+def _solve2(bx, by, rhs, weights, method, gram) -> KinematicEstimate:
     x0, x1, cond = _kernels.wls_solve2(*_kernels.normal_sums(bx, by, rhs, weights, gram))
     return KinematicEstimate((x0, x1), method, cond, _packer(len(rhs))(*rhs))
 
@@ -211,7 +203,7 @@ def solve_linear_stage(B, rhs, weights) -> KinematicEstimate:
     # as in _shared_error_solve: an exact power-of-two scale that brings the
     # largest weight into [0.5, 1) keeps the Gram products within range
     e = math.frexp(highest)[1]
-    return _solve2(bx, by, rhs, [math.ldexp(w, -e) for w in weights], method)
+    return _solve2(bx, by, rhs, [math.ldexp(w, -e) for w in weights], method, None)
 
 
 def solve_shared_error_stage(B, rhs, variances, shared_variance: float) -> KinematicEstimate:
@@ -284,7 +276,7 @@ def _shared_error_solve(bx, by, rhs, var, s2) -> KinematicEstimate:
         ak += wi * (k - rk)
     keep = 1.0 / math.sqrt(1.0 + s2 * total)          # 1 - lam
     if keep == 1.0:
-        return _solve2(bx, by, rhs, w, "WLS")
+        return _solve2(bx, by, rhs, w, "WLS", None)
     shrink = (1.0 - keep) / total
     ox, oy, ok = keep * rx - shrink * ax, keep * ry - shrink * ay, keep * rk - shrink * ak
     # the normal-equation sums of the centred columns, formed as they are
@@ -310,8 +302,8 @@ def estimate_velocity(measurements: MeasurementSet, sensors: SensorArray, p_hat,
     """Velocity estimate from range rates, given the stage-1 position estimate.
 
     Solves rows (p_hat - p_i) against d_i = a_i * r_i, with r_i the range
-    implied by p_hat and weights from ``row_weights``.  Raises ZeroRange when
-    p_hat coincides with a sensor.
+    implied by p_hat, under weights 1 (``uniform``) or 1/r_i (the other
+    rules).  Raises ZeroRange when p_hat coincides with a sensor.
     """
     _check_lengths(measurements, sensors)
     px, py = as_vec2(p_hat, "p_hat").tolist()
@@ -321,8 +313,9 @@ def estimate_velocity(measurements: MeasurementSet, sensors: SensorArray, p_hat,
 def _velocity(measurements, sensors, px, py, weight_rule):
     """The velocity stage at p_hat = (px, py), as (estimate, weights,
     (g00, g01, g11)): the weights and Gram sums of its solve, which depend on
-    the rows alone.  One loop per rule forms d_i = a_i r_i, the weights of
-    ``row_weights`` and the sums of ``_kernels.normal_sums``, bit for bit."""
+    the rows alone and which every acceleration stage takes.  One loop per
+    rule forms d_i = a_i r_i, the weights (1 under ``uniform``, 1/r_i
+    otherwise) and the sums of ``_kernels.normal_sums``, bit for bit."""
     bx, by, rhat = _kernels.system_rows(sensors.xs, sensors.ys, px, py)
     d = []
     g00 = g01 = g11 = h0 = h1 = 0.0
@@ -381,16 +374,15 @@ def _pseudo_measurements(measurements, sensors, px, py, v0, v1) -> list:
 
 
 def acceleration_error_model(measurements: MeasurementSet, ranges, bx, by, velocity_weights,
-                             v0, v1, gram=None):
+                             v0, v1, gram):
     """First-order error model of the pseudo-measurements k_i, as (D, s2), D a list.
 
     ``ranges`` are the r_i that multiply b_i in k_i, ``bx`` and ``by`` the
     columns of the stage rows (p_hat - p_i), and ``velocity_weights`` the
     weights of the velocity solve that gave the floats v0, v1, all lists.
     ``gram`` is that solve's (g00, g01, g11), as ``_kernels.normal_sums``
-    returns them; without it G is formed here by ``normal_sums`` from the rows
-    and weights, so either way gives the same bits.  With
-    s_r, s_a, s_b from ``measurements.noise``, the per-row variances are
+    returns them.  With s_r, s_a, s_b from ``measurements.noise``, the
+    per-row variances are
     D_i = r_i^2 s_b^2 + 4 a_i^2 s_a^2 + b_i^2 s_r^2, and s2 = 4 v' Cov(v) v is
     the variance of the offset -2 v . dv that every row shares, where
     Cov(v) = G^-1 M G^-1 propagates the per-row variance r_i^2 s_a^2 +
@@ -405,8 +397,6 @@ def acceleration_error_model(measurements: MeasurementSet, ranges, bx, by, veloc
     var_r = noise.sigma_range * noise.sigma_range
     var_a = noise.sigma_range_rate * noise.sigma_range_rate
     var_b = noise.sigma_drr * noise.sigma_drr
-    if gram is None:        # the Gram half of the sums; the rhs does not enter it
-        gram = _kernels.normal_sums(bx, by, ranges, velocity_weights)[:3]
     g00, g01, g11 = gram
     variances = []
     m00 = m01 = m11 = 0.0
@@ -438,28 +428,26 @@ def estimate_acceleration(measurements: MeasurementSet, sensors: SensorArray, p_
     """Acceleration estimate from drr measurements, given stage-1/2 estimates.
 
     Solves rows (p_hat - p_i) against the pseudo-measurements k_i of
-    ``acceleration_pseudo_measurements``, with weights from ``row_weights``;
-    under the ``propagated`` rule it solves the GLS problem of
-    ``acceleration_error_model`` instead, taking ``v_hat`` to come from the
-    velocity stage with the same rule, whose 1/r weights and Gram sums it
-    forms from its rows.
+    ``acceleration_pseudo_measurements`` with the weights and Gram sums of
+    the velocity stage with the same rule at p_hat, which it runs for them,
+    as the pipeline does; under the ``propagated`` rule it solves the GLS
+    problem of ``acceleration_error_model`` instead, taking ``v_hat`` to come
+    from that velocity stage.  Raises what that velocity stage raises.
     """
     _check_lengths(measurements, sensors)
     v0, v1 = as_vec2(v_hat, "v_hat").tolist()
     px, py = as_vec2(p_hat, "p_hat").tolist()
-    return _acceleration(measurements, sensors, px, py, v0, v1, weight_rule)
+    _, w, gram = _velocity(measurements, sensors, px, py, weight_rule)
+    return _acceleration(measurements, sensors, px, py, v0, v1, weight_rule, w, gram)
 
 
-def _acceleration(measurements, sensors, px, py, v0, v1, weight_rule, w=None, gram=None):
+def _acceleration(measurements, sensors, px, py, v0, v1, weight_rule, w, gram):
     """The acceleration stage at p_hat = (px, py) and v_hat = (v0, v1), given
-    the weights and Gram sums of the velocity solve that gave v_hat with this
-    rule, as ``_velocity`` returns them, or forming them with the same bits.
-    The rows and weights are the velocity solve's, so outside ``propagated``
-    the solve takes that Gram."""
+    the weights and Gram sums of the velocity solve with this rule, as
+    ``_velocity`` returns them.  The rows and weights are the velocity
+    solve's, so outside ``propagated`` the solve takes that Gram."""
     k = _pseudo_measurements(measurements, sensors, px, py, v0, v1)
     bx, by, rhat = _kernels.system_rows(sensors.xs, sensors.ys, px, py)
-    if w is None:
-        w = row_weights(rhat, weight_rule)
     if weight_rule.mode == "propagated":
         variances, shared = acceleration_error_model(measurements, rhat, bx, by, w, v0, v1, gram)
         return _shared_error_solve(bx, by, k, variances, shared)

@@ -77,8 +77,8 @@ def _finite(value, name: str, shape=None, ndmin: int = 0) -> np.ndarray:
     unless ``value`` is an int or float ndarray; ValueError "<name> must be finite" for
     NaN, inf or an integer past the float range.  Then ``ndmin`` leading axes of length
     1 are added, as ``np.array(..., ndmin=)`` does, and the result must match ``shape``,
-    each of whose entries is an exact length or None for any length >= 1 (printed as N):
-    ValueError otherwise, with the input's shape as given."""
+    each of whose entries is an exact length or None for any length >= 1 (printed as N,
+    then M): ValueError otherwise, with the input's shape as given."""
     try:
         arr = np.asarray(value)
     except ValueError:          # numpy's message for a ragged list names no input
@@ -96,7 +96,8 @@ def _finite(value, name: str, shape=None, ndmin: int = 0) -> np.ndarray:
     arr = arr.reshape((1,) * (ndmin - arr.ndim) + given)
     if shape is not None and (arr.ndim != len(shape) or any(
             n < 1 if want is None else n != want for n, want in zip(arr.shape, shape))):
-        spec = str(tuple("N" if want is None else want for want in shape)).replace("'", "")
+        free = iter("NM")
+        spec = str(tuple(next(free) if want is None else want for want in shape)).replace("'", "")
         raise ValueError(f"{name} must have shape {spec}, got {given}")
     return arr
 

@@ -66,7 +66,7 @@ BOUNDARIES = [
      lambda x: solve_shared_error_stage(B, ONES, x, 0.0), ONES, np.ones((3, 1)),
      "(3,), got (3, 1)"),
     ("dense_wls_solve", "rows", lambda x: dense_wls_solve(x, ONES, ONES), B, ONES,
-     "(N, N), got (3,)"),
+     "(N, M), got (3,)"),
     ("dense_wls_solve", "rhs", lambda x: dense_wls_solve(B, x, ONES), ONES, np.ones((3, 1)),
      "(3,), got (3, 1)"),
     ("dense_wls_solve", "weights", lambda x: dense_wls_solve(B, ONES, x), ONES, 1.0,

@@ -16,7 +16,7 @@ from kinloc.estim import (PROPAGATED, UNIFORM, WeightRule,
                           acceleration_error_model,
                           acceleration_pseudo_measurements, estimate_acceleration,
                           estimate_all, estimate_position, estimate_velocity,
-                          row_weights, solve_linear_stage, solve_shared_error_stage)
+                          solve_linear_stage, solve_shared_error_stage)
 from kinloc.model import (MeasurementSet, NoiseSpec, SensorArray, TargetState,
                           range_to, synthesize_measurements, true_measurements)
 from kinloc.montecarlo import DEFAULT_SENSOR_POSITIONS
@@ -61,13 +61,22 @@ class TestEstimatePosition:
             estimate_position(ms, sensors)
 
 
+def _stage_weights(sensors, px, py, rule):
+    """The row weights that the velocity stage at (px, py) hands to its
+    acceleration stage."""
+    ms = MeasurementSet([1.0] * len(sensors), [0.0] * len(sensors), [0.0] * len(sensors),
+                        NOISELESS)
+    return estim._velocity(ms, sensors, px, py, rule)[1]
+
+
 class TestRowWeights:
     def test_weight_modes(self):
-        rhat = np.array([5.0, 0.3, 7e5])
-        np.testing.assert_array_equal(row_weights(rhat, UNIFORM), np.ones(3))
+        # ones under uniform, and 1/r of the kernel's ranges under both 1/r rules
+        sensors = SensorArray([(5.0, 0.0), (0.0, 0.3), (0.0, 7e5)])
+        *_, rhat = K.system_rows(sensors.xs, sensors.ys, 0.0, 0.0)
+        assert _stage_weights(sensors, 0.0, 0.0, UNIFORM) == [1.0] * 3
         for rule in (WeightRule(), PROPAGATED):
-            np.testing.assert_array_equal(row_weights(rhat, rule),
-                                          [1.0 / 5.0, 1.0 / 0.3, 1.0 / 7e5])
+            assert _stage_weights(sensors, 0.0, 0.0, rule) == [1.0 / r for r in rhat]
 
     def test_squared_inverse_range_rule_removed(self):
         with pytest.raises(ValueError):
@@ -75,12 +84,10 @@ class TestRowWeights:
 
     def test_inverse_range_weight(self):
         # a sensor 5 m from p_hat gets weight 1/5 under both 1/r rules
-        sensors = SensorArray([(0.0, 0.0), (6.0, 8.0)])
-        *_, rhat = K.system_rows(sensors.xs, sensors.ys, 3.0, 4.0)
+        sensors = SensorArray([(0.0, 0.0), (6.0, 8.0), (3.0, -1.0)])
         for rule in (WeightRule(), PROPAGATED):
-            w = row_weights(rhat, rule)
-            assert w[0] == pytest.approx(0.2, rel=1e-15)
-            assert w[1] == pytest.approx(0.2, rel=1e-15)
+            assert _stage_weights(sensors, 3.0, 4.0, rule) == pytest.approx([0.2] * 3,
+                                                                            rel=1e-15)
 
 
 class TestSolveLinearStage:
@@ -302,8 +309,8 @@ class TestEstimateVelocity:
             est = estimate_velocity(ms, sensors8, p_hat, rule)
             d = ms.range_rates * rhat
             np.testing.assert_array_equal(est.pseudo_measurements, d)
-            np.testing.assert_array_equal(
-                est.value, solve_linear_stage(rows, d, row_weights(rhat, rule)).value)
+            w = np.ones(len(rhat)) if rule.mode == "uniform" else 1.0 / rhat
+            np.testing.assert_array_equal(est.value, solve_linear_stage(rows, d, w).value)
 
     def test_position_on_sensor_raises(self):
         sensors = SensorArray([(3.0, 4.0), (0.0, 1.0), (1.0, 0.0)])
@@ -389,10 +396,11 @@ class TestEstimateAcceleration:
         range_noise_only = synthesize_measurements(still, sensors8,
                                                    NoiseSpec(1.0, 0.0, 0.0), rng)
         rows = still.position - sensors8.positions
-        # lists of floats, as the velocity stage hands them over
-        variances, _ = acceleration_error_model(range_noise_only, np.hypot(*rows.T).tolist(),
-                                                *rows.T.tolist(), [1.0] * len(sensors8),
-                                                *still.velocity.tolist())
+        # lists of floats, as the velocity stage hands them over, with its Gram sums
+        ranges, (bx, by), w = np.hypot(*rows.T).tolist(), rows.T.tolist(), [1.0] * len(sensors8)
+        variances, _ = acceleration_error_model(range_noise_only, ranges, bx, by, w,
+                                                *still.velocity.tolist(),
+                                                K.normal_sums(bx, by, ranges, w)[:3])
         assert variances.count(0.0) == 1 and max(variances) > 0.0
         cases = [(moving, exact_measurements(moving, sensors8), UNIFORM),
                  (moving, exact_measurements(moving, sensors8), PROPAGATED),
@@ -507,23 +515,26 @@ def _error_model_inputs(draw):
 @settings(max_examples=300, deadline=None)
 @given(args=_error_model_inputs())
 def test_acceleration_error_model_matches_its_loop_form_bit_for_bit(args):
-    def outcome(fn):
+    def outcome(fn, *gram):
         try:
-            variances, shared = fn(*args)
+            variances, shared = fn(*args, *gram)
         except SingularGeometry as exc:
             return str(exc)
         return [v.hex() for v in variances], shared.hex()
 
-    assert outcome(acceleration_error_model) == outcome(_acceleration_error_model_loop)
+    _, ranges, bx, by, weights, _, _ = args
+    # the Gram sums as the velocity solve forms them, which the loop form forms itself
+    gram = K.normal_sums(bx, by, ranges, weights)[:3]
+    assert outcome(acceleration_error_model, gram) == outcome(_acceleration_error_model_loop)
 
 
 def _velocity_loop_form(measurements, sensors, px, py, rule):
-    """``estim._velocity`` in its first form: weights from ``row_weights``,
+    """``estim._velocity`` in its first form: weights ones or [1 / r ...],
     d = [a * r ...] and the sums of ``_wls_solve2_loop``, as (estimate,
     weights, Gram sums).  The reference that the stage's one loop per rule
     must match bit for bit."""
     bx, by, rhat = K.system_rows(sensors.xs, sensors.ys, px, py)
-    w = row_weights(rhat, rule)
+    w = [1.0] * len(rhat) if rule.mode == "uniform" else [1.0 / r for r in rhat]
     d = [a * r for a, r in zip(measurements.range_rates.tolist(), rhat)]
     x0, x1, cond, *gram = _wls_solve2_loop(bx, by, d, w)
     method = "LS" if rule.mode == "uniform" else "WLS"
@@ -759,11 +770,22 @@ def test_pipeline_takes_the_velocity_gram_instead_of_forming_it(sensors8, monkey
     # the LS acceleration solve's sums, on the LS velocity Gram; the propagated
     # solve forms its own in its loop and its error model takes the WLS Gram
     assert formed == [False]
-    # a caller with v_hat alone: G formed once, same bits
+    # a caller with v_hat alone: the error model takes the Gram of the velocity
+    # stage with its rule, which no normal_sums call forms, and gives the same bits
     formed.clear()
+    grams = []
+    real_model = estim.acceleration_error_model
+
+    def model_spy(*args):
+        grams.append(args[-1])
+        return real_model(*args)
+
+    monkeypatch.setattr(estim, "acceleration_error_model", model_spy)
     again = estimate_acceleration(ms, SensorArray(sensors8.positions), res.position.position,
                                   res.velocity_wls.value, PROPAGATED)
-    assert formed == [True]
+    assert formed == []
+    px, py = res.position.position.tolist()
+    assert grams == [estim._velocity(ms, sensors8, px, py, PROPAGATED)[2]]
     assert again.value.tobytes() == res.accel_wls.value.tobytes()
 
 
@@ -796,10 +818,11 @@ def test_pipeline_hands_each_acceleration_solve_its_velocity_gram(sensors8, monk
     ms = synthesize_measurements(truth, sensors8, NoiseSpec(1.0, 0.3, 0.1), 3)
     estimate_all(ms, sensors8, rule)
     assert calls == handed
-    # a caller with v_hat alone forms the Gram itself
+    # a caller with v_hat alone runs the velocity stage with its rule and
+    # solves on its Gram, as the pipeline's WLS pair does
     calls.clear()
     estimate_acceleration(ms, sensors8, truth.position, truth.velocity, rule)
-    assert calls == [False]
+    assert calls == [handed[1], handed[3]]
 
 
 class TestPipeline:

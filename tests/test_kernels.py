@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from conftest import _wls_solve2_loop
 from kinloc import _kernels as K
 from kinloc.errors import DegenerateGeometry, SingularGeometry, ZeroRange
-from kinloc.estim import PROPAGATED, UNIFORM, WeightRule, row_weights
+from kinloc.estim import PROPAGATED, UNIFORM, WeightRule, _velocity
+from kinloc.model import MeasurementSet, NoiseSpec, SensorArray
 from kinloc.oracle import dense_wls_solve
 
 # off-diagonal Gram entry t01 of this layout squares to the smallest subnormal,
@@ -165,11 +166,13 @@ class TestSystemRows:
         assert (bx, by, rhat) == ([-1.0, 0.0], [0.0, -1.0], [1.0, 1.0])
 
     def test_weight_modes(self):
-        # the weights each rule puts on a row come from the kernel's range
-        sx, sy = [0.0], [0.0]
+        # the weights each rule puts on a row come from the kernel's range: every
+        # sensor here lies 5 from (3, 4)
+        sensors = SensorArray([(0.0, 0.0), (6.0, 8.0), (3.0, -1.0)])
+        ms = MeasurementSet([1.0] * 3, [0.0] * 3, [0.0] * 3, NoiseSpec())
         for rule, expect in [(UNIFORM, 1.0), (WeightRule(), 0.2), (PROPAGATED, 0.2)]:
-            *_, rhat = K.system_rows(sx, sy, 3.0, 4.0)
-            assert row_weights(rhat, rule)[0] == pytest.approx(expect, rel=1e-15)
+            w = _velocity(ms, sensors, 3.0, 4.0, rule)[1]
+            assert w == pytest.approx([expect] * 3, rel=1e-15)
 
     def test_zero_range_status(self):
         with pytest.raises(ZeroRange):

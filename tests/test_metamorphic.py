@@ -36,7 +36,7 @@ from kinloc.errors import (DegenerateGeometry, KinlocError, SingularGeometry, To
                            ZeroRange)
 from kinloc import _kernels
 from kinloc.estim import (PROPAGATED, UNIFORM, WeightRule, _pseudo_measurements,
-                          acceleration_error_model, estimate_all, row_weights)
+                          acceleration_error_model, estimate_all)
 from kinloc.model import MeasurementSet, NoiseSpec, SensorArray, TargetState, true_measurements
 
 RULES = (UNIFORM, WeightRule(), PROPAGATED)
@@ -330,8 +330,9 @@ def test_dominant_row_scene_matches_the_exact_gls_solve():
         (px, py), (v0, v1) = est.position.position.tolist(), est.velocity_wls.value.tolist()
         bx, by, rhat = _kernels.system_rows(sensors.xs, sensors.ys, px, py)
         k = _pseudo_measurements(ms, sensors, px, py, v0, v1)
+        w = [1.0 / r for r in rhat]
         variances, shared = acceleration_error_model(
-            ms, rhat, bx, by, row_weights(rhat, PROPAGATED), v0, v1)
+            ms, rhat, bx, by, w, v0, v1, _kernels.normal_sums(bx, by, rhat, w)[:3])
         assert min(variances) < 1e-10 < 10.0 < max(variances)
         want = _exact_gls(bx, by, k, variances, shared)
         got = est.accel_wls.value

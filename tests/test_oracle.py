@@ -116,7 +116,7 @@ class TestDenseWlsSolve:
         (np.eye(3)[:, :2], np.ones(3), [1.0], "weights must have shape (3,), got (1,)"),
         (np.eye(3)[:, :2], np.ones(3), 1.0, "weights must have shape (3,), got ()"),
         ([[1.0, 0.0]], [1.0], np.ones(3), "weights must have shape (1,), got (3,)"),
-        (np.ones(3), np.ones(3), np.ones(3), "rows must have shape (N, N), got (3,)"),
+        (np.ones(3), np.ones(3), np.ones(3), "rows must have shape (N, M), got (3,)"),
     ], ids=["rhs-column", "rhs-length-1", "rhs-scalar", "weights-length-1", "weights-scalar",
             "one-row-three-weights", "rows-vector"])
     def test_mis_shaped_input_rejected(self, rows, rhs, weights, message):
