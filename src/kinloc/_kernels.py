@@ -220,7 +220,10 @@ def normal_sums(bx, by, rhs, w, gram=None):
     sum_i w_i bx_i rhs_i and w_i by_i rhs_i, as ``wls_solve2`` takes them.
     ``gram`` is the three Gram sums of the same rows and weights, as an
     earlier call returned them: given it, the loop forms only the
-    right-hand-side sums, with the same bits.
+    right-hand-side sums, with the same bits.  With ``gram``, ``w`` may be
+    None for unit weights, as the LS solves pass it: 1.0 * x is x exactly,
+    so the products leave the weight out and the bits are those of
+    ``[1.0] * n``.
     """
     if gram is None:
         g00 = g01 = g11 = h0 = h1 = 0.0
@@ -236,9 +239,14 @@ def normal_sums(bx, by, rhs, w, gram=None):
     else:
         g00, g01, g11 = gram
         h0 = h1 = 0.0
-        for x, y, r, wi in zip(bx, by, rhs, w):
-            h0 += wi * x * r
-            h1 += wi * y * r
+        if w is None:
+            for x, y, r in zip(bx, by, rhs):
+                h0 += x * r
+                h1 += y * r
+        else:
+            for x, y, r, wi in zip(bx, by, rhs, w):
+                h0 += wi * x * r
+                h1 += wi * y * r
     return g00, g01, g11, h0, h1
 
 

@@ -58,7 +58,8 @@ import numpy as np
 
 from . import _kernels
 from .errors import SingularGeometry, TooFewSensors
-from .model import MeasurementSet, SensorArray, _finite, _frozen, _packer, _real, as_vec2
+from .model import (MeasurementSet, SensorArray, _by_constructor, _finite, _frozen, _packer,
+                    _real, as_vec2)
 
 WEIGHT_MODES = ("uniform", "inverse_range", "propagated")
 
@@ -112,7 +113,10 @@ class _FirstRead:
         return instance.__dict__.setdefault(self.name, self.make(instance))
 
 
-@dataclass(frozen=True)
+# The result classes write each field once into the instance dict, key by key
+# as MeasurementSet._fill does: the generated frozen __init__ makes one
+# object.__setattr__ call per field, and the pipeline builds six instances.
+@dataclass(frozen=True, init=False)
 class PositionSolution:
     """The stage-1 estimate.  It keeps (x, y) as the floats ``_xy``;
     ``position`` is their read-only array, made on first read."""
@@ -122,9 +126,17 @@ class PositionSolution:
     residual_norm: float
     gram_condition: float
     position = _FirstRead(lambda s: _frozen(s._xy))
+    __reduce__ = _by_constructor
+
+    def __init__(self, _xy, theta3, residual_norm, gram_condition):
+        d = self.__dict__
+        d["_xy"] = _xy
+        d["theta3"] = theta3
+        d["residual_norm"] = residual_norm
+        d["gram_condition"] = gram_condition
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class KinematicEstimate:
     """A velocity or acceleration estimate, or a ``solve_*_stage`` solution.
     It keeps its two components as the floats ``_xy`` and its
@@ -138,9 +150,17 @@ class KinematicEstimate:
     _k: bytes = field(repr=False)
     value = _FirstRead(lambda s: _frozen(s._xy))
     pseudo_measurements = _FirstRead(lambda s: np.frombuffer(s._k))
+    __reduce__ = _by_constructor
+
+    def __init__(self, _xy, method, gram_condition, _k):
+        d = self.__dict__
+        d["_xy"] = _xy
+        d["method"] = method
+        d["gram_condition"] = gram_condition
+        d["_k"] = _k
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class EstimationResult:
     """Full pipeline output: position plus LS and WLS velocity/acceleration."""
 
@@ -149,6 +169,14 @@ class EstimationResult:
     velocity_wls: KinematicEstimate
     accel_ls: KinematicEstimate
     accel_wls: KinematicEstimate
+
+    def __init__(self, position, velocity_ls, velocity_wls, accel_ls, accel_wls):
+        d = self.__dict__
+        d["position"] = position
+        d["velocity_ls"] = velocity_ls
+        d["velocity_wls"] = velocity_wls
+        d["accel_ls"] = accel_ls
+        d["accel_wls"] = accel_wls
 
 
 def _check_lengths(measurements: MeasurementSet, sensors: SensorArray):
@@ -314,8 +342,9 @@ def _velocity(measurements, sensors, px, py, weight_rule):
     """The velocity stage at p_hat = (px, py), as (estimate, weights,
     (g00, g01, g11)): the weights and Gram sums of its solve, which depend on
     the rows alone and which every acceleration stage takes.  One loop per
-    rule forms d_i = a_i r_i, the weights (1 under ``uniform``, 1/r_i
-    otherwise) and the sums of ``_kernels.normal_sums``, bit for bit."""
+    rule forms d_i = a_i r_i, the weights (None, ``normal_sums``' unit
+    weights, under ``uniform``; 1/r_i otherwise) and the sums of
+    ``_kernels.normal_sums``, bit for bit."""
     bx, by, rhat = _kernels.system_rows(sensors.xs, sensors.ys, px, py)
     d = []
     g00 = g01 = g11 = h0 = h1 = 0.0
@@ -329,7 +358,7 @@ def _velocity(measurements, sensors, px, py, weight_rule):
             g11 += y * y
             h0 += x * di
             h1 += y * di
-        w = [1.0] * len(d)
+        w = None
         method = "LS"
     else:
         w = []

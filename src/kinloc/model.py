@@ -16,7 +16,7 @@ import math
 import numbers
 import operator
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -42,6 +42,14 @@ def _frozen(floats) -> np.ndarray:
 
 def _frozen_array(arr: np.ndarray) -> np.ndarray:
     return np.ndarray(arr.shape, arr.dtype, arr.tobytes())     # one array object, C order
+
+
+def _by_constructor(self):
+    """``__reduce__`` for the classes that keep or make read-only arrays: pickle
+    and ``copy`` rebuild an instance by calling its class on its fields, in
+    order, so that the copy makes its arrays and cached floats afresh, as the
+    original did, instead of taking writable copies from its instance dict."""
+    return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
 def _real(value, name: str, noun: str = "a real number") -> float:
@@ -113,6 +121,7 @@ class SensorArray:
     """Fixed sensor positions (m); row i belongs to measurement i everywhere."""
 
     positions: np.ndarray
+    __reduce__ = _by_constructor
 
     def __post_init__(self):
         # a lone [x, y] is one sensor
@@ -138,6 +147,7 @@ class TargetState:
     position: np.ndarray      # m
     velocity: np.ndarray      # m/s
     acceleration: np.ndarray = (0.0, 0.0)  # m/s^2
+    __reduce__ = _by_constructor
 
     def __post_init__(self):
         object.__setattr__(self, "position", as_vec2(self.position, "position"))
@@ -175,6 +185,7 @@ class NoiseSpec:
     sigma_range: float = 1.0        # m
     sigma_range_rate: float = 1.0   # m/s
     sigma_drr: float = 1.0          # m/s^2
+    __reduce__ = _by_constructor
 
     def __post_init__(self):
         for name in ("sigma_range", "sigma_range_rate", "sigma_drr"):
@@ -206,6 +217,7 @@ class MeasurementSet:
     range_rates: np.ndarray  # m/s
     drrs: np.ndarray         # m/s^2
     noise: NoiseSpec
+    __reduce__ = _by_constructor
 
     def __init__(self, ranges, range_rates, drrs, noise):
         ranges, _ranges = _measurement_vector(ranges, "ranges")

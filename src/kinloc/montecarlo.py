@@ -38,8 +38,8 @@ from .estim import (PROPAGATED, EstimationResult, WeightRule, _timed_kinematics,
                     _timed_position)
 # not called here: perfbench's tracer test reads montecarlo.estimate_position
 from .estim import estimate_position  # noqa: F401
-from .model import (NoiseSpec, SensorArray, TargetState, _as_index, _finite, _frozen_array,
-                    _measurements, _noisy, _real, _target_state, _true_block)
+from .model import (NoiseSpec, SensorArray, TargetState, _as_index, _by_constructor, _finite,
+                    _frozen_array, _measurements, _noisy, _real, _target_state, _true_block)
 
 # the reference eight-sensor layout used by the shipped experiments
 DEFAULT_SENSOR_POSITIONS = np.array([
@@ -88,6 +88,7 @@ class Scenario:
     # a sweep point's (_Trials table, noisy block), set on its scenario by _sweep;
     # not a field, so it takes no part in repr
     _point = None
+    __reduce__ = _by_constructor
 
     def __post_init__(self):
         if not isinstance(self.sensors, SensorArray):

@@ -22,11 +22,12 @@ def _escape(text) -> str:
     return str(text).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _log_ticks(lo: float, hi: float):
-    first = math.floor(math.log10(lo))
-    last = math.ceil(math.log10(hi))
-    return [10.0 ** k for k in range(first, last + 1) if lo <= 10.0 ** k * (1 + 1e-12)
-            and 10.0 ** k <= hi * (1 + 1e-12)]
+def _log_ticks(l0: float, l1: float):
+    """The powers of ten 10^k with l0 <= k <= l1 (log10 bounds, to a hair) that
+    are positive finite floats: 1e-324 underflows to 0 and 1e309 overflows."""
+    ticks = (float(f"1e{k}") for k in range(math.floor(l0), math.ceil(l1) + 1)
+             if l0 - 1e-12 <= k <= l1 + 1e-12)
+    return [tick for tick in ticks if 0.0 < tick < math.inf]
 
 
 def _tick_label(value: float) -> str:
@@ -60,12 +61,13 @@ def render_loglog(series: dict, xlabel: str, ylabel: str) -> str:
         ys_all.extend(ys)
 
     def span(vals):
-        lo, hi = min(vals), max(vals)
+        # in log10 space, where padding cannot underflow or overflow
+        lo, hi = math.log10(min(vals)), math.log10(max(vals))
         # degenerate span, also for distinct values whose log10 rounds alike:
         # pad a decade around it
-        if math.log10(lo) == math.log10(hi):
-            lo, hi = lo / 10 ** 0.5, hi * 10 ** 0.5
-        return math.log10(lo), math.log10(hi)
+        if lo == hi:
+            lo, hi = lo - 0.5, hi + 0.5
+        return lo, hi
 
     lx0, lx1 = span(xs_all)
     ly0, ly1 = span(ys_all)
@@ -88,13 +90,13 @@ def render_loglog(series: dict, xlabel: str, ylabel: str) -> str:
     out.append(f'<rect x="{px0}" y="{py1}" width="{px1 - px0}" height="{py0 - py1}" '
                'fill="none" stroke="#222"/>')
 
-    for tick in _log_ticks(10 ** lx0, 10 ** lx1):
+    for tick in _log_ticks(lx0, lx1):
         x = sx(tick)
         out.append(f'<line x1="{_fmt(x)}" y1="{py0}" x2="{_fmt(x)}" y2="{py1}" '
                    'stroke="#ddd"/>')
         out.append(f'<text x="{_fmt(x)}" y="{py0 + 18}" text-anchor="middle">'
                    f'{_tick_label(tick)}</text>')
-    for tick in _log_ticks(10 ** ly0, 10 ** ly1):
+    for tick in _log_ticks(ly0, ly1):
         y = sy(tick)
         out.append(f'<line x1="{px0}" y1="{_fmt(y)}" x2="{px1}" y2="{_fmt(y)}" '
                    'stroke="#ddd"/>')

@@ -417,6 +417,18 @@ class TestSweep:
                    if el.tag.endswith("circle")]
         assert len(markers) == 4
 
+    def test_smallest_subnormal_grid_value_is_plotted(self, tmp_path, capsys):
+        # padding the one-value x axis by lo / 10 ** 0.5 underflowed to 0, and
+        # its log10 raised "math domain error" after the whole sweep had run
+        dest, fig = tmp_path / "g.csv", tmp_path / "g.svg"
+        code, _, err = run(["sweep", "--grid", "5e-324", "--trials", "5",
+                            "--out", str(dest), "--svg", str(fig)], capsys)
+        assert code == 0 and err == ""
+        assert len(dest.read_text().splitlines()) == 2
+        markers = [el for el in ET.fromstring(fig.read_text()).iter()
+                   if el.tag.endswith("circle")]
+        assert len(markers) == 2
+
     def test_figure_without_a_finite_point_rejected(self, tmp_path, capsys):
         dest, fig = tmp_path / "o.csv", tmp_path / "o.svg"
         code, _, err = run(["sweep", "--grid", "1e150", "--trials", "5", "--out", str(dest),

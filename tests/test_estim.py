@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import re
@@ -71,10 +72,11 @@ def _stage_weights(sensors, px, py, rule):
 
 class TestRowWeights:
     def test_weight_modes(self):
-        # ones under uniform, and 1/r of the kernel's ranges under both 1/r rules
+        # None, normal_sums' unit weights, under uniform, and 1/r of the
+        # kernel's ranges under both 1/r rules
         sensors = SensorArray([(5.0, 0.0), (0.0, 0.3), (0.0, 7e5)])
         *_, rhat = K.system_rows(sensors.xs, sensors.ys, 0.0, 0.0)
-        assert _stage_weights(sensors, 0.0, 0.0, UNIFORM) == [1.0] * 3
+        assert _stage_weights(sensors, 0.0, 0.0, UNIFORM) is None
         for rule in (WeightRule(), PROPAGATED):
             assert _stage_weights(sensors, 0.0, 0.0, rule) == [1.0 / r for r in rhat]
 
@@ -531,14 +533,17 @@ def test_acceleration_error_model_matches_its_loop_form_bit_for_bit(args):
 def _velocity_loop_form(measurements, sensors, px, py, rule):
     """``estim._velocity`` in its first form: weights ones or [1 / r ...],
     d = [a * r ...] and the sums of ``_wls_solve2_loop``, as (estimate,
-    weights, Gram sums).  The reference that the stage's one loop per rule
-    must match bit for bit."""
+    weights, Gram sums), the ones handed on as None, ``normal_sums``' unit
+    weights.  The reference that the stage's one loop per rule must match
+    bit for bit."""
     bx, by, rhat = K.system_rows(sensors.xs, sensors.ys, px, py)
-    w = [1.0] * len(rhat) if rule.mode == "uniform" else [1.0 / r for r in rhat]
+    uniform = rule.mode == "uniform"
+    w = [1.0] * len(rhat) if uniform else [1.0 / r for r in rhat]
     d = [a * r for a, r in zip(measurements.range_rates.tolist(), rhat)]
     x0, x1, cond, *gram = _wls_solve2_loop(bx, by, d, w)
-    method = "LS" if rule.mode == "uniform" else "WLS"
-    return estim.KinematicEstimate((x0, x1), method, cond, np.array(d).tobytes()), w, gram
+    method = "LS" if uniform else "WLS"
+    estimate = estim.KinematicEstimate((x0, x1), method, cond, np.array(d).tobytes())
+    return estimate, None if uniform else w, gram
 
 
 @st.composite
@@ -571,7 +576,8 @@ def test_velocity_stage_loops_match_their_loop_form_bit_for_bit(args):
             est, w, gram = fn(*args, rule)
         except (SingularGeometry, ZeroRange) as exc:
             return type(exc).__name__, str(exc)
-        return _estimate_bits(est), [v.hex() for v in w], [g.hex() for g in gram]
+        return (_estimate_bits(est), None if w is None else [v.hex() for v in w],
+                [g.hex() for g in gram])
 
     for rule in (UNIFORM, WeightRule(), PROPAGATED):
         assert outcome(estim._velocity, rule) == outcome(_velocity_loop_form, rule), rule
@@ -919,6 +925,83 @@ class TestPipeline:
             assert res.velocity_wls.method == "WLS"
             assert res.accel_ls.method == "LS"
             assert res.accel_wls.method == "WLS"
+
+
+class TestResultClasses:
+    """The result classes write their fields in a hand-written ``__init__`` and
+    keep the frozen dataclass contract of the generated one."""
+
+    FIELDS = {estim.PositionSolution: ["_xy", "theta3", "residual_norm", "gram_condition"],
+              estim.KinematicEstimate: ["_xy", "method", "gram_condition", "_k"],
+              estim.EstimationResult: ["position", "velocity_ls", "velocity_wls",
+                                       "accel_ls", "accel_wls"]}
+
+    @pytest.fixture
+    def result(self, sensors8, rng):
+        truth = TargetState((30.0, 40.0), (10.0, -5.0), (1.0, 1.0))
+        return estimate_all(synthesize_measurements(truth, sensors8, NoiseSpec(), rng),
+                            sensors8, PROPAGATED)
+
+    def instances(self, result):
+        return (result.position, result.velocity_wls, result)
+
+    def test_fields_in_order_and_by_keyword(self, result):
+        for obj in self.instances(result):
+            names = self.FIELDS[type(obj)]
+            assert [f.name for f in dataclasses.fields(obj)] == names
+            # the instance dict holds the fields alone, in field order
+            assert list(vars(obj)) == names
+            # by position and by keyword, as the generated __init__ took them
+            values = [getattr(obj, name) for name in names]
+            assert type(obj)(*values) == type(obj)(**dict(zip(names, values))) == obj
+
+    def test_repr(self):
+        est = estim.KinematicEstimate((1.5, -2.0), "LS", 3.0, b"\0" * 8)
+        assert repr(est) == "KinematicEstimate(_xy=(1.5, -2.0), method='LS', gram_condition=3.0)"
+        pos = estim.PositionSolution((1.0, 2.0), 5.0, 0.25, 4.0)
+        assert repr(pos) == ("PositionSolution(_xy=(1.0, 2.0), theta3=5.0, residual_norm=0.25, "
+                             "gram_condition=4.0)")
+        both = estim.EstimationResult(pos, est, est, est, est)
+        assert repr(both) == (f"EstimationResult(position={pos!r}, velocity_ls={est!r}, "
+                              f"velocity_wls={est!r}, accel_ls={est!r}, accel_wls={est!r})")
+
+    def test_equality_and_hash_follow_the_fields(self, result):
+        for obj in self.instances(result):
+            twin = dataclasses.replace(obj)
+            assert twin is not obj and twin == obj and hash(twin) == hash(obj)
+        pos, est = result.position, result.accel_wls
+        assert dataclasses.replace(pos, theta3=0.0) != pos
+        assert dataclasses.replace(result, accel_wls=result.accel_ls) != result
+        # _k takes part in == although repr leaves it out
+        assert dataclasses.replace(est, _k=b"\0" * len(est._k)) != est
+
+    def test_replace_gives_fresh_first_read_arrays(self, result):
+        est = result.velocity_ls
+        assert est.value.tolist() == list(est._xy)
+        moved = dataclasses.replace(est, _xy=(7.0, -8.0), method="WLS")
+        assert (moved.method, moved.gram_condition, moved._k) == ("WLS", est.gram_condition,
+                                                                  est._k)
+        assert moved.value.tolist() == [7.0, -8.0]
+        assert moved.pseudo_measurements is not est.pseudo_measurements
+
+    def test_assignment_and_deletion_raise(self, result):
+        for obj in self.instances(result):
+            for name in self.FIELDS[type(obj)]:
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(obj, name, None)
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    delattr(obj, name)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            result.position.position = np.zeros(2)
+
+    def test_first_read_arrays_made_once(self, result):
+        pos, est = result.position, result.accel_ls
+        first = (pos.position, est.value, est.pseudo_measurements)
+        again = (pos.position, est.value, est.pseudo_measurements)
+        assert all(a is b for a, b in zip(first, again))
+        # each kept in the instance dict after the fields
+        assert list(vars(pos))[4:] == ["position"]
+        assert list(vars(est))[4:] == ["value", "pseudo_measurements"]
 
 
 # degenerate-input families: a target almost on a sensor, the reference layout

@@ -166,13 +166,15 @@ class TestSystemRows:
         assert (bx, by, rhat) == ([-1.0, 0.0], [0.0, -1.0], [1.0, 1.0])
 
     def test_weight_modes(self):
-        # the weights each rule puts on a row come from the kernel's range: every
-        # sensor here lies 5 from (3, 4)
+        # the weights each 1/r rule puts on a row come from the kernel's range:
+        # every sensor here lies 5 from (3, 4); uniform hands on None,
+        # normal_sums' unit weights
         sensors = SensorArray([(0.0, 0.0), (6.0, 8.0), (3.0, -1.0)])
         ms = MeasurementSet([1.0] * 3, [0.0] * 3, [0.0] * 3, NoiseSpec())
-        for rule, expect in [(UNIFORM, 1.0), (WeightRule(), 0.2), (PROPAGATED, 0.2)]:
+        assert _velocity(ms, sensors, 3.0, 4.0, UNIFORM)[1] is None
+        for rule in (WeightRule(), PROPAGATED):
             w = _velocity(ms, sensors, 3.0, 4.0, rule)[1]
-            assert w == pytest.approx([expect] * 3, rel=1e-15)
+            assert w == pytest.approx([0.2] * 3, rel=1e-15)
 
     def test_zero_range_status(self):
         with pytest.raises(ZeroRange):
@@ -282,6 +284,25 @@ def test_wls_solve2_given_its_own_gram_sums_is_unchanged(rows):
     gram = _gram_sums(rows[0], rows[1], rows[3])
     given_gram = _outcome(lambda *a: _normal_solve(*a, gram=gram), *rows)
     assert given_gram == _outcome(_normal_solve, *rows)
+
+
+# finite floats with signed zeros and subnormals, and values whose products
+# are subnormal or underflow to a signed zero
+_EDGE_FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                         st.sampled_from([0.0, -0.0, 5e-324, -5e-324]),
+                         _near(-1060), _near(-520))
+
+
+@settings(max_examples=300, deadline=None)
+@given(columns=st.integers(1, 12).flatmap(
+    lambda n: st.lists(st.lists(_EDGE_FLOATS, min_size=n, max_size=n), min_size=3, max_size=3)),
+       gram=st.tuples(_EDGE_FLOATS, _EDGE_FLOATS, _EDGE_FLOATS))
+def test_normal_sums_reads_no_weights_as_unit_weights_bit_for_bit(columns, gram):
+    # the LS solves pass w=None: 1.0 * x is x exactly, so leaving the weight
+    # out of the products moves no bit
+    bx, by, rhs = columns
+    ones = K.normal_sums(bx, by, rhs, [1.0] * len(rhs), gram)
+    assert _bits(K.normal_sums(bx, by, rhs, None, gram)) == _bits(ones)
 
 
 def _system_rows_comprehension(sx, sy, px, py):

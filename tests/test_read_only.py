@@ -7,10 +7,14 @@ stages read, and the arrays a sweep shares across its trials and grid points
 (the stream words, the block of every trial's draw, each grid point's
 noisy block and the measurement sets cut from it) would change every later result.
 The estimate classes make their arrays on first read, once each, so a sweep,
-which scores its trials from the estimates' floats, makes none.
+which scores its trials from the estimates' floats, makes none.  Pickle and
+``copy.deepcopy`` rebuild each instance through its constructor, so a copy's
+arrays are frozen too.
 """
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -129,3 +133,52 @@ def test_sweep_trials_make_no_estimate_array(monkeypatch):
     result_arrays(estimates)
     result_arrays(estimates)
     assert sorted(built) == sorted(["position"] + ["value", "pseudo_measurements"] * 4)
+
+
+COPIERS = {f"pickle{protocol}": lambda obj, protocol=protocol: pickle.loads(
+    pickle.dumps(obj, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)}
+COPIERS["deepcopy"] = copy.deepcopy
+
+
+def frozen_arrays(scenario, truth, measurements, result) -> list:
+    """Every array these objects keep or make, cached and first-read ones too."""
+    return [scenario.sensors.positions, scenario.position_box, scenario.velocity_box,
+            scenario.acceleration_box, scenario.noise._column,
+            truth.position, truth.velocity, truth.acceleration,
+            *set_arrays(measurements), *result_arrays(result)]
+
+
+def kept_floats(scenario, measurements, result) -> list:
+    """The floats that the stages and a sweep read in place of those arrays."""
+    stages = (result.position, result.velocity_ls, result.velocity_wls, result.accel_ls,
+              result.accel_wls)
+    return [scenario.sensors.xs, scenario.sensors.ys, scenario._boxes,
+            measurements._ranges, measurements._range_rates, measurements._drrs,
+            [k._xy for k in stages], [k._k for k in stages[1:]]]
+
+
+@pytest.mark.parametrize("how", tuple(COPIERS))
+def test_copies_stay_frozen_and_give_the_same_estimate(how, rng):
+    # before, a copy's arrays were writable, and a write into a copied set's
+    # ranges left the estimate where the float lists had it
+    scenario = default_scenario(motion_mode="constant_acceleration")
+    truth = run_trial(scenario, 0).truth
+    measurements = synthesize_measurements(truth, scenario.sensors, scenario.noise, rng)
+    result = estimate_all(measurements, scenario.sensors, PROPAGATED)
+    # made before the copy, so that a copied instance dict would carry them
+    arrays = frozen_arrays(scenario, truth, measurements, result)
+    floats = kept_floats(scenario, measurements, result)
+    twin = COPIERS[how]((scenario, truth, measurements, result))
+    scenario2, truth2, measurements2, result2 = twin
+    assert type(scenario2) is type(scenario) and scenario2 is not scenario
+    copied = frozen_arrays(*twin)
+    assert [a.tobytes() for a in copied] == [a.tobytes() for a in arrays]
+    assert kept_floats(scenario2, measurements2, result2) == floats
+    assert (scenario2.trials, scenario2.seed, scenario2.motion_mode, scenario2.noise) == (
+        scenario.trials, scenario.seed, scenario.motion_mode, scenario.noise)
+    assert result2 == result
+    assert_cannot_unlock(*copied)
+    again = estimate_all(measurements2, scenario2.sensors, PROPAGATED)
+    assert again == result
+    assert [a.tobytes() for a in result_arrays(again)] == [
+        a.tobytes() for a in result_arrays(result)]

@@ -4,7 +4,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from kinloc.svgplot import render_loglog
+from kinloc.svgplot import _log_ticks, render_loglog
 
 SVG_TEXT = "{http://www.w3.org/2000/svg}text"
 
@@ -70,3 +70,38 @@ PINNED = {
 def test_other_figures_keep_their_bytes(name):
     series, digest = PINNED[name]
     assert hashlib.sha256(render_loglog(series, "x", "y").encode()).hexdigest() == digest
+
+
+SVG_LINE = "{http://www.w3.org/2000/svg}line"
+
+
+def _tick_labels(svg, anchor):
+    """The text of the x ("middle") or y ("end") axis tick labels."""
+    return [t.text for t in ET.fromstring(svg).iter(SVG_TEXT)
+            if t.get("text-anchor") == anchor and t.text not in ("x", "y")]
+
+
+@pytest.mark.parametrize("value, ticks", [
+    # the padding lo / 10 ** 0.5 underflowed to 0: "math domain error"
+    (5e-324, ["9.88e-324"]),
+    # the ticks' 10 ** (log10 span) overflowed: OverflowError
+    (1e308, ["1e+308"]),
+    (1.7976931348623157e308, ["1e+308"]),
+])
+def test_one_value_at_the_ends_of_the_float_range_is_plotted(value, ticks):
+    svg = render_loglog({"s": ((value,), (1.0,))}, "x", "y")
+    # mid-axis, as any one value's marker
+    assert _markers(svg) == _markers(render_loglog({"s": ((3.0,), (1.0,))}, "x", "y"))
+    assert _tick_labels(svg, "middle") == ticks
+    assert _tick_labels(svg, "end") == ["1"]
+
+
+def test_ticks_are_powers_of_ten_that_are_floats():
+    # log10 bounds past the float range keep only 1e-323 to 1e308
+    ticks = _log_ticks(-330.0, 310.0)
+    assert ticks == [float(f"1e{k}") for k in range(-323, 309)]
+    # the widest figure has a tick per decade, each at a finite pixel
+    svg = render_loglog({"s": ((5e-324, 1.7976931348623157e308), (1.0, 2.0))}, "x", "y")
+    labels = _tick_labels(svg, "middle")
+    assert len(labels) == 632 and labels[-1] == "1e+308"
+    assert all(math.isfinite(float(c.get("x1"))) for c in ET.fromstring(svg).iter(SVG_LINE))
