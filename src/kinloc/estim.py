@@ -496,14 +496,15 @@ def _timed_position(measurements: MeasurementSet, sensors: SensorArray):
 def _timed_kinematics(measurements: MeasurementSet, sensors: SensorArray, solved,
                       weight_rule: WeightRule):
     """The four kinematic stages in order after ``solved``, a ``_timed_position``
-    result, as (EstimationResult, stage wall seconds keyed by the
-    EstimationResult field names, the position's taken from ``solved``).  The
+    result: its ``estimate_position`` checked that the measurements and the
+    sensors have equal lengths, and the caller passes the same ones.  Returns
+    (EstimationResult, stage wall seconds keyed by the EstimationResult
+    field names in order, the position's taken from ``solved``).  The
     position is read once, as floats, and each acceleration stage takes the
     components, weights and Gram sums of its velocity solve from the private
     stage functions; ``estimate_velocity`` and ``estimate_acceleration`` do
     not run.  No estimate array is made: the stages read and return floats."""
     pos, position_time = solved
-    _check_lengths(measurements, sensors)
     px, py = pos._xy        # finite floats: the kernels return no others
     clock = time.perf_counter
     t1 = clock()

@@ -134,14 +134,25 @@ def default_scenario(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED,
     )
 
 
-@dataclass(frozen=True)
+# written once per field, as estim's result classes are: a sweep builds one
+# record per trial and grid point
+@dataclass(frozen=True, init=False)
 class TrialRecord:
     trial_index: int
     truth: TargetState
     estimates: EstimationResult | None
-    squared_errors: dict            # method -> squared Euclidean error
-    stage_times: dict               # method -> wall seconds for that stage; {} on failure
+    squared_errors: dict            # method -> squared Euclidean error, in METHODS order
+    stage_times: dict               # method -> wall seconds, in METHODS order; {} on failure
     failure: str | None             # error class name, or None on success
+
+    def __init__(self, trial_index, truth, estimates, squared_errors, stage_times, failure):
+        d = self.__dict__
+        d["trial_index"] = trial_index
+        d["truth"] = truth
+        d["estimates"] = estimates
+        d["squared_errors"] = squared_errors
+        d["stage_times"] = stage_times
+        d["failure"] = failure
 
     @property
     def ok(self) -> bool:
@@ -168,13 +179,6 @@ def sample_truth(scenario: Scenario, rng: np.random.Generator) -> TargetState:
     if scenario.motion_mode == "constant_acceleration":
         return _target_state(*_uniform_boxes(rng, (position, velocity, acceleration)))
     return _target_state(*_uniform_boxes(rng, (position, velocity)), (0.0, 0.0))
-
-
-def _squared_error(estimate, truth) -> float:
-    """np.sum((estimate - truth) ** 2) of the (e0, e1) floats of an estimate and
-    the truth's (t0, t1) floats, on floats in the same order."""
-    (e0, e1), (t0, t1) = estimate, truth
-    return (e0 - t0) * (e0 - t0) + (e1 - t1) * (e1 - t1)
 
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
@@ -255,18 +259,21 @@ class _State(np.random.bit_generator.ISeedSequence):
 
 
 class _Trials:
-    """Trials drawn once: their truths, the read-only (T, 6, N) block of their
-    noise-free rows and unit normals, and the rows whose truth is on a sensor
-    (ZeroRange; they stay zero).  Each trial's normals are drawn straight into
-    the block, and then the noise-free rows of all its trials are computed at
-    once (``model._true_block``).  ``positions`` holds (sigma_range, outcome) per
-    trial: the position stage reads only the ranges, so its result, or its
-    error class name, holds at every point with that sigma_range."""
+    """Trials drawn once: their truths, each truth's six floats
+    ``(px, py, vx, vy, ax, ay)``, read once from the ``TargetState`` that
+    ``sample_truth`` returned and scored against at every point, the read-only
+    (T, 6, N) block of their noise-free rows and unit normals, and the rows
+    whose truth is on a sensor (ZeroRange; they stay zero).  Each trial's
+    normals are drawn straight into the block, and then the noise-free rows of
+    all its trials are computed at once (``model._true_block``).  ``positions``
+    holds (sigma_range, outcome) per trial: the position stage reads only the
+    ranges, so its result, or its error class name, holds at every point with
+    that sigma_range."""
 
     def __init__(self, scenario: Scenario, indices):
         sensors = scenario.sensors
         draws = np.zeros((len(indices), 6, len(sensors)))
-        self.truths = []
+        self.truths, self.truth_floats = [], []
         for row, i in enumerate(indices):
             # the truth and measurement streams of SeedSequence((seed, i)).spawn(2)
             block, j = _stream_block(scenario.seed, i // _BLOCK), i % _BLOCK
@@ -274,6 +281,8 @@ class _Trials:
             gen = np.random.Generator(np.random.PCG64(_State(block[j, 1])))
             gen.standard_normal(out=draws[row, 3:])
             self.truths.append(truth)
+            self.truth_floats.append((*truth.position.tolist(), *truth.velocity.tolist(),
+                                      *truth.acceleration.tolist()))
         self.zero_range = _true_block(self.truths, sensors, draws)
         self.draws = _frozen_array(draws)
         self.positions = [(None, None)] * len(indices)
@@ -287,8 +296,10 @@ def run_trial(scenario: Scenario, trial_index: int,
     and the position outcome is reused while sigma_range stays the same; on
     any other scenario, or past the table's trials, the trial is the
     one-trial case of such a table.  Either way the record depends only on
-    the scenario and the index.  Estimator failures are captured in the
-    record, not raised."""
+    the scenario and the index.  The five squared errors are formed from the
+    estimates' floats and the table's truth floats, and they and the stage
+    times are keyed in ``METHODS`` order.  Estimator failures are captured in
+    the record, not raised."""
     trial_index = _as_index(trial_index, "trial_index")
     if not 0 <= trial_index < 2 ** 63:
         raise ValueError(f"trial_index out of range: {trial_index}")
@@ -317,14 +328,18 @@ def run_trial(scenario: Scenario, trial_index: int,
     except _TRIAL_ERRORS as exc:
         return TrialRecord(trial_index, truth, None, {}, {}, type(exc).__name__)
 
-    p, v, a = truth.position.tolist(), truth.velocity.tolist(), truth.acceleration.tolist()
-    # scored from the estimates' floats, so a trial makes no estimate array
+    px, py, vx, vy, ax, ay = trials.truth_floats[row]
+    (p0, p1), (vl0, vl1), (vw0, vw1), (al0, al1), (aw0, aw1) = (
+        estimates.position._xy, estimates.velocity_ls._xy, estimates.velocity_wls._xy,
+        estimates.accel_ls._xy, estimates.accel_wls._xy)
+    # np.sum((estimate - truth) ** 2) on floats, in the same order: a trial
+    # makes no estimate array
     squared_errors = {
-        "position": _squared_error(estimates.position._xy, p),
-        "velocity_ls": _squared_error(estimates.velocity_ls._xy, v),
-        "velocity_wls": _squared_error(estimates.velocity_wls._xy, v),
-        "accel_ls": _squared_error(estimates.accel_ls._xy, a),
-        "accel_wls": _squared_error(estimates.accel_wls._xy, a),
+        "position": (p0 - px) * (p0 - px) + (p1 - py) * (p1 - py),
+        "velocity_ls": (vl0 - vx) * (vl0 - vx) + (vl1 - vy) * (vl1 - vy),
+        "velocity_wls": (vw0 - vx) * (vw0 - vx) + (vw1 - vy) * (vw1 - vy),
+        "accel_ls": (al0 - ax) * (al0 - ax) + (al1 - ay) * (al1 - ay),
+        "accel_wls": (aw0 - ax) * (aw0 - ax) + (aw1 - ay) * (aw1 - ay),
     }
     return TrialRecord(trial_index, truth, estimates, squared_errors, stage_times, None)
 
@@ -412,12 +427,12 @@ def _check_grid(grid, name: str = "grid"):
 
 
 def _scores(rec):
-    """A successful record's five squared errors, then its five stage times; None
-    for a failed one."""
+    """A successful record's five squared errors, then its five stage times, each
+    in ``METHODS`` order, the order ``run_trial`` keys them in; None for a failed
+    one."""
     if not rec.ok:
         return None
-    return (*map(rec.squared_errors.__getitem__, METHODS),
-            *map(rec.stage_times.__getitem__, METHODS))
+    return (*rec.squared_errors.values(), *rec.stage_times.values())
 
 
 def _score_point(scenario: Scenario, weight_rule: WeightRule, threads: int):

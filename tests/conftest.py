@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -28,6 +30,12 @@ def assert_cannot_unlock(*arrays):
         with pytest.raises(ValueError):
             arr.setflags(write=True)
         assert not arr.flags.writeable
+
+
+# a copy by each pickle protocol and by copy.deepcopy
+COPIERS = {f"pickle{protocol}": lambda obj, protocol=protocol: pickle.loads(
+    pickle.dumps(obj, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)}
+COPIERS["deepcopy"] = copy.deepcopy
 
 
 def spy_points(monkeypatch) -> list:

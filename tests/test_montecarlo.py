@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import sys
@@ -7,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import record_columns
+from conftest import COPIERS, assert_cannot_unlock, record_columns
 from kinloc import estim, montecarlo
 from kinloc.errors import EmptyEnsemble, SingularGeometry
 from kinloc.model import NoiseSpec, SensorArray, TargetState
@@ -216,6 +217,67 @@ class TestRunTrial:
         monkeypatch.setattr(estim, "_acceleration", singular)
         rec = run_trial(sc, 0)
         assert rec.failure == "SingularGeometry" and rec.stage_times == {}
+
+
+class TestTrialRecord:
+    """TrialRecord writes its fields in a hand-written ``__init__`` and keeps the
+    frozen dataclass contract of the generated one."""
+
+    FIELDS = ["trial_index", "truth", "estimates", "squared_errors", "stage_times", "failure"]
+
+    @pytest.fixture(params=["ok", "failed"])
+    def record(self, request):
+        sc = default_scenario(trials=4, motion_mode="constant_acceleration")
+        if request.param == "failed":       # every truth on the sensor at the origin
+            sc = replace(sc, position_box=((0.0, 0.0), (0.0, 0.0)))
+        rec = run_trial(sc, 2)
+        assert rec.ok == (request.param == "ok")
+        return rec
+
+    def test_fields_in_order_and_by_keyword(self, record):
+        assert [f.name for f in dataclasses.fields(record)] == self.FIELDS
+        # the instance dict holds the fields alone, in field order
+        assert list(vars(record)) == self.FIELDS
+        # by position and by keyword, as the generated __init__ took them
+        values = [getattr(record, name) for name in self.FIELDS]
+        assert TrialRecord(*values) == TrialRecord(**dict(zip(self.FIELDS, values))) == record
+
+    def test_repr(self):
+        truth = TargetState((1.0, 2.0), (0.5, 0.0))
+        rec = TrialRecord(3, truth, None, {}, {}, "ZeroRange")
+        assert repr(rec) == (f"TrialRecord(trial_index=3, truth={truth!r}, estimates=None, "
+                             "squared_errors={}, stage_times={}, failure='ZeroRange')")
+
+    def test_equality_and_replace_follow_the_fields(self, record):
+        twin = replace(record)
+        assert twin is not record and twin == record
+        assert replace(record, trial_index=7) != record
+        assert replace(record, failure="SingularGeometry").ok is False
+        # TargetState compares by identity, so an equal-valued truth is another field
+        truth = record.truth
+        assert replace(record, truth=TargetState(truth.position, truth.velocity,
+                                                 truth.acceleration)) != record
+
+    def test_assignment_and_deletion_raise(self, record):
+        for name in self.FIELDS:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, name, None)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(record, name)
+
+    @pytest.mark.parametrize("how", tuple(COPIERS))
+    def test_pickle_and_deepcopy_round_trip(self, record, how):
+        twin = COPIERS[how](record)
+        assert type(twin) is TrialRecord and list(vars(twin)) == self.FIELDS
+        assert (twin.trial_index, twin.estimates, twin.failure) == (
+            record.trial_index, record.estimates, record.failure)
+        # the scores keep their values and their METHODS order
+        for name in ("squared_errors", "stage_times"):
+            assert list(getattr(twin, name).items()) == list(getattr(record, name).items())
+        arrays = [record.truth.position, record.truth.velocity, record.truth.acceleration]
+        copied = [twin.truth.position, twin.truth.velocity, twin.truth.acceleration]
+        assert [a.tobytes() for a in copied] == [a.tobytes() for a in arrays]
+        assert_cannot_unlock(*copied)
 
 
 class TestRmse:

@@ -12,14 +12,12 @@ which scores its trials from the estimates' floats, makes none.  Pickle and
 arrays are frozen too.
 """
 
-import copy
 import math
-import pickle
 
 import numpy as np
 import pytest
 
-from conftest import assert_cannot_unlock, spy_points
+from conftest import COPIERS, assert_cannot_unlock, spy_points
 from kinloc import estim, montecarlo
 from kinloc.estim import PROPAGATED, estimate_all
 from kinloc.model import _measurements, _noisy, as_vec2, synthesize_measurements
@@ -133,11 +131,6 @@ def test_sweep_trials_make_no_estimate_array(monkeypatch):
     result_arrays(estimates)
     result_arrays(estimates)
     assert sorted(built) == sorted(["position"] + ["value", "pseudo_measurements"] * 4)
-
-
-COPIERS = {f"pickle{protocol}": lambda obj, protocol=protocol: pickle.loads(
-    pickle.dumps(obj, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)}
-COPIERS["deepcopy"] = copy.deepcopy
 
 
 def frozen_arrays(scenario, truth, measurements, result) -> list:

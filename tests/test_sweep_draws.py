@@ -13,7 +13,8 @@ and these tests state what a point's scores must be, not how they are made:
   and ``run_trial`` of the point's own scenario gives the lone records;
 - work: one ``sample_truth`` call per trial per sweep, one
   ``_kernels.position_solve`` per trial for each run of equal sigma_range,
-  and the boxes checked once;
+  the boxes checked once, and on one thread one call of the module's
+  ``run_trial`` per trial per point;
 - memory: at most one live ``TrialRecord`` during a one-thread sweep, and
   no table outlives its sweep;
 - concurrency: sweeps run at once from user threads keep their own tables,
@@ -23,7 +24,7 @@ and these tests state what a point's scores must be, not how they are made:
 
 The one spy wraps ``_score_point`` and captures each point's scenario,
 columns and failure count; work is counted only at ``sample_truth``,
-``_kernels.position_solve`` and ``_as_box``.
+``_kernels.position_solve``, ``_as_box`` and ``run_trial``.
 """
 
 import gc
@@ -638,6 +639,35 @@ def test_one_thread_sweep_holds_one_trial_record_at_a_time(monkeypatch, experime
     assert [p.successes for p in result.points] == successes
     assert len(alive) == 15 * len(grid)
     assert max(alive) == 0
+
+
+@pytest.mark.parametrize("experiment, grid, failures", [
+    ("velocity", (0.5, 2.0, 1e150), [0, 0, 15]),        # 1e150 fails every trial
+    ("acceleration", GRID, [0, 0, 0]),
+])
+def test_one_thread_sweep_calls_run_trial_once_per_trial_and_point(monkeypatch, experiment,
+                                                                   grid, failures):
+    # perfbench's per-item probe times each call of the module attribute
+    # run_trial, so it must see every trial of every point; a sweep that made
+    # its records another way would still pass the record count above.
+    # _scores reads a record's squared errors and stage times by position, so
+    # run_trial keys both in METHODS order; a failed trial keys neither
+    sweep = EXPERIMENTS[experiment][0]
+    real, calls = montecarlo.run_trial, []
+
+    def counted(scenario, trial_index, weight_rule=PROPAGATED):
+        rec = real(scenario, trial_index, weight_rule)
+        keys = METHODS if rec.ok else ()
+        assert tuple(rec.squared_errors) == tuple(rec.stage_times) == keys
+        calls.append((scenario, trial_index))
+        return rec
+
+    monkeypatch.setattr(montecarlo, "run_trial", counted)
+    seen = spy_points(monkeypatch)
+    sweep(default_scenario(trials=15), grid)
+    assert len(seen) == len(grid)
+    assert calls == [(scenario, i) for scenario, _, _ in seen for i in range(15)]
+    assert [point_failures for _, _, point_failures in seen] == failures
 
 
 @pytest.mark.parametrize("threads", [1, 2])
