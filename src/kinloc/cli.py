@@ -259,9 +259,9 @@ def _sweep_csv(sweep, with_timing: bool) -> str:
     lines = [CSV_HEADER]
     for point in sweep.points:
         if with_timing:
-            t = point.mean_stage_times
-            t_ls = (t["position"] + t["velocity_ls"] + t["accel_ls"]) * 1e6
-            t_wls = (t["position"] + t["velocity_wls"] + t["accel_wls"]) * 1e6
+            position, velocity_ls, velocity_wls, accel_ls, accel_wls = point.mean_stage_times
+            t_ls = (position + velocity_ls + accel_ls) * 1e6
+            t_wls = (position + velocity_wls + accel_wls) * 1e6
         else:
             # wall-clock times are never reproducible; only report them on request
             t_ls = t_wls = 0.0

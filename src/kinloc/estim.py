@@ -498,12 +498,12 @@ def _timed_kinematics(measurements: MeasurementSet, sensors: SensorArray, solved
     """The four kinematic stages in order after ``solved``, a ``_timed_position``
     result: its ``estimate_position`` checked that the measurements and the
     sensors have equal lengths, and the caller passes the same ones.  Returns
-    (EstimationResult, stage wall seconds keyed by the EstimationResult
-    field names in order, the position's taken from ``solved``).  The
-    position is read once, as floats, and each acceleration stage takes the
-    components, weights and Gram sums of its velocity solve from the private
-    stage functions; ``estimate_velocity`` and ``estimate_acceleration`` do
-    not run.  No estimate array is made: the stages read and return floats."""
+    (EstimationResult, a tuple of its stages' wall seconds in field order,
+    the position's taken from ``solved``).  The position is read once, as
+    floats, and each acceleration stage takes the components, weights and Gram
+    sums of its velocity solve from the private stage functions;
+    ``estimate_velocity`` and ``estimate_acceleration`` do not run.  No
+    estimate array is made: the stages read and return floats."""
     pos, position_time = solved
     px, py = pos._xy        # finite floats: the kernels return no others
     clock = time.perf_counter
@@ -516,8 +516,7 @@ def _timed_kinematics(measurements: MeasurementSet, sensors: SensorArray, solved
     t4 = clock()
     a_wls = _acceleration(measurements, sensors, px, py, *v_wls._xy, weight_rule, w, gram)
     t5 = clock()
-    times = {"position": position_time, "velocity_ls": t2 - t1, "velocity_wls": t3 - t2,
-             "accel_ls": t4 - t3, "accel_wls": t5 - t4}
+    times = (position_time, t2 - t1, t3 - t2, t4 - t3, t5 - t4)
     return EstimationResult(pos, v_ls, v_wls, a_ls, a_wls), times
 
 

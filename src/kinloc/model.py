@@ -305,20 +305,13 @@ def true_measurements(target: TargetState, sensors: SensorArray):
     return tuple(np.array(q) for q in _true_lists(target, sensors))
 
 
-def _draw(target: TargetState, sensors: SensorArray, gen: np.random.Generator, out) -> None:
-    """Write a trial's measurements before any sigma into ``out``, one (6, N) row of a
-    draw block: ``true_measurements`` in rows 0-2, ``gen.standard_normal((3, N))`` in
-    rows 3-5.  Raises ZeroRange, writing nothing, when the target is on a sensor."""
-    out[:3] = _true_lists(target, sensors)
-    gen.standard_normal(out=out[3:])
-
-
 def _true_block(targets, sensors: SensorArray, out) -> set:
-    """``_draw``'s rows 0-2 for T targets at once, written into ``out``, a (T, 6, N)
-    draw block: one numpy expression per quantity over (T, N), each element by the
-    IEEE operations of ``_true_lists`` in the same order, under ``np.errstate``
-    because Python floats overflow silently.  A target on a sensor is ZeroRange:
-    its whole (6, N) row is set to zero.  Returns the set of those rows."""
+    """The noise-free ranges, range rates and drrs of T targets at once, written into
+    rows 0-2 of ``out``, a (T, 6, N) draw block whose rows 3-5 hold unit normals: one
+    numpy expression per quantity over (T, N), each element by the IEEE operations of
+    ``_true_lists`` in the same order, under ``np.errstate`` because Python floats
+    overflow silently.  A target on a sensor is ZeroRange: its whole (6, N) row is set
+    to zero.  Returns the set of those rows."""
     p, v, a = (np.concatenate([getattr(t, name) for t in targets]).reshape(-1, 2)
                for name in ("position", "velocity", "acceleration"))
     px, py, v0, v1, a0, a1 = p[:, :1], p[:, 1:], v[:, :1], v[:, 1:], a[:, :1], a[:, 1:]
@@ -336,7 +329,7 @@ def _true_block(targets, sensors: SensorArray, out) -> set:
 
 
 def _noisy(draws: np.ndarray, noise: NoiseSpec) -> np.ndarray:
-    """A (T, 6, N) block of ``_draw`` rows noised as one read-only (T, 3, N) array of
+    """A (T, 6, N) draw block noised as one read-only (T, 3, N) array of
     q + s * e, which numpy rounds as Python floats would.  One check covers the block:
     it raises MeasurementSet's ValueError for the first non-finite column of the first
     trial with one, in the order ranges, range_rates, drrs."""
@@ -367,6 +360,8 @@ def synthesize_measurements(target: TargetState, sensors: SensorArray,
     so a given stream always yields the same measurement set regardless of
     how the result is consumed afterwards: the one-trial case of a sweep's blocks.
     """
+    gen = np.random.default_rng(rng)
     draws = np.empty((1, 6, len(sensors)))
-    _draw(target, sensors, np.random.default_rng(rng), draws[0])
+    draws[0, :3] = _true_lists(target, sensors)     # raises ZeroRange before any draw
+    gen.standard_normal(out=draws[0, 3:])
     return _measurements(_noisy(draws, noise), 0, noise)

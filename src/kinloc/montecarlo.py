@@ -12,10 +12,11 @@ with its sigmas in one numpy operation; each point's scenario carries the
 table and its noisy block, so a pool's workers read them as a one-thread
 sweep does.  It solves the position stage, which reads only the ranges, once
 per sigma_range.  ``_score_point`` scores each point, the seam the sweep
-tests hold to lone ``run_trial`` calls: float columns of its successful
-trials' squared errors and stage times in trial order, and its failure
-count, which ``_aggregate_point`` folds.  One thread holds one record at a
-time; a pooled sweep scores a point's list from ``run_ensemble``.
+tests hold to lone ``run_trial`` calls: float columns, in ``METHODS`` order,
+of its successful trials' squared errors and stage times, each column in
+trial order, and its failure count, which ``_aggregate_point`` folds.  One
+thread holds one record at a time; a pooled sweep scores a point's list from
+``run_ensemble``.
 
 The two sweep drivers reproduce the standard experiments: velocity RMSE
 against the range-rate noise level (constant-velocity targets, sigma_range
@@ -141,8 +142,8 @@ class TrialRecord:
     trial_index: int
     truth: TargetState
     estimates: EstimationResult | None
-    squared_errors: dict            # method -> squared Euclidean error, in METHODS order
-    stage_times: dict               # method -> wall seconds, in METHODS order; {} on failure
+    squared_errors: tuple           # squared Euclidean errors in METHODS order; () on failure
+    stage_times: tuple              # wall seconds in METHODS order; () on failure
     failure: str | None             # error class name, or None on success
 
     def __init__(self, trial_index, truth, estimates, squared_errors, stage_times, failure):
@@ -297,8 +298,8 @@ def run_trial(scenario: Scenario, trial_index: int,
     any other scenario, or past the table's trials, the trial is the
     one-trial case of such a table.  Either way the record depends only on
     the scenario and the index.  The five squared errors are formed from the
-    estimates' floats and the table's truth floats, and they and the stage
-    times are keyed in ``METHODS`` order.  Estimator failures are captured in
+    estimates' floats and the table's truth floats; they and the five stage
+    times are tuples in ``METHODS`` order.  Estimator failures are captured in
     the record, not raised."""
     trial_index = _as_index(trial_index, "trial_index")
     if not 0 <= trial_index < 2 ** 63:
@@ -310,7 +311,7 @@ def run_trial(scenario: Scenario, trial_index: int,
         noisy = _noisy(trials.draws, scenario.noise)
     truth = trials.truths[row]
     if row in trials.zero_range:
-        return TrialRecord(trial_index, truth, None, {}, {}, ZeroRange.__name__)
+        return TrialRecord(trial_index, truth, None, (), (), ZeroRange.__name__)
     measurements = _measurements(noisy, row, scenario.noise)
     sigma_range = scenario.noise.sigma_range
     solved_at, position = trials.positions[row]
@@ -321,12 +322,12 @@ def run_trial(scenario: Scenario, trial_index: int,
             position = type(exc).__name__
         trials.positions[row] = sigma_range, position
     if isinstance(position, str):
-        return TrialRecord(trial_index, truth, None, {}, {}, position)
+        return TrialRecord(trial_index, truth, None, (), (), position)
     try:
         estimates, stage_times = _timed_kinematics(measurements, scenario.sensors, position,
                                                    weight_rule)
     except _TRIAL_ERRORS as exc:
-        return TrialRecord(trial_index, truth, None, {}, {}, type(exc).__name__)
+        return TrialRecord(trial_index, truth, None, (), (), type(exc).__name__)
 
     px, py, vx, vy, ax, ay = trials.truth_floats[row]
     (p0, p1), (vl0, vl1), (vw0, vw1), (al0, al1), (aw0, aw1) = (
@@ -334,13 +335,13 @@ def run_trial(scenario: Scenario, trial_index: int,
         estimates.accel_ls._xy, estimates.accel_wls._xy)
     # np.sum((estimate - truth) ** 2) on floats, in the same order: a trial
     # makes no estimate array
-    squared_errors = {
-        "position": (p0 - px) * (p0 - px) + (p1 - py) * (p1 - py),
-        "velocity_ls": (vl0 - vx) * (vl0 - vx) + (vl1 - vy) * (vl1 - vy),
-        "velocity_wls": (vw0 - vx) * (vw0 - vx) + (vw1 - vy) * (vw1 - vy),
-        "accel_ls": (al0 - ax) * (al0 - ax) + (al1 - ay) * (al1 - ay),
-        "accel_wls": (aw0 - ax) * (aw0 - ax) + (aw1 - ay) * (aw1 - ay),
-    }
+    squared_errors = (
+        (p0 - px) * (p0 - px) + (p1 - py) * (p1 - py),
+        (vl0 - vx) * (vl0 - vx) + (vl1 - vy) * (vl1 - vy),
+        (vw0 - vx) * (vw0 - vx) + (vw1 - vy) * (vw1 - vy),
+        (al0 - ax) * (al0 - ax) + (al1 - ay) * (al1 - ay),
+        (aw0 - ax) * (aw0 - ax) + (aw1 - ay) * (aw1 - ay),
+    )
     return TrialRecord(trial_index, truth, estimates, squared_errors, stage_times, None)
 
 
@@ -374,7 +375,8 @@ def rmse(records, method: str) -> float:
     """
     if method not in METHODS:
         raise KeyError(f"unknown method {method!r}, expected one of {METHODS}")
-    sq = [rec.squared_errors[method] for rec in records if rec.ok]
+    k = METHODS.index(method)
+    sq = [rec.squared_errors[k] for rec in records if rec.ok]
     if not sq:
         raise EmptyEnsemble(f"no successful trials to aggregate for {method!r}")
     return _rms(sq)
@@ -398,7 +400,7 @@ class SweepPoint:
     rmse_accel_wls: float
     failures: int
     successes: int
-    mean_stage_times: dict          # method -> mean wall seconds per successful trial
+    mean_stage_times: tuple         # mean wall seconds per successful trial, in METHODS order
 
 
 @dataclass(frozen=True)
@@ -426,41 +428,33 @@ def _check_grid(grid, name: str = "grid"):
     return values
 
 
-def _scores(rec):
-    """A successful record's five squared errors, then its five stage times, each
-    in ``METHODS`` order, the order ``run_trial`` keys them in; None for a failed
-    one."""
-    if not rec.ok:
-        return None
-    return (*rec.squared_errors.values(), *rec.stage_times.values())
-
-
 def _score_point(scenario: Scenario, weight_rule: WeightRule, threads: int):
     """(columns, failures): the five squared-error columns, then the five
-    stage-time columns, of the point's successful trials in trial order (empty
-    when none succeeded), and the count of failed trials.  One thread scores
-    each ``run_trial`` record and drops it before the next trial runs."""
+    stage-time columns, each in ``METHODS`` order, of the point's successful
+    trials in trial order (empty when none succeeded), and the count of failed
+    trials.  A record's row is its squared errors joined to its stage times,
+    empty for a failed trial.  One thread forms each ``run_trial`` record's row
+    and drops the record before the next trial runs."""
     if threads > 1:
         records = run_ensemble(scenario, weight_rule, threads)
     else:       # one record at a time, through the module's run_trial
         records = (run_trial(scenario, i, weight_rule) for i in range(scenario.trials))
-    scored = list(map(_scores, records))
-    rows = [row for row in scored if row is not None]
-    return list(zip(*rows)), len(scored) - len(rows)
+    # map, not a comprehension, whose loop variable would keep each record
+    # alive while run_trial makes the next one
+    rows = list(map(lambda rec: rec.squared_errors + rec.stage_times, records))
+    scored = [row for row in rows if row]
+    return list(zip(*scored)), len(rows) - len(scored)
 
 
 def _aggregate_point(sigma: float, columns, failures: int) -> SweepPoint:
     """Fold a point's ``_score_point`` columns and failure count into a grid point."""
     successes = len(columns[0]) if columns else 0
     if successes:
-        rmses = {f"rmse_{m}": _rms(column) for m, column in zip(METHODS, columns)}
-        mean_times = {m: float(np.mean(column))
-                      for m, column in zip(METHODS, columns[len(METHODS):])}
+        rmses = [_rms(column) for column in columns[:len(METHODS)]]
+        mean_times = tuple(float(np.mean(column)) for column in columns[len(METHODS):])
     else:
-        rmses = {f"rmse_{m}": float("nan") for m in METHODS}
-        mean_times = dict.fromkeys(METHODS, 0.0)
-    return SweepPoint(sigma=sigma, **rmses, failures=failures, successes=successes,
-                      mean_stage_times=mean_times)
+        rmses, mean_times = [float("nan")] * len(METHODS), (0.0,) * len(METHODS)
+    return SweepPoint(sigma, *rmses, failures, successes, mean_times)
 
 
 def _sweep(base: Scenario, swept_parameter: str, grid, motion_mode: str,
@@ -510,12 +504,11 @@ def sweep_acceleration_experiment(base: Scenario, sigma_drr_grid,
 
 def timing_report(sweep: SweepResult) -> dict:
     """Mean per-trial wall time (seconds) for each method over the whole sweep."""
-    totals = {method: 0.0 for method in METHODS}
-    count = 0
+    totals, count = [0.0] * len(METHODS), 0
     for point in sweep.points:
-        for method in METHODS:
-            totals[method] += point.mean_stage_times[method] * point.successes
+        totals = [total + t * point.successes
+                  for total, t in zip(totals, point.mean_stage_times)]
         count += point.successes
     if count == 0:
-        return {method: 0.0 for method in METHODS}
-    return {method: totals[method] / count for method in METHODS}
+        return dict.fromkeys(METHODS, 0.0)
+    return {method: total / count for method, total in zip(METHODS, totals)}

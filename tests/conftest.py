@@ -55,10 +55,12 @@ def spy_points(monkeypatch) -> list:
 
 def record_columns(records):
     """The (columns, failures) that ``montecarlo._score_point`` gives for these
-    records: the squared errors, then the stage times, of the successful ones."""
+    records: the squared errors, then the stage times, of the successful ones,
+    one column per method in ``METHODS`` order."""
     ok = [rec for rec in records if rec.ok]
-    columns = ([tuple(rec.squared_errors[m] for rec in ok) for m in METHODS]
-               + [tuple(rec.stage_times[m] for rec in ok) for m in METHODS])
+    methods = range(len(METHODS))
+    columns = ([tuple(rec.squared_errors[k] for rec in ok) for k in methods]
+               + [tuple(rec.stage_times[k] for rec in ok) for k in methods])
     return (columns if ok else []), len(records) - len(ok)
 
 

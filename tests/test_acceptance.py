@@ -64,7 +64,7 @@ def test_criterion_1_noiseless_consistency(warm, capsys):
     records = run_ensemble(sc)
     elapsed = perf_counter() - t0
     assert all(r.ok for r in records)
-    worst = math.sqrt(max(max(r.squared_errors.values()) for r in records))
+    worst = math.sqrt(max(max(r.squared_errors) for r in records))
     verdict(capsys, 1, f"noiseless worst error {worst:.2e} <= 1e-6 in {elapsed:.2f}s < 1s",
             worst <= 1e-6 and elapsed < 1.0)
 
@@ -209,7 +209,7 @@ def test_criterion_8_degeneracies_raise_named_errors(capsys):
     sc = default_scenario(trials=3, sensors=[(0.0, 0.0), (50.0, 0.0), (100.0, 0.0)])
     records = run_ensemble(sc)
     no_nan = all(r.estimates is None and r.failure == "DegenerateGeometry"
-                 and not any(map(math.isnan, r.squared_errors.values()))
+                 and not any(map(math.isnan, r.squared_errors))
                  for r in records)
 
     verdict(capsys, 8, f"collinear -> DegenerateGeometry={got_collinear}, parallel rows -> "

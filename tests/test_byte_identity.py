@@ -18,7 +18,7 @@ import struct
 import numpy as np
 
 from kinloc.estim import PROPAGATED, UNIFORM, WeightRule
-from kinloc.montecarlo import METHODS, MOTION_MODES, default_scenario, run_ensemble
+from kinloc.montecarlo import MOTION_MODES, default_scenario, run_ensemble
 
 TRIALS = 60
 SEEDS = (0, 7, 2 ** 40 + 3)
@@ -42,7 +42,7 @@ def _feed(digest, record):
     digest.update(f"#{record.trial_index}:{record.failure}".encode())
     for vec in (record.truth.position, record.truth.velocity, record.truth.acceleration):
         array(vec)
-    floats(*(record.squared_errors[m] for m in METHODS if m in record.squared_errors))
+    floats(*record.squared_errors)
     est = record.estimates
     if est is None:
         return

@@ -324,12 +324,16 @@ class TestSweep:
         assert a.read_bytes() == b.read_bytes()
 
     def test_timing_flag_populates_time_columns(self, tmp_path, capsys):
-        dest = tmp_path / "timed.csv"
+        dest, plain = tmp_path / "timed.csv", tmp_path / "plain.csv"
         code, _, _ = run(self.ARGS + ["--out", str(dest), "--timing"], capsys)
         assert code == 0
         for line in dest.read_text().splitlines()[1:]:
             parts = line.split(",")
             assert float(parts[7]) > 0.0 and float(parts[8]) > 0.0
+        # and only those: the sigma, RMSE and failure columns keep their bytes
+        run(self.ARGS + ["--out", str(plain)], capsys)
+        assert ([line.split(b",")[:7] for line in dest.read_bytes().splitlines()]
+                == [line.split(b",")[:7] for line in plain.read_bytes().splitlines()])
 
     def test_svg_output_parses(self, tmp_path, capsys):
         dest, fig = tmp_path / "sweep.csv", tmp_path / "sweep.svg"

@@ -170,9 +170,13 @@ class TestSynthesize:
         _noisy(draws, noise)
 
     def test_target_on_sensor_raises(self, sensors8, rng):
+        # the noise-free rows are formed before any noise is drawn, so the
+        # caller's Generator is left where it was
+        state = rng.bit_generator.state
         with pytest.raises(ZeroRange):
             synthesize_measurements(TargetState((0.0, 0.0), (1.0, 1.0)),
                                     sensors8, NoiseSpec(), rng)
+        assert rng.bit_generator.state == state
 
 
 class TestValidation:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import COPIERS, assert_cannot_unlock, record_columns
-from kinloc import estim, montecarlo
+from kinloc import cli, estim, montecarlo
 from kinloc.errors import EmptyEnsemble, SingularGeometry
 from kinloc.model import NoiseSpec, SensorArray, TargetState
 from kinloc.montecarlo import (DEFAULT_SENSOR_POSITIONS, METHODS, Scenario, SweepPoint,
@@ -22,8 +22,7 @@ ZERO_NOISE = NoiseSpec(0.0, 0.0, 0.0)
 
 def record_with_errors(sq, index=0, failure=None):
     truth = TargetState((0.0, 0.0), (0.0, 0.0))
-    return TrialRecord(index, truth, None, sq,
-                       {m: 0.0 for m in METHODS}, failure)
+    return TrialRecord(index, truth, None, sq, (0.0,) * len(sq), failure)
 
 
 class TestScenario:
@@ -155,7 +154,7 @@ class TestRunTrial:
                               motion_mode="constant_acceleration")
         rec = run_trial(sc, 0)
         assert rec.ok
-        assert max(rec.squared_errors.values()) <= 1e-10
+        assert max(rec.squared_errors) <= 1e-10
 
     def test_trial_index_must_be_an_integer(self):
         sc = default_scenario(trials=2)
@@ -198,7 +197,7 @@ class TestRunTrial:
         rec = run_trial(sc, 0)
         assert not rec.ok
         assert rec.failure == "DegenerateGeometry"
-        assert rec.estimates is None and rec.squared_errors == {}
+        assert rec.estimates is None and rec.squared_errors == ()
 
     def test_overflowing_stage_solution_recorded_not_raised(self):
         # range rates near 1e150 overflow the acceleration LS solve of trial 6
@@ -207,7 +206,7 @@ class TestRunTrial:
 
     def test_stage_times_come_from_the_shared_pipeline(self, monkeypatch):
         sc = default_scenario(trials=1)
-        assert tuple(run_trial(sc, 0).stage_times) == METHODS
+        assert len(run_trial(sc, 0).stage_times) == len(METHODS)
 
         # the trial runs estim's private stage functions, so a failure in the
         # acceleration stage fails the trial and leaves no partial stage times
@@ -216,7 +215,7 @@ class TestRunTrial:
 
         monkeypatch.setattr(estim, "_acceleration", singular)
         rec = run_trial(sc, 0)
-        assert rec.failure == "SingularGeometry" and rec.stage_times == {}
+        assert rec.failure == "SingularGeometry" and rec.stage_times == ()
 
 
 class TestTrialRecord:
@@ -244,9 +243,9 @@ class TestTrialRecord:
 
     def test_repr(self):
         truth = TargetState((1.0, 2.0), (0.5, 0.0))
-        rec = TrialRecord(3, truth, None, {}, {}, "ZeroRange")
+        rec = TrialRecord(3, truth, None, (), (), "ZeroRange")
         assert repr(rec) == (f"TrialRecord(trial_index=3, truth={truth!r}, estimates=None, "
-                             "squared_errors={}, stage_times={}, failure='ZeroRange')")
+                             "squared_errors=(), stage_times=(), failure='ZeroRange')")
 
     def test_equality_and_replace_follow_the_fields(self, record):
         twin = replace(record)
@@ -257,6 +256,15 @@ class TestTrialRecord:
         truth = record.truth
         assert replace(record, truth=TargetState(truth.position, truth.velocity,
                                                  truth.acceleration)) != record
+
+    def test_scores_are_tuples_and_the_record_hashes(self, record):
+        # the scores are fixed once made: a record hashes, and its tuples take
+        # no assignment
+        assert type(record.squared_errors) is type(record.stage_times) is tuple
+        assert hash(record) == hash(replace(record))
+        for scores in (record.squared_errors, record.stage_times):
+            with pytest.raises(TypeError):
+                scores[0] = 0.0
 
     def test_assignment_and_deletion_raise(self, record):
         for name in self.FIELDS:
@@ -272,8 +280,8 @@ class TestTrialRecord:
         assert (twin.trial_index, twin.estimates, twin.failure) == (
             record.trial_index, record.estimates, record.failure)
         # the scores keep their values and their METHODS order
-        for name in ("squared_errors", "stage_times"):
-            assert list(getattr(twin, name).items()) == list(getattr(record, name).items())
+        assert (twin.squared_errors, twin.stage_times) == (record.squared_errors,
+                                                           record.stage_times)
         arrays = [record.truth.position, record.truth.velocity, record.truth.acceleration]
         copied = [twin.truth.position, twin.truth.velocity, twin.truth.acceleration]
         assert [a.tobytes() for a in copied] == [a.tobytes() for a in arrays]
@@ -282,32 +290,32 @@ class TestTrialRecord:
 
 class TestRmse:
     def test_all_zero_errors(self):
-        records = [record_with_errors({m: 0.0 for m in METHODS}, i)
+        records = [record_with_errors((0.0,) * 5, i)
                    for i in range(4)]
         assert rmse(records, "position") == 0.0
 
     def test_single_trial_3_4_error(self):
-        rec = record_with_errors({m: 25.0 for m in METHODS})
+        rec = record_with_errors((25.0,) * 5)
         assert rmse([rec], "velocity_ls") == 5.0
 
     def test_two_unit_errors_average(self):
-        records = [record_with_errors({m: 1.0 for m in METHODS}, i)
+        records = [record_with_errors((1.0,) * 5, i)
                    for i in range(2)]
         assert rmse(records, "accel_wls") == 1.0
 
     def test_failures_excluded(self):
-        good = record_with_errors({m: 4.0 for m in METHODS}, 0)
-        bad = record_with_errors({}, 1, failure="DegenerateGeometry")
+        good = record_with_errors((4.0,) * 5, 0)
+        bad = record_with_errors((), 1, failure="DegenerateGeometry")
         assert rmse([good, bad], "position") == 2.0
 
     def test_empty_ensemble_raises(self):
-        bad = record_with_errors({}, 0, failure="SingularGeometry")
+        bad = record_with_errors((), 0, failure="SingularGeometry")
         with pytest.raises(EmptyEnsemble):
             rmse([bad], "position")
 
     def test_unknown_method_rejected(self):
         with pytest.raises(KeyError):
-            rmse([record_with_errors({m: 0.0 for m in METHODS})], "warp")
+            rmse([record_with_errors((0.0,) * 5)], "warp")
 
     def test_sweep_point_aggregates_like_rmse_bitwise(self):
         # 258 successes over many magnitudes, so that the order of the sums shows
@@ -316,22 +324,21 @@ class TestRmse:
         records = []
         for i in range(301):
             if i % 7 == 3:
-                records.append(TrialRecord(i, truth, None, {}, {}, "SingularGeometry"))
+                records.append(TrialRecord(i, truth, None, (), (), "SingularGeometry"))
                 continue
             sq = gen.exponential(10.0 ** gen.integers(-6, 6), 5).tolist()
             times = gen.uniform(0.0, 1e-4, 5).tolist()
-            records.append(TrialRecord(i, truth, None, dict(zip(METHODS, sq)),
-                                       dict(zip(METHODS, times)), None))
+            records.append(TrialRecord(i, truth, None, tuple(sq), tuple(times), None))
         point = montecarlo._aggregate_point(0.5, *record_columns(records))
         assert (point.failures, point.successes) == (43, 258)
-        for m in METHODS:
+        for k, m in enumerate(METHODS):
             assert getattr(point, f"rmse_{m}").hex() == rmse(records, m).hex()
-            want = float(np.mean([rec.stage_times[m] for rec in records if rec.ok]))
-            assert point.mean_stage_times[m].hex() == want.hex()
+            want = float(np.mean([rec.stage_times[k] for rec in records if rec.ok]))
+            assert point.mean_stage_times[k].hex() == want.hex()
         failed = montecarlo._aggregate_point(0.5, [], 43)
         assert (failed.failures, failed.successes) == (43, 0)
         assert all(math.isnan(getattr(failed, f"rmse_{m}")) for m in METHODS)
-        assert failed.mean_stage_times == dict.fromkeys(METHODS, 0.0)
+        assert failed.mean_stage_times == (0.0,) * len(METHODS)
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_point_scores_are_its_records_floats_in_trial_order(self, two_cpus, threads):
@@ -416,9 +423,9 @@ class TestEnsemble:
         sc_b = default_scenario(trials=800, seed=200)
         rec_a = [r for r in run_ensemble(sc_a) if r.ok]
         rec_b = [r for r in run_ensemble(sc_b) if r.ok]
-        for method in METHODS:
-            sq_a = np.array([r.squared_errors[method] for r in rec_a])
-            sq_b = np.array([r.squared_errors[method] for r in rec_b])
+        for k, method in enumerate(METHODS):
+            sq_a = np.array([r.squared_errors[k] for r in rec_a])
+            sq_b = np.array([r.squared_errors[k] for r in rec_b])
             se = np.hypot(sq_a.std(ddof=1) / np.sqrt(sq_a.size),
                           sq_b.std(ddof=1) / np.sqrt(sq_b.size))
             assert abs(sq_a.mean() - sq_b.mean()) <= 3.0 * se, method
@@ -475,8 +482,16 @@ class TestSweeps:
         for field in ("rmse_position", "rmse_velocity_ls", "rmse_velocity_wls",
                       "rmse_accel_ls", "rmse_accel_wls"):
             assert np.isnan(getattr(failed, field))
-        assert all(t == 0.0 for t in failed.mean_stage_times.values())
+        assert failed.mean_stage_times == (0.0,) * len(METHODS)
         assert all(np.isfinite(t) for t in timing_report(sweep).values())
+
+    def test_points_and_sweep_hash_and_their_times_take_no_assignment(self):
+        sweep = sweep_velocity_experiment(default_scenario(trials=20), (0.5, 1e150))
+        assert hash(sweep) == hash(replace(sweep))
+        for point in sweep.points:
+            assert hash(point) == hash(replace(point))
+            with pytest.raises(TypeError):
+                point.mean_stage_times[0] = 1e9
 
     def test_threads_do_not_change_sweep(self):
         base = default_scenario(trials=40)
@@ -499,6 +514,22 @@ class TestTimingReport:
         point = SweepPoint(sigma=1.0, rmse_position=1.0, rmse_velocity_ls=1.0,
                            rmse_velocity_wls=1.0, rmse_accel_ls=1.0,
                            rmse_accel_wls=1.0, failures=0, successes=10,
-                           mean_stage_times={m: 0.0 for m in METHODS})
+                           mean_stage_times=(0.0,) * len(METHODS))
         sweep = SweepResult("sigma_range_rate", (1.0,), (point,))
         assert all(v == 0.0 for v in timing_report(sweep).values())
+
+    def test_each_time_goes_to_its_method(self):
+        # distinct times per method and unequal success counts, so that a swap
+        # of two methods or an unweighted mean shows
+        times = ((1e-6, 2e-6, 3e-6, 5e-6, 7e-6), (11e-6, 13e-6, 17e-6, 19e-6, 23e-6))
+        points = tuple(SweepPoint(sigma, 1.0, 1.0, 1.0, 1.0, 1.0, 0, successes, t)
+                       for sigma, successes, t in zip((0.5, 2.0), (3, 1), times))
+        sweep = SweepResult("sigma_range_rate", (0.5, 2.0), points)
+        want = {m: (a * 3 + b * 1) / 4 for m, a, b in zip(METHODS, *times)}
+        assert {m: t.hex() for m, t in timing_report(sweep).items()} == {
+            m: t.hex() for m, t in want.items()}
+        for line, (position, velocity_ls, velocity_wls, accel_ls, accel_wls) in zip(
+                cli._sweep_csv(sweep, True).splitlines()[1:], times):
+            t_ls, t_wls = map(float, line.split(",")[7:])
+            assert t_ls == (position + velocity_ls + accel_ls) * 1e6
+            assert t_wls == (position + velocity_wls + accel_wls) * 1e6

@@ -14,7 +14,9 @@ and these tests state what a point's scores must be, not how they are made:
 - work: one ``sample_truth`` call per trial per sweep, one
   ``_kernels.position_solve`` per trial for each run of equal sigma_range,
   the boxes checked once, and on one thread one call of the module's
-  ``run_trial`` per trial per point;
+  ``run_trial`` per trial per point, each record giving its five squared
+  errors and five stage times as tuples in ``METHODS`` order (empty on
+  failure);
 - memory: at most one live ``TrialRecord`` during a one-thread sweep, and
   no table outlives its sweep;
 - concurrency: sweeps run at once from user threads keep their own tables,
@@ -75,8 +77,7 @@ def record_key(rec) -> tuple:
     """Every number a trial record holds except its wall times, as bytes."""
     truth = rec.truth
     key = [rec.trial_index, rec.failure, truth.position.tobytes(), truth.velocity.tobytes(),
-           truth.acceleration.tobytes(), sorted(rec.squared_errors.items()),
-           sorted(rec.stage_times)]
+           truth.acceleration.tobytes(), _bits(*rec.squared_errors), len(rec.stage_times)]
     est = rec.estimates
     if est is not None:
         key += [est.position.position.tobytes(),
@@ -650,15 +651,16 @@ def test_one_thread_sweep_calls_run_trial_once_per_trial_and_point(monkeypatch, 
     # perfbench's per-item probe times each call of the module attribute
     # run_trial, so it must see every trial of every point; a sweep that made
     # its records another way would still pass the record count above.
-    # _scores reads a record's squared errors and stage times by position, so
-    # run_trial keys both in METHODS order; a failed trial keys neither
+    # _score_point joins a record's squared errors and stage times into one
+    # row, so run_trial gives five floats of each; a failed trial gives neither
     sweep = EXPERIMENTS[experiment][0]
     real, calls = montecarlo.run_trial, []
 
     def counted(scenario, trial_index, weight_rule=PROPAGATED):
         rec = real(scenario, trial_index, weight_rule)
-        keys = METHODS if rec.ok else ()
-        assert tuple(rec.squared_errors) == tuple(rec.stage_times) == keys
+        want = len(METHODS) if rec.ok else 0
+        assert len(rec.squared_errors) == len(rec.stage_times) == want
+        assert all(type(v) is float for v in rec.squared_errors + rec.stage_times)
         calls.append((scenario, trial_index))
         return rec
 
@@ -691,7 +693,7 @@ def test_sweep_rmses_equal_rmse_of_the_points_records_bit_for_bit(monkeypatch, t
             if successes:
                 assert got.hex() == rmse(records, m).hex()
             else:
-                assert math.isnan(got) and point.mean_stage_times[m] == 0.0
+                assert math.isnan(got) and point.mean_stage_times == (0.0,) * len(METHODS)
     assert 0 < result.points[1].failures < 40 and result.points[2].successes == 0
 
 
