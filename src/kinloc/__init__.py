@@ -15,8 +15,8 @@ from .montecarlo import (Scenario, SweepPoint, SweepResult, TrialRecord,
                          default_scenario, rmse, run_ensemble, run_trial,
                          sweep_acceleration_experiment, sweep_velocity_experiment,
                          timing_report)
-from .oracle import (FdConfig, VerifyCheck, VerifyReport, dense_wls_solve,
-                     fd_range_accel, fd_range_rate, verification_suite)
+from .oracle import (VerifyCheck, VerifyReport, dense_wls_solve, fd_range_accel,
+                     fd_range_rate, verification_suite)
 
 __version__ = "0.1.0"
 
@@ -31,7 +31,7 @@ __all__ = [
     "Scenario", "SweepPoint", "SweepResult", "TrialRecord", "default_scenario",
     "rmse", "run_ensemble", "run_trial", "sweep_acceleration_experiment",
     "sweep_velocity_experiment", "timing_report",
-    "FdConfig", "VerifyCheck", "VerifyReport", "dense_wls_solve", "fd_range_accel",
-    "fd_range_rate", "verification_suite",
+    "VerifyCheck", "VerifyReport", "dense_wls_solve", "fd_range_accel", "fd_range_rate",
+    "verification_suite",
     "__version__",
 ]

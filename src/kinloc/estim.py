@@ -380,22 +380,13 @@ def _velocity(measurements, sensors, px, py, weight_rule):
     return estimate, w, (g00, g01, g11)
 
 
-def acceleration_pseudo_measurements(measurements: MeasurementSet, sensors: SensorArray,
-                                     p_hat, v_hat) -> np.ndarray:
-    """Transformed drr measurements k_i = b_i * r_i - ||v_hat||^2 + a_i^2,
-    with r_i the range implied by p_hat.
+def _pseudo_measurements(measurements, sensors, px, py, v0, v1) -> list:
+    """Transformed drr measurements k_i = b_i * r_i - ||v_hat||^2 + a_i^2, with r_i
+    the range implied by p_hat, from p_hat and v_hat as the floats px, py and v0, v1.
 
     With exact p_hat, v_hat and noiseless measurements, k_i equals
     a . (p_hat - p_i) exactly.
     """
-    _check_lengths(measurements, sensors)
-    v0, v1 = as_vec2(v_hat, "v_hat").tolist()
-    px, py = as_vec2(p_hat, "p_hat").tolist()
-    return np.array(_pseudo_measurements(measurements, sensors, px, py, v0, v1))
-
-
-def _pseudo_measurements(measurements, sensors, px, py, v0, v1) -> list:
-    """k_i as a list, from p_hat and v_hat as the floats px, py and v0, v1."""
     _, _, rhat = _kernels.system_rows(sensors.xs, sensors.ys, px, py)
     v2 = v0 * v0 + v1 * v1
     return [b * r - v2 + a * a for b, r, a in
@@ -456,8 +447,8 @@ def estimate_acceleration(measurements: MeasurementSet, sensors: SensorArray, p_
                           weight_rule: WeightRule = WeightRule()) -> KinematicEstimate:
     """Acceleration estimate from drr measurements, given stage-1/2 estimates.
 
-    Solves rows (p_hat - p_i) against the pseudo-measurements k_i of
-    ``acceleration_pseudo_measurements`` with the weights and Gram sums of
+    Solves rows (p_hat - p_i) against the pseudo-measurements k_i, which the
+    estimate keeps as ``.pseudo_measurements``, with the weights and Gram sums of
     the velocity stage with the same rule at p_hat, which it runs for them,
     as the pipeline does; under the ``propagated`` rule it solves the GLS
     problem of ``acceleration_error_model`` instead, taking ``v_hat`` to come

@@ -35,8 +35,8 @@ def _frozen(floats) -> np.ndarray:
     view of it.  The input classes' arrays, the estimates' and a sweep's shared
     blocks are such arrays (``_frozen_array`` copies arrays, per-trial vectors are
     ``np.frombuffer(a.tobytes())``, the estimates' are made on first read), but
-    ``true_measurements``, ``acceleration_pseudo_measurements`` and
-    ``oracle.dense_wls_solve`` return fresh writable arrays."""
+    ``true_measurements`` and ``oracle.dense_wls_solve`` return fresh writable
+    arrays."""
     return np.frombuffer(_packer(len(floats))(*floats))
 
 
@@ -191,10 +191,6 @@ class NoiseSpec:
         for name in ("sigma_range", "sigma_range_rate", "sigma_drr"):
             object.__setattr__(self, name, _sigma(getattr(self, name), name))
 
-    @cached_property
-    def _column(self) -> np.ndarray:    # the sigmas as the (3, 1) column ``_noisy`` scales by
-        return _frozen((self.sigma_range, self.sigma_range_rate, self.sigma_drr)).reshape(3, 1)
-
 
 def _measurement_vector(values, name: str):
     """(read-only float64 array, the same values as a list of floats); a scalar is
@@ -333,7 +329,8 @@ def _noisy(draws: np.ndarray, noise: NoiseSpec) -> np.ndarray:
     q + s * e, which numpy rounds as Python floats would.  One check covers the block:
     it raises MeasurementSet's ValueError for the first non-finite column of the first
     trial with one, in the order ranges, range_rates, drrs."""
-    noisy = draws[:, :3] + noise._column * draws[:, 3:]
+    sigmas = np.array([[noise.sigma_range], [noise.sigma_range_rate], [noise.sigma_drr]])
+    noisy = draws[:, :3] + sigmas * draws[:, 3:]
     finite = np.isfinite(noisy)
     if not finite.all():
         column = ("ranges", "range_rates", "drrs")[np.argwhere(~finite.all(axis=2))[0, 1]]

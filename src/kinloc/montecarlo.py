@@ -29,7 +29,7 @@ import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -109,13 +109,6 @@ class Scenario:
     def _boxes(self) -> tuple:      # (position, velocity, acceleration) boxes as floats
         return (self.position_box.tolist(), self.velocity_box.tolist(),
                 self.acceleration_box.tolist())
-
-    def _derive(self, **changes) -> "Scenario":
-        """A copy with ``changes``, which the caller has checked; the fields of this
-        checked scenario, and its box floats if read, are taken as they are."""
-        derived = object.__new__(type(self))
-        derived.__dict__.update(self.__dict__, **changes)
-        return derived
 
 
 def default_scenario(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED,
@@ -469,13 +462,12 @@ def _sweep(base: Scenario, swept_parameter: str, grid, motion_mode: str,
     values = _check_grid(grid)
     # every point's noise, checked before any trial is drawn or run
     noises = [noise_for(sigma) for sigma in values]
-    # the base's fields were checked when it was built: each point's scenario
-    # takes them as they are
-    base = base._derive(motion_mode=motion_mode)
+    base = replace(base, motion_mode=motion_mode)
     trials = _Trials(base, range(base.trials))
     points = []
     for sigma, noise in zip(values, noises):
-        point = base._derive(noise=noise, _point=(trials, _noisy(trials.draws, noise)))
+        point = replace(base, noise=noise)
+        object.__setattr__(point, "_point", (trials, _noisy(trials.draws, noise)))
         points.append(_aggregate_point(sigma, *_score_point(point, weight_rule, threads)))
     return SweepResult(swept_parameter, values, tuple(points))
 

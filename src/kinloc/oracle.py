@@ -9,13 +9,12 @@ code so agreement is evidence rather than tautology:
   checking the closed-form normal-equation stage solver.
 
 ``verification_suite`` bundles both over seeded random instances and backs the
-``kinloc verify`` CLI subcommand.  The analytic functions it checks can be
-swapped out, which the tests use to confirm the suite actually detects a
-broken implementation.
+``kinloc verify`` CLI subcommand.  It looks ``model.range_rate`` and
+``model.range_accel`` up at the call, so a test that patches in a broken one
+sees the suite fail.
 """
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -26,15 +25,12 @@ FD_STEP_RATE = 1e-4   # s; first derivative, truncation ~h^2 vs roundoff ~eps/h
 FD_STEP_ACCEL = 1e-3  # s; second derivative, roundoff ~eps/h^2 pushes h up
 
 
-@dataclass(frozen=True)
-class FdConfig:
-    step: float = FD_STEP_RATE
-
-    def __post_init__(self):
-        step = model._real(self.step, "step")
-        if not (0.0 < step <= 1.0):
-            raise ValueError(f"step must be in (0, 1], got {step}")
-        object.__setattr__(self, "step", step)
+def _step(step) -> float:
+    """A finite-difference step as a float: ``model._real``, then ValueError unless in (0, 1]."""
+    step = model._real(step, "step")
+    if not (0.0 < step <= 1.0):
+        raise ValueError(f"step must be in (0, 1], got {step}")
+    return step
 
 
 def _range_at(target: model.TargetState, sensor_pos, t: float) -> float:
@@ -44,18 +40,17 @@ def _range_at(target: model.TargetState, sensor_pos, t: float) -> float:
     return r
 
 
-def fd_range_rate(target: model.TargetState, sensor_pos,
-                  cfg: FdConfig = FdConfig(step=FD_STEP_RATE)) -> float:
+def fd_range_rate(target: model.TargetState, sensor_pos, step: float = FD_STEP_RATE) -> float:
     """Central-difference range rate over the propagated trajectory, O(h^2)."""
-    h = cfg.step
+    h = _step(step)
     _range_at(target, sensor_pos, 0.0)
     return (_range_at(target, sensor_pos, h) - _range_at(target, sensor_pos, -h)) / (2.0 * h)
 
 
 def fd_range_accel(target: model.TargetState, sensor_pos,
-                   cfg: FdConfig = FdConfig(step=FD_STEP_ACCEL)) -> float:
+                   step: float = FD_STEP_ACCEL) -> float:
     """Second-order central difference of range, O(h^2)."""
-    h = cfg.step
+    h = _step(step)
     return (_range_at(target, sensor_pos, h)
             - 2.0 * _range_at(target, sensor_pos, 0.0)
             + _range_at(target, sensor_pos, -h)) / (h * h)
@@ -140,24 +135,18 @@ def _random_stage_system(rng, n=8, max_cond=1e6):
             return rows, rhs, weights
 
 
-def verification_suite(instances: int = 1000, seed: int = 7,
-                       range_rate_fn: Callable | None = None,
-                       range_accel_fn: Callable | None = None) -> VerifyReport:
-    """Compare analytic derivatives and the closed-form stage solver against
-    their independent oracles on seeded random instances (at least one); the
-    derivative functions default to ``model``'s, looked up at the call."""
+def verification_suite(instances: int = 1000, seed: int = 7) -> VerifyReport:
+    """Compare ``model``'s analytic derivatives, looked up at the call, and the
+    closed-form stage solver against their independent oracles on seeded
+    random instances (at least one)."""
     instances = model._as_index(instances, "instances", 1)
-    range_rate_fn = range_rate_fn or model.range_rate
-    range_accel_fn = range_accel_fn or model.range_accel
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     max_rate = 0.0
     max_accel = 0.0
     for _ in range(instances):
         target, sensor = _random_instance(rng)
-        dev_rate = abs(range_rate_fn(target, sensor)
-                       - fd_range_rate(target, sensor, FdConfig(step=FD_STEP_RATE)))
-        dev_accel = abs(range_accel_fn(target, sensor)
-                        - fd_range_accel(target, sensor, FdConfig(step=FD_STEP_ACCEL)))
+        dev_rate = abs(model.range_rate(target, sensor) - fd_range_rate(target, sensor))
+        dev_accel = abs(model.range_accel(target, sensor) - fd_range_accel(target, sensor))
         # np.maximum keeps a NaN, which then fails the check; max(0.0, nan) is 0.0
         max_rate = float(np.maximum(max_rate, dev_rate))
         max_accel = float(np.maximum(max_accel, dev_accel))

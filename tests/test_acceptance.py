@@ -20,8 +20,7 @@ from kinloc.model import (MeasurementSet, NoiseSpec, SensorArray, TargetState,
 from kinloc.montecarlo import (METHODS, default_scenario, run_ensemble, run_trial,
                                sweep_acceleration_experiment,
                                sweep_velocity_experiment, timing_report)
-from kinloc.oracle import (FdConfig, dense_wls_solve, fd_range_accel, fd_range_rate,
-                           verification_suite)
+from kinloc.oracle import dense_wls_solve, fd_range_accel, fd_range_rate, verification_suite
 
 VELOCITY_GRID = (0.1, 0.3, 1.0, 3.0, 10.0)
 ACCELERATION_GRID = (0.01, 0.03, 0.1, 0.3, 1.0)
@@ -100,8 +99,8 @@ def test_criterion_3_derivatives_match_finite_differences(capsys):
     for exact_fn, fd_fn, h in ((range_rate, fd_range_rate, 1e-3),
                                (range_accel, fd_range_accel, 1e-2)):
         exact = exact_fn(state, sensor)
-        err_h = abs(fd_fn(state, sensor, FdConfig(step=h)) - exact)
-        err_h2 = abs(fd_fn(state, sensor, FdConfig(step=h / 2.0)) - exact)
+        err_h = abs(fd_fn(state, sensor, step=h) - exact)
+        err_h2 = abs(fd_fn(state, sensor, step=h / 2.0) - exact)
         orders.append(math.log2(err_h / err_h2))
 
     ok = (rate.passed and rate.tolerance == 1e-6

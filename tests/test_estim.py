@@ -14,8 +14,7 @@ from kinloc import estim
 from kinloc.errors import (DegenerateGeometry, KinlocError, SingularGeometry,
                            TooFewSensors, ZeroRange)
 from kinloc.estim import (PROPAGATED, UNIFORM, WeightRule,
-                          acceleration_error_model,
-                          acceleration_pseudo_measurements, estimate_acceleration,
+                          acceleration_error_model, estimate_acceleration,
                           estimate_all, estimate_position, estimate_velocity,
                           solve_linear_stage, solve_shared_error_stage)
 from kinloc.model import (MeasurementSet, NoiseSpec, SensorArray, TargetState,
@@ -351,14 +350,19 @@ class TestEstimateVelocity:
         assert np.sqrt(se_wls / trials) <= 1.02 * np.sqrt(se_ls / trials)
 
 
+def pseudo_measurements(ms, sensors, truth):
+    """The k_i that an acceleration estimate at the true position and velocity keeps."""
+    return estimate_acceleration(ms, sensors, truth.position,
+                                 truth.velocity).pseudo_measurements
+
+
 class TestAccelerationPseudoMeasurements:
     def test_zero_acceleration_circular(self):
         sensors = SensorArray([(0.0, 0.0), (10.0, 0.0), (0.0, 10.0)])
         truth = TargetState((5.0, 0.0), (0.0, 2.0), (0.0, 0.0))
         ms = exact_measurements(truth, sensors)
         assert ms.drrs[0] == pytest.approx(0.8, abs=1e-12)
-        k = acceleration_pseudo_measurements(ms, sensors, truth.position,
-                                             truth.velocity)
+        k = pseudo_measurements(ms, sensors, truth)
         assert k[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_radial_case(self):
@@ -366,8 +370,7 @@ class TestAccelerationPseudoMeasurements:
         truth = TargetState((5.0, 0.0), (3.0, 0.0), (1.0, 0.0))
         ms = exact_measurements(truth, sensors)
         assert ms.drrs[0] == pytest.approx(1.0, abs=1e-12)
-        k = acceleration_pseudo_measurements(ms, sensors, truth.position,
-                                             truth.velocity)
+        k = pseudo_measurements(ms, sensors, truth)
         # a . (p - p_0) = (1,0) . (5,0) = 5
         assert k[0] == pytest.approx(5.0, abs=1e-9)
 
@@ -376,8 +379,7 @@ class TestAccelerationPseudoMeasurements:
             truth = TargetState(rng.uniform(0, 100, 2), rng.uniform(-20, 20, 2),
                                 rng.uniform(-10, 10, 2))
             ms = exact_measurements(truth, sensors8)
-            k = acceleration_pseudo_measurements(ms, sensors8, truth.position,
-                                                 truth.velocity)
+            k = pseudo_measurements(ms, sensors8, truth)
             expected = (sensors8.positions * -1 + truth.position) @ truth.acceleration
             np.testing.assert_allclose(k, expected, rtol=0,
                                        atol=1e-9 * max(1.0, np.abs(expected).max()))
@@ -884,11 +886,10 @@ class TestPipeline:
             p_hat, v_hat = np.array([31.0, 39.0]), np.array([9.0, -4.0])
             vel = estimate_velocity(ms, sensors8, p_hat, rule)
             acc = estimate_acceleration(ms, sensors8, p_hat, v_hat, rule)
-            k = acceleration_pseudo_measurements(ms, sensors8, p_hat, v_hat)
             assert p_hat.flags.writeable and v_hat.flags.writeable
-            kept = [np.array(a) for a in (vel.value, acc.value, acc.pseudo_measurements, k)]
+            kept = [np.array(a) for a in (vel.value, acc.value, acc.pseudo_measurements)]
             p_hat[:] = v_hat[:] = np.nan
-            for arr, copy in zip((vel.value, acc.value, acc.pseudo_measurements, k), kept):
+            for arr, copy in zip((vel.value, acc.value, acc.pseudo_measurements), kept):
                 assert not np.shares_memory(arr, p_hat) and not np.shares_memory(arr, v_hat)
                 np.testing.assert_array_equal(arr, copy)
 
@@ -906,8 +907,6 @@ class TestPipeline:
                 estimate_acceleration(ms, sensors8, bad, good)
             with pytest.raises(ValueError, match=r"^v_hat " + re.escape(message)):
                 estimate_acceleration(ms, sensors8, good, bad, PROPAGATED)
-            with pytest.raises(ValueError, match=r"^v_hat " + re.escape(message)):
-                acceleration_pseudo_measurements(ms, sensors8, good, bad)
         # integer and float32 vectors are read as float64, as as_vec2 reads them
         np.testing.assert_array_equal(
             estimate_velocity(ms, sensors8, np.array([31, 39])).value,

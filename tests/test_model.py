@@ -17,7 +17,7 @@ from kinloc.model import (MeasurementSet, NoiseSpec, SensorArray, TargetState,
                           _measurements, _noisy, synthesize_measurements,
                           true_measurements)
 from kinloc.montecarlo import default_scenario
-from kinloc.oracle import FdConfig, fd_range_accel, fd_range_rate
+from kinloc.oracle import fd_range_accel, fd_range_rate
 
 
 class TestRange:
@@ -48,7 +48,7 @@ class TestRangeRate:
         t = TargetState((3.0, 4.0), (1.0, 1.0))
         got = range_rate(t, (0.0, 0.0))
         assert got == pytest.approx(1.4, abs=1e-9)
-        fd = fd_range_rate(t, (0.0, 0.0), FdConfig(step=1e-5))
+        fd = fd_range_rate(t, (0.0, 0.0), step=1e-5)
         assert got == pytest.approx(fd, abs=1e-8)
 
     def test_zero_range_raises(self):
@@ -70,7 +70,7 @@ class TestRangeAccel:
         t = TargetState((5.0, 0.0), (0.0, 2.0))
         got = range_accel(t, (0.0, 0.0))
         assert got == pytest.approx(0.8, abs=1e-9)
-        fd = fd_range_accel(t, (0.0, 0.0), FdConfig(step=1e-4))
+        fd = fd_range_accel(t, (0.0, 0.0), step=1e-4)
         assert got == pytest.approx(fd, abs=1e-6)
 
     def test_zero_range_raises(self):
@@ -140,7 +140,7 @@ class TestSynthesize:
         for sr, sa, sb in itertools.product(sigmas, repeat=3):
             noise = NoiseSpec(sr, sa, sb)
             want = draws[:, :3] + np.array(((sr,), (sa,), (sb,))) * draws[:, 3:]
-            for _ in range(2):          # the second call reuses the spec's column
+            for _ in range(2):          # a second call gives the same bytes
                 noisy = _noisy(draws, noise)
                 assert noisy.shape == (trials, 3, n)
                 assert noisy.tobytes() == want.tobytes()
@@ -165,7 +165,7 @@ class TestSynthesize:
                 _noisy(draws, noise)
             q, e = draws[trial, :3], draws[trial, 3:]
             with pytest.raises(ValueError, match=f"^{column} must be finite$"):
-                MeasurementSet(*(q + noise._column * e), noise)
+                MeasurementSet(*(q + e), noise)     # NoiseSpec() has unit sigmas
             draws[trial] = 0.0
         _noisy(draws, noise)
 

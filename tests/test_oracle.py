@@ -5,9 +5,9 @@ import pytest
 
 from kinloc.errors import SingularGeometry, ZeroRange
 from kinloc.estim import solve_linear_stage, solve_shared_error_stage
+from kinloc import model
 from kinloc.model import TargetState, range_accel, range_rate
-from kinloc.oracle import (FdConfig, dense_wls_solve, fd_range_accel,
-                           fd_range_rate, verification_suite)
+from kinloc.oracle import dense_wls_solve, fd_range_accel, fd_range_rate, verification_suite
 
 
 class TestFdRangeRate:
@@ -23,8 +23,8 @@ class TestFdRangeRate:
         # truncation-dominated steps: halving h must shrink error ~4x
         t = TargetState((3.0, 4.0), (1.0, 1.0), (0.5, -0.3))
         exact = range_rate(t, (0.0, 0.0))
-        err_h = abs(fd_range_rate(t, (0.0, 0.0), FdConfig(step=1e-3)) - exact)
-        err_h2 = abs(fd_range_rate(t, (0.0, 0.0), FdConfig(step=5e-4)) - exact)
+        err_h = abs(fd_range_rate(t, (0.0, 0.0), step=1e-3) - exact)
+        err_h2 = abs(fd_range_rate(t, (0.0, 0.0), step=5e-4) - exact)
         assert err_h / err_h2 >= 3.5
 
     def test_zero_range_raises(self):
@@ -36,9 +36,17 @@ class TestFdRangeRate:
         for bad in (True, np.True_, "0.1", None):
             message = f"^step must be a real number, got {re.escape(repr(bad))}$"
             with pytest.raises(TypeError, match=message):
-                FdConfig(step=bad)
-        step = FdConfig(step=np.float32(0.5)).step
-        assert step == 0.5 and type(step) is float
+                fd_range_rate(TargetState((3.0, 4.0), (1.0, 1.0)), (0.0, 0.0), step=bad)
+        t = TargetState((3.0, 4.0), (1.0, 1.0), (0.5, -0.3))
+        got = fd_range_accel(t, (0.0, 0.0), step=np.float32(0.5))
+        assert got == fd_range_accel(t, (0.0, 0.0), step=0.5) and type(got) is float
+
+    def test_step_outside_the_unit_interval_rejected(self):
+        t = TargetState((3.0, 4.0), (1.0, 1.0))
+        for fd in (fd_range_rate, fd_range_accel):
+            for bad in (0.0, -1e-3, 1.5, float("inf"), float("nan")):
+                with pytest.raises(ValueError, match=r"^step must be in \(0, 1\], got "):
+                    fd(t, (0.0, 0.0), step=bad)
 
 
 class TestFdRangeAccel:
@@ -53,8 +61,8 @@ class TestFdRangeAccel:
     def test_second_order_convergence(self):
         t = TargetState((5.0, 0.0), (0.0, 2.0), (0.3, 0.7))
         exact = range_accel(t, (0.0, 0.0))
-        err_h = abs(fd_range_accel(t, (0.0, 0.0), FdConfig(step=1e-2)) - exact)
-        err_h2 = abs(fd_range_accel(t, (0.0, 0.0), FdConfig(step=5e-3)) - exact)
+        err_h = abs(fd_range_accel(t, (0.0, 0.0), step=1e-2) - exact)
+        err_h2 = abs(fd_range_accel(t, (0.0, 0.0), step=5e-3) - exact)
         assert err_h / err_h2 >= 3.5
 
     def test_random_states_within_tolerance(self, rng):
@@ -65,7 +73,7 @@ class TestFdRangeAccel:
             sensor = rng.uniform(-100, 100, 2)
             if np.hypot(*(t.position - sensor)) < 15.0:
                 continue
-            dev = abs(fd_range_accel(t, sensor, FdConfig(step=1e-3))
+            dev = abs(fd_range_accel(t, sensor, step=1e-3)
                       - range_accel(t, sensor))
             worst = max(worst, dev)
         assert worst <= 1e-4
@@ -176,23 +184,23 @@ class TestVerificationSuite:
                 verification_suite(instances=bad)
         assert verification_suite(instances=np.int64(1)).all_passed
 
-    def test_detects_wrong_derivative(self):
+    # the suite looks model.range_rate and model.range_accel up at the call
+
+    def test_detects_wrong_derivative(self, monkeypatch):
         def broken_accel(target, sensor_pos):
             return -range_accel(target, sensor_pos)
 
-        report = verification_suite(instances=50, seed=11,
-                                    range_accel_fn=broken_accel)
-        assert not report.all_passed
+        monkeypatch.setattr(model, "range_accel", broken_accel)
+        assert not verification_suite(instances=50, seed=11).all_passed
 
-    def test_detects_biased_rate(self):
+    def test_detects_biased_rate(self, monkeypatch):
         def biased_rate(target, sensor_pos):
             return range_rate(target, sensor_pos) + 1e-3
 
-        report = verification_suite(instances=50, seed=11,
-                                    range_rate_fn=biased_rate)
-        assert not report.all_passed
+        monkeypatch.setattr(model, "range_rate", biased_rate)
+        assert not verification_suite(instances=50, seed=11).all_passed
 
-    def test_detects_nan_rate(self):
+    def test_detects_nan_rate(self, monkeypatch):
         # max(0.0, nan) keeps 0.0; a NaN anywhere must fail the check, not pass it
         calls = []
 
@@ -200,7 +208,8 @@ class TestVerificationSuite:
             calls.append(None)
             return float("nan") if len(calls) == 3 else range_rate(target, sensor_pos)
 
-        report = verification_suite(instances=50, seed=11, range_rate_fn=nan_once)
+        monkeypatch.setattr(model, "range_rate", nan_once)
+        report = verification_suite(instances=50, seed=11)
         rate, accel, solver = report.checks
         assert np.isnan(rate.max_deviation) and not rate.passed
         assert accel.passed and solver.passed

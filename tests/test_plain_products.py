@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from kinloc.estim import acceleration_pseudo_measurements
+from kinloc.estim import estimate_acceleration
 from kinloc.model import MeasurementSet, NoiseSpec, TargetState, true_measurements
 
 
@@ -75,7 +75,7 @@ def test_pseudo_measurements_square_v_hat_unfused(sensors8, rng):
                             rng.uniform(-10.0, 10.0, n), NoiseSpec())
         plain = _pseudo(ms, p, v[0] * v[0] + v[1] * v[1], sensors8)
         fused = _pseudo(ms, p, fused_square_norm(*v), sensors8)
-        got = acceleration_pseudo_measurements(ms, sensors8, np.array(p), np.array(v))
-        assert got.tolist() == plain
+        got = estimate_acceleration(ms, sensors8, np.array(p), np.array(v))
+        assert got.pseudo_measurements.tolist() == plain
         differs += plain != fused
     assert differs > 0

@@ -66,7 +66,6 @@ def test_no_array_can_be_unlocked(monkeypatch, layout, rng):
     arrays = [
         sensors.positions,
         scenario.position_box, scenario.velocity_box, scenario.acceleration_box,
-        noise._column,
         block, block[1, 0], block[1, 1],
         truth.position, truth.velocity, truth.acceleration,
         as_vec2((3.0, -4.0)), as_vec2(np.array([1.0, 2.0])),
@@ -136,7 +135,7 @@ def test_sweep_trials_make_no_estimate_array(monkeypatch):
 def frozen_arrays(scenario, truth, measurements, result) -> list:
     """Every array these objects keep or make, cached and first-read ones too."""
     return [scenario.sensors.positions, scenario.position_box, scenario.velocity_box,
-            scenario.acceleration_box, scenario.noise._column,
+            scenario.acceleration_box,
             truth.position, truth.velocity, truth.acceleration,
             *set_arrays(measurements), *result_arrays(result)]
 

@@ -697,23 +697,18 @@ def test_sweep_rmses_equal_rmse_of_the_points_records_bit_for_bit(monkeypatch, t
     assert 0 < result.points[1].failures < 40 and result.points[2].successes == 0
 
 
-def test_boxes_are_checked_once_per_sweep(monkeypatch):
-    # when the base is built; each point's scenario takes the checked fields of
-    # the sweep's base as they are
-    checked = []
-    real = montecarlo._as_box
-    monkeypatch.setattr(montecarlo, "_as_box",
-                        lambda value, name: checked.append(name) or real(value, name))
+def test_point_scenarios_are_the_base_with_the_point_noise(monkeypatch):
+    # each point's scenario holds the sweep base's sensors, boxes, trial count
+    # and seed, the experiment's motion mode and the point's noise
     for sweep, mode, noise_for in EXPERIMENTS.values():
-        checked.clear()
         base = default_scenario(trials=3)
         with monkeypatch.context() as patch:
             seen = spy_points(patch)
             sweep(base, GRID)
-        assert checked == ["position_box", "velocity_box", "acceleration_box"]
         assert len(seen) == len(GRID)
         for (scenario, _, _), sigma in zip(seen, GRID):
             assert scenario.motion_mode == mode and scenario.noise == noise_for(base, sigma)
-            for field in ("sensors", "position_box", "velocity_box", "acceleration_box",
-                          "trials", "seed"):
-                assert getattr(scenario, field) is getattr(base, field)
+            assert scenario.sensors is base.sensors
+            for field in ("position_box", "velocity_box", "acceleration_box"):
+                assert getattr(scenario, field).tobytes() == getattr(base, field).tobytes()
+            assert (scenario.trials, scenario.seed) == (base.trials, base.seed)
