@@ -21,7 +21,7 @@ import numpy as np
 
 from . import model, montecarlo, oracle, svgplot
 from .errors import ConfigError, KinlocError
-from .estim import WeightRule, estimate_all
+from .estim import METHODS, WEIGHT_MODES, WeightRule, estimate_all
 from .model import MeasurementSet, NoiseSpec, SensorArray, TargetState
 from .montecarlo import (DEFAULT_SEED, DEFAULT_TRIALS, Scenario,
                          sweep_acceleration_experiment, sweep_velocity_experiment,
@@ -31,11 +31,8 @@ VELOCITY_GRID = (0.1, 0.3, 1.0, 3.0, 10.0)
 ACCELERATION_GRID = (0.01, 0.03, 0.1, 0.3, 1.0)
 CSV_HEADER = "sigma,rmse_pos,rmse_vel_ls,rmse_vel_wls,rmse_acc_ls,rmse_acc_wls,failures,t_ls_us,t_wls_us"
 
-_WEIGHT_CHOICES = {
-    "uniform": "uniform",
-    "inverse-range": "inverse_range",
-    "propagated": "propagated",
-}
+# the --weights spelling of each weight rule: its mode with "-" for "_"
+_WEIGHT_CHOICES = {mode.replace("_", "-"): mode for mode in WEIGHT_MODES}
 _EXPERIMENTS = ("velocity", "acceleration")
 _FORMATS = ("text", "json")
 
@@ -162,14 +159,16 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def _check_output_dirs(config, keys) -> None:
-    """Raise ConfigError, naming the path as given, when an output's directory is
-    missing, the output names a directory, or two outputs name one file: checked
-    before the work runs, not at ``_atomic_write``'s temp file."""
+    """Raise ConfigError, naming the path as given, when an output's path is empty,
+    its directory is missing, the output names a directory, or two outputs name one
+    file: checked before the work runs, not at ``_atomic_write``'s temp file."""
     seen = {}
     for key in keys:
         path = config.get(key)
-        if not path:
+        if path is None:
             continue
+        if not path:
+            raise ConfigError(f"cannot write --{key}: the path is empty")
         if os.path.isdir(path) or not os.path.basename(path):
             raise ConfigError(f"cannot write --{key} {path}: it names a directory")
         if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
@@ -194,29 +193,23 @@ def _noise(config) -> NoiseSpec:
 
 
 def _render_estimate_text(result) -> str:
-    pos = result.position
-    lines = [
-        f"position      {_g17(pos.position[0])} {_g17(pos.position[1])}"
-        f"  residual={_g17(pos.residual_norm)} cond={_g17(pos.gram_condition)}",
-    ]
-    for name in ("velocity_ls", "velocity_wls", "accel_ls", "accel_wls"):
+    lines = []
+    for name in METHODS:
         est = getattr(result, name)
-        lines.append(f"{name:<13} {_g17(est.value[0])} {_g17(est.value[1])}"
-                     f"  cond={_g17(est.gram_condition)}")
+        (x, y), cond = est._xy, est.gram_condition
+        # the position solution also reports its trilateration residual
+        residual = (f"residual={_g17(est.residual_norm)} "
+                    if hasattr(est, "residual_norm") else "")
+        lines.append(f"{name:<13} {_g17(x)} {_g17(y)}  {residual}cond={_g17(cond)}")
     return "\n".join(lines) + "\n"
 
 
 def _render_estimate_json(result) -> str:
-    def vec(v):
-        return f"[{_g17(v[0])}, {_g17(v[1])}]"
-
-    return ("{\n"
-            f'  "position": {vec(result.position.position)},\n'
-            f'  "velocity_ls": {vec(result.velocity_ls.value)},\n'
-            f'  "velocity_wls": {vec(result.velocity_wls.value)},\n'
-            f'  "accel_ls": {vec(result.accel_ls.value)},\n'
-            f'  "accel_wls": {vec(result.accel_wls.value)}\n'
-            "}\n")
+    entries = []
+    for name in METHODS:
+        x, y = getattr(result, name)._xy
+        entries.append(f'  "{name}": [{_g17(x)}, {_g17(y)}]')
+    return "{\n" + ",\n".join(entries) + "\n}\n"
 
 
 def cmd_estimate(config) -> int:
@@ -258,23 +251,19 @@ def cmd_estimate(config) -> int:
 def _sweep_csv(sweep, with_timing: bool) -> str:
     lines = [CSV_HEADER]
     for point in sweep.points:
+        # wall-clock times are never reproducible; only report them on request
+        t_ls = t_wls = 0.0
         if with_timing:
-            position, velocity_ls, velocity_wls, accel_ls, accel_wls = point.mean_stage_times
-            t_ls = (position + velocity_ls + accel_ls) * 1e6
-            t_wls = (position + velocity_wls + accel_wls) * 1e6
-        else:
-            # wall-clock times are never reproducible; only report them on request
-            t_ls = t_wls = 0.0
+            # each variant's time: the position stage and that variant's stages, in order
+            for method, t in zip(METHODS, point.mean_stage_times):
+                t_ls += 0.0 if method.endswith("_wls") else t
+                t_wls += 0.0 if method.endswith("_ls") else t
         lines.append(",".join([
             _g17(point.sigma),
-            _g17(point.rmse_position),
-            _g17(point.rmse_velocity_ls),
-            _g17(point.rmse_velocity_wls),
-            _g17(point.rmse_accel_ls),
-            _g17(point.rmse_accel_wls),
+            *(_g17(getattr(point, "rmse_" + method)) for method in METHODS),
             str(point.failures),
-            _g17(t_ls),
-            _g17(t_wls),
+            _g17(t_ls * 1e6),
+            _g17(t_wls * 1e6),
         ]))
     return "\n".join(lines) + "\n"
 
@@ -290,7 +279,7 @@ def _base_scenario(config) -> Scenario:
 
 
 def cmd_sweep(config) -> int:
-    if not config.get("out"):
+    if config.get("out") is None:
         raise ConfigError("sweep needs an output CSV path (--out)")
     _check_output_dirs(config, ("out", "svg"))
     base = _base_scenario(config)
@@ -312,7 +301,7 @@ def cmd_sweep(config) -> int:
     report = timing_report(sweep)
     out = [f"wrote {config['out']}" + (f" and {config['svg']}" if config.get("svg") else "")]
     out.append("mean per-trial runtime (us):")
-    for method in montecarlo.METHODS:
+    for method in METHODS:
         out.append(f"  {method:<13} {report[method] * 1e6:.3f}")
     sys.stdout.write("\n".join(out) + "\n")
     return 0

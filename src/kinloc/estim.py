@@ -52,7 +52,7 @@ that stage fails.
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -177,6 +177,10 @@ class EstimationResult:
         d["velocity_wls"] = velocity_wls
         d["accel_ls"] = accel_ls
         d["accel_wls"] = accel_wls
+
+
+# the five estimates' names, in the order that every output lists them
+METHODS = tuple(f.name for f in fields(EstimationResult))
 
 
 def _check_lengths(measurements: MeasurementSet, sensors: SensorArray):

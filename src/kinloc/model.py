@@ -78,7 +78,7 @@ def _as_index(value, name: str, low: int | None = None) -> int:
     return index
 
 
-def _finite(value, name: str, shape=None, ndmin: int = 0) -> np.ndarray:
+def _finite(value, name: str, shape, ndmin: int = 0) -> np.ndarray:
     """``value`` as a float64 array; every array input is read here, and each error
     names the input.  In order: ValueError "<name> must be a rectangular array" if
     ragged; ``_real``'s TypeError for an entry that is not a real number, each read
@@ -102,8 +102,8 @@ def _finite(value, name: str, shape=None, ndmin: int = 0) -> np.ndarray:
         raise ValueError(f"{name} must be finite")
     given = arr.shape
     arr = arr.reshape((1,) * (ndmin - arr.ndim) + given)
-    if shape is not None and (arr.ndim != len(shape) or any(
-            n < 1 if want is None else n != want for n, want in zip(arr.shape, shape))):
+    if arr.ndim != len(shape) or any(
+            n < 1 if want is None else n != want for n, want in zip(arr.shape, shape)):
         free = iter("NM")
         spec = str(tuple(next(free) if want is None else want for want in shape)).replace("'", "")
         raise ValueError(f"{name} must have shape {spec}, got {given}")

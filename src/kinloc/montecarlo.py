@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import (DegenerateGeometry, EmptyEnsemble, SingularGeometry,
                      TooFewSensors, ZeroRange)
-from .estim import (PROPAGATED, EstimationResult, WeightRule, _timed_kinematics,
+from .estim import (METHODS, PROPAGATED, EstimationResult, WeightRule, _timed_kinematics,
                     _timed_position)
 # not called here: perfbench's tracer test reads montecarlo.estimate_position
 from .estim import estimate_position  # noqa: F401
@@ -61,7 +61,6 @@ DEFAULT_TRIALS = 1000
 DEFAULT_SEED = 7
 
 MOTION_MODES = ("constant_velocity", "constant_acceleration")
-METHODS = ("position", "velocity_ls", "velocity_wls", "accel_ls", "accel_wls")
 
 _TRIAL_ERRORS = (ZeroRange, TooFewSensors, DegenerateGeometry, SingularGeometry)
 

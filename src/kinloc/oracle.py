@@ -103,6 +103,7 @@ _VEL_BOX = (-20.0, 20.0)
 _ACC_BOX = (-10.0, 10.0)
 _SENSOR_BOX = (-100.0, 100.0)
 _MIN_RANGE = 15.0
+_STAGE_ROWS, _STAGE_MAX_COND = 8, 1e6   # each random stage system's rows, Gram condition cap
 
 TOL_RATE = 1e-6
 TOL_ACCEL = 1e-4
@@ -121,17 +122,16 @@ def _random_instance(rng):
             return target, sensor
 
 
-def _random_stage_system(rng, n=8, max_cond=1e6):
+def _random_stage_system(rng):
     while True:
         p_hat = rng.uniform(*_POS_BOX, size=2)
-        sensors = rng.uniform(*_SENSOR_BOX, size=(n, 2))
+        sensors = rng.uniform(*_SENSOR_BOX, size=(_STAGE_ROWS, 2))
         rows = p_hat[None, :] - sensors
         x_true = rng.uniform(-20.0, 20.0, size=2)
-        rhs = rows @ x_true + rng.standard_normal(n)
-        weights = rng.uniform(0.2, 2.0, size=n)
-        sw = np.sqrt(weights)
-        cond = np.linalg.cond(rows * sw[:, None])
-        if cond * cond <= max_cond:
+        rhs = rows @ x_true + rng.standard_normal(_STAGE_ROWS)
+        weights = rng.uniform(0.2, 2.0, size=_STAGE_ROWS)
+        cond = np.linalg.cond(rows * np.sqrt(weights)[:, None])
+        if cond * cond <= _STAGE_MAX_COND:
             return rows, rhs, weights
 
 

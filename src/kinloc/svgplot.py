@@ -2,24 +2,20 @@
 
 Hand-rolled on purpose: the output must be byte-identical across runs and
 machines, so no plotting library (font metrics, version strings, timestamps)
-is acceptable.  Log-log axes, one polyline per series, fixed palette.
+is acceptable.  Log-log axes, one polyline per estimator variant, fixed
+palette; every label is a constant of ``sweep_figure``, so none needs escaping.
 """
 
 import math
 
 _WIDTH, _HEIGHT = 640, 440
 _ML, _MR, _MT, _MB = 70, 20, 30, 55          # margins: left right top bottom
-_PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+_PALETTE = ("#1f77b4", "#d62728")             # LS, WLS
 
 
 def _fmt(x: float) -> str:
     # fixed-precision pixel coordinates keep the file stable across platforms
     return f"{x:.2f}"
-
-
-def _escape(text) -> str:
-    # XML text content; xml.sax.saxutils.escape would import urllib and ssl
-    return str(text).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _log_ticks(l0: float, l1: float):
@@ -40,25 +36,34 @@ def _tick_label(value: float) -> str:
     return f"{value:.3g}"
 
 
-def render_loglog(series: dict, xlabel: str, ylabel: str) -> str:
-    """Render named (x, y) series to an SVG string with log-log axes.
+def sweep_figure(sweep) -> str:
+    """SVG for a SweepResult: the RMSE of both estimator variants of the swept
+    quantity against the grid, on log-log axes.
 
-    series maps a legend label to a pair of equal-length sequences.  Values
-    <= 0 or not finite cannot be drawn on a log axis and raise ValueError.
-    Labels are written as XML text, escaped.
+    A point whose RMSE is not finite (every trial failed) is left out; a
+    series with no finite point, or a plotted grid value or RMSE that is not
+    positive and finite, raises ValueError.
     """
-    if not series:
-        raise ValueError("need at least one series")
-    xs_all, ys_all = [], []
-    for label, (xs, ys) in series.items():
-        if len(xs) != len(ys) or len(xs) == 0:
-            raise ValueError(f"series {label!r} must have equal nonzero lengths")
-        if any(v <= 0 for v in xs) or any(v <= 0 for v in ys):
+    if sweep.swept_parameter == "sigma_drr":
+        columns = {"acceleration LS": "rmse_accel_ls", "acceleration WLS": "rmse_accel_wls"}
+        ylabel = "acceleration RMSE (m/s^2)"
+        xlabel = "drr noise sigma (m/s^2)"
+    else:
+        columns = {"velocity LS": "rmse_velocity_ls", "velocity WLS": "rmse_velocity_wls"}
+        ylabel = "velocity RMSE (m/s)"
+        xlabel = "range-rate noise sigma (m/s)"
+    series = {}
+    for label, field in columns.items():
+        ys = (getattr(p, field) for p in sweep.points)
+        pairs = [(x, y) for x, y in zip(sweep.grid, ys) if math.isfinite(y)]
+        if not pairs:
+            raise ValueError(f"no sweep point has a finite {label} RMSE to plot")
+        # a log axis cannot draw a value <= 0, nor a NaN or inf grid value
+        if any(v <= 0 for pair in pairs for v in pair):
             raise ValueError(f"series {label!r} has nonpositive values; log axes need > 0")
-        if not all(map(math.isfinite, (*xs, *ys))):
+        if not all(math.isfinite(x) for x, _ in pairs):
             raise ValueError(f"series {label!r} has non-finite values")
-        xs_all.extend(xs)
-        ys_all.extend(ys)
+        series[label] = pairs
 
     def span(vals):
         # in log10 space, where padding cannot underflow or overflow
@@ -69,8 +74,8 @@ def render_loglog(series: dict, xlabel: str, ylabel: str) -> str:
             lo, hi = lo - 0.5, hi + 0.5
         return lo, hi
 
-    lx0, lx1 = span(xs_all)
-    ly0, ly1 = span(ys_all)
+    lx0, lx1 = span([x for pairs in series.values() for x, _ in pairs])
+    ly0, ly1 = span([y for pairs in series.values() for _, y in pairs])
     px0, px1 = _ML, _WIDTH - _MR
     py0, py1 = _HEIGHT - _MB, _MT
 
@@ -104,22 +109,21 @@ def render_loglog(series: dict, xlabel: str, ylabel: str) -> str:
                    f'{_tick_label(tick)}</text>')
 
     out.append(f'<text x="{(px0 + px1) / 2:.0f}" y="{_HEIGHT - 12}" '
-               f'text-anchor="middle">{_escape(xlabel)}</text>')
+               f'text-anchor="middle">{xlabel}</text>')
     out.append(f'<text x="16" y="{(py0 + py1) / 2:.0f}" text-anchor="middle" '
-               f'transform="rotate(-90 16 {(py0 + py1) / 2:.0f})">{_escape(ylabel)}</text>')
+               f'transform="rotate(-90 16 {(py0 + py1) / 2:.0f})">{ylabel}</text>')
 
     legend_y = py1 + 14
-    for idx, (label, (xs, ys)) in enumerate(series.items()):
-        color = _PALETTE[idx % len(_PALETTE)]
-        pts = " ".join(f"{_fmt(sx(x))},{_fmt(sy(y))}" for x, y in zip(xs, ys))
+    for color, (label, pairs) in zip(_PALETTE, series.items()):
+        pts = " ".join(f"{_fmt(sx(x))},{_fmt(sy(y))}" for x, y in pairs)
         out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                    'stroke-width="1.5"/>')
-        for x, y in zip(xs, ys):
+        for x, y in pairs:
             out.append(f'<circle cx="{_fmt(sx(x))}" cy="{_fmt(sy(y))}" r="3" '
                        f'fill="{color}"/>')
         out.append(f'<line x1="{px1 - 150}" y1="{legend_y}" x2="{px1 - 120}" '
                    f'y2="{legend_y}" stroke="{color}" stroke-width="1.5"/>')
-        out.append(f'<text x="{px1 - 114}" y="{legend_y + 4}">{_escape(label)}</text>')
+        out.append(f'<text x="{px1 - 114}" y="{legend_y + 4}">{label}</text>')
         legend_y += 16
 
     out.append("</g>")
@@ -127,25 +131,3 @@ def render_loglog(series: dict, xlabel: str, ylabel: str) -> str:
     return "\n".join(out) + "\n"
 
 
-def sweep_figure(sweep) -> str:
-    """SVG for a SweepResult: both estimator variants of the swept quantity.
-
-    A point whose RMSE is not finite (every trial failed) is left out; a
-    series with no finite point raises ValueError.
-    """
-    if sweep.swept_parameter == "sigma_drr":
-        columns = {"acceleration LS": "rmse_accel_ls", "acceleration WLS": "rmse_accel_wls"}
-        ylabel = "acceleration RMSE (m/s^2)"
-        xlabel = "drr noise sigma (m/s^2)"
-    else:
-        columns = {"velocity LS": "rmse_velocity_ls", "velocity WLS": "rmse_velocity_wls"}
-        ylabel = "velocity RMSE (m/s)"
-        xlabel = "range-rate noise sigma (m/s)"
-    series = {}
-    for label, field in columns.items():
-        ys = (getattr(p, field) for p in sweep.points)
-        pairs = [(x, y) for x, y in zip(sweep.grid, ys) if math.isfinite(y)]
-        if not pairs:
-            raise ValueError(f"no sweep point has a finite {label} RMSE to plot")
-        series[label] = tuple(zip(*pairs))
-    return render_loglog(series, xlabel, ylabel)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import os
@@ -20,6 +21,44 @@ TRUTH = {
     "sigma_range": 0.0,
     "sigma_range_rate": 0.0,
     "sigma_drr": 0.0,
+}
+
+
+# README's truth state, synthesized from seed 7 at the default noise, and the
+# explicit measurement lists of the CI's packaging job
+ESTIMATE_SOURCES = {
+    "truth": {"position": [40, 30], "velocity": [5, -3], "acceleration": [0.5, 1], "seed": 7},
+    "measurements": {
+        "ranges": [50.0, 92.195, 156.525, 143.178, 191.05, 92.195, 22.361, 120.416],
+        "range_rates": [2.2, -0.976, 5.814, -4.819, 1.623, 5.532, 0.447, 1.744],
+        "drrs": [1.583, -0.726, 0.001, 0.774, 1.211, 0.308, 0.394, 1.295]},
+}
+# sha256 of `kinloc estimate` stdout for each source, --weights and --format
+ESTIMATE_SHA256 = {
+    ("truth", "uniform", "text"):
+        "82936bce02e17887f2192add7137a420895eb8d7fbc844a72da6158c6dba74f4",
+    ("truth", "uniform", "json"):
+        "b55d71c334ac5d6ba4476342bb1147a38d198970554e8dedaa3ee3641daec2cd",
+    ("truth", "inverse-range", "text"):
+        "90396c468fec27cfeb60bda4b9d56846c4b072b94aad4ecfa29b6d9c416349fd",
+    ("truth", "inverse-range", "json"):
+        "26ab97365f1e283cda5704eb2038c754a2014f212a389734d7b5735aa9fd1ed2",
+    ("truth", "propagated", "text"):
+        "01dd855ee3982088e03303d7b5ec6107719992ab89867b5c9843a76f29ed8e23",
+    ("truth", "propagated", "json"):
+        "127c54e9e300270e04a9d5185e9ad13b55a05fd016b3fcfd02e8cb14652228dd",
+    ("measurements", "uniform", "text"):
+        "5d65da2552c06c14a6059cc653cd65c8367d9b8f0baf884b10a955477f1992e2",
+    ("measurements", "uniform", "json"):
+        "3d9ec87d379ec858916294dd697704bdd4338bdd75513b0de86ba855bebdd356",
+    ("measurements", "inverse-range", "text"):
+        "20bfc90c78d6c459b4c51b350d0a91d7fefd9d04701ec76c6ad5a37380507a7e",
+    ("measurements", "inverse-range", "json"):
+        "10bd7cfdf40e020c643bfa95dbca62c59f842f589f47254ebbbdac29792bd541",
+    ("measurements", "propagated", "text"):
+        "ac3529ffb9cb9de986ffa248f8a3b28d029c82fa10959147c046ffa09ca24642",
+    ("measurements", "propagated", "json"):
+        "d10a4ffd75f10ea105dd68d5e630a49adb1b15ea88e054edffd3d7b89d59d75d",
 }
 
 
@@ -79,6 +118,16 @@ class TestEstimate:
         assert set(json.loads(dest.read_text())) == {
             "position", "velocity_ls", "velocity_wls", "accel_ls", "accel_wls"}
 
+    @pytest.mark.parametrize("source, weights, fmt", list(itertools.product(
+        ESTIMATE_SOURCES, ("uniform", "inverse-range", "propagated"), ("text", "json"))))
+    def test_output_bytes_are_pinned(self, tmp_path, capsys, source, weights, fmt):
+        # each renderer's layout and its 17 significant digits, byte for byte
+        cfg = write_config(tmp_path, ESTIMATE_SOURCES[source])
+        code, out, err = run(["estimate", "--config", cfg, "--weights", weights,
+                              "--format", fmt], capsys)
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == ESTIMATE_SHA256[source, weights, fmt]
+
     def test_new_out_file_gets_the_umask_mode(self, tmp_path, capsys):
         # mkstemp makes its temp file 0600; the renamed file must not keep that
         cfg = write_config(tmp_path, TRUTH)
@@ -111,6 +160,17 @@ class TestEstimate:
             assert code == 2 and out == ""
             assert err == f"ConfigError: cannot write --out {directory}: it names a directory\n"
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    @pytest.mark.parametrize("in_file", [False, True])
+    def test_empty_out_rejected_before_the_estimate(self, tmp_path, capsys, monkeypatch,
+                                                    in_file):
+        # an empty path was read as no path: the estimate went to stdout, exit 0
+        monkeypatch.setattr(cli, "estimate_all", None)      # must not run
+        cfg = write_config(tmp_path, dict(TRUTH, out="") if in_file else TRUTH)
+        code, out, err = run(["estimate", "--config", cfg]
+                             + ([] if in_file else ["--out", ""]), capsys)
+        assert (code, out) == (2, "")
+        assert err == "ConfigError: cannot write --out: the path is empty\n"
 
     def test_degenerate_geometry_exits_2_with_error_name(self, tmp_path, capsys):
         cfg = write_config(tmp_path, dict(
@@ -493,6 +553,21 @@ class TestSweep:
     def test_missing_out_rejected(self, capsys):
         code, _, err = run(["sweep", "--trials", "5"], capsys)
         assert code == 2 and err.startswith("ConfigError:")
+
+    @pytest.mark.parametrize("in_file", [False, True])
+    @pytest.mark.parametrize("flag", ["--out", "--svg"])
+    def test_empty_output_path_rejected_before_the_sweep(self, tmp_path, capsys, monkeypatch,
+                                                          flag, in_file):
+        # an empty --svg was read as no figure, and the sweep exited 0
+        monkeypatch.setattr(cli, "sweep_velocity_experiment", None)     # must not run
+        paths = {"out": str(tmp_path / "o.csv"), "svg": str(tmp_path / "o.svg")}
+        paths[flag[2:]] = ""
+        args = ["--config", write_config(tmp_path, paths)] if in_file else [
+            arg for key, path in paths.items() for arg in ("--" + key, path)]
+        code, out, err = run(self.ARGS + args, capsys)
+        assert (code, out) == (2, "")
+        assert err == f"ConfigError: cannot write {flag}: the path is empty\n"
+        assert [p.name for p in tmp_path.iterdir()] == (["config.json"] if in_file else [])
 
     @pytest.mark.parametrize("flag", ["--out", "--svg"])
     def test_missing_output_directory_rejected_before_the_sweep(self, tmp_path, capsys,
