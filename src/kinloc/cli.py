@@ -91,10 +91,10 @@ _SETTINGS = {
     "threads": (_read(model._as_index, 1), 1, dict(type=int, metavar="T")),
     "timing": (_as_bool, False, dict(action="store_const", const=True,
                                      help="report measured per-trial times in the CSV")),
-    "sensors": (_read(model._finite, (None, 2)), None, None),
-    "position_box": (_read(montecarlo._as_box), None, None),
-    "velocity_box": (_read(montecarlo._as_box), None, None),
-    "acceleration_box": (_read(montecarlo._as_box), None, None),
+    "sensors": (_read(model._finite, (None, 2)), montecarlo.DEFAULT_SENSOR_POSITIONS, None),
+    "position_box": (_read(montecarlo._as_box), montecarlo.DEFAULT_POSITION_BOX, None),
+    "velocity_box": (_read(montecarlo._as_box), montecarlo.DEFAULT_VELOCITY_BOX, None),
+    "acceleration_box": (_read(montecarlo._as_box), montecarlo.DEFAULT_ACCELERATION_BOX, None),
     "sigma_range": (_read(model._sigma), 1.0, None),
     "sigma_range_rate": (_read(model._sigma), 1.0, None),
     "sigma_drr": (_read(model._sigma), 1.0, None),
@@ -183,10 +183,6 @@ def _weight_rule(config) -> WeightRule:
     return WeightRule(mode=_WEIGHT_CHOICES[config["weights"]])
 
 
-def _sensors(config) -> SensorArray:
-    return SensorArray(config.get("sensors", montecarlo.DEFAULT_SENSOR_POSITIONS))
-
-
 def _noise(config) -> NoiseSpec:
     return NoiseSpec(config["sigma_range"], config["sigma_range_rate"],
                      config["sigma_drr"])
@@ -214,7 +210,7 @@ def _render_estimate_json(result) -> str:
 
 def cmd_estimate(config) -> int:
     _check_output_dirs(config, ("out",))
-    sensors = _sensors(config)
+    sensors = SensorArray(config["sensors"])
     has_truth = config.get("position") is not None
     has_meas = any(config.get(k) is not None for k in ("ranges", "range_rates", "drrs"))
     if has_truth == has_meas:
@@ -270,10 +266,8 @@ def _sweep_csv(sweep, with_timing: bool) -> str:
 
 def _base_scenario(config) -> Scenario:
     return Scenario(
-        sensors=_sensors(config),
-        position_box=config.get("position_box", montecarlo.DEFAULT_POSITION_BOX),
-        velocity_box=config.get("velocity_box", montecarlo.DEFAULT_VELOCITY_BOX),
-        acceleration_box=config.get("acceleration_box", montecarlo.DEFAULT_ACCELERATION_BOX),
+        sensors=config["sensors"], position_box=config["position_box"],
+        velocity_box=config["velocity_box"], acceleration_box=config["acceleration_box"],
         noise=_noise(config), trials=config["trials"], seed=config["seed"],
         motion_mode="constant_velocity")
 

@@ -302,15 +302,14 @@ def true_measurements(target: TargetState, sensors: SensorArray):
 
 
 def _true_block(targets, sensors: SensorArray, out) -> set:
-    """The noise-free ranges, range rates and drrs of T targets at once, written into
-    rows 0-2 of ``out``, a (T, 6, N) draw block whose rows 3-5 hold unit normals: one
-    numpy expression per quantity over (T, N), each element by the IEEE operations of
+    """The noise-free ranges, range rates and drrs of T targets at once, each target
+    given as its six floats ``(px, py, vx, vy, ax, ay)``, written into rows 0-2 of
+    ``out``, a (T, 6, N) draw block whose rows 3-5 hold unit normals: one numpy
+    expression per quantity over (T, N), each element by the IEEE operations of
     ``_true_lists`` in the same order, under ``np.errstate`` because Python floats
     overflow silently.  A target on a sensor is ZeroRange: its whole (6, N) row is set
     to zero.  Returns the set of those rows."""
-    p, v, a = (np.concatenate([getattr(t, name) for t in targets]).reshape(-1, 2)
-               for name in ("position", "velocity", "acceleration"))
-    px, py, v0, v1, a0, a1 = p[:, :1], p[:, 1:], v[:, :1], v[:, 1:], a[:, :1], a[:, 1:]
+    px, py, v0, v1, a0, a1 = np.array(targets).T[:, :, None]
     sx, sy = sensors.positions[:, 0], sensors.positions[:, 1]
     with np.errstate(all="ignore"):
         v2 = v0 * v0 + v1 * v1

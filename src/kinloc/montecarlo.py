@@ -19,10 +19,11 @@ thread holds one record at a time; a pooled sweep scores a point's list from
 ``run_ensemble``.
 
 The two sweep drivers reproduce the standard experiments: velocity RMSE
-against the range-rate noise level (constant-velocity targets, sigma_range
-pinned to 1), and acceleration RMSE against the drr noise level
-(constant-acceleration targets, sigma_range = sigma_range_rate = 1).
-Trials, ensembles and sweeps default to the ``propagated`` weight rule.
+against the range-rate noise level (constant-velocity targets), and
+acceleration RMSE against the drr noise level (constant-acceleration
+targets).  Each point's noise is the base scenario's with the swept sigma
+replaced, so the other two come from the base.  Trials, ensembles and sweeps
+default to the ``propagated`` weight rule.
 """
 
 import functools
@@ -43,7 +44,7 @@ from .model import (NoiseSpec, SensorArray, TargetState, _as_index, _by_construc
                     _frozen_array, _measurements, _noisy, _real, _target_state, _true_block)
 
 # the reference eight-sensor layout used by the shipped experiments
-DEFAULT_SENSOR_POSITIONS = np.array([
+DEFAULT_SENSOR_POSITIONS = _frozen_array(np.array([
     [0.0, 0.0],
     [100.0, 100.0],
     [-100.0, 100.0],
@@ -52,7 +53,7 @@ DEFAULT_SENSOR_POSITIONS = np.array([
     [-50.0, 50.0],
     [50.0, 50.0],
     [-50.0, -50.0],
-])
+]))
 
 DEFAULT_POSITION_BOX = ((0.0, 0.0), (100.0, 100.0))
 DEFAULT_VELOCITY_BOX = ((-20.0, -20.0), (20.0, 20.0))
@@ -254,14 +255,14 @@ class _State(np.random.bit_generator.ISeedSequence):
 class _Trials:
     """Trials drawn once: their truths, each truth's six floats
     ``(px, py, vx, vy, ax, ay)``, read once from the ``TargetState`` that
-    ``sample_truth`` returned and scored against at every point, the read-only
-    (T, 6, N) block of their noise-free rows and unit normals, and the rows
-    whose truth is on a sensor (ZeroRange; they stay zero).  Each trial's
-    normals are drawn straight into the block, and then the noise-free rows of
-    all its trials are computed at once (``model._true_block``).  ``positions``
-    holds (sigma_range, outcome) per trial: the position stage reads only the
-    ranges, so its result, or its error class name, holds at every point with
-    that sigma_range."""
+    ``sample_truth`` returned, the read-only (T, 6, N) block of their
+    noise-free rows and unit normals, and the rows whose truth is on a sensor
+    (ZeroRange; they stay zero).  Each trial's normals are drawn straight into
+    the block; then the noise-free rows of all its trials are computed at once
+    from the truth floats (``model._true_block``), which every point also
+    scores against.  ``positions`` holds (sigma_range, outcome) per trial: the
+    position stage reads only the ranges, so its result, or its error class
+    name, holds at every point with that sigma_range."""
 
     def __init__(self, scenario: Scenario, indices):
         sensors = scenario.sensors
@@ -276,7 +277,7 @@ class _Trials:
             self.truths.append(truth)
             self.truth_floats.append((*truth.position.tolist(), *truth.velocity.tolist(),
                                       *truth.acceleration.tolist()))
-        self.zero_range = _true_block(self.truths, sensors, draws)
+        self.zero_range = _true_block(self.truth_floats, sensors, draws)
         self.draws = _frozen_array(draws)
         self.positions = [(None, None)] * len(indices)
 
@@ -450,17 +451,18 @@ def _aggregate_point(sigma: float, columns, failures: int) -> SweepPoint:
 
 
 def _sweep(base: Scenario, swept_parameter: str, grid, motion_mode: str,
-           noise_for, weight_rule: WeightRule, threads: int) -> SweepResult:
+           weight_rule: WeightRule, threads: int) -> SweepResult:
     """Every grid point reruns trial i on the same streams, sensors, boxes and
-    motion mode; only the sigmas differ.  So every trial's truth and draw are
-    made once, before the first point, into a table, and each point noises
-    the whole draw block with its sigmas.  The point's scenario carries both
-    to ``_score_point``.  The table also keeps each trial's position outcome,
-    which later points reuse while sigma_range stays the same."""
+    motion mode; only the sigmas differ: a point's noise is the base's with
+    the ``swept_parameter`` field set to its sigma.  So every trial's truth
+    and draw are made once, before the first point, into a table, and each
+    point noises the whole draw block with its sigmas; the point's scenario
+    carries both to ``_score_point``.  The table also keeps each trial's
+    position outcome, which later points reuse while sigma_range stays the same."""
     threads = _as_index(threads, "threads", 1)
     values = _check_grid(grid)
     # every point's noise, checked before any trial is drawn or run
-    noises = [noise_for(sigma) for sigma in values]
+    noises = [replace(base.noise, **{swept_parameter: sigma}) for sigma in values]
     base = replace(base, motion_mode=motion_mode)
     trials = _Trials(base, range(base.trials))
     points = []
@@ -475,22 +477,18 @@ def sweep_velocity_experiment(base: Scenario, sigma_rr_grid,
                               weight_rule: WeightRule = PROPAGATED,
                               threads: int = 1) -> SweepResult:
     """Velocity RMSE versus range-rate noise: constant-velocity targets,
-    sigma_range fixed at 1 m, drr noise taken from the base scenario."""
-    return _sweep(
-        base, "sigma_range_rate", sigma_rr_grid, "constant_velocity",
-        lambda s: NoiseSpec(1.0, s, base.noise.sigma_drr),
-        weight_rule, threads)
+    sigma_range and sigma_drr taken from the base scenario."""
+    return _sweep(base, "sigma_range_rate", sigma_rr_grid, "constant_velocity",
+                  weight_rule, threads)
 
 
 def sweep_acceleration_experiment(base: Scenario, sigma_drr_grid,
                                   weight_rule: WeightRule = PROPAGATED,
                                   threads: int = 1) -> SweepResult:
     """Acceleration RMSE versus drr noise: constant-acceleration targets,
-    sigma_range = sigma_range_rate = 1."""
-    return _sweep(
-        base, "sigma_drr", sigma_drr_grid, "constant_acceleration",
-        lambda s: NoiseSpec(1.0, 1.0, s),
-        weight_rule, threads)
+    sigma_range and sigma_range_rate taken from the base scenario."""
+    return _sweep(base, "sigma_drr", sigma_drr_grid, "constant_acceleration",
+                  weight_rule, threads)
 
 
 def timing_report(sweep: SweepResult) -> dict:

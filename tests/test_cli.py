@@ -530,6 +530,24 @@ class TestSweep:
         sweep = montecarlo.sweep_velocity_experiment(base, (0.2, 2.0))
         assert dest.read_text() == cli._sweep_csv(sweep, False)
 
+    @pytest.mark.parametrize("experiment, sigmas", [
+        ("velocity", {"sigma_range": 2}),
+        ("acceleration", {"sigma_range": 2, "sigma_range_rate": 3}),
+    ])
+    def test_unswept_sigmas_reach_the_sweep(self, tmp_path, capsys, experiment, sigmas):
+        # the sweep keeps the config's sigmas and replaces only the swept one
+        dest, default = tmp_path / "s.csv", tmp_path / "default.csv"
+        argv = ["sweep", "--experiment", experiment, "--trials", "30", "--grid", "0.2,2"]
+        code, _, err = run([*argv, "--config", write_config(tmp_path, sigmas),
+                            "--out", str(dest)], capsys)
+        assert code == 0 and err == ""
+        assert run([*argv, "--out", str(default)], capsys)[0] == 0
+        base = montecarlo.default_scenario(trials=30, noise=model.NoiseSpec(**sigmas))
+        sweep = {"velocity": montecarlo.sweep_velocity_experiment,
+                 "acceleration": montecarlo.sweep_acceleration_experiment}[experiment]
+        assert dest.read_text() == cli._sweep_csv(sweep(base, (0.2, 2.0)), False)
+        assert dest.read_text() != default.read_text()
+
     def test_box_with_overflowing_extent_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"position_box": [[-1e308, -1e308], [1e308, 1e308]]})
         code, _, err = run(["sweep", "--config", cfg, "--trials", "3",

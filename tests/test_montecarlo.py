@@ -445,19 +445,27 @@ class TestSweeps:
             assert p1.rmse_velocity_wls == p2.rmse_velocity_wls
             assert p1.failures + p1.successes == base.trials
 
-    def test_velocity_sweep_pins_range_noise(self):
-        # base sigma_range is overridden to 1 regardless of the base scenario
-        base = default_scenario(trials=30, noise=NoiseSpec(5.0, 1.0, 1.0))
-        pinned = sweep_velocity_experiment(base, (1.0,))
+    def test_velocity_sweep_takes_the_unswept_sigmas_from_the_base(self):
+        # sigma_range and sigma_drr are the base's; only sigma_range_rate is swept
+        base = default_scenario(trials=30, noise=NoiseSpec(5.0, 3.0, 2.0))
+        point = sweep_velocity_experiment(base, (1.0,)).points[0]
+        records = run_ensemble(replace(base, noise=NoiseSpec(5.0, 1.0, 2.0)))
+        assert ([getattr(point, "rmse_" + m) for m in METHODS]
+                == [rmse(records, m) for m in METHODS])
         reference = sweep_velocity_experiment(default_scenario(trials=30), (1.0,))
-        assert pinned.points[0].rmse_position == reference.points[0].rmse_position
+        assert point.rmse_position != reference.points[0].rmse_position
 
-    def test_acceleration_sweep_mode_and_pinning(self):
+    def test_acceleration_sweep_mode_and_base_sigmas(self):
+        # constant-acceleration targets, sigma_range and sigma_range_rate the base's
         base = default_scenario(trials=30, noise=NoiseSpec(3.0, 3.0, 3.0))
         sweep = sweep_acceleration_experiment(base, (0.1,))
         assert sweep.swept_parameter == "sigma_drr"
+        records = run_ensemble(replace(base, noise=NoiseSpec(3.0, 3.0, 0.1),
+                                       motion_mode="constant_acceleration"))
+        assert ([getattr(sweep.points[0], "rmse_" + m) for m in METHODS]
+                == [rmse(records, m) for m in METHODS])
         reference = sweep_acceleration_experiment(default_scenario(trials=30), (0.1,))
-        assert sweep.points[0].rmse_accel_ls == reference.points[0].rmse_accel_ls
+        assert sweep.points[0].rmse_accel_ls != reference.points[0].rmse_accel_ls
 
     def test_grid_validation(self):
         base = default_scenario(trials=5)

@@ -81,6 +81,12 @@ def test_no_array_can_be_unlocked(monkeypatch, layout, rng):
     assert_cannot_unlock(*arrays)
 
 
+def test_the_default_layout_cannot_be_unlocked():
+    # a write into it would move the sensors of every later default_scenario
+    # and of the CLI's default
+    assert_cannot_unlock(DEFAULT_SENSOR_POSITIONS)
+
+
 ESTIMATE_ARRAYS = ((estim.PositionSolution, "position"), (estim.KinematicEstimate, "value"),
                    (estim.KinematicEstimate, "pseudo_measurements"))
 

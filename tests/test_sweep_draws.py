@@ -55,18 +55,22 @@ from kinloc.montecarlo import (DEFAULT_SENSOR_POSITIONS, METHODS, Scenario, _agg
                                sweep_acceleration_experiment, sweep_velocity_experiment)
 
 RULES = (UNIFORM, WeightRule(), PROPAGATED)
-# sweep function, motion mode, and the noise of a point, as the sweeps document them
+# sweep function, motion mode, and the swept NoiseSpec field, as the sweeps
+# document them: a point's noise is the base's with that field set to its sigma
 EXPERIMENTS = {
-    "velocity": (sweep_velocity_experiment, "constant_velocity",
-                 lambda base, s: NoiseSpec(1.0, s, base.noise.sigma_drr)),
-    "acceleration": (sweep_acceleration_experiment, "constant_acceleration",
-                     lambda base, s: NoiseSpec(1.0, 1.0, s)),
+    "velocity": (sweep_velocity_experiment, "constant_velocity", "sigma_range_rate"),
+    "acceleration": (sweep_acceleration_experiment, "constant_acceleration", "sigma_drr"),
 }
 GRID = (0.1, 1.0, 10.0)
 _ANGLES = 2.0 * math.pi * np.arange(64) / 64
 RING64 = np.column_stack((100.0 * np.cos(_ANGLES), 100.0 * np.sin(_ANGLES)))
 # each point's columns: the squared errors, then the stage times, one per method
 SQUARED, TIMES = slice(0, len(METHODS)), slice(len(METHODS), 2 * len(METHODS))
+
+
+def point_noise(base, swept, sigma) -> NoiseSpec:
+    """The noise of a sweep point: the base's, with the swept field set to sigma."""
+    return replace(base.noise, **{swept: sigma})
 
 
 def _bits(*values) -> bytes:
@@ -126,27 +130,30 @@ def count_position_solves(monkeypatch) -> list:
 def assert_sweep_matches_unshared(monkeypatch, base, experiment, rule, grid=GRID, threads=1):
     """The sweep's points equal lone trials on unshared scenarios (see below);
     returns the lone records per point."""
-    sweep, mode, noise_for = EXPERIMENTS[experiment]
-    return assert_matches_unshared(monkeypatch, base, mode, lambda s: noise_for(base, s), rule,
-                                   grid, lambda: sweep(base, grid, rule, threads))
+    sweep, mode, swept = EXPERIMENTS[experiment]
+    return assert_matches_unshared(monkeypatch, base, mode, swept, rule, grid,
+                                   lambda: sweep(base, grid, rule, threads))
 
 
-def assert_matches_unshared(monkeypatch, base, mode, noise_for, rule, grid, run):
-    """``run()`` sweeps ``grid`` with the noise ``noise_for(sigma)`` and motion
-    mode ``mode``.  Each point's squared-error columns and failure count equal,
-    bit for bit, those of lone ``run_trial`` calls on an unshared copy of the
-    point's scenario, whose fields are the base's with that noise and mode;
+def assert_matches_unshared(monkeypatch, base, mode, swept, rule, grid, run):
+    """``run()`` sweeps the ``NoiseSpec`` field ``swept`` over ``grid`` in
+    motion mode ``mode``.  Each point's squared-error columns and failure
+    count equal, bit for bit, those of lone ``run_trial`` calls on an
+    unshared copy of the point's scenario, whose fields are the base's with
+    that mode and the base's noise with ``swept`` set to the point's sigma;
     ``run_trial`` of the point's own scenario gives the lone records, and the
     SweepPoint is the fold of the lone columns.  Returns the lone records per
     point."""
     with monkeypatch.context() as patch:
         seen = spy_points(patch)
         result = run()
+    assert result.swept_parameter == swept
     assert len(seen) == len(grid) == len(result.points)
     lone_records = []
     for (point, columns, failures), sigma, got in zip(seen, grid, result.points):
         lone = replace(point)       # the same fields, and nothing the sweep shares
-        assert repr(lone) == repr(replace(base, noise=noise_for(sigma), motion_mode=mode))
+        want_scenario = replace(base, noise=point_noise(base, swept, sigma), motion_mode=mode)
+        assert repr(lone) == repr(want_scenario)
         records = [run_trial(lone, i, rule) for i in range(base.trials)]
         assert ([record_key(run_trial(point, i, rule)) for i in range(base.trials)]
                 == [record_key(rec) for rec in records])
@@ -174,6 +181,7 @@ def test_ring_of_64_sensors(monkeypatch, experiment):
 
 @pytest.mark.parametrize("experiment", tuple(EXPERIMENTS))
 def test_custom_boxes(monkeypatch, experiment):
+    # the unswept sigmas are the base's, none of them 1
     base = Scenario(sensors=SensorArray(DEFAULT_SENSOR_POSITIONS),
                     position_box=((-50.0, -20.0), (150.0, 30.0)),
                     velocity_box=((-5.0, 0.0), (5.0, 40.0)),
@@ -286,10 +294,12 @@ def test_no_table_survives_a_sweep(monkeypatch):
 SWEEPS = {
     "velocity": lambda base, threads: sweep_velocity_experiment(base, GRID, PROPAGATED, threads),
     # each point solves the position anew, so a call for an earlier point's
-    # scenario finds the table's positions solved at another sigma_range
+    # scenario finds the table's positions solved at another sigma_range and
+    # solves them again, after which the point's own trials solve once more:
+    # the table keeps the sigma_range it last solved at
     "sigma_range": lambda base, threads: montecarlo._sweep(
-        base, "sigma_range", GRID, "constant_acceleration", lambda s: NoiseSpec(s, 1.0, 0.2),
-        PROPAGATED, threads),
+        replace(base, noise=NoiseSpec(1.0, 1.0, 0.2)), "sigma_range", GRID,
+        "constant_acceleration", PROPAGATED, threads),
 }
 
 
@@ -434,44 +444,45 @@ def counted_run(counters, run):
     return counted, counts
 
 
-@pytest.mark.parametrize("ranges, solves", [
-    ((0.5, 1.0, 2.0), 3),       # a new sigma_range at every point
-    ((1.0, 1.0, 2.0), 2),       # the second point reuses the first's position
-    ((1.0, 2.0, 1.0), 3),       # the table keeps the last sigma_range solved at
-])
-def test_sweep_of_sigma_range_equals_unshared_points(monkeypatch, ranges, solves):
-    base = default_scenario(trials=15, seed=9)
-    sigma_range = dict(zip(GRID, ranges))
-
-    def noise_for(s):
-        return NoiseSpec(sigma_range[s], s, 0.2)
-
+def test_sweep_of_sigma_range_equals_unshared_points(monkeypatch):
+    # a new sigma_range at every point, so every point solves every trial's
+    # position; the velocity and acceleration sweeps, whose sigma_range is
+    # the base's at every point, solve once per trial
+    base = default_scenario(trials=15, seed=9, noise=NoiseSpec(1.0, 2.0, 0.2))
     calls = count_position_solves(monkeypatch)
     for rule in RULES:
         run, counts = counted_run([calls], lambda: montecarlo._sweep(
-            base, "sigma_range", GRID, "constant_acceleration", noise_for, rule, 1))
-        assert_matches_unshared(monkeypatch, base, "constant_acceleration", noise_for, rule,
+            base, "sigma_range", GRID, "constant_acceleration", rule, 1))
+        assert_matches_unshared(monkeypatch, base, "constant_acceleration", "sigma_range", rule,
                                 GRID, run)
-        # one solve per trial for each run of equal sigma_range
-        assert counts == [[15 * solves]]
+        assert counts == [[15 * len(GRID)]]
 
 
 def test_position_survives_a_later_stage_failing(monkeypatch):
-    # range-rate noise 1e150 makes every stage-2 solve overflow at the first point
-    base = default_scenario(trials=10, seed=6)
+    # range-rate noise 1e150 makes every stage-2 solve overflow at the last
+    # point.  Right after it the first point's trials run again: they reuse
+    # the positions the failing trials left in the table, and succeed
+    base = default_scenario(trials=10, seed=6, noise=NoiseSpec(1.0, 1.0, 0.1))
+    grid = (0.5, 2.0, 1e150)
+    real, points, reruns = montecarlo._score_point, [], []
 
-    def noise_for(s):
-        return NoiseSpec(1.0, 1e150 if s == GRID[0] else s, 0.1)
+    def rerun_the_first_point_last(scenario, weight_rule, threads):
+        points.append(scenario)
+        scores = real(scenario, weight_rule, threads)
+        if len(points) == len(grid):
+            reruns.extend(run_trial(points[0], i, weight_rule) for i in range(base.trials))
+        return scores
 
+    monkeypatch.setattr(montecarlo, "_score_point", rerun_the_first_point_last)
     run, counts = counted_run(
         [count_position_solves(monkeypatch), count_truth_draws(monkeypatch)],
-        lambda: montecarlo._sweep(base, "sigma_range_rate", GRID, "constant_velocity",
-                                  noise_for, PROPAGATED, 1))
-    records = assert_matches_unshared(monkeypatch, base, "constant_velocity", noise_for,
-                                      PROPAGATED, GRID, run)
-    assert {r.failure for r in records[0]} == {"SingularGeometry"}
-    assert all(r.ok for r in records[1] + records[2])
-    # each trial drawn and its position solved once, before the failing stage
+        lambda: sweep_velocity_experiment(base, grid))
+    records = assert_matches_unshared(monkeypatch, base, "constant_velocity", "sigma_range_rate",
+                                      PROPAGATED, grid, run)
+    assert {r.failure for r in records[2]} == {"SingularGeometry"}
+    assert all(r.ok for r in records[0] + records[1])
+    assert [record_key(r) for r in reruns] == [record_key(r) for r in records[0]]
+    # each trial drawn and its position solved once, the reruns included
     assert counts == [[10, 10]]
 
 
@@ -480,11 +491,10 @@ def test_degenerate_position_fails_alike_at_every_point(monkeypatch, experiment)
     # four sensors on the diagonal: the trilateration Gram matrix is rank-deficient
     line = [[-50.0, -50.0], [0.0, 0.0], [50.0, 50.0], [120.0, 120.0]]
     base = default_scenario(trials=10, seed=8, sensors=line)
-    sweep, mode, noise_for = EXPERIMENTS[experiment]
+    sweep, mode, swept = EXPERIMENTS[experiment]
     run, counts = counted_run([count_position_solves(monkeypatch)],
                               lambda: sweep(base, GRID, PROPAGATED))
-    records = assert_matches_unshared(monkeypatch, base, mode, lambda s: noise_for(base, s),
-                                      PROPAGATED, GRID, run)
+    records = assert_matches_unshared(monkeypatch, base, mode, swept, PROPAGATED, GRID, run)
     for point in records:
         assert [r.failure for r in point] == ["DegenerateGeometry"] * 10
         assert [record_key(r) for r in point] == [record_key(r) for r in records[0]]
@@ -577,7 +587,8 @@ def _noisy_outcome(draws, noise):
     TargetState((30.0, 40.0), (1e200, 0.0)),                       # every drr NaN
 ]))
 def test_table_rows_equal_the_list_path_bit_for_bit(args):
-    # model._true_block against model._true_lists target by target, with the
+    # model._true_block, given each target's six floats as a trial table
+    # holds them, against model._true_lists target by target, with the
     # same unit normals in rows 3-5; a ZeroRange target's whole row stays zero.
     # A NaN compares by position, not payload: every other value by its bits
     sensors, targets = args
@@ -596,7 +607,9 @@ def test_table_rows_equal_the_list_path_bit_for_bit(args):
     got[:, 3:] = normals
     with warnings.catch_warnings():
         warnings.simplefilter("error")      # no warning escapes the block
-        assert model._true_block(targets, sensors, got) == on_sensor
+        floats = [(*t.position.tolist(), *t.velocity.tolist(), *t.acceleration.tolist())
+                  for t in targets]
+        assert model._true_block(floats, sensors, got) == on_sensor
         nan = np.isnan(want)
         assert np.array_equal(np.isnan(got), nan)
         assert got[~nan].tobytes() == want[~nan].tobytes()
@@ -684,7 +697,7 @@ def test_sweep_rmses_equal_rmse_of_the_points_records_bit_for_bit(monkeypatch, t
     assert_sweep_matches_unshared(monkeypatch, base, "velocity", PROPAGATED, grid, threads)
     result = sweep_velocity_experiment(base, grid, PROPAGATED, threads)
     for point, sigma in zip(result.points, grid):
-        noise = NoiseSpec(1.0, sigma, base.noise.sigma_drr)
+        noise = point_noise(base, "sigma_range_rate", sigma)
         records = run_ensemble(replace(base, noise=noise, motion_mode="constant_velocity"))
         successes = sum(rec.ok for rec in records)
         assert (point.failures, point.successes) == (len(records) - successes, successes)
@@ -699,15 +712,17 @@ def test_sweep_rmses_equal_rmse_of_the_points_records_bit_for_bit(monkeypatch, t
 
 def test_point_scenarios_are_the_base_with_the_point_noise(monkeypatch):
     # each point's scenario holds the sweep base's sensors, boxes, trial count
-    # and seed, the experiment's motion mode and the point's noise
-    for sweep, mode, noise_for in EXPERIMENTS.values():
-        base = default_scenario(trials=3)
+    # and seed, the experiment's motion mode and the base's noise with the
+    # swept sigma replaced
+    for sweep, mode, swept in EXPERIMENTS.values():
+        base = default_scenario(trials=3, noise=NoiseSpec(2.0, 3.0, 4.0))
         with monkeypatch.context() as patch:
             seen = spy_points(patch)
             sweep(base, GRID)
         assert len(seen) == len(GRID)
         for (scenario, _, _), sigma in zip(seen, GRID):
-            assert scenario.motion_mode == mode and scenario.noise == noise_for(base, sigma)
+            assert scenario.motion_mode == mode
+            assert scenario.noise == point_noise(base, swept, sigma)
             assert scenario.sensors is base.sensors
             for field in ("position_box", "velocity_box", "acceleration_box"):
                 assert getattr(scenario, field).tobytes() == getattr(base, field).tobytes()
