@@ -211,12 +211,14 @@ def _render_estimate_json(result) -> str:
 def cmd_estimate(config) -> int:
     _check_output_dirs(config, ("out",))
     sensors = SensorArray(config["sensors"])
-    has_truth = config.get("position") is not None
+    has_truth = any(config.get(k) is not None for k in ("position", "velocity", "acceleration"))
     has_meas = any(config.get(k) is not None for k in ("ranges", "range_rates", "drrs"))
     if has_truth == has_meas:
         raise ConfigError("estimate needs either a truth state (position/velocity/"
                           "acceleration) or explicit measurements (ranges/range_rates/"
                           "drrs), not both and not neither")
+    if has_truth and config.get("position") is None:
+        raise ConfigError("a truth state needs position; velocity and acceleration default to 0")
 
     if has_truth:
         truth = TargetState(config["position"],

@@ -10,13 +10,13 @@ change any number.  A sweep draws every trial once, before its first grid
 point, into one (trials, 6, N) block, and each point noises the whole block
 with its sigmas in one numpy operation; each point's scenario carries the
 table and its noisy block, so a pool's workers read them as a one-thread
-sweep does.  It solves the position stage, which reads only the ranges, once
-per sigma_range.  ``_score_point`` scores each point, the seam the sweep
-tests hold to lone ``run_trial`` calls: float columns, in ``METHODS`` order,
-of its successful trials' squared errors and stage times, each column in
-trial order, and its failure count, which ``_aggregate_point`` folds.  One
-thread holds one record at a time; a pooled sweep scores a point's list from
-``run_ensemble``.
+sweep does.  Every point reuses the table's one position outcome per trial:
+that stage reads only the ranges, and no sweep changes sigma_range.
+``_score_point`` scores each point, the seam the sweep tests hold to lone
+``run_trial`` calls: float columns, in ``METHODS`` order, of its successful
+trials' squared errors and stage times, each column in trial order, and its
+failure count, which ``_aggregate_point`` folds.  One thread holds one record
+at a time; a pooled sweep scores a point's list from ``run_ensemble``.
 
 The two sweep drivers reproduce the standard experiments: velocity RMSE
 against the range-rate noise level (constant-velocity targets), and
@@ -256,13 +256,13 @@ class _Trials:
     """Trials drawn once: their truths, each truth's six floats
     ``(px, py, vx, vy, ax, ay)``, read once from the ``TargetState`` that
     ``sample_truth`` returned, the read-only (T, 6, N) block of their
-    noise-free rows and unit normals, and the rows whose truth is on a sensor
-    (ZeroRange; they stay zero).  Each trial's normals are drawn straight into
-    the block; then the noise-free rows of all its trials are computed at once
-    from the truth floats (``model._true_block``), which every point also
-    scores against.  ``positions`` holds (sigma_range, outcome) per trial: the
-    position stage reads only the ranges, so its result, or its error class
-    name, holds at every point with that sigma_range."""
+    noise-free rows and unit normals, and each trial's position outcome.  Each
+    trial's normals are drawn straight into the block; then the noise-free rows
+    of all its trials are computed at once from the truth floats
+    (``model._true_block``), which every point also scores against.
+    ``positions[row]`` is None until solved, then a ``_timed_position`` pair or
+    the error class name that fails the trial at every point: ``"ZeroRange"``
+    from the start for a truth on a sensor, whose rows stay zero."""
 
     def __init__(self, scenario: Scenario, indices):
         sensors = scenario.sensors
@@ -277,9 +277,10 @@ class _Trials:
             self.truths.append(truth)
             self.truth_floats.append((*truth.position.tolist(), *truth.velocity.tolist(),
                                       *truth.acceleration.tolist()))
-        self.zero_range = _true_block(self.truth_floats, sensors, draws)
+        self.positions = [None] * len(indices)
+        for row in _true_block(self.truth_floats, sensors, draws):
+            self.positions[row] = ZeroRange.__name__
         self.draws = _frozen_array(draws)
-        self.positions = [(None, None)] * len(indices)
 
 
 def run_trial(scenario: Scenario, trial_index: int,
@@ -287,13 +288,13 @@ def run_trial(scenario: Scenario, trial_index: int,
     """Execute one trial: its truth and measurement set, then all five
     estimators.  On a sweep point's scenario the truth comes from the sweep's
     table of draws, the measurement set is cut from the point's noisy block,
-    and the position outcome is reused while sigma_range stays the same; on
-    any other scenario, or past the table's trials, the trial is the
-    one-trial case of such a table.  Either way the record depends only on
-    the scenario and the index.  The five squared errors are formed from the
-    estimates' floats and the table's truth floats; they and the five stage
-    times are tuples in ``METHODS`` order.  Estimator failures are captured in
-    the record, not raised."""
+    and the table's position outcome is reused once solved; on any other
+    scenario, or past the table's trials, the trial is the one-trial case of
+    such a table.  Either way the record depends only on the scenario and the
+    index.  The five squared errors are formed from the estimates' floats and
+    the table's truth floats; they and the five stage times are tuples in
+    ``METHODS`` order.  Estimator failures are captured in the record, not
+    raised."""
     trial_index = _as_index(trial_index, "trial_index")
     if not 0 <= trial_index < 2 ** 63:
         raise ValueError(f"trial_index out of range: {trial_index}")
@@ -302,25 +303,21 @@ def run_trial(scenario: Scenario, trial_index: int,
     else:
         trials, row = _Trials(scenario, (trial_index,)), 0
         noisy = _noisy(trials.draws, scenario.noise)
-    truth = trials.truths[row]
-    if row in trials.zero_range:
-        return TrialRecord(trial_index, truth, None, (), (), ZeroRange.__name__)
-    measurements = _measurements(noisy, row, scenario.noise)
-    sigma_range = scenario.noise.sigma_range
-    solved_at, position = trials.positions[row]
-    if solved_at != sigma_range:
-        try:
-            position = _timed_position(measurements, scenario.sensors)
-        except _TRIAL_ERRORS as exc:
-            position = type(exc).__name__
-        trials.positions[row] = sigma_range, position
-    if isinstance(position, str):
-        return TrialRecord(trial_index, truth, None, (), (), position)
+    truth, measurements = trials.truths[row], _measurements(noisy, row, scenario.noise)
+    position = trials.positions[row]
+    failure = position if isinstance(position, str) else None
     try:
-        estimates, stage_times = _timed_kinematics(measurements, scenario.sensors, position,
-                                                   weight_rule)
+        if position is None:
+            position = trials.positions[row] = _timed_position(measurements, scenario.sensors)
+        if failure is None:
+            estimates, stage_times = _timed_kinematics(measurements, scenario.sensors, position,
+                                                       weight_rule)
     except _TRIAL_ERRORS as exc:
-        return TrialRecord(trial_index, truth, None, (), (), type(exc).__name__)
+        failure = type(exc).__name__
+        if position is None:        # the position stage failed, as it does at every point
+            trials.positions[row] = failure
+    if failure is not None:
+        return TrialRecord(trial_index, truth, None, (), (), failure)
 
     px, py, vx, vy, ax, ay = trials.truth_floats[row]
     (p0, p1), (vl0, vl1), (vw0, vw1), (al0, al1), (aw0, aw1) = (
@@ -453,12 +450,12 @@ def _aggregate_point(sigma: float, columns, failures: int) -> SweepPoint:
 def _sweep(base: Scenario, swept_parameter: str, grid, motion_mode: str,
            weight_rule: WeightRule, threads: int) -> SweepResult:
     """Every grid point reruns trial i on the same streams, sensors, boxes and
-    motion mode; only the sigmas differ: a point's noise is the base's with
-    the ``swept_parameter`` field set to its sigma.  So every trial's truth
-    and draw are made once, before the first point, into a table, and each
-    point noises the whole draw block with its sigmas; the point's scenario
-    carries both to ``_score_point``.  The table also keeps each trial's
-    position outcome, which later points reuse while sigma_range stays the same."""
+    motion mode; only the ``swept_parameter`` sigma differs, sigma_range_rate
+    or sigma_drr in the two callers: never sigma_range, which the position
+    stage reads.  So every trial's truth and draw are made once, before the
+    first point, into a table that also keeps its position outcome for every
+    point; each point noises the whole draw block with its sigmas, and its
+    scenario carries both to ``_score_point``."""
     threads = _as_index(threads, "threads", 1)
     values = _check_grid(grid)
     # every point's noise, checked before any trial is drawn or run

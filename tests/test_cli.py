@@ -185,6 +185,21 @@ class TestEstimate:
         code, _, err = run(["estimate", "--config", cfg], capsys)
         assert code == 2 and err.startswith("ConfigError:")
 
+    def test_velocity_and_acceleration_beside_measurements_rejected(self, tmp_path, capsys):
+        # a truth state without position is still a truth state: not silently dropped
+        cfg = write_config(tmp_path, dict(ESTIMATE_SOURCES["measurements"],
+                                          velocity=[5, -3], acceleration=[1, 1]))
+        code, out, err = run(["estimate", "--config", cfg], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("ConfigError: estimate needs either a truth state")
+        assert "not both" in err
+
+    def test_truth_state_without_position_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"velocity": [5, -3]})
+        code, out, err = run(["estimate", "--config", cfg], capsys)
+        assert (code, out, err) == (2, "", "ConfigError: a truth state needs position; velocity "
+                                           "and acceleration default to 0\n")
+
     def test_no_input_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"seed": 3})
         code, _, err = run(["estimate", "--config", cfg], capsys)

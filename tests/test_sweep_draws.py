@@ -4,19 +4,19 @@ Every point of a sweep reruns trial i on the same streams, sensors, boxes
 and motion mode, so ``_sweep`` draws every trial's truth and noise-free,
 unit-noise rows before its first point, into a table with one block of
 draws, and noises that block at each point.  The table also keeps each
-trial's position outcome, which later points with the same sigma_range
-reuse.  Each point is scored through one seam, ``montecarlo._score_point``,
-and these tests state what a point's scores must be, not how they are made:
+trial's one position outcome, which every point reuses: no sweep changes
+sigma_range.  Each point is scored through one seam,
+``montecarlo._score_point``, and these tests state what a point's scores
+must be, not how they are made:
 
 - equality: each point's squared-error columns and failure count equal
   those of lone ``run_trial`` calls on an unshared scenario, bit for bit,
   and ``run_trial`` of the point's own scenario gives the lone records;
-- work: one ``sample_truth`` call per trial per sweep, one
-  ``_kernels.position_solve`` per trial for each run of equal sigma_range,
-  the boxes checked once, and on one thread one call of the module's
-  ``run_trial`` per trial per point, each record giving its five squared
-  errors and five stage times as tuples in ``METHODS`` order (empty on
-  failure);
+- work: one ``sample_truth`` call and one ``_kernels.position_solve`` per
+  trial per sweep (none for a truth on a sensor), the boxes checked once,
+  and on one thread one call of the module's ``run_trial`` per trial per
+  point, each record giving its five squared errors and five stage times as
+  tuples in ``METHODS`` order (empty on failure);
 - memory: at most one live ``TrialRecord`` during a one-thread sweep, and
   no table outlives its sweep;
 - concurrency: sweeps run at once from user threads keep their own tables,
@@ -203,7 +203,7 @@ def test_point_where_every_trial_fails(monkeypatch):
                                   "acceleration", PROPAGATED, grid=(0.5, 1e150))
 
 
-def test_position_box_on_a_sensor_fails_every_point(monkeypatch):
+def test_position_box_on_a_sensor_fails_every_point(monkeypatch, two_cpus):
     # every truth sits on the sensor at the origin
     base = replace(default_scenario(trials=10), position_box=((0.0, 0.0), (0.0, 0.0)))
     records = assert_sweep_matches_unshared(monkeypatch, base, "velocity", PROPAGATED)
@@ -212,9 +212,16 @@ def test_position_box_on_a_sensor_fails_every_point(monkeypatch):
     # each trial, ZeroRange ones too, is drawn once, before the first point
     draws = count_truth_draws(monkeypatch)
     seen = spy_points(monkeypatch)
+    solves = count_position_solves(monkeypatch)
     sweep_velocity_experiment(base, GRID)
     assert [(columns, failures) for _, columns, failures in seen] == [([], 10)] * len(GRID)
     assert len(draws) == 10
+    # and no point of either sweep, at 1 or 2 threads, solves a position:
+    # ZeroRange is each trial's outcome from the start
+    for sweep, _, _ in EXPERIMENTS.values():
+        for threads in (1, 2):
+            sweep(base, GRID, PROPAGATED, threads)
+    assert solves == []
 
 
 @pytest.mark.parametrize("box, column", [
@@ -291,21 +298,10 @@ def test_no_table_survives_a_sweep(monkeypatch):
     assert_points_freed(seen, tables)
 
 
-SWEEPS = {
-    "velocity": lambda base, threads: sweep_velocity_experiment(base, GRID, PROPAGATED, threads),
-    # each point solves the position anew, so a call for an earlier point's
-    # scenario finds the table's positions solved at another sigma_range and
-    # solves them again, after which the point's own trials solve once more:
-    # the table keeps the sigma_range it last solved at
-    "sigma_range": lambda base, threads: montecarlo._sweep(
-        replace(base, noise=NoiseSpec(1.0, 1.0, 0.2)), "sigma_range", GRID,
-        "constant_acceleration", PROPAGATED, threads),
-}
-
-
 @pytest.mark.parametrize("threads", [1, 2])
-@pytest.mark.parametrize("sweep", tuple(SWEEPS))
-def test_a_trial_run_during_a_sweep_equals_a_lone_call(monkeypatch, two_cpus, sweep, threads):
+@pytest.mark.parametrize("experiment", tuple(EXPERIMENTS))
+def test_a_trial_run_during_a_sweep_equals_a_lone_call(monkeypatch, two_cpus, experiment,
+                                                       threads):
     # while each point is scored, a user thread runs trials of its own:
     # another scenario's, an earlier point's, the point's own and one past
     # the point's trials.  The sweep's own thread runs them too, just before
@@ -314,7 +310,8 @@ def test_a_trial_run_during_a_sweep_equals_a_lone_call(monkeypatch, two_cpus, sw
     # Each record equals the one a call on an unshared scenario returns, and
     # the sweep's points do not move
     base, other = default_scenario(trials=6, seed=4), default_scenario(trials=3, seed=99)
-    want = [point_key(p) for p in SWEEPS[sweep](base, threads).points]
+    sweep = EXPERIMENTS[experiment][0]
+    want = [point_key(p) for p in sweep(base, GRID, PROPAGATED, threads).points]
     real = montecarlo._score_point
     points, calls = [], []
 
@@ -338,7 +335,7 @@ def test_a_trial_run_during_a_sweep_equals_a_lone_call(monkeypatch, two_cpus, sw
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        got = [point_key(p) for p in SWEEPS[sweep](base, threads).points]
+        got = [point_key(p) for p in sweep(base, GRID, PROPAGATED, threads).points]
     finally:
         sys.setswitchinterval(interval)
     assert got == want
@@ -442,20 +439,6 @@ def counted_run(counters, run):
         return result
 
     return counted, counts
-
-
-def test_sweep_of_sigma_range_equals_unshared_points(monkeypatch):
-    # a new sigma_range at every point, so every point solves every trial's
-    # position; the velocity and acceleration sweeps, whose sigma_range is
-    # the base's at every point, solve once per trial
-    base = default_scenario(trials=15, seed=9, noise=NoiseSpec(1.0, 2.0, 0.2))
-    calls = count_position_solves(monkeypatch)
-    for rule in RULES:
-        run, counts = counted_run([calls], lambda: montecarlo._sweep(
-            base, "sigma_range", GRID, "constant_acceleration", rule, 1))
-        assert_matches_unshared(monkeypatch, base, "constant_acceleration", "sigma_range", rule,
-                                GRID, run)
-        assert counts == [[15 * len(GRID)]]
 
 
 def test_position_survives_a_later_stage_failing(monkeypatch):
